@@ -10,10 +10,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction as Q
+from functools import lru_cache
 from typing import Dict, Sequence, Tuple
 
 import numpy as np
-from scipy.linalg import expm
 
 from .characters import (
     all_fundamental_tables,
@@ -24,9 +24,16 @@ from .characters import (
 from .chevalley import build_chevalley
 from .coxeter import Bipartition, bipartition, coxeter_element
 from .rootcore import Root, RootSystem, build_root_system, diagram_involution
-from .weightrep import Representation, registered_representation
+from .weightrep import (
+    NilpotentExp,
+    Representation,
+    registered_representation,
+    weyl_representative,
+)
 
 FACTOR_TOL = 1e-8
+# draws of _random_admissible_midpoint before it gives up
+MIDPOINT_DRAWS = 10_000
 
 
 class InadmissibleError(ValueError):
@@ -72,8 +79,8 @@ def alcove_map(rs: RootSystem, m: Sequence) -> AlcovePoint:
     slacks = tuple(rs.pairing(a, y) for a in rs.simple_roots)
     slack_psi = 1 - rs.pairing(rs.psi, y)
     alcove_ok = all(sl >= 0 for sl in slacks) and slack_psi >= 0
-    direct_ok = admissible_m(rs, m)
-    assert alcove_ok == direct_ok, "alcove inequalities disagree with admissibility"
+    if alcove_ok != admissible_m(rs, m):
+        raise ConsistencyError("alcove inequalities disagree with admissibility")
     nu = diagram_involution(rs)
     fixed = all(y[i] == y[nu[i] - 1] for i in range(rs.rank))
     return AlcovePoint(y, slacks, slack_psi, alcove_ok, fixed)
@@ -139,12 +146,6 @@ class CrossSectionFactors:
         return k1, k2, self.a_gamma()
 
 
-def _weyl_rep(rep: Representation, i: int) -> np.ndarray:
-    """Group representative of the simple reflection R_{alpha_i} (0-based i)."""
-    e, f = rep.e_float(i), rep.f_float(i)
-    return expm(-e) @ expm(f) @ expm(-e)
-
-
 def steinberg_section(
     rep: Representation, bip: Bipartition, t: Sequence[complex]
 ) -> CrossSectionFactors:
@@ -154,6 +155,10 @@ def steinberg_section(
     on the Chevalley generator, n_i = exp(-e) exp(f) exp(-e).  With these
     choices chi(C^Gamma(t)) = t holds literally in type A (dual pairing);
     other types compose with a unipotent-triangular coordinate change.
+
+    Only E_i(t) depends on t.  It is the finite series sum_k t^k e^k/k! of the
+    nilpotent generator, whose terms, like n_i, are built once per
+    representation and node (``Representation.section_factors``).
     """
     order = tuple(sorted(bip.i2)) + tuple(sorted(bip.i1))
     t = tuple(complex(c) for c in t)
@@ -162,9 +167,9 @@ def steinberg_section(
     e_parts = []
     n_parts = []
     for pos, node in enumerate(order):
-        i = node - 1
-        e_parts.append(expm(t[pos] * rep.e_float(i)).astype(complex))
-        n_parts.append(_weyl_rep(rep, i).astype(complex))
+        exp_e, n_i = rep.section_factors(node - 1)
+        e_parts.append(exp_e(t[pos]))
+        n_parts.append(n_i)
     return CrossSectionFactors(order, len(bip.i2), tuple(e_parts), tuple(n_parts))
 
 
@@ -291,17 +296,19 @@ class _AdjointSection:
     def __init__(self, rs: RootSystem, order: Tuple[int, ...]):
         alg = build_chevalley(str(rs.type))
         self.rs = rs
+        self.alg = alg
         self.order = order
         self.dim = alg.dim
-        self.ad_e = {}
-        self.n_ad = {}
+        # ad-matrices of the Chevalley generators: e_i = e_{alpha_i}/L_i, f_i = e_{-alpha_i}
+        self.exp_ad_e: Dict[int, NilpotentExp] = {}
+        self.n_ad: Dict[int, np.ndarray] = {}
         for i in order:
             a = rs.simple_roots[i - 1]
             li = float(rs.inner(a, a)) / 2
-            ade = alg.ad_dense(alg.e(a)) / li
-            adf = alg.ad_dense(alg.e(tuple(-c for c in a)))
-            self.ad_e[i] = ade
-            self.n_ad[i] = expm(-ade) @ expm(adf) @ expm(-ade)
+            exp_e = NilpotentExp(alg.ad_dense(alg.e(a)) / li)
+            exp_f = NilpotentExp(alg.ad_dense(alg.e(tuple(-c for c in a))))
+            self.exp_ad_e[i] = exp_e
+            self.n_ad[i] = weyl_representative(exp_e, exp_f)
         l = rs.rank
         self._root_pairing = np.array(
             [
@@ -313,13 +320,19 @@ class _AdjointSection:
     def section(self, t: Sequence[complex]) -> np.ndarray:
         out = np.eye(self.dim, dtype=complex)
         for pos, i in enumerate(self.order):
-            out = out @ expm(complex(t[pos]) * self.ad_e[i]) @ self.n_ad[i]
+            out = out @ self.exp_ad_e[i](t[pos]) @ self.n_ad[i]
         return out
 
     def target_eig(self, y) -> np.ndarray:
         yv = np.array([float(c) for c in y])
         eig = np.exp(2j * np.pi * (self._root_pairing @ yv))
         return np.concatenate([eig, np.ones(self.rs.rank)])
+
+
+@lru_cache(maxsize=None)
+def _adjoint_section(type_name: str, order: Tuple[int, ...]) -> _AdjointSection:
+    """The adjoint cross-section factors, built once per type and Gamma order."""
+    return _AdjointSection(build_root_system(type_name), order)
 
 
 # Adjoint class certificate threshold.  Calibration: wrong classes score
@@ -353,6 +366,11 @@ def _cert_tol(target_eig: np.ndarray) -> float:
     return max(SELECT_TOL, 3.0 * (1e-12) ** (1.0 / kmax))
 
 
+def _power_sums(eig: np.ndarray, ks: np.ndarray) -> np.ndarray:
+    """p_k = sum_j eig_j^k for each k in ks."""
+    return (eig[None, :] ** ks[:, None]).sum(axis=1)
+
+
 def _power_sum_certificate(section_eig: np.ndarray, target_eig: np.ndarray, order: int = 28) -> float:
     """Max normalized power-sum mismatch max_k |p_k(section) - p_k(target)|/dim.
 
@@ -363,12 +381,13 @@ def _power_sum_certificate(section_eig: np.ndarray, target_eig: np.ndarray, orde
     clusters beyond their gaps.  Traces of powers are smooth in the section
     parameters and conditioning-free: measured on solved points they stay
     below ~3e-4 even at the worst resonances, while classes with m shifted by
-    1/50 already differ at 3e-2 and generic wrong classes at ~1e0.
+    1/50 already differ at 3e-2 and generic wrong classes at ~1e0.  A section
+    blown up far from the class overflows the powers; it scores inf.
     """
     ks = np.arange(1, order + 1)
-    ps = np.array([np.sum(section_eig**k) for k in ks])
-    pt = np.array([np.sum(target_eig**k) for k in ks])
-    return float(np.max(np.abs(ps - pt))) / len(target_eig)
+    with np.errstate(over="ignore", invalid="ignore"):
+        mismatch = float(np.max(np.abs(_power_sums(section_eig, ks) - _power_sums(target_eig, ks))))
+    return mismatch / len(target_eig) if np.isfinite(mismatch) else np.inf
 
 
 def _solve_power_sums(
@@ -390,14 +409,17 @@ def _solve_power_sums(
     """
     kr = np.arange(1, min(len(reg_targets), 24) + 1)
     ka = np.arange(1, min(len(ad_targets), 28) + 1)
-    pr = np.array([np.sum(reg_targets**k) for k in kr]) / len(reg_targets)
-    pa = np.array([np.sum(ad_targets**k) for k in ka]) / len(ad_targets)
+    pr = _power_sums(reg_targets, kr) / len(reg_targets)
+    pa = _power_sums(ad_targets, ka) / len(ad_targets)
 
     def resid(t):
         er = np.linalg.eigvals(steinberg_section(rep, bip, t).full())
         ea = np.linalg.eigvals(adj.section(t))
-        fr = np.array([np.sum(er**k) for k in kr]) / len(er) - pr
-        fa = np.array([np.sum(ea**k) for k in ka]) / len(ea) - pa
+        # a trial step far off the class can overflow the powers; the line
+        # search rejects the non-finite residual
+        with np.errstate(over="ignore", invalid="ignore"):
+            fr = _power_sums(er, kr) / len(er) - pr
+            fa = _power_sums(ea, ka) / len(ea) - pa
         return np.concatenate([fr, fa])
 
     rng = np.random.default_rng(1)
@@ -422,7 +444,8 @@ def _solve_power_sums(
             lam = 1.0
             for _ in range(30):
                 cand = t + lam * step
-                if np.max(np.abs(resid(cand))) < r:
+                r_cand = np.max(np.abs(resid(cand)))
+                if np.isfinite(r_cand) and r_cand < r:
                     t = cand
                     break
                 lam /= 2
@@ -496,7 +519,6 @@ def _solve_class_with_continuation(
     rs: RootSystem,
     rep: Representation,
     bip: Bipartition,
-    tables,
     order: Tuple[int, ...],
     m: Tuple[Q, ...],
     tol: float = 1e-11,
@@ -515,15 +537,10 @@ def _solve_class_with_continuation(
     so the branch cannot hop classes.
     """
     s = rs.coxeter_number
-    adj = None if rs.type.family == "A" else _AdjointSection(rs, order)
+    adj = None if rs.type.family == "A" else _adjoint_section(str(rs.type), order)
 
-    def seed_and_target(tau: Q):
-        m_t = tuple(c * tau for c in m)
-        y = tuple((mi + x0i) / s for mi, x0i in zip(m_t, rs.x0_coords))
-        t0 = np.array([character_value_fast(rs, node, y) for node in order])
-        target = _charpoly(np.diag(_target_eigenvalues(rep, y)))
-        target_ad = None if adj is None else adj.target_eig(y)
-        return t0, target, target_ad
+    def y_of(mvec):
+        return tuple((mi + x0i) / s for mi, x0i in zip(mvec, rs.x0_coords))
 
     def certificate(t, target_ad) -> float:
         if adj is None:
@@ -531,7 +548,7 @@ def _solve_class_with_continuation(
         return _power_sum_certificate(np.linalg.eigvals(adj.section(t)), target_ad)
 
     def data_at(mvec):
-        y = tuple((mi + x0i) / s for mi, x0i in zip(mvec, rs.x0_coords))
+        y = y_of(mvec)
         t0 = np.array([character_value_fast(rs, node, y) for node in order])
         target = _charpoly(np.diag(_target_eigenvalues(rep, y)))
         target_ad = None if adj is None else adj.target_eig(y)
@@ -561,12 +578,8 @@ def _solve_class_with_continuation(
                     # seeded from the certified warm point
                     t0_end, target_end, target_ad_end = data_at(path(Q(1)))
                     seed = t_sol + (t0_end - t0_done)
-                    y_end = tuple(
-                        (mi + x0i) / s for mi, x0i in zip(path(Q(1)), rs.x0_coords)
-                    )
-                    t_e = _eigen_rescue(
-                        rep, bip, adj, seed, _target_eigenvalues(rep, y_end), target_ad_end
-                    )
+                    reg_end = _target_eigenvalues(rep, y_of(path(Q(1))))
+                    t_e = _eigen_rescue(rep, bip, adj, seed, reg_end, target_ad_end)
                     t_p, r_p = _solve_section_parameters(
                         rep, bip, t_e, target_end, tol, restarts=1
                     )
@@ -587,15 +600,13 @@ def _solve_class_with_continuation(
                 pending.append((tau_done + tau) / 2)
         return t_sol
 
-    t0, target, target_ad = seed_and_target(Q(1))
+    t0, target, target_ad = data_at(m)
+    reg_eig = _target_eigenvalues(rep, y_of(m))
     if adj is not None:
         # primary path: the smooth joint power-sum system reaches machine
         # precision even at resonant targets; the coefficient residual and
         # the certificate are then measured at its solution
-        y1 = tuple((mi + x0i) / s for mi, x0i in zip(m, rs.x0_coords))
-        t_ps, r_ps = _solve_power_sums(
-            rep, bip, adj, t0, _target_eigenvalues(rep, y1), target_ad
-        )
+        t_ps, r_ps = _solve_power_sums(rep, bip, adj, t0, reg_eig, target_ad)
         t, r = _solve_section_parameters(rep, bip, t_ps, target, tol, restarts=1)
         cert = certificate(t, target_ad)
         if r_ps < 1e-10 and cert <= _cert_tol(target_ad):
@@ -607,8 +618,6 @@ def _solve_class_with_continuation(
     if (r > loose or cert > _cert_tol(target_ad) if adj is not None else r > loose) and adj is not None:
         # wrong fiber or failed solve: the joint eigenvalue system separates
         # the fibers and tolerates repeated targets
-        y1 = tuple((mi + x0i) / s for mi, x0i in zip(m, rs.x0_coords))
-        reg_eig = _target_eigenvalues(rep, y1)
         t_e = _eigen_rescue(rep, bip, adj, t if r <= loose else t0, reg_eig, target_ad)
         t_p, r_p = _solve_section_parameters(rep, bip, t_e, target, tol, restarts=1)
         if r_p <= loose and certificate(t_p, target_ad) <= _cert_tol(target_ad):
@@ -644,8 +653,7 @@ def _solve_class_with_continuation(
 
     if adj is not None and cert > _cert_tol(target_ad):
         # last resort: eigenvalue steering from wherever we ended up
-        y1 = tuple((mi + x0i) / s for mi, x0i in zip(m, rs.x0_coords))
-        t_j = _eigen_rescue(rep, bip, adj, t, _target_eigenvalues(rep, y1), target_ad)
+        t_j = _eigen_rescue(rep, bip, adj, t, reg_eig, target_ad)
         t, r = _solve_section_parameters(rep, bip, t_j, target, tol, restarts=1)
         cert = certificate(t, target_ad)
     if adj is not None and cert > _cert_tol(target_ad):
@@ -662,11 +670,12 @@ def _random_admissible_midpoint(rs: RootSystem, m, rng) -> Tuple[Q, ...]:
 
     ginv = mat_inv(rs.form)
     span = max(1.0, max(abs(float(c)) for c in m))
-    while True:
+    for _ in range(MIDPOINT_DRAWS):
         a = [Q(int(x), 16) for x in rng.integers(-16, int(16 * span) + 1, size=rs.rank)]
         cand = tuple(mat_vec(ginv, a))
         if admissible_m(rs, cand):
             return cand
+    raise ConsistencyError(f"no admissible detour midpoint in {MIDPOINT_DRAWS} draws")
 
 
 def stokes_from_asymptotics(
@@ -696,9 +705,7 @@ def stokes_from_asymptotics(
     order = tuple(sorted(bip.i2)) + tuple(sorted(bip.i1))
     tables = all_fundamental_tables(rs)
     m_frac = _as_fractions(m)
-    t, class_res, adjoint_cert = _solve_class_with_continuation(
-        rs, rep, bip, tables, order, m_frac
-    )
+    t, class_res, adjoint_cert = _solve_class_with_continuation(rs, rep, bip, order, m_frac)
     if rs.type.family == "A":
         # chi(C(t)) = t exactly in type A: the character values must survive
         t0 = np.array([character_value(rs, tables[node - 1], y) for node in order])
@@ -768,36 +775,23 @@ def _unipotent_log(u: np.ndarray) -> np.ndarray:
 def verify_factor_supports(sd: StokesData, tol: float = FACTOR_TOL) -> Dict[str, float]:
     """log K1 / log K2 lie in the claimed root spaces, checked in ad(g).
 
-    Rebuilds both unipotent factors in the adjoint representation and expands
-    their logarithms over the ad-matrices of the supporting root vectors.
+    Rebuilds both unipotent factors from the cached adjoint cross-section
+    factors and expands their logarithms over the ad-matrices of the
+    supporting root vectors.
     """
-    alg = build_chevalley(sd.type_name)
-    rs = alg.rs
-    bip = bipartition(rs)
     order = sd.gamma_order
-    k = len(bip.i2)
-
-    # ad-matrices of the Chevalley generators: e_i^chev = e_{alpha_i}/L_i, f_i^chev = e_{-alpha_i}
-    ad_e = {}
-    ad_f = {}
-    for i in order:
-        a = rs.simple_roots[i - 1]
-        li = float(rs.inner(a, a)) / 2
-        ad_e[i] = alg.ad_dense(alg.e(a)) / li
-        ad_f[i] = alg.ad_dense(alg.e(tuple(-c for c in a)))
+    adj = _adjoint_section(sd.type_name, order)
+    alg = adj.alg
+    k = len(bipartition(alg.rs).i2)
 
     k1ad = np.eye(alg.dim, dtype=complex)
-    for pos in range(k):
-        i = order[pos]
-        k1ad = k1ad @ expm(sd.t[pos] * ad_e[i])
     nblock = np.eye(alg.dim, dtype=complex)
     for pos in range(k):
-        i = order[pos]
-        nblock = nblock @ (expm(-ad_e[i]) @ expm(ad_f[i]) @ expm(-ad_e[i]))
+        k1ad = k1ad @ adj.exp_ad_e[order[pos]](sd.t[pos])
+        nblock = nblock @ adj.n_ad[order[pos]]
     tail = np.eye(alg.dim, dtype=complex)
     for pos in range(k, len(order)):
-        i = order[pos]
-        tail = tail @ expm(sd.t[pos] * ad_e[i])
+        tail = tail @ adj.exp_ad_e[order[pos]](sd.t[pos])
     k2ad = nblock @ tail @ np.linalg.inv(nblock)
 
     out = {}

@@ -18,7 +18,7 @@ from typing import Dict, List, Sequence, Tuple
 import numpy as np
 
 from .characters import _lattice, fundamental_characters, weight_pairing
-from .chevalley import ChevalleyAlgebra, build_chevalley
+from .chevalley import ChevalleyAlgebra, InvariantViolation, build_chevalley
 from .rootcore import Root, RootSystem, build_root_system
 from .scalars import Sq
 
@@ -28,6 +28,43 @@ Weight = Tuple[int, ...]
 
 class UnsupportedRepresentationError(ValueError):
     """No registered matrix representation for this type."""
+
+
+class NilpotentExp:
+    """exp(t x) for a nilpotent matrix x, as its finite series.
+
+    The terms x^k/k! are built once, up to the last nonzero power; exp(t x)
+    is then sum_k t^k x^k/k!.  Chevalley generators move weight spaces by a
+    root, so their powers vanish exactly, also in floating point.  A matrix
+    whose n-th power is not exactly zero raises ValueError.
+    """
+
+    def __init__(self, x: np.ndarray):
+        n = x.shape[0]
+        power = np.eye(n)
+        terms = [power]
+        for k in range(1, n + 1):
+            power = power @ x / k
+            if not power.any():
+                break
+            terms.append(power)
+        else:
+            raise ValueError(f"matrix is not nilpotent: its {n}-th power is nonzero")
+        self.terms = np.stack(terms).astype(complex)
+        self.terms.flags.writeable = False
+        self._k = np.arange(len(terms))
+
+    def __call__(self, t: complex) -> np.ndarray:
+        flat = complex(t) ** self._k @ self.terms.reshape(len(self._k), -1)
+        return flat.reshape(self.terms.shape[1:])
+
+
+def weyl_representative(exp_e: NilpotentExp, exp_f: NilpotentExp) -> np.ndarray:
+    """n = exp(-e) exp(f) exp(-e), the group representative of a simple reflection."""
+    a = exp_e(-1)
+    out = a @ exp_f(1) @ a
+    out.flags.writeable = False
+    return out
 
 
 def _solve_gram(gram: List[List[Q]], rhs: List[Q]) -> List[Q]:
@@ -111,6 +148,8 @@ class Representation:
     e_chev: Tuple[np.ndarray, ...]      # object arrays of Fractions
     f_chev: Tuple[np.ndarray, ...]
     _root_mats: Dict[Root, np.ndarray] = field(default_factory=dict)
+    _float_mats: Dict[Tuple[str, int], np.ndarray] = field(default_factory=dict)
+    _section_factors: Dict[int, Tuple[NilpotentExp, np.ndarray]] = field(default_factory=dict)
     _alg: ChevalleyAlgebra | None = None
 
     @property
@@ -133,11 +172,31 @@ class Representation:
         vals = self.weight_values(self.rs.x0_coords)
         return np.diag(np.exp(2j * np.pi * vals / s))
 
+    def _float_mat(self, kind: str, i: int) -> np.ndarray:
+        got = self._float_mats.get((kind, i))
+        if got is None:
+            exact = self.e_chev[i] if kind == "e" else self.f_chev[i]
+            got = np.array([[float(x) for x in row] for row in exact])
+            got.flags.writeable = False
+            self._float_mats[(kind, i)] = got
+        return got
+
     def e_float(self, i: int) -> np.ndarray:
-        return np.array([[float(x) for x in row] for row in self.e_chev[i]])
+        """Float matrix of e_i, built once (read-only)."""
+        return self._float_mat("e", i)
 
     def f_float(self, i: int) -> np.ndarray:
-        return np.array([[float(x) for x in row] for row in self.f_chev[i]])
+        """Float matrix of f_i, built once (read-only)."""
+        return self._float_mat("f", i)
+
+    def section_factors(self, i: int) -> Tuple[NilpotentExp, np.ndarray]:
+        """(t -> exp(t e_i), n_i) for the cross-section, built once per node (0-based i)."""
+        got = self._section_factors.get(i)
+        if got is None:
+            exp_e = NilpotentExp(self.e_float(i))
+            got = (exp_e, weyl_representative(exp_e, NilpotentExp(self.f_float(i))))
+            self._section_factors[i] = got
+        return got
 
     def algebra(self) -> ChevalleyAlgebra:
         if self._alg is None:
@@ -219,9 +278,6 @@ def _build_representation(rs: RootSystem, lam: Weight) -> Representation:
     def coords_of(combo: Dict[Word, Q], mu: Weight) -> Dict[int, Q]:
         bw = by_weight.get(mu, [])
         if not bw:
-            assert not combo or all(
-                vw.form(b, w) == 0 for w in combo for b in bw
-            )
             return {}
         rhs = [Q(0)] * len(bw)
         for w, c in combo.items():
@@ -264,23 +320,20 @@ def _verify_representation(rep: Representation):
                     if i == j and r == c:
                         want = Q(rep.basis_weights[r][i])
                     if comm[r][c] != want:
-                        raise AssertionError(
+                        raise InvariantViolation(
                             f"[e_{i}, f_{j}] deviates at ({r},{c}): {comm[r][c]} != {want}"
                         )
     # e_i, f_i shift weights by +-alpha_i
     lat = _lattice(str(rep.rs.type))
     for i in range(l):
         ai = lat.to_dyn(rep.rs.simple_roots[i])
-        for r in range(dim):
-            for c in range(dim):
-                if rep.e_chev[i][r][c] != 0:
-                    assert tuple(
-                        a + b for a, b in zip(rep.basis_weights[c], ai)
-                    ) == rep.basis_weights[r]
-                if rep.f_chev[i][r][c] != 0:
-                    assert tuple(
-                        a - b for a, b in zip(rep.basis_weights[c], ai)
-                    ) == rep.basis_weights[r]
+        for name, mats, sign in (("e", rep.e_chev, 1), ("f", rep.f_chev, -1)):
+            for r, c in zip(*np.nonzero(mats[i] != 0)):
+                want = tuple(a + sign * b for a, b in zip(rep.basis_weights[c], ai))
+                if rep.basis_weights[r] != want:
+                    raise InvariantViolation(
+                        f"{name}_{i} moves the weight at ({r},{c}) by other than alpha_{i}"
+                    )
 
 
 @lru_cache(maxsize=None)
@@ -291,7 +344,7 @@ def fundamental_representation(type_name: str, index: int) -> Representation:
     expected = fundamental_characters(type_name, index).dim
     rep = _build_representation(rs, lam)
     if rep.dim != expected:
-        raise AssertionError(
+        raise InvariantViolation(
             f"constructed dimension {rep.dim} != character dimension {expected}"
         )
     return rep

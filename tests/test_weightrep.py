@@ -2,11 +2,15 @@ from fractions import Fraction as Q
 
 import numpy as np
 import pytest
+from scipy.linalg import expm
 
 from coxstokes.characters import fundamental_characters
-from coxstokes.chevalley import build_chevalley
+from coxstokes.chevalley import InvariantViolation, build_chevalley
 from coxstokes.weightrep import (
+    NilpotentExp,
+    Representation,
     UnsupportedRepresentationError,
+    _verify_representation,
     fundamental_representation,
     registered_representation,
 )
@@ -118,3 +122,61 @@ def test_tau_rotates_root_matrices():
 def test_fundamental_representation_dimension_check():
     rep = fundamental_representation("B2", 2)
     assert rep.dim == 4
+
+
+# -- float generators and the finite exponential series ------------------------------
+
+SERIES_T = (0.7 - 0.3j, -1.9 + 2.2j, 3j)
+
+
+def assert_series_matches_expm(x):
+    series = NilpotentExp(x)
+    for t in SERIES_T:
+        want = expm(t * x)
+        got = series(t)
+        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+
+@pytest.mark.parametrize("name", ["A5", "A6"] + sorted(REGISTERED_DIMS))
+def test_exp_series_matches_expm(name):
+    # exp(t x) as sum_k t^k x^k/k! for every Chevalley generator, and the
+    # cached Weyl representatives n_i = exp(-e) exp(f) exp(-e)
+    rep = registered_representation(name)
+    for i in range(rep.rs.rank):
+        e, f = rep.e_float(i), rep.f_float(i)
+        assert_series_matches_expm(e)
+        assert_series_matches_expm(f)
+        n_i = rep.section_factors(i)[1]
+        want = expm(-e) @ expm(f) @ expm(-e)
+        assert np.max(np.abs(n_i - want)) <= 1e-12 * np.max(np.abs(want))
+
+
+def test_exp_series_rejects_non_nilpotent():
+    with pytest.raises(ValueError, match="not nilpotent"):
+        NilpotentExp(np.array([[0.0, 1.0], [1e-3, 0.0]]))
+
+
+def test_float_generators_built_once_and_read_only():
+    rep = registered_representation("B3")
+    for get in (rep.e_float, rep.f_float):
+        a = get(1)
+        assert get(1) is a
+        assert not a.flags.writeable
+        with pytest.raises(ValueError):
+            a[0, 0] = 1.0
+    exp_e, n_i = rep.section_factors(1)
+    assert rep.section_factors(1)[0] is exp_e
+    assert not n_i.flags.writeable
+
+
+def test_tampered_representation_raises_invariant_violation():
+    rep = registered_representation("A2")
+    e0 = rep.e_chev[0].copy()
+    e0[0, 1] = Q(2)
+    bad = Representation(
+        rep.rs, rep.highest_weight, rep.dim, rep.basis_words, rep.basis_weights,
+        (e0,) + rep.e_chev[1:], rep.f_chev,
+    )
+    with pytest.raises(InvariantViolation, match=r"\[e_0, f_0\]"):
+        _verify_representation(bad)
+    assert issubclass(InvariantViolation, AssertionError)
