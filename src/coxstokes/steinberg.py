@@ -539,20 +539,18 @@ def _solve_class_with_continuation(
     s = rs.coxeter_number
     adj = None if rs.type.family == "A" else _adjoint_section(str(rs.type), order)
 
-    def y_of(mvec):
-        return tuple((mi + x0i) / s for mi, x0i in zip(mvec, rs.x0_coords))
-
     def certificate(t, target_ad) -> float:
         if adj is None:
             return 0.0
         return _power_sum_certificate(np.linalg.eigvals(adj.section(t)), target_ad)
 
     def data_at(mvec):
-        y = y_of(mvec)
+        """Character seed, registered target eigenvalues and polynomial, adjoint target."""
+        y = tuple((mi + x0i) / s for mi, x0i in zip(mvec, rs.x0_coords))
         t0 = np.array([character_value_fast(rs, node, y) for node in order])
-        target = _charpoly(np.diag(_target_eigenvalues(rep, y)))
+        reg_eig = _target_eigenvalues(rep, y)
         target_ad = None if adj is None else adj.target_eig(y)
-        return t0, target, target_ad
+        return t0, reg_eig, _charpoly(np.diag(reg_eig)), target_ad
 
     loose = max(tol, 1e-8)
 
@@ -565,7 +563,7 @@ def _solve_class_with_continuation(
         classes; collisions force a bisection stall instead.
         """
         tau_done = Q(0)
-        t0_done, target0, target_ad0 = data_at(path(Q(0)))
+        t0_done, _, target0, target_ad0 = data_at(path(Q(0)))
         t_sol, r0 = _solve_section_parameters(rep, bip, t0_done, target0, tol, restarts=4)
         if r0 > loose or certificate(t_sol, target_ad0) > _cert_tol(target_ad0):
             raise ConsistencyError(f"certified class solve failed at m = 0: {r0}")
@@ -576,9 +574,8 @@ def _solve_class_with_continuation(
                 if adj is not None:
                     # stalled: jump to the endpoint with the eigenvalue system,
                     # seeded from the certified warm point
-                    t0_end, target_end, target_ad_end = data_at(path(Q(1)))
+                    t0_end, reg_end, target_end, target_ad_end = data_at(path(Q(1)))
                     seed = t_sol + (t0_end - t0_done)
-                    reg_end = _target_eigenvalues(rep, y_of(path(Q(1))))
                     t_e = _eigen_rescue(rep, bip, adj, seed, reg_end, target_ad_end)
                     t_p, r_p = _solve_section_parameters(
                         rep, bip, t_e, target_end, tol, restarts=1
@@ -588,7 +585,7 @@ def _solve_class_with_continuation(
                 raise ConsistencyError(
                     f"continuation stalled between tau = {tau_done} and {tau}"
                 )
-            t0_tau, target_tau, target_ad_tau = data_at(path(tau))
+            t0_tau, _, target_tau, target_ad_tau = data_at(path(tau))
             seed = t_sol + (t0_tau - t0_done)
             t_try, r = _solve_section_parameters(
                 rep, bip, seed, target_tau, loose, restarts=1
@@ -600,8 +597,7 @@ def _solve_class_with_continuation(
                 pending.append((tau_done + tau) / 2)
         return t_sol
 
-    t0, target, target_ad = data_at(m)
-    reg_eig = _target_eigenvalues(rep, y_of(m))
+    t0, reg_eig, target, target_ad = data_at(m)
     if adj is not None:
         # primary path: the smooth joint power-sum system reaches machine
         # precision even at resonant targets; the coefficient residual and
