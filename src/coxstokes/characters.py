@@ -9,13 +9,14 @@ coordinates, where dominance and reflections are integer operations.
 from __future__ import annotations
 
 import json
+import math
 import os
 from dataclasses import dataclass
 from fractions import Fraction as Q
 from functools import lru_cache
 from typing import Dict, List, Tuple
 
-from .rootcore import RootSystem, build_root_system
+from .rootcore import InvariantViolation, RootSystem, build_root_system
 from .scalars import mat_inv, mat_mul
 
 Weight = Tuple[int, ...]
@@ -51,6 +52,9 @@ class _Lattice:
         self.Ainv = Ainv
         self.pos_dyn = [self.to_dyn(r) for r in rs.positive_roots]
         self.rho = tuple([1] * l)
+        # (mu, alpha_j) = mu_j (alpha_j, alpha_j)/2: these lengths, scaled to integers
+        den = math.lcm(*(Q(rs.form[j][j]).denominator for j in range(l)))
+        self._len_sq = tuple(int(rs.form[j][j] * den) for j in range(l))
 
     def to_dyn(self, root) -> Weight:
         l = self.rs.rank
@@ -94,14 +98,14 @@ class _Lattice:
         return sorted(seen)
 
     def weyl_dim(self, lam: Weight) -> int:
-        num = den = Q(1)
-        lr = tuple(a + b for a, b in zip(lam, self.rho))
-        for a in self.pos_dyn:
-            num *= self.inner(lr, a)
-            den *= self.inner(self.rho, a)
-        d = num / den
-        assert d.denominator == 1
-        return int(d)
+        """prod over positive roots of (lam+rho, alpha)/(rho, alpha), in integers."""
+        num = den = 1
+        for root in self.rs.positive_roots:
+            num *= sum(c * (m + 1) * w for c, m, w in zip(root, lam, self._len_sq))
+            den *= sum(c * w for c, w in zip(root, self._len_sq))
+        if num % den:
+            raise InvariantViolation(f"Weyl dimension of {lam} is not an integer")
+        return num // den
 
 
 @lru_cache(maxsize=None)

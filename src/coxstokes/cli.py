@@ -11,6 +11,7 @@ import argparse
 import json
 import sys
 from fractions import Fraction as Q
+from functools import lru_cache
 from importlib import resources
 from typing import List, Sequence
 
@@ -74,13 +75,26 @@ class _Parser(argparse.ArgumentParser):
         sys.exit(EXIT_USAGE)
 
 
-def _validate(kind: str, doc: dict) -> dict:
+@lru_cache(maxsize=None)
+def _validator(kind: str):
+    """The validator of one schema kind, read and schema-checked once."""
     import jsonschema
 
     schema = json.loads(
         resources.files("coxstokes.schemas").joinpath(f"{kind}.schema.json").read_text()
     )
-    jsonschema.validate(doc, schema)
+    cls = jsonschema.validators.validator_for(schema)
+    cls.check_schema(schema)
+    return cls(schema)
+
+
+def _validate(kind: str, doc: dict) -> dict:
+    """Raise the best-matching schema error of doc, as jsonschema.validate does."""
+    import jsonschema
+
+    error = jsonschema.exceptions.best_match(_validator(kind).iter_errors(doc))
+    if error is not None:
+        raise error
     return doc
 
 

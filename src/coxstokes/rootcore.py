@@ -15,13 +15,21 @@ from typing import Dict, List, Tuple
 
 import numpy as np
 
-from .scalars import Matrix, Vector, mat_inv, mat_vec, qvec
+from .scalars import Vector, mat_inv, mat_vec, qvec
 
 Root = Tuple[int, ...]
 
 
 class UnsupportedTypeError(ValueError):
     """Raised for (family, rank) pairs outside the supported simple types."""
+
+
+class InvariantViolation(AssertionError):
+    """An exact build-time identity (Jacobi, magnitude, root data, ...) failed.
+
+    Raised explicitly, never by ``assert``, so the checks also hold under
+    ``python -O``.
+    """
 
 
 _MIN_RANK = {"A": 2, "B": 2, "C": 2, "D": 3, "F": 4, "G": 2}
@@ -211,7 +219,7 @@ def _exponents_from_angles(cartan, l: int, s: int) -> Tuple[int, ...]:
         m = ang * s / (2 * np.pi)
         mi = int(round(m))
         if abs(m - mi) > 1e-8 or not (1 <= mi <= s - 1):
-            raise AssertionError(f"Coxeter eigenvalue angle {m} not of the form m/s")
+            raise InvariantViolation(f"Coxeter eigenvalue angle {m} not of the form m/s")
         exps.append(mi)
     return tuple(sorted(exps))
 
@@ -232,13 +240,15 @@ def build_root_system(type_name) -> RootSystem:
     ]
     for i in range(l):
         for j in range(l):
-            assert Q(2) * gram_euc[i][j] / gram_euc[j][j] == cartan[i][j]
+            if Q(2) * gram_euc[i][j] / gram_euc[j][j] != cartan[i][j]:
+                raise InvariantViolation(f"non-integral Cartan entry at ({i}, {j})")
 
     roots = _reflection_closure(cartan, l)
     positives = [r for r in roots if sum(r) > 0]
     psi = max(positives, key=_root_key)
     for r in positives:
-        assert all(c >= 0 for c in r), f"mixed-sign root {r}"
+        if any(c < 0 for c in r):
+            raise InvariantViolation(f"mixed-sign root {r}")
 
     # normalize the form so (psi, psi) = 2
     psi_len = sum(
@@ -249,12 +259,14 @@ def build_root_system(type_name) -> RootSystem:
 
     marks = (1,) + tuple(psi)
     s = 1 + sum(psi)
-    assert len(roots) == l * s, f"|Delta| = {len(roots)} != l*s = {l * s}"
-    assert sum(psi) == s - 1
+    if len(roots) != l * s:
+        raise InvariantViolation(f"|Delta| = {len(roots)} != l*s = {l * s}")
 
     exps = _exponents_from_angles(cartan, l, s)
-    assert exps[0] == 1 and exps[-1] == s - 1
-    assert all(exps[i] + exps[l - 1 - i] == s for i in range(l))
+    if exps[0] != 1 or exps[-1] != s - 1:
+        raise InvariantViolation(f"exponents {exps} do not run from 1 to s-1 = {s - 1}")
+    if any(exps[i] + exps[l - 1 - i] != s for i in range(l)):
+        raise InvariantViolation(f"exponents {exps} are not symmetric about s/2")
 
     ginv = mat_inv(form)
     r_coeffs = mat_vec(ginv, [Q(1)] * l)
@@ -300,8 +312,10 @@ def dual_data(rs: RootSystem) -> DualData:
     hvecs = {r: qvec(r) for r in rs.roots}
     x0 = rs.r_coeffs
     for i in range(rs.rank):
-        assert rs.pairing(rs.simple_roots[i], x0) == 1
-    assert rs.pairing(rs.psi, x0) == rs.coxeter_number - 1
+        if rs.pairing(rs.simple_roots[i], x0) != 1:
+            raise InvariantViolation(f"alpha_{i + 1}(x0) != 1")
+    if rs.pairing(rs.psi, x0) != rs.coxeter_number - 1:
+        raise InvariantViolation("psi(x0) != s - 1")
     return DualData(hvecs, rs.epsilon_basis, rs.r_coeffs, x0)
 
 

@@ -1,9 +1,12 @@
-"""Exact scalar arithmetic: rational linear algebra and quadratic surds.
+"""Exact scalar arithmetic: small rational linear algebra and quadratic surds.
 
 Root-system data is pure rational, but a basis normalized so that the
 invariant form pairs opposite root vectors to 1 forces structure constants
 of the form q*sqrt(d) (q rational, d in {1,2,3} depending on the algebra).
-``Sq`` implements exact arithmetic in Q(sqrt(d)).
+``Sq`` implements exact arithmetic in Q(sqrt(d)).  The Chevalley build and
+its checks do not use it: they run on integer tables (see ``chevalley``).
+``Sq`` serves the element API (``nval``, ``bracket``, ``killing``) and the
+exact strings of the structure-constant JSON export.
 """
 
 from __future__ import annotations
@@ -48,36 +51,6 @@ def mat_inv(A: Sequence[Sequence[Q]]) -> Matrix:
                 f = M[k][i]
                 M[k] = [M[k][j] - f * M[i][j] for j in range(2 * n)]
     return [row[n:] for row in M]
-
-
-def solve(A: Sequence[Sequence[Q]], b: Sequence[Q]) -> Vector:
-    return mat_vec(mat_inv(A), qvec(b))
-
-
-def rank(A: Sequence[Sequence[Q]]) -> int:
-    """Exact rank by fraction-free-ish row reduction."""
-    M = [list(map(Q, row)) for row in A]
-    nrows = len(M)
-    ncols = len(M[0]) if nrows else 0
-    r = 0
-    for j in range(ncols):
-        piv = None
-        for i in range(r, nrows):
-            if M[i][j] != 0:
-                piv = i
-                break
-        if piv is None:
-            continue
-        M[r], M[piv] = M[piv], M[r]
-        pv = M[r][j]
-        for i in range(r + 1, nrows):
-            if M[i][j] != 0:
-                f = M[i][j] / pv
-                M[i] = [M[i][k] - f * M[r][k] for k in range(ncols)]
-        r += 1
-        if r == nrows:
-            break
-    return r
 
 
 def squarefree_split(n: int) -> Tuple[int, int]:

@@ -10,17 +10,17 @@ how the registered faithful representations (standard / 7-dim for G2 /
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction as Q
 from functools import lru_cache
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, List, Tuple
 
 import numpy as np
 
 from .characters import _lattice, fundamental_characters, weight_pairing
-from .chevalley import ChevalleyAlgebra, InvariantViolation, build_chevalley
+from .chevalley import ChevalleyAlgebra, InvariantViolation, _check_bound, build_chevalley
 from .rootcore import Root, RootSystem, build_root_system
-from .scalars import Sq
 
 Word = Tuple[int, ...]  # f_{i1} f_{i2} ... applied to the highest vector
 Weight = Tuple[int, ...]
@@ -306,34 +306,56 @@ def _build_representation(rs: RootSystem, lam: Weight) -> Representation:
     return rep
 
 
+def _scaled_generators(rep: Representation) -> Tuple[np.ndarray, np.ndarray, int]:
+    """L*e_i and L*f_i as int64 stacks, L the lcm of all their denominators.
+
+    Raises InvariantViolation when the entries are so large that the
+    commutator check could overflow int64.
+    """
+    mats = rep.e_chev + rep.f_chev
+    scale = math.lcm(*(x.denominator for m in mats for x in m.flat))
+    ints = [[[x.numerator * (scale // x.denominator) for x in row] for row in m] for m in mats]
+    top = max(abs(x) for m in ints for row in m for x in row)
+    weight_top = max(abs(w) for mu in rep.basis_weights for w in mu)
+    _check_bound(2 * rep.dim * top * top + scale * scale * weight_top, f"{rep.name} generators")
+    stack = np.array(ints, dtype=np.int64).reshape(2, rep.rs.rank, rep.dim, rep.dim)
+    return stack[0], stack[1], scale
+
+
 def _verify_representation(rep: Representation):
-    """Exact Chevalley-relation checks: [e_i, f_j] = delta_ij h_i, [h, e] = <.,.> e."""
+    """Exact Chevalley-relation checks: [e_i, f_j] = delta_ij h_i, [h, e] = <.,.> e.
+
+    The generators are scaled to integers by the lcm L of their
+    denominators, so [e_i, f_j] is checked as an int64 matmul against
+    L^2 delta_ij h_i.
+    """
     l = rep.rs.rank
     dim = rep.dim
+    E, F, scale = _scaled_generators(rep)
+    weights = np.array(rep.basis_weights, dtype=np.int64).reshape(dim, l)
+    comm = E[:, None] @ F[None, :] - F[None, :] @ E[:, None]  # comm[i, j] = [e_i, f_j]
     for i in range(l):
-        for j in range(l):
-            e, f = rep.e_chev[i], rep.f_chev[j]
-            comm = e @ f - f @ e
-            for r in range(dim):
-                for c in range(dim):
-                    want = Q(0)
-                    if i == j and r == c:
-                        want = Q(rep.basis_weights[r][i])
-                    if comm[r][c] != want:
-                        raise InvariantViolation(
-                            f"[e_{i}, f_{j}] deviates at ({r},{c}): {comm[r][c]} != {want}"
-                        )
+        comm[i, i] -= np.diag(scale * scale * weights[:, i])
+    bad = np.argwhere(comm != 0)
+    if len(bad):
+        i, j, r, c = (int(x) for x in bad[0])
+        got = Q(int(comm[i, j, r, c]), scale * scale)
+        want = Q(int(rep.basis_weights[r][i])) if i == j and r == c else Q(0)
+        raise InvariantViolation(
+            f"[e_{i}, f_{j}] deviates at ({r},{c}): {got + want} != {want}"
+        )
     # e_i, f_i shift weights by +-alpha_i
     lat = _lattice(str(rep.rs.type))
     for i in range(l):
-        ai = lat.to_dyn(rep.rs.simple_roots[i])
-        for name, mats, sign in (("e", rep.e_chev, 1), ("f", rep.f_chev, -1)):
-            for r, c in zip(*np.nonzero(mats[i] != 0)):
-                want = tuple(a + sign * b for a, b in zip(rep.basis_weights[c], ai))
-                if rep.basis_weights[r] != want:
-                    raise InvariantViolation(
-                        f"{name}_{i} moves the weight at ({r},{c}) by other than alpha_{i}"
-                    )
+        ai = np.array(lat.to_dyn(rep.rs.simple_roots[i]), dtype=np.int64)
+        for name, mats, sign in (("e", E, 1), ("f", F, -1)):
+            rows, cols = np.nonzero(mats[i])
+            moved = np.flatnonzero((weights[rows] != weights[cols] + sign * ai).any(axis=1))
+            if moved.size:
+                r, c = rows[moved[0]], cols[moved[0]]
+                raise InvariantViolation(
+                    f"{name}_{i} moves the weight at ({r},{c}) by other than alpha_{i}"
+                )
 
 
 @lru_cache(maxsize=None)
@@ -366,6 +388,7 @@ def registered_representation(type_name: str) -> Representation:
     if rs.type.family in "ABCD":
         idx = 1
     else:
-        dims = [fundamental_characters(type_name, i + 1).dim for i in range(rs.rank)]
+        lat = _lattice(str(rs.type))
+        dims = [lat.weyl_dim(tuple(int(j == i) for j in range(rs.rank))) for i in range(rs.rank)]
         idx = int(np.argmin(dims)) + 1
     return fundamental_representation(type_name, idx)

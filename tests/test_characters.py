@@ -33,6 +33,22 @@ def test_fundamental_dimensions(name):
     assert dims == KNOWN_DIMS[name]
 
 
+@pytest.mark.parametrize("name", ["A3", "B3", "C3", "G2", "F4", "E6", "E8"])
+def test_weyl_dim_matches_form_product(name):
+    # reference: prod (lam+rho, alpha)/(rho, alpha) with the Fraction form
+    from coxstokes.characters import _lattice
+
+    lat = _lattice(name)
+    l = lat.rs.rank
+    lams = [tuple(int(i == j) for j in range(l)) for i in range(l)] + [tuple(range(l))]
+    for lam in lams:
+        lr = tuple(m + 1 for m in lam)
+        want = Q(1)
+        for a in lat.pos_dyn:
+            want *= lat.inner(lr, a) / lat.inner(lat.rho, a)
+        assert lat.weyl_dim(lam) == want
+
+
 def test_a2_standard_weights():
     tb = fundamental_characters("A2", 1)
     assert tb.dim == 3

@@ -1,11 +1,20 @@
+import dataclasses
+import hashlib
 import json
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction as Q
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import coxstokes
+from coxstokes import rootcore
 from coxstokes.chevalley import (
+    ChevalleyAlgebra,
     InvariantViolation,
     build_chevalley,
     export_structure_constants,
@@ -13,7 +22,11 @@ from coxstokes.chevalley import (
     sigma_nu,
     tau_diagonal,
     toda_bracket_identity,
+    verify_jacobi,
+    verify_magnitudes,
 )
+from coxstokes.cli import STANDARD_TYPES
+from coxstokes.rootcore import build_root_system
 from coxstokes.scalars import Sq
 
 TYPES = ["A2", "A3", "B2", "B3", "C3", "D4", "G2", "F4"]
@@ -111,14 +124,14 @@ def test_principal_tds(name):
 
 
 def test_tds_relations_fail_for_tampered_f0():
-    alg = build_chevalley("A2")
-    with pytest.raises(InvariantViolation):
-        # wrong coefficients cannot satisfy [e0, f0] = x0; emulate by scaling r
-        tds = principal_tds(alg, [Q(1), Q(1)])
-        bad = alg.scale(tds.f0, Q(2))
-        res = alg.add(alg.bracket(tds.e0, bad), alg.scale(tds.x0, -1))
-        if any(bool(v) for v in res.values()):
-            raise InvariantViolation("tampered TDS detected")
+    # wrong r_i give a wrong x0 = sum r_i H_i and f0 = sum (r_i/a_i) e_{-a_i};
+    # [x0, e0] = e0 then fails, and principal_tds's own check must say so
+    rs = build_root_system("A2")
+    alg = ChevalleyAlgebra(dataclasses.replace(rs, r_coeffs=(Q(2), Q(1))))
+    with pytest.raises(InvariantViolation, match="failed exactly"):
+        principal_tds(alg, [Q(1), Q(1)])
+    with pytest.raises(InvariantViolation, match="failed numerically"):
+        principal_tds(alg)
 
 
 @pytest.mark.parametrize("name", TYPES)
@@ -253,3 +266,169 @@ def test_involution_rules():
     assert rules["chi"]["action"][("h", 1)] == (("h", 2), -1)
     for inv in rules.values():
         assert inv["conjugate_linear"]
+
+
+# -- golden gate and integer tables --------------------------------------------
+
+# sha256 of export_structure_constants, recorded with the Fraction/Sq build
+# that preceded the integer tables
+EXPORT_SHA256 = {
+    "A2": "d260cdba1e337d7ca416f35c0a4621210c6f8a38493b6550f93568b8618cd788",
+    "A3": "8d956fe3059c55e6b838be0e2cf71ad8630a0d9ca6afc4ace9b2f542f7bd22bd",
+    "A4": "5b808078a072e6b78d8477f1d7978886b9b8f18dd1076f8522267d716471b531",
+    "A5": "4d459d1d7aff95f8edb38447b82e6276ba519f0ef15cf8a8906abc133f295a49",
+    "A6": "741cd7b1bc2df9fc75381da67f81f779cdf2190e4e4b21c0d89a73c9f9bb9f99",
+    "B2": "9e82e3e6b327bd6f5ebeb78365065ba3a9e83e3ca73a9f6ab5b6cf9e9ba80d77",
+    "B3": "80ff3d019721c38b98713bb0509d09310e25e3aff11e77e896ce11493bac0ff4",
+    "B4": "ca4f7af20f03afa26758b72b27e3acacb31e9005f4be23bf525fd89f553766ac",
+    "C3": "031e0fca9cd5aaa34d8f72aa8821cf5a44ce149091ace114616b79f758d66ed1",
+    "D4": "f18c08a15b5e8fddc478393f660346a29b5ca2487f3b3a0aff6860eff3b7baf7",
+    "D5": "91fe9f0ae829125b5cb9d09638002cfe3b3427603eef72b73f501a95edddc104",
+    "G2": "fd828948a4575517f7b4c6ba9cc716409cdc3f137098901e5697c28ce22b1c18",
+    "F4": "56d733493d5bb4a2038f22b9d8a179a4541078517eef80ca5b8db864cbe0e01d",
+    "E6": "bd12d5911afcc5b3f9432d9a7480380225965394bb1d4e335e0fff58ba25c972",
+    "E7": "ea9d3d66781b4570858c10cf8a89e6c72f207bb03466025d87ad8113ba3cd861",
+    "E8": "92e0f21eab8ccd95a2d51a9d805533875f859d6f3fb5eb182ca93afc47225d03",
+}
+
+
+@pytest.mark.parametrize("name", STANDARD_TYPES)
+def test_structure_constant_export_golden(name):
+    text = export_structure_constants(build_chevalley(name))
+    assert hashlib.sha256(text.encode()).hexdigest() == EXPORT_SHA256[name]
+
+
+def _tuple_strings(rs, a, b):
+    """Root-string numbers (p, q) of the a-string through b, by tuple arithmetic."""
+    out = []
+    for sign in (-1, 1):
+        k, cur = 0, tuple(y + sign * x for x, y in zip(a, b))
+        while rs.is_root(cur):
+            k += 1
+            cur = tuple(y + sign * x for x, y in zip(a, cur))
+        out.append(k)
+    return tuple(out)
+
+
+@pytest.mark.parametrize("name", TYPES)
+def test_root_tables_match_tuple_arithmetic(name):
+    from coxstokes.chevalley import _root_strings
+
+    alg = build_chevalley(name)
+    rs, t = alg.rs, alg.tables
+    index = {r: i for i, r in enumerate(rs.roots)}
+    zero = (0,) * rs.rank
+    p, q = _root_strings(t.sums, t.neg)
+    assert [tuple(r) for r in t.roots.tolist()] == list(rs.roots)
+    for i, a in enumerate(rs.roots):
+        assert t.neg[i] == index[neg(a)]
+        for j, b in enumerate(rs.roots):
+            s = tuple(x + y for x, y in zip(a, b))
+            assert t.sums[i, j] == (-2 if s == zero else index.get(s, -1))
+            assert Q(int(t.inner[i, j]), t.form_den) == rs.inner(a, b)
+            assert (p[i, j], q[i, j]) == _tuple_strings(rs, a, b)
+
+
+@pytest.mark.parametrize("name", STANDARD_TYPES)
+def test_tables_are_integer_and_encoding_per_family(name):
+    t = build_chevalley(name).tables
+    for arr in (t.roots, t.neg, t.sums, t.inner, t.n_rat, t.n_surd):
+        assert arr.dtype == np.int64
+    fam = name[0]
+    assert t.surd == t.den == {"B": 2, "C": 2, "F": 2, "G": 3}.get(fam, 1)
+    assert t.form_den == {"C": 2, "F": 2, "G": 3}.get(fam, 1)
+    if t.surd == 1:
+        assert not t.n_surd.any()
+        assert set(np.unique(t.n_rat).tolist()) == {-1, 0, 1}
+
+
+def _flip_one(t, value=-1):
+    """Tables with one bracketable constant N(a, b) multiplied by value."""
+    i, j = np.argwhere(t.sums >= 0)[len(t.neg) // 3]
+    u, v = t.n_rat.copy(), t.n_surd.copy()
+    u[i, j] *= value
+    v[i, j] *= value
+    return dataclasses.replace(t, n_rat=u, n_surd=v)
+
+
+@pytest.mark.parametrize("name", ["B3", "E6"])
+def test_jacobi_check_catches_one_flipped_sign(name):
+    t = build_chevalley(name).tables
+    verify_jacobi(t)
+    with pytest.raises(InvariantViolation, match="Jacobi fails"):
+        verify_jacobi(_flip_one(t))
+
+
+@pytest.mark.parametrize("name", ["B3", "E6"])
+def test_magnitude_check_catches_one_doubled_constant(name):
+    t = build_chevalley(name).tables
+    verify_magnitudes(t)
+    with pytest.raises(InvariantViolation, match="N\\^2 mismatch"):
+        verify_magnitudes(_flip_one(t, 2))
+
+
+def test_magnitude_check_catches_broken_negation_symmetry():
+    t = build_chevalley("G2").tables
+    i, j = np.argwhere(t.sums >= 0)[0]
+    u, v = t.n_rat.copy(), t.n_surd.copy()
+    ni, nj = t.neg[i], t.neg[j]
+    u[ni, nj], v[ni, nj] = u[i, j], v[i, j]  # N(-a,-b) = +N(a,b): magnitudes still fine
+    with pytest.raises(InvariantViolation, match="N\\(-a,-b\\)"):
+        verify_magnitudes(dataclasses.replace(t, n_rat=u, n_surd=v))
+
+
+def test_bound_check_raises_before_int64_overflow():
+    t = _flip_one(build_chevalley("A3").tables, 2**31)
+    for check in (verify_magnitudes, verify_jacobi):
+        with pytest.raises(InvariantViolation, match="overflow int64"):
+            check(t)
+
+
+_UNDER_O = """
+import dataclasses
+from fractions import Fraction as Q
+import numpy as np
+from coxstokes.chevalley import InvariantViolation, build_chevalley, verify_jacobi
+from coxstokes.weightrep import Representation, _verify_representation, registered_representation
+
+assert not __debug__
+t = build_chevalley("B3").tables
+i, j = np.argwhere(t.sums >= 0)[0]
+u = t.n_rat.copy()
+u[i, j] *= -1
+try:
+    verify_jacobi(dataclasses.replace(t, n_rat=u))
+except InvariantViolation:
+    print("jacobi raised")
+rep = registered_representation("A2")
+e0 = rep.e_chev[0].copy()
+e0[0, 1] = Q(2)
+bad = Representation(
+    rep.rs, rep.highest_weight, rep.dim, rep.basis_words, rep.basis_weights,
+    (e0,) + rep.e_chev[1:], rep.f_chev,
+)
+try:
+    _verify_representation(bad)
+except InvariantViolation:
+    print("representation raised")
+"""
+
+
+def test_tamper_checks_raise_under_python_O():
+    src = str(Path(coxstokes.__file__).resolve().parents[1])
+    out = subprocess.run(
+        [sys.executable, "-O", "-c", _UNDER_O],
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src}, timeout=120,
+    )
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.split("\n")[:2] == ["jacobi raised", "representation raised"]
+
+
+def test_root_data_checks_are_named_exceptions():
+    assert rootcore.InvariantViolation is InvariantViolation
+    a3 = build_root_system("A3")
+    skewed = dataclasses.replace(a3, r_coeffs=(Q(1), Q(2), Q(3)))
+    with pytest.raises(InvariantViolation, match="alpha_1"):
+        rootcore.dual_data(skewed)
+    with pytest.raises(InvariantViolation, match="nu-symmetric"):
+        sigma_nu(ChevalleyAlgebra(skewed))

@@ -1,7 +1,10 @@
 import json
 
+import jsonschema
 import pytest
 
+from coxstokes import cli
+from coxstokes.chevalley import InvariantViolation
 from coxstokes.cli import EXIT_DOMAIN, EXIT_OK, EXIT_USAGE, EXIT_VERIFY, main
 
 
@@ -90,3 +93,10 @@ def test_monodromy_pass_and_fail(tmp_path):
 
 def test_monodromy_domain_error():
     assert run(["monodromy", "--rank", "2", "--k", "0,1,2"]) == EXIT_DOMAIN
+
+
+def test_schema_validator_built_once_and_still_applied():
+    assert cli._validator("describe") is cli._validator("describe")
+    with pytest.raises(jsonschema.ValidationError):
+        cli._validate("describe", {"schema_version": 1, "type": "A2"})
+    assert InvariantViolation in cli.VERIFY_ERRORS

@@ -180,3 +180,15 @@ def test_tampered_representation_raises_invariant_violation():
     with pytest.raises(InvariantViolation, match=r"\[e_0, f_0\]"):
         _verify_representation(bad)
     assert issubclass(InvariantViolation, AssertionError)
+
+
+def test_oversized_generator_entries_raise_before_int64_overflow():
+    rep = registered_representation("A2")
+    e0 = rep.e_chev[0].copy()
+    e0[0, 1] = Q(2**40)
+    bad = Representation(
+        rep.rs, rep.highest_weight, rep.dim, rep.basis_words, rep.basis_weights,
+        (e0,) + rep.e_chev[1:], rep.f_chev,
+    )
+    with pytest.raises(InvariantViolation, match="overflow int64"):
+        _verify_representation(bad)
