@@ -156,7 +156,8 @@ def _freudenthal(lat: _Lattice, lam: Weight) -> Dict[Weight, int]:
         if denom == 0:
             raise ArithmeticError("Freudenthal denominator vanished")
         m = acc / denom
-        assert m.denominator == 1
+        if m.denominator != 1:
+            raise InvariantViolation(f"Freudenthal multiplicity of {mu} is not an integer: {m}")
         if m:
             mult[mu] = int(m)
     return mult

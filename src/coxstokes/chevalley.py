@@ -45,6 +45,7 @@ from .rootcore import (
     RootSystem,
     build_root_system,
     diagram_involution,
+    integer_form,
 )
 from .scalars import Sq
 
@@ -122,8 +123,7 @@ def _root_tables(rs: RootSystem):
     sums = lookup(V)
     sums[~V.any(axis=-1)] = -2
 
-    form_den = math.lcm(*(Q(x).denominator for row in rs.form for x in row))
-    G = np.array([[int(Q(x) * form_den) for x in row] for row in rs.form], dtype=np.int64)
+    G, form_den = integer_form(rs)
     _check_bound(l * l * int(np.abs(R).max()) ** 2 * int(np.abs(G).max()), "inner products")
     inner = R @ G @ R.T
     return R, neg, sums, inner, form_den

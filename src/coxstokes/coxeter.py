@@ -8,11 +8,12 @@ rays with their root assignments R(d_i).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import compress
 from typing import Dict, FrozenSet, List, Sequence, Tuple
 
 import numpy as np
 
-from .rootcore import Root, RootSystem, _root_key
+from .rootcore import InvariantViolation, Root, RootSystem, integer_form
 
 RAY_TOL = 1e-9
 
@@ -49,84 +50,75 @@ def bipartition(rs: RootSystem) -> Bipartition:
                     seen.add(j)
                     nxt.append(j)
         frontier = nxt
-    assert len(seen) == l, "Dynkin diagram not connected"
+    if len(seen) != l:
+        raise InvariantViolation("Dynkin diagram not connected")
     i1 = tuple(i + 1 for i in range(l) if color[i] == 1)
     i2 = tuple(i + 1 for i in range(l) if color[i] == 2)
     for part in (i1, i2):
         for a in part:
             for b in part:
-                if a != b:
-                    assert rs.cartan[a - 1][b - 1] == 0
+                if a != b and rs.cartan[a - 1][b - 1] != 0:
+                    raise InvariantViolation(f"nodes {a} and {b} share a color but are joined")
     return Bipartition(i1, i2)
 
 
-def apply_word(rs: RootSystem, word: Sequence[int], root: Root) -> Root:
-    """Apply a reflection word (1-based indices, leftmost acts last)."""
-    for j in reversed(word):
-        root = rs.reflect(j - 1, root)
-    return root
-
-
-def word_matrix(rs: RootSystem, word: Sequence[int]) -> Tuple[Tuple[int, ...], ...]:
+def _reflections(rs: RootSystem) -> np.ndarray:
+    """R[j] is the simple reflection R_{alpha_{j+1}} as an int64 matrix on
+    columns of root coordinates: it subtracts <root, alpha_j^vee> from entry j."""
     l = rs.rank
-    cols = []
-    for i in range(l):
-        e = tuple(int(k == i) for k in range(l))
-        cols.append(apply_word(rs, word, e))
-    return tuple(tuple(cols[j][i] for j in range(l)) for i in range(l))
+    R = np.tile(np.eye(l, dtype=np.int64), (l, 1, 1))
+    R[np.arange(l), np.arange(l), :] -= np.array(rs.cartan, dtype=np.int64).T
+    return R
 
 
-@dataclass(frozen=True)
+def _word_array(R: np.ndarray, word: Sequence[int]) -> np.ndarray:
+    """Matrix of a reflection word (1-based indices, leftmost acts last)."""
+    M = np.eye(R.shape[1], dtype=np.int64)
+    for j in word:
+        M = M @ R[j - 1]
+    return M
+
+
+def _as_roots(cols: np.ndarray) -> FrozenSet[Root]:
+    """The columns of an integer matrix as a set of root tuples."""
+    return frozenset(map(tuple, cols.T.tolist()))
+
+
+def _simple_columns(rs: RootSystem, nodes: Sequence[int]) -> np.ndarray:
+    """The simple roots of the given 1-based nodes as the columns of a matrix."""
+    return np.eye(rs.rank, dtype=np.int64)[:, [i - 1 for i in nodes]]
+
+
+@dataclass(frozen=True, eq=False)
 class CoxeterElement:
-    word: Tuple[int, ...]                     # Pi_2 block then Pi_1 block
-    matrix: Tuple[Tuple[int, ...], ...]       # action on root coordinates
+    word: Tuple[int, ...]     # Pi_2 block then Pi_1 block
+    matrix: np.ndarray        # int64 action on columns of root coordinates
 
     def apply(self, root: Root) -> Root:
-        M = self.matrix
-        l = len(root)
-        return tuple(sum(M[i][j] * root[j] for j in range(l)) for i in range(l))
-
-    def power(self, root: Root, k: int) -> Root:
-        if k < 0:
-            # gamma has finite order; implemented via repeated inverse action
-            for _ in range(-k):
-                root = self._apply_inv(root)
-            return root
-        for _ in range(k):
-            root = self.apply(root)
-        return root
-
-    def _apply_inv(self, root: Root) -> Root:
-        M = np.array(self.matrix, dtype=np.int64)
-        v = np.linalg.solve(M.astype(float), np.array(root, dtype=float))
-        out = tuple(int(round(x)) for x in v)
-        return out
+        return tuple((self.matrix @ np.array(root, dtype=np.int64)).tolist())
 
 
 def coxeter_element(rs: RootSystem, bip: Bipartition) -> CoxeterElement:
     """gamma = tau_2 tau_1 for the given bipartition."""
     word = tuple(sorted(bip.i2)) + tuple(sorted(bip.i1))
-    M = word_matrix(rs, word)
-    ce = CoxeterElement(word, M)
-    s = rs.coxeter_number
-    probe = rs.simple_roots[0]
-    r, order = probe, None
-    for k in range(1, s + 1):
-        r = ce.apply(r)
-    assert r == probe, "gamma^s != identity on probe root"
-    return ce
+    M = _word_array(_reflections(rs), word)
+    M.flags.writeable = False
+    if np.linalg.matrix_power(M, rs.coxeter_number)[:, 0].tolist() != list(rs.simple_roots[0]):
+        raise TheoremCheckError("gamma^s != identity on probe root")
+    return CoxeterElement(word, M)
 
 
 def inversion_set(rs: RootSystem, word: Sequence[int]) -> FrozenSet[Root]:
     """Positive roots sent to negative roots by the word's Weyl element."""
-    out = []
-    for beta in rs.positive_roots:
-        if sum(apply_word(rs, word, beta)) < 0:
-            out.append(beta)
-    return frozenset(out)
+    return _inversions(rs, _word_array(_reflections(rs), word))
 
 
-def _tau_word(rs: RootSystem, bip: Bipartition, i: int) -> Tuple[int, ...]:
+def _inversions(rs: RootSystem, M: np.ndarray) -> FrozenSet[Root]:
+    heights = (np.array(rs.positive_roots, dtype=np.int64) @ M.T).sum(axis=1)
+    return frozenset(compress(rs.positive_roots, (heights < 0).tolist()))
+
+
+def _tau_word(bip: Bipartition, i: int) -> Tuple[int, ...]:
     return tuple(sorted(bip.i1 if i % 2 == 1 else bip.i2))
 
 
@@ -141,28 +133,30 @@ def kostant_chain(rs: RootSystem, n: int, bip: Bipartition | None = None):
     s = rs.coxeter_number
     if not 1 <= n <= s:
         raise ValueError(f"n must be in 1..s = 1..{s}")
-    l = rs.rank
+    R = _reflections(rs)
+    # tau_i by i % 2, as the product of its commuting reflections in both orders
+    tau = {p: _word_array(R, _tau_word(bip, p)) for p in (0, 1)}
+    tau_rev = {p: _word_array(R, _tau_word(bip, p)[::-1]) for p in (0, 1)}
 
-    # tau^{(k)} = tau_k ... tau_1 as a word (leftmost acts last)
-    def chain_word(k: int) -> Tuple[int, ...]:
-        w: Tuple[int, ...] = ()
-        for i in range(k, 0, -1):
-            w = w + _tau_word(rs, bip, i)
-        return w
-
+    # block j is tau^{(-(j-1))} Pi_j, with tau^{(-(j-1))} = tau_1 tau_2 ... tau_{j-1}
     blocks: List[FrozenSet[Root]] = []
+    inv_prefix = np.eye(rs.rank, dtype=np.int64)
     for j in range(1, n + 1):
-        pi_j = [rs.simple_roots[i - 1] for i in (bip.i1 if j % 2 == 1 else bip.i2)]
-        # tau^{(-(j-1))} = inverse of tau^{(j-1)}: reverse the word
-        w = tuple(reversed(chain_word(j - 1)))
-        blocks.append(frozenset(apply_word(rs, w, b) for b in pi_j))
+        pi_j = _simple_columns(rs, bip.i1 if j % 2 == 1 else bip.i2)
+        blocks.append(_as_roots(inv_prefix @ pi_j))
+        inv_prefix = inv_prefix @ tau_rev[j % 2]
+
+    # tau^{(n)} = tau_n ... tau_1, an independent product for the inversion set
+    tau_n = np.eye(rs.rank, dtype=np.int64)
+    for i in range(1, n + 1):
+        tau_n = tau[i % 2] @ tau_n
 
     union: set = set()
     total = 0
     for b in blocks:
         total += len(b)
         union |= b
-    lam = inversion_set(rs, chain_word(n))
+    lam = _inversions(rs, tau_n)
     if total != len(union) or union != lam:
         raise TheoremCheckError(
             f"Kostant chain mismatch for n={n}: blocks give {len(union)} roots "
@@ -189,15 +183,32 @@ class CoxeterPlaneDiagram:
 
 
 def _cluster(values: Sequence[float], tol: float) -> List[List[int]]:
-    """Group indices of scalar values within tol of each other (sorted input)."""
-    order = sorted(range(len(values)), key=lambda i: values[i])
-    groups = [[order[0]]]
+    """Index groups of values whose sorted neighbours lie within tol."""
+    order = np.argsort(values)
+    groups = [[int(order[0])]]
     for i in order[1:]:
         if values[i] - values[groups[-1][-1]] <= tol:
-            groups[-1].append(i)
+            groups[-1].append(int(i))
         else:
-            groups.append([i])
+            groups.append([int(i)])
     return groups
+
+
+def circular_cluster(angles: np.ndarray, tol: float) -> List[List[int]]:
+    """Index groups of angles in [0, 2 pi), as ``_cluster`` but merged through 0."""
+    groups = _cluster(angles, tol)
+    if len(groups) > 1:
+        wrap = (2 * np.pi - angles[groups[-1][-1]]) + angles[groups[0][0]]
+        if wrap <= tol:
+            groups[0] = groups.pop() + groups[0]
+    return groups
+
+
+def mean_angle(angles: np.ndarray) -> float:
+    """Mean of one cluster of angles in [0, 2 pi), also when it wraps through 0."""
+    if np.max(angles) - np.min(angles) > np.pi:
+        angles = (angles + np.pi) % (2 * np.pi) - np.pi
+    return float(np.mean(angles)) % (2 * np.pi)
 
 
 def coxeter_plane(
@@ -217,9 +228,7 @@ def coxeter_plane(
         bip = bipartition(rs)
     s = rs.coxeter_number
     gamma = coxeter_element(rs, bip)
-    M = np.array(gamma.matrix, dtype=np.float64)
-
-    vals, vecs = np.linalg.eig(M.T)
+    vals, vecs = np.linalg.eig(gamma.matrix.T.astype(np.float64))
     target = np.exp(-2j * np.pi / s)
     k = int(np.argmin(np.abs(vals - target)))
     if abs(vals[k] - target) > 1e-8:
@@ -239,27 +248,19 @@ def coxeter_plane(
 
     # verify the equivariance coord(gamma a) = e^{-2 pi i /s} coord(a)
     rot = np.exp(-2j * np.pi / s)
-    for r in rs.roots:
-        if abs(coord[gamma.apply(r)] - rot * coord[r]) > 1e-8 * max(1.0, abs(coord[r])):
+    images = np.array(rs.roots, dtype=np.int64) @ gamma.matrix.T
+    for r, img in zip(rs.roots, map(tuple, images.tolist())):
+        if abs(coord[img] - rot * coord[r]) > 1e-8 * max(1.0, abs(coord[r])):
             raise ArithmeticError("projection is not gamma-equivariant")
 
     # cluster root arguments into rays (circularly) and check there are 2s of them
-    angles = {r: float(np.angle(coord[r]) % (2 * np.pi)) for r in rs.roots}
-    avals = sorted(set(angles.values()))
-    ray_groups: List[List[float]] = [[avals[0]]]
-    for a in avals[1:]:
-        if a - ray_groups[-1][-1] <= ray_tol:
-            ray_groups[-1].append(a)
-        else:
-            ray_groups.append([a])
-    if len(ray_groups) > 1 and (2 * np.pi - ray_groups[-1][-1]) + ray_groups[0][0] <= ray_tol:
-        wrap = ray_groups.pop()
-        ray_groups[0] = [a - 2 * np.pi for a in wrap] + ray_groups[0]
-    ray_angle_list = sorted(float(np.mean(g)) for g in ray_groups)
+    angles = np.array([np.angle(coord[r]) for r in rs.roots]) % (2 * np.pi)
+    ray_groups = circular_cluster(angles, ray_tol)
     if len(ray_groups) != 2 * s:
         raise TheoremCheckError(
             f"expected 2s = {2*s} singular directions, found {len(ray_groups)}"
         )
+    ray_angle_list = sorted(mean_angle(angles[g]) for g in ray_groups)
     gaps = np.diff(ray_angle_list + [ray_angle_list[0] + 2 * np.pi])
     if np.max(np.abs(gaps - np.pi / s)) > ray_tol:
         raise TheoremCheckError(f"ray gaps deviate from pi/s: {gaps}")
@@ -268,19 +269,16 @@ def coxeter_plane(
     ray_angles = tuple(
         float((-(sector_offset + i) * np.pi / s) % (2 * np.pi)) for i in range(2 * s)
     )
-
-    def ray_index(angle: float) -> int:
-        diffs = [
-            min(abs(angle - a), 2 * np.pi - abs(angle - a)) for a in ray_angles
-        ]
-        i = int(np.argmin(diffs))
-        if diffs[i] > ray_tol:
-            raise TheoremCheckError(f"root angle {angle} not on any expected ray")
-        return i
-
+    diffs = np.abs(angles[:, None] - np.array(ray_angles)[None, :])
+    diffs = np.minimum(diffs, 2 * np.pi - diffs)
+    nearest = np.argmin(diffs, axis=1)
+    off = diffs[np.arange(len(angles)), nearest] > ray_tol
+    if off.any():
+        angle = angles[np.argmax(off)]
+        raise TheoremCheckError(f"root angle {angle} not on any expected ray")
     assign: List[set] = [set() for _ in range(2 * s)]
-    for r in rs.roots:
-        assign[ray_index(angles[r])].add(r)
+    for r, i in zip(rs.roots, nearest.tolist()):
+        assign[i].add(r)
 
     radii = sorted(abs(c) for c in coord.values())
     wheel_groups = _cluster(radii, ray_tol * max(radii))
@@ -319,18 +317,16 @@ def singular_directions(
         raise ValueError("theorem checks require a plane with sector_offset = 0")
     s = rs.coxeter_number
     gamma = coxeter_element(rs, bip)
-    pi1 = frozenset(rs.simple_roots[i - 1] for i in bip.i1)
-    pi2 = frozenset(rs.simple_roots[i - 1] for i in bip.i2)
+    G = gamma.matrix
+    pi1 = _simple_columns(rs, bip.i1)
+    pi2 = _simple_columns(rs, bip.i2)
 
     expected: List[FrozenSet[Root]] = [frozenset()] * (2 * s)
-    cur = pi2
+    odd, even = pi2, G @ -pi1
     for k in range(s):
-        expected[2 * k] = frozenset(cur)
-        cur = frozenset(gamma.apply(r) for r in cur)
-    cur = frozenset(gamma.apply(tuple(-c for c in r)) for r in pi1)
-    for k in range(s):
-        expected[2 * k + 1] = frozenset(cur)
-        cur = frozenset(gamma.apply(r) for r in cur)
+        expected[2 * k] = _as_roots(odd)
+        expected[2 * k + 1] = _as_roots(even)
+        odd, even = G @ odd, G @ even
 
     for i in range(2 * s):
         if plane.assignment[i] != expected[i]:
@@ -339,12 +335,10 @@ def singular_directions(
                 f"theorem predicts {sorted(expected[i])}"
             )
 
-    if plane.assignment[s - 1] != pi1:
+    if plane.assignment[s - 1] != _as_roots(pi1):
         raise TheoremCheckError("R(d_s) != Pi_1")
-    gamma_inv_neg_pi2 = frozenset(
-        gamma.power(tuple(-c for c in r), -1) for r in pi2
-    )
-    if plane.assignment[s - 2] != gamma_inv_neg_pi2:
+    # gamma^{-1} = gamma^{s-1}, exactly in integers
+    if plane.assignment[s - 2] != _as_roots(np.linalg.matrix_power(G, s - 1) @ -pi2):
         raise TheoremCheckError("R(d_{s-1}) != gamma^{-1}(-Pi_2)")
 
     union: set = set()
@@ -354,14 +348,20 @@ def singular_directions(
     if not pos_ok:
         raise TheoremCheckError("positive sector union is not Delta_+")
 
-    for i in range(2 * s):
-        rays = sorted(plane.assignment[i])
-        for a in range(len(rays)):
-            for b in range(a + 1, len(rays)):
-                if rs.inner(rays[a], rays[b]) != 0:
-                    raise TheoremCheckError(
-                        f"roots on d_{i+1} not orthogonal: {rays[a]}, {rays[b]}"
-                    )
+    # roots on one ray are pairwise orthogonal, checked with the form scaled to integers
+    rays = [sorted(a) for a in plane.assignment]
+    ray_of = np.repeat(np.arange(2 * s), [len(r) for r in rays])
+    on_rays = np.array([r for ray in rays for r in ray], dtype=np.int64)
+    gram = on_rays @ integer_form(rs)[0] @ on_rays.T
+    same_ray = ray_of[:, None] == ray_of[None, :]
+    np.fill_diagonal(same_ray, False)
+    bad = np.argwhere(same_ray & (gram != 0))
+    if len(bad):
+        a, b = bad[0]
+        raise TheoremCheckError(
+            f"roots on d_{ray_of[a]+1} not orthogonal: "
+            f"{tuple(on_rays[a].tolist())}, {tuple(on_rays[b].tolist())}"
+        )
 
     # R(d_1) u R(d_2) is a fundamental domain for the gamma-orbits
     dom = set(plane.assignment[0]) | set(plane.assignment[1])
@@ -382,20 +382,25 @@ def singular_directions(
 
 
 def _gamma_orbits(rs: RootSystem, gamma: CoxeterElement) -> List[FrozenSet[Root]]:
-    seen: set = set()
+    index = {r: i for i, r in enumerate(rs.roots)}
+    images = np.array(rs.roots, dtype=np.int64) @ gamma.matrix.T
+    perm = [index[r] for r in map(tuple, images.tolist())]
+    seen = [False] * len(perm)
     orbits = []
-    for r in rs.roots:
-        if r in seen:
+    for start in range(len(perm)):
+        if seen[start]:
             continue
-        orb = [r]
-        cur = gamma.apply(r)
-        while cur != r:
-            orb.append(cur)
-            cur = gamma.apply(cur)
-        seen |= set(orb)
+        orb, i = [], start
+        while not seen[i]:
+            seen[i] = True
+            orb.append(rs.roots[i])
+            i = perm[i]
         orbits.append(frozenset(orb))
     s = rs.coxeter_number
-    assert len(orbits) == rs.rank and all(len(o) == s for o in orbits)
+    if len(orbits) != rs.rank or any(len(o) != s for o in orbits):
+        raise TheoremCheckError(
+            f"gamma-orbit sizes {sorted(len(o) for o in orbits)}, expected {rs.rank} of size {s}"
+        )
     return orbits
 
 

@@ -17,7 +17,7 @@ from scipy.integrate import solve_ivp
 
 from .rootcore import build_root_system
 from .scalars import mat_inv, mat_vec
-from .steinberg import stokes_from_asymptotics
+from .steinberg import ConsistencyError, stokes_from_asymptotics
 from .weightrep import registered_representation
 
 
@@ -305,6 +305,14 @@ def integrate_monodromy(
     return mono, sol.nfev, len(sol.t)
 
 
+def _central_factor(m: np.ndarray) -> complex:
+    """The scalar c with m = c I, for m = P0^{-s} in the standard representation."""
+    c = complex(m[0, 0])
+    if not np.max(np.abs(m - c * np.eye(len(m)))) < 1e-9:  # NaN fails too
+        raise ConsistencyError("P0^{-s} must be central in the standard representation")
+    return c
+
+
 def numerical_monodromy(
     sys: MeromorphicSystem,
     radius: float = 1.0,
@@ -324,10 +332,7 @@ def numerical_monodromy(
     s = sys.s
     m0s = np.linalg.matrix_power(sd.m0, s)
     p0_inv_s = np.linalg.matrix_power(np.linalg.inv(rep.p0_matrix()), s)
-    central = complex(p0_inv_s[0, 0])
-    assert np.max(np.abs(p0_inv_s - central * np.eye(rep.dim))) < 1e-9, (
-        "P0^{-s} must be central in the standard representation"
-    )
+    central = _central_factor(p0_inv_s)
     pred = p0_inv_s @ m0s
 
     cp_num = np.poly(mono)

@@ -7,6 +7,7 @@ length 2; all arithmetic here is exact rational.
 
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import dataclass, field
 from fractions import Fraction as Q
@@ -287,6 +288,13 @@ def build_root_system(type_name) -> RootSystem:
         epsilon_basis=eps,
         _root_set=frozenset(roots),
     )
+
+
+def integer_form(rs: RootSystem) -> Tuple[np.ndarray, int]:
+    """The Gram matrix scaled to int64 by F = lcm of its denominators, and F."""
+    den = math.lcm(*(Q(x).denominator for row in rs.form for x in row))
+    G = np.array([[int(Q(x) * den) for x in row] for row in rs.form], dtype=np.int64)
+    return G, den
 
 
 def highest_root_marks(rs: RootSystem):

@@ -14,7 +14,7 @@ import numpy as np
 from scipy.optimize import linear_sum_assignment
 
 from .chevalley import ChevalleyAlgebra, Element
-from .coxeter import CoxeterPlaneDiagram
+from .coxeter import CoxeterPlaneDiagram, circular_cluster, mean_angle
 from .rootcore import Root
 
 ZERO_TOL = 1e-8
@@ -93,21 +93,6 @@ class SpectrumReport:
         }
 
 
-def _circular_cluster(angles: np.ndarray, tol: float):
-    order = np.argsort(angles)
-    groups = [[int(order[0])]]
-    for i in order[1:]:
-        if angles[i] - angles[groups[-1][-1]] <= tol:
-            groups[-1].append(int(i))
-        else:
-            groups.append([int(i)])
-    if len(groups) > 1:
-        wrap = (2 * np.pi - angles[groups[-1][-1]]) + angles[groups[0][0]]
-        if wrap <= tol:
-            groups[0] = groups.pop() + groups[0]
-    return groups
-
-
 def ad_spectrum(ep: EPlusElement, ray_tol: float = RAY_TOL) -> SpectrumReport:
     """Eigenvalues of ad(E_+), clustered by argument into the 2s rays."""
     alg = ep.alg
@@ -122,17 +107,12 @@ def ad_spectrum(ep: EPlusElement, ray_tol: float = RAY_TOL) -> SpectrumReport:
         raise SpectrumMismatch(f"zero eigenvalue multiplicity {zmult}, expected l = {l}")
 
     angles = np.angle(nz) % (2 * np.pi)
-    groups = _circular_cluster(angles, ray_tol)
+    groups = circular_cluster(angles, ray_tol)
     if len(groups) != 2 * s:
         raise SpectrumMismatch(
             f"nonzero spectrum clusters into {len(groups)} rays, expected 2s = {2*s}"
         )
-    reps = []
-    for g in groups:
-        a = angles[g]
-        if np.max(a) - np.min(a) > np.pi:  # group wraps through 0
-            a = (a + np.pi) % (2 * np.pi) - np.pi
-        reps.append(float(np.mean(a)) % (2 * np.pi))
+    reps = [mean_angle(angles[g]) for g in groups]
     order = np.argsort(reps)
     ray_angles = [reps[i] for i in order]
     gaps = np.diff(ray_angles + [ray_angles[0] + 2 * np.pi])
@@ -180,15 +160,23 @@ def match_plane(
         (plane.coord[r] for r in plane.assignment[0]), key=abs
     )
 
+    # Any kappa with assignment residual r has | |kappa| max|coords| - max|nz| | <= r,
+    # so a candidate whose bound exceeds the best residual so far cannot win.
+    # Trying candidates by increasing bound, in practice only the anchor's wheel,
+    # keeps the winner of the search over all of nz, ties going to the first.
+    bound = np.abs(np.abs(nz) / abs(anchor) * np.max(np.abs(coords)) - scale)
+    slack = 1e-12 * scale   # rounding of bound and residual
     best = None
-    for cand in nz:
-        kappa = cand / anchor
+    for i in np.argsort(bound, kind="stable").tolist():
+        if best is not None and bound[i] > best[0] + slack:
+            break
+        kappa = nz[i] / anchor
         cost = np.abs(kappa * coords[:, None] - nz[None, :])
         ri, ci = linear_sum_assignment(cost)
         res = cost[ri, ci].max()
-        if best is None or res < best[0]:
-            best = (res, kappa, ri, ci)
-    res, kappa, ri, ci = best
+        if best is None or (res, i) < (best[0], best[1]):
+            best = (res, i, kappa, ri, ci)
+    res, _, kappa, ri, ci = best
     # least-squares polish of kappa over the chosen assignment
     a, b = coords[ri], nz[ci]
     kappa = complex(np.vdot(a, b) / np.vdot(a, a))

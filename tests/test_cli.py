@@ -1,8 +1,13 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import jsonschema
 import pytest
 
+import coxstokes
 from coxstokes import cli
 from coxstokes.chevalley import InvariantViolation
 from coxstokes.cli import EXIT_DOMAIN, EXIT_OK, EXIT_USAGE, EXIT_VERIFY, main
@@ -100,3 +105,58 @@ def test_schema_validator_built_once_and_still_applied():
     with pytest.raises(jsonschema.ValidationError):
         cli._validate("describe", {"schema_version": 1, "type": "A2"})
     assert InvariantViolation in cli.VERIFY_ERRORS
+
+
+_UNDER_O = """
+import dataclasses
+from fractions import Fraction as Q
+import numpy as np
+from coxstokes import cli, coxeter
+from coxstokes.characters import _Lattice, _freudenthal
+from coxstokes.oracle import _central_factor
+from coxstokes.rootcore import build_root_system
+
+assert not __debug__
+
+
+def fires(name, fn, exc):
+    try:
+        fn()
+    except exc:
+        print(name)
+
+
+a3 = build_root_system("A3")
+bip = coxeter.bipartition(a3)
+split = [list(row) for row in a3.cartan]
+split[1][2] = split[2][1] = 0
+split = dataclasses.replace(a3, cartan=tuple(map(tuple, split)))
+fires("disconnected", lambda: coxeter.bipartition(split), coxeter.InvariantViolation)
+cycle = [list(row) for row in a3.cartan]
+cycle[0][2] = cycle[2][0] = -1
+cycle = dataclasses.replace(a3, cartan=tuple(map(tuple, cycle)))
+fires("odd cycle", lambda: coxeter.bipartition(cycle), coxeter.InvariantViolation)
+wrong_s = dataclasses.replace(a3, coxeter_number=5)
+fires("gamma^s", lambda: coxeter.coxeter_element(wrong_s, bip), coxeter.TheoremCheckError)
+gamma = coxeter.coxeter_element(a3, bip)
+fires("orbits", lambda: coxeter._gamma_orbits(wrong_s, gamma), coxeter.TheoremCheckError)
+lat = _Lattice(build_root_system("A2"))
+lat.W[0][0] += Q(1, 7)
+fires("freudenthal", lambda: _freudenthal(lat, (1, 1)), cli.InvariantViolation)
+fires("central", lambda: _central_factor(np.diag([1.0, 2.0])), cli.ConsistencyError)
+cli.build_root_system = lambda name: split
+print("exit", cli.main(["verify", "--type", "A3"]))
+"""
+
+
+def test_invariant_checks_fire_under_python_O():
+    src = str(Path(coxstokes.__file__).resolve().parents[1])
+    out = subprocess.run(
+        [sys.executable, "-O", "-c", _UNDER_O],
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src}, timeout=120,
+    )
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.split("\n")[:7] == [
+        "disconnected", "odd cycle", "gamma^s", "orbits", "freudenthal", "central",
+        f"exit {EXIT_VERIFY}",
+    ]

@@ -1,3 +1,6 @@
+import dataclasses
+from fractions import Fraction as Q
+
 import numpy as np
 import pytest
 
@@ -209,3 +212,70 @@ def test_both_labelings_give_valid_planes(name):
         plane = coxeter_plane(rs, lab)
         assert plane.num_rays == 2 * rs.coxeter_number
         singular_directions(rs, lab, plane)
+
+
+# -- tuple reference for the integer-matrix Weyl combinatorics ----------------
+
+
+def apply_word(rs, word, root):
+    """Apply a reflection word (1-based indices, leftmost acts last), one tuple at a time."""
+    for j in reversed(word):
+        root = rs.reflect(j - 1, root)
+    return root
+
+
+def reference_inversion_set(rs, word):
+    return frozenset(b for b in rs.positive_roots if sum(apply_word(rs, word, b)) < 0)
+
+
+def reference_kostant_blocks(rs, bip, n):
+    def tau_word(i):
+        return tuple(sorted(bip.i1 if i % 2 == 1 else bip.i2))
+
+    blocks = []
+    for j in range(1, n + 1):
+        inverse = tuple(c for i in range(1, j) for c in reversed(tau_word(i)))
+        pi_j = [rs.simple_roots[i - 1] for i in (bip.i1 if j % 2 == 1 else bip.i2)]
+        blocks.append(frozenset(apply_word(rs, inverse, b) for b in pi_j))
+    chain = tuple(c for i in range(n, 0, -1) for c in tau_word(i))
+    return blocks, chain
+
+
+@pytest.mark.parametrize("name", LISTED)
+def test_kostant_chain_and_inversion_set_match_tuple_reference(name):
+    rs = build_root_system(name)
+    bip = bipartition(rs)
+    gamma = coxeter_element(rs, bip)
+    assert gamma.matrix.dtype == np.int64
+    for e in np.eye(rs.rank, dtype=int).tolist():
+        assert gamma.apply(tuple(e)) == apply_word(rs, gamma.word, tuple(e))
+    for n in range(1, rs.coxeter_number + 1):
+        blocks, chain = reference_kostant_blocks(rs, bip, n)
+        assert kostant_chain(rs, n, bip) == blocks
+        lam = inversion_set(rs, chain)
+        assert lam == reference_inversion_set(rs, chain) == frozenset().union(*blocks)
+
+
+def test_moved_root_fails_theorem_check():
+    rs = build_root_system("D4")
+    bip = bipartition(rs)
+    plane = coxeter_plane(rs, bip)
+    assignment = list(plane.assignment)
+    root = min(assignment[0])
+    assignment[0] = assignment[0] - {root}
+    assignment[2] = assignment[2] | {root}
+    moved = dataclasses.replace(plane, assignment=tuple(assignment))
+    with pytest.raises(TheoremCheckError, match=r"R\(d_1\) mismatch"):
+        singular_directions(rs, bip, moved)
+
+
+def test_non_orthogonal_ray_fails_theorem_check():
+    # A3: d_2 carries {a1 + a2, a2 + a3}, orthogonal only while (a1, a3) = 0
+    rs = build_root_system("A3")
+    bip = bipartition(rs)
+    plane = coxeter_plane(rs, bip)
+    form = [list(row) for row in rs.form]
+    form[0][2] = form[2][0] = Q(-1, 3)
+    skewed = dataclasses.replace(rs, form=tuple(tuple(row) for row in form))
+    with pytest.raises(TheoremCheckError, match=r"d_2 not orthogonal: \(0, 1, 1\), \(1, 1, 0\)"):
+        singular_directions(skewed, bip, plane)

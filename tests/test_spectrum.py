@@ -1,10 +1,15 @@
+import dataclasses
+
 import numpy as np
 import pytest
+from scipy.optimize import linear_sum_assignment
 
 from coxstokes.chevalley import build_chevalley
+from coxstokes.cli import STANDARD_TYPES
 from coxstokes.coxeter import bipartition, coxeter_plane
 from coxstokes.spectrum import (
     RegularityError,
+    SpectrumMismatch,
     ad_spectrum,
     build_e_plus,
     default_coefficients,
@@ -116,3 +121,45 @@ def test_spectrum_json_dump():
     import json
 
     json.dumps(doc)  # serializable
+
+
+def brute_force_kappa(sr, plane):
+    """match_plane's search and polish with every nonzero eigenvalue as a candidate."""
+    nz = sr.nonzero
+    coords = np.array([plane.coord[r] for r in sorted(plane.coord)])
+    anchor = max((plane.coord[r] for r in plane.assignment[0]), key=abs)
+    best = None
+    for cand in nz:
+        kappa = cand / anchor
+        cost = np.abs(kappa * coords[:, None] - nz[None, :])
+        ri, ci = linear_sum_assignment(cost)
+        res = cost[ri, ci].max()
+        if best is None or res < best[0]:
+            best = (res, ri, ci)
+    _, ri, ci = best
+    a, b = coords[ri], nz[ci]
+    kappa = complex(np.vdot(a, b) / np.vdot(a, a))
+    cost = np.abs(kappa * coords[:, None] - nz[None, :])
+    ri, ci = linear_sum_assignment(cost)
+    return kappa, float(cost[ri, ci].max())
+
+
+def _plane_and_spectrum(name):
+    alg = build_chevalley(name)
+    return coxeter_plane(alg.rs, bipartition(alg.rs)), ad_spectrum(build_e_plus(alg))
+
+
+@pytest.mark.parametrize("name", STANDARD_TYPES)
+def test_match_plane_equals_brute_force_search(name):
+    plane, sr = _plane_and_spectrum(name)
+    m = match_plane(sr, plane)
+    kappa, res = brute_force_kappa(sr, plane)
+    assert (m.kappa, m.max_residual) == (kappa, res)
+
+
+def test_perturbed_eigenvalue_fails_match():
+    plane, sr = _plane_and_spectrum("D4")
+    nz = sr.nonzero.copy()
+    nz[5] *= 1 + 1e-4
+    with pytest.raises(SpectrumMismatch, match="match residual"):
+        match_plane(dataclasses.replace(sr, nonzero=nz), plane)
