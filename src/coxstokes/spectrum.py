@@ -167,7 +167,7 @@ def match_plane(
     bound = np.abs(np.abs(nz) / abs(anchor) * np.max(np.abs(coords)) - scale)
     slack = 1e-12 * scale   # rounding of bound and residual
     best = None
-    for i in np.argsort(bound, kind="stable").tolist():
+    for i in np.argsort(bound).tolist():
         if best is not None and bound[i] > best[0] + slack:
             break
         kappa = nz[i] / anchor
