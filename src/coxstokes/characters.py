@@ -231,16 +231,6 @@ def weight_pairing(rs: RootSystem, weight_dyn: Weight, h_coords) -> Q:
     )
 
 
-def character_value(rs: RootSystem, table: CharacterTable, y) -> complex:
-    """chi(e^{2 pi i y}) = sum of mult * e^{2 pi i mu(y)} over the weight table."""
-    import cmath
-
-    total = 0j
-    for w, m in table.weights:
-        total += m * cmath.exp(2j * cmath.pi * float(weight_pairing(rs, w, y)))
-    return total
-
-
 @lru_cache(maxsize=None)
 def _pairing_matrix(type_name: str, index: int):
     """Float (weights x l) matrix M with mu_k(y) = (M @ y)_k, plus multiplicities."""
@@ -261,11 +251,14 @@ def _pairing_matrix(type_name: str, index: int):
     return np.array(rows), np.array(mults)
 
 
-def character_value_fast(rs: RootSystem, index: int, y) -> complex:
-    """Float-path character evaluation (vectorized; ~1e-15 accurate)."""
+def character_value(rs: RootSystem, table: CharacterTable, y) -> complex:
+    """chi(e^{2 pi i y}) = sum of mult * e^{2 pi i mu(y)} over the weight table.
+
+    The weight pairings mu(y) are one float matrix product, cached per table.
+    """
     import numpy as np
 
-    M, mults = _pairing_matrix(str(rs.type), index)
+    M, mults = _pairing_matrix(str(rs.type), table.fundamental_index)
     yv = np.array([float(c) for c in y])
     return complex(np.sum(mults * np.exp(2j * np.pi * (M @ yv))))
 

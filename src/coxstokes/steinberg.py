@@ -11,16 +11,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction as Q
 from functools import lru_cache
-from typing import Dict, Sequence, Tuple
+from typing import Dict, NamedTuple, Sequence, Tuple
 
 import numpy as np
 
-from .characters import (
-    all_fundamental_tables,
-    character_value,
-    character_value_fast,
-    weight_pairing,
-)
+from .characters import character_value, fundamental_characters
 from .chevalley import build_chevalley
 from .coxeter import Bipartition, bipartition, coxeter_element
 from .rootcore import Root, RootSystem, build_root_system, diagram_involution
@@ -114,17 +109,16 @@ class CrossSectionFactors:
     e_parts: Tuple[np.ndarray, ...]
     n_parts: Tuple[np.ndarray, ...]
 
+    @property
+    def dim(self) -> int:
+        return self.e_parts[0].shape[0]
+
     def full(self) -> np.ndarray:
-        out = np.eye(self.e_parts[0].shape[0], dtype=complex)
-        for E, Nn in zip(self.e_parts, self.n_parts):
-            out = out @ E @ Nn
-        return out
+        pairs = zip(self.e_parts, self.n_parts)
+        return _product([f for pair in pairs for f in pair], self.dim)
 
     def a_gamma(self) -> np.ndarray:
-        out = np.eye(self.n_parts[0].shape[0], dtype=complex)
-        for Nn in self.n_parts:
-            out = out @ Nn
-        return out
+        return _product(self.n_parts, self.dim)
 
     def rewritten(self) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
         """The form (K1, K2, A_gamma) with C = K1 K2 A_gamma.
@@ -132,18 +126,18 @@ class CrossSectionFactors:
         K1 collects the Pi_2 unipotent block; K2 is the Pi_1 block conjugated
         past the Pi_2 Weyl factors, landing on the gamma(-Pi_1) root spaces.
         """
-        n = self.e_parts[0].shape[0]
-        k1 = np.eye(n, dtype=complex)
-        for E in self.e_parts[: self.k]:
-            k1 = k1 @ E
-        tail = np.eye(n, dtype=complex)
-        for E in self.e_parts[self.k:]:
-            tail = tail @ E
-        nblock = np.eye(n, dtype=complex)
-        for Nn in self.n_parts[: self.k]:
-            nblock = nblock @ Nn
-        k2 = nblock @ tail @ np.linalg.inv(nblock)
+        k1 = _product(self.e_parts[: self.k], self.dim)
+        nblock = _product(self.n_parts[: self.k], self.dim)
+        k2 = nblock @ _product(self.e_parts[self.k:], self.dim) @ np.linalg.inv(nblock)
         return k1, k2, self.a_gamma()
+
+
+def _product(mats: Sequence[np.ndarray], n: int) -> np.ndarray:
+    """The left-to-right product of n x n matrices, starting from the identity."""
+    out = np.eye(n, dtype=complex)
+    for a in mats:
+        out = out @ a
+    return out
 
 
 def steinberg_section(
@@ -227,41 +221,31 @@ def _target_eigenvalues(rep: Representation, y) -> np.ndarray:
     return np.exp(2j * np.pi * rep.weight_values(y))
 
 
-def _charpoly(mat: np.ndarray) -> np.ndarray:
-    return np.poly(mat)
-
-
-def _solve_section_parameters(
-    rep: Representation,
-    bip: Bipartition,
-    t0: np.ndarray,
-    target_poly: np.ndarray,
-    tol: float = 1e-11,
-    restarts: int = 4,
+def _gauss_newton(
+    resid, t0, tol: float, iters: int, restarts: int, seed: int
 ) -> Tuple[np.ndarray, float]:
-    """Find t with charpoly(C(t)) = target via damped Gauss-Newton.
+    """Damped Gauss-Newton on r(t) = max |resid(t)|, restarted around t0.
 
-    In type A the initial guess (the paired character values) is already the
-    exact solution; elsewhere it is the zeroth order of the triangular
-    coordinate change and Newton converges in a few steps.
+    A step solves the forward-difference Jacobian (h = 1e-7 max(1, |t|_inf))
+    by least squares, then halves up to 30 times until the trial residual is
+    finite and below r; an attempt ends when no halving is, or after `iters`
+    steps.  Attempt k + 1 restarts from t0 + 0.3 (k + 1) (N + iN), N standard
+    normal from default_rng(seed).  Returns the first iterate with r < tol,
+    else the best iterate evaluated, with its r.
     """
     l = len(t0)
-
-    def resid(t):
-        return _charpoly(steinberg_section(rep, bip, t).full()) - target_poly
-
-    rng = np.random.default_rng(0)
+    rng = np.random.default_rng(seed)
     t = np.array(t0, dtype=complex)
     best = None
     for attempt in range(restarts):
-        for _ in range(60):
+        for _ in range(iters):
             F = resid(t)
-            r = np.max(np.abs(F))
+            r = float(np.max(np.abs(F)))
             if best is None or r < best[0]:
                 best = (r, t.copy())
             if r < tol:
-                return t, float(r)
-            h = 1e-7 * max(1.0, np.max(np.abs(t)))
+                return t, r
+            h = 1e-7 * max(1.0, float(np.max(np.abs(t))))
             J = np.empty((len(F), l), dtype=complex)
             for j in range(l):
                 tp = t.copy()
@@ -271,7 +255,8 @@ def _solve_section_parameters(
             lam = 1.0
             for _ in range(30):
                 cand = t + lam * step
-                if np.max(np.abs(resid(cand))) < r:
+                r_cand = np.max(np.abs(resid(cand)))
+                if np.isfinite(r_cand) and r_cand < r:
                     t = cand
                     break
                 lam /= 2
@@ -280,8 +265,7 @@ def _solve_section_parameters(
         t = np.array(t0, dtype=complex) + 0.3 * (attempt + 1) * (
             rng.normal(size=l) + 1j * rng.normal(size=l)
         )
-    r, t = best
-    return t, float(r)
+    return best[1], best[0]
 
 
 class _AdjointSection:
@@ -298,7 +282,7 @@ class _AdjointSection:
         self.rs = rs
         self.alg = alg
         self.order = order
-        self.dim = alg.dim
+        self.k = len(bipartition(rs).i2)
         # ad-matrices of the Chevalley generators: e_i = e_{alpha_i}/L_i, f_i = e_{-alpha_i}
         self.exp_ad_e: Dict[int, NilpotentExp] = {}
         self.n_ad: Dict[int, np.ndarray] = {}
@@ -317,11 +301,13 @@ class _AdjointSection:
             ]
         )
 
+    def factors(self, t: Sequence[complex]) -> CrossSectionFactors:
+        e_parts = tuple(self.exp_ad_e[i](t[pos]) for pos, i in enumerate(self.order))
+        n_parts = tuple(self.n_ad[i] for i in self.order)
+        return CrossSectionFactors(self.order, self.k, e_parts, n_parts)
+
     def section(self, t: Sequence[complex]) -> np.ndarray:
-        out = np.eye(self.dim, dtype=complex)
-        for pos, i in enumerate(self.order):
-            out = out @ self.exp_ad_e[i](t[pos]) @ self.n_ad[i]
-        return out
+        return self.factors(t).full()
 
     def target_eig(self, y) -> np.ndarray:
         yv = np.array([float(c) for c in y])
@@ -342,6 +328,10 @@ def _adjoint_section(type_name: str, order: Tuple[int, ...]) -> _AdjointSection:
 # (unipotent-class limits), where float eigenvalues of the section spread by
 # eps^(1/k); the enforceable threshold widens accordingly via _cert_tol.
 SELECT_TOL = 1e-2
+# Registered residual every route's answer must reach (resonant targets floor
+# the coefficient residual near sqrt(eps)), and the coefficient solves' target.
+CLASS_TOL = 1e-8
+SOLVE_TOL = 1e-11
 
 
 def _cert_tol(target_eig: np.ndarray) -> float:
@@ -371,8 +361,8 @@ def _power_sums(eig: np.ndarray, ks: np.ndarray) -> np.ndarray:
     return (eig[None, :] ** ks[:, None]).sum(axis=1)
 
 
-def _power_sum_certificate(section_eig: np.ndarray, target_eig: np.ndarray, order: int = 28) -> float:
-    """Max normalized power-sum mismatch max_k |p_k(section) - p_k(target)|/dim.
+def _power_sum_certificate(section_eig: np.ndarray, target_eig: np.ndarray) -> float:
+    """Normalized power-sum mismatch max_{k<=28} |p_k(section) - p_k(target)|/dim.
 
     Characteristic-polynomial coefficients are hopeless here (at dim(g) ~
     50-80 they respond to 1e-12 eigenvalue perturbations at O(1) through the
@@ -384,21 +374,24 @@ def _power_sum_certificate(section_eig: np.ndarray, target_eig: np.ndarray, orde
     1/50 already differ at 3e-2 and generic wrong classes at ~1e0.  A section
     blown up far from the class overflows the powers; it scores inf.
     """
-    ks = np.arange(1, order + 1)
+    ks = np.arange(1, 29)
     with np.errstate(over="ignore", invalid="ignore"):
         mismatch = float(np.max(np.abs(_power_sums(section_eig, ks) - _power_sums(target_eig, ks))))
     return mismatch / len(target_eig) if np.isfinite(mismatch) else np.inf
 
 
+class _ClassTarget(NamedTuple):
+    """What the class solver needs at one point m."""
+
+    t0: np.ndarray              # character values at y, the seed (exact in type A)
+    reg_eig: np.ndarray         # registered target eigenvalues
+    poly: np.ndarray            # their characteristic polynomial
+    ad_eig: np.ndarray | None   # adjoint target eigenvalues, None in type A
+    cert_tol: float             # _cert_tol(ad_eig), inf in type A
+
+
 def _solve_power_sums(
-    rep: Representation,
-    bip: Bipartition,
-    adj: _AdjointSection,
-    t0: np.ndarray,
-    reg_targets: np.ndarray,
-    ad_targets: np.ndarray,
-    tol: float = 1e-12,
-    restarts: int = 3,
+    rep: Representation, bip: Bipartition, adj: _AdjointSection, pt: _ClassTarget
 ) -> Tuple[np.ndarray, float]:
     """Gauss-Newton on joint power sums tr(C^k) of both representations.
 
@@ -407,10 +400,10 @@ def _solve_power_sums(
     the target spectra are heavily degenerate (where coefficient or
     eigenvalue-matching systems floor out near sqrt(eps)).
     """
-    kr = np.arange(1, min(len(reg_targets), 24) + 1)
-    ka = np.arange(1, min(len(ad_targets), 28) + 1)
-    pr = _power_sums(reg_targets, kr) / len(reg_targets)
-    pa = _power_sums(ad_targets, ka) / len(ad_targets)
+    kr = np.arange(1, min(len(pt.reg_eig), 24) + 1)
+    ka = np.arange(1, min(len(pt.ad_eig), 28) + 1)
+    pr = _power_sums(pt.reg_eig, kr) / len(pt.reg_eig)
+    pa = _power_sums(pt.ad_eig, ka) / len(pt.ad_eig)
 
     def resid(t):
         er = np.linalg.eigvals(steinberg_section(rep, bip, t).full())
@@ -422,39 +415,7 @@ def _solve_power_sums(
             fa = _power_sums(ea, ka) / len(ea) - pa
         return np.concatenate([fr, fa])
 
-    rng = np.random.default_rng(1)
-    l = len(t0)
-    t = np.array(t0, dtype=complex)
-    best = None
-    for attempt in range(restarts):
-        for _ in range(60):
-            F = resid(t)
-            r = float(np.max(np.abs(F)))
-            if best is None or r < best[0]:
-                best = (r, t.copy())
-            if r < tol:
-                return t, r
-            h = 1e-7 * max(1.0, float(np.max(np.abs(t))))
-            J = np.empty((len(F), l), dtype=complex)
-            for j in range(l):
-                tp = t.copy()
-                tp[j] += h
-                J[:, j] = (resid(tp) - F) / h
-            step, *_ = np.linalg.lstsq(J, -F, rcond=None)
-            lam = 1.0
-            for _ in range(30):
-                cand = t + lam * step
-                r_cand = np.max(np.abs(resid(cand)))
-                if np.isfinite(r_cand) and r_cand < r:
-                    t = cand
-                    break
-                lam /= 2
-            else:
-                break
-        t = np.array(t0, dtype=complex) + 0.3 * (attempt + 1) * (
-            rng.normal(size=l) + 1j * rng.normal(size=l)
-        )
-    return best[1], float(best[0])
+    return _gauss_newton(resid, pt.t0, 1e-12, 60, 3, seed=1)
 
 
 def _eigen_rescue(
@@ -462,9 +423,7 @@ def _eigen_rescue(
     bip: Bipartition,
     adj: _AdjointSection,
     t_seed: np.ndarray,
-    target_reg: np.ndarray,
-    target_ad_eig: np.ndarray,
-    iters: int = 80,
+    pt: _ClassTarget,
 ) -> np.ndarray:
     """Gauss-Newton on assignment-matched eigenvalues of both representations.
 
@@ -478,8 +437,8 @@ def _eigen_rescue(
     def resid(t):
         out = []
         for mat, tgt in (
-            (steinberg_section(rep, bip, t).full(), target_reg),
-            (adj.section(t), target_ad_eig),
+            (steinberg_section(rep, bip, t).full(), pt.reg_eig),
+            (adj.section(t), pt.ad_eig),
         ):
             eig = np.linalg.eigvals(mat)
             cost = np.abs(eig[:, None] - tgt[None, :])
@@ -489,30 +448,9 @@ def _eigen_rescue(
             out.append(d)
         return np.concatenate(out)
 
-    t = np.array(t_seed, dtype=complex)
-    l = len(t)
-    for _ in range(iters):
-        F = resid(t)
-        r = float(np.max(np.abs(F)))
-        if r < 1e-12:
-            break
-        h = 1e-7 * max(1.0, float(np.max(np.abs(t))))
-        J = np.empty((len(F), l), dtype=complex)
-        for j in range(l):
-            tp = t.copy()
-            tp[j] += h
-            J[:, j] = (resid(tp) - F) / h
-        step, *_ = np.linalg.lstsq(J, -F, rcond=None)
-        lam = 1.0
-        for _ in range(30):
-            cand = t + lam * step
-            if np.max(np.abs(resid(cand))) < r:
-                t = cand
-                break
-            lam /= 2
-        else:
-            break
-    return t
+    # at most 80 steps: the 81st evaluation only scores the 80th, so the
+    # rescue returns its last accepted step, which has the least residual
+    return _gauss_newton(resid, t_seed, 1e-12, 81, 1, seed=0)[0]
 
 
 def _solve_class_with_continuation(
@@ -521,51 +459,78 @@ def _solve_class_with_continuation(
     bip: Bipartition,
     order: Tuple[int, ...],
     m: Tuple[Q, ...],
-    tol: float = 1e-11,
 ) -> Tuple[np.ndarray, float, float]:
     """Section parameters for the class of e^{2 pi i (m+x0)/s}.
 
-    Returns (t, registered residual, adjoint certificate).  The registered
-    characteristic polynomial is the solved system (its character seed is the
-    exact solution in type A).  The adjoint characteristic polynomial is
-    never solved to tolerance - near resonances its multiple roots floor any
-    float Newton around sqrt(eps) - but it certifies the conjugacy class:
-    fiber components of the registered polynomial belonging to other classes
-    sit at certificate values around 1, far above SELECT_TOL.  When the
-    direct solve stalls or lands uncertified, the solution is tracked along
-    tau*m from tau = 0 (admissible by convexity) with every step certified,
-    so the branch cannot hop classes.
+    Returns (t, registered residual r, adjoint certificate).  A point is
+    accepted when r <= CLASS_TOL and its adjoint power-sum certificate is at
+    most _cert_tol of the adjoint targets: fiber components of the registered
+    polynomial that belong to other classes score around 1.  In type A the
+    character seed is the exact solution and the certificate is 0.  The
+    routes, each tried only while the point at hand is not accepted:
+
+    1. power-sum primary: Gauss-Newton on the joint power sums of the
+       registered and adjoint sections, from the character seed;
+    2. polish: Newton on the registered characteristic polynomial from there
+       (in type A from the seed); the solve ends here when the power sums
+       reached 1e-10 and the certificate holds;
+    3. eigen rescue: Gauss-Newton on the matched eigenvalues of both
+       representations, from the polished point (from the seed if its r
+       failed), then polish;
+    4. straight path: the solution tracked along tau*m from tau = 0
+       (admissible by convexity), every step accepted, so the branch cannot
+       hop classes; a stalled path jumps to m with the eigen rescue;
+    5. four detours through random admissible midpoints, tracked the same way
+       (the midpoints are drawn before any path is tracked);
+    6. last resort: eigen rescue and polish from where the continuation ended,
+       when its certificate fails.
+
+    When no route gives an accepted point, ConsistencyError names the last
+    route tried, r, the certificate and the threshold applied.
     """
     s = rs.coxeter_number
     adj = None if rs.type.family == "A" else _adjoint_section(str(rs.type), order)
+    tables = [fundamental_characters(str(rs.type), node) for node in order]
 
-    def certificate(t, target_ad) -> float:
+    def data_at(mvec) -> _ClassTarget:
+        y = tuple((mi + x0i) / s for mi, x0i in zip(mvec, rs.x0_coords))
+        t0 = np.array([character_value(rs, tb, y) for tb in tables])
+        reg_eig = _target_eigenvalues(rep, y)
+        poly = np.poly(np.diag(reg_eig))
+        if adj is None:
+            return _ClassTarget(t0, reg_eig, poly, None, np.inf)
+        ad_eig = adj.target_eig(y)
+        return _ClassTarget(t0, reg_eig, poly, ad_eig, _cert_tol(ad_eig))
+
+    def certificate(t, pt: _ClassTarget) -> float:
         if adj is None:
             return 0.0
-        return _power_sum_certificate(np.linalg.eigvals(adj.section(t)), target_ad)
+        return _power_sum_certificate(np.linalg.eigvals(adj.section(t)), pt.ad_eig)
 
-    def data_at(mvec):
-        """Character seed, registered target eigenvalues and polynomial, adjoint target."""
-        y = tuple((mi + x0i) / s for mi, x0i in zip(mvec, rs.x0_coords))
-        t0 = np.array([character_value_fast(rs, node, y) for node in order])
-        reg_eig = _target_eigenvalues(rep, y)
-        target_ad = None if adj is None else adj.target_eig(y)
-        return t0, reg_eig, _charpoly(np.diag(reg_eig)), target_ad
+    def certified(t, r, pt: _ClassTarget) -> bool:
+        """The acceptance test of every route."""
+        return r <= CLASS_TOL and certificate(t, pt) <= pt.cert_tol
 
-    loose = max(tol, 1e-8)
+    def polish(t_start, pt: _ClassTarget, tol=SOLVE_TOL, restarts=1):
+        """Newton on the registered characteristic polynomial from t_start."""
+
+        def resid(t):
+            return np.poly(steinberg_section(rep, bip, t).full()) - pt.poly
+
+        return _gauss_newton(resid, t_start, tol, 60, restarts, seed=0)
+
+    def rescue(t, pt: _ClassTarget):
+        return polish(_eigen_rescue(rep, bip, adj, t, pt), pt)
 
     def track(path):
-        """Certified continuation along path(0) = 0 .. path(1) = m.
+        """Continuation along path(0) = 0 .. path(1) = m, every step accepted.
 
-        Every accepted step must both solve the registered polynomial (to the
-        loose bound; resonant targets floor the residual near sqrt(eps)) and
-        carry the adjoint certificate, so the tracked branch cannot hop
-        classes; collisions force a bisection stall instead.
+        Branch collisions force a bisection stall instead of a class hop.
         """
         tau_done = Q(0)
-        t0_done, _, target0, target_ad0 = data_at(path(Q(0)))
-        t_sol, r0 = _solve_section_parameters(rep, bip, t0_done, target0, tol, restarts=4)
-        if r0 > loose or certificate(t_sol, target_ad0) > _cert_tol(target_ad0):
+        p_done = data_at(path(Q(0)))
+        t_sol, r0 = polish(p_done.t0, p_done, restarts=4)
+        if not certified(t_sol, r0, p_done):
             raise ConsistencyError(f"certified class solve failed at m = 0: {r0}")
         pending = [Q(1)]
         while pending:
@@ -574,58 +539,61 @@ def _solve_class_with_continuation(
                 if adj is not None:
                     # stalled: jump to the endpoint with the eigenvalue system,
                     # seeded from the certified warm point
-                    t0_end, reg_end, target_end, target_ad_end = data_at(path(Q(1)))
-                    seed = t_sol + (t0_end - t0_done)
-                    t_e = _eigen_rescue(rep, bip, adj, seed, reg_end, target_ad_end)
-                    t_p, r_p = _solve_section_parameters(
-                        rep, bip, t_e, target_end, tol, restarts=1
-                    )
-                    if r_p <= loose and certificate(t_p, target_ad_end) <= _cert_tol(target_ad_end):
+                    end = data_at(path(Q(1)))
+                    t_p, r_p = rescue(t_sol + (end.t0 - p_done.t0), end)
+                    if certified(t_p, r_p, end):
                         return t_p
                 raise ConsistencyError(
                     f"continuation stalled between tau = {tau_done} and {tau}"
                 )
-            t0_tau, _, target_tau, target_ad_tau = data_at(path(tau))
-            seed = t_sol + (t0_tau - t0_done)
-            t_try, r = _solve_section_parameters(
-                rep, bip, seed, target_tau, loose, restarts=1
-            )
-            if r <= loose and certificate(t_try, target_ad_tau) <= _cert_tol(target_ad_tau):
-                tau_done, t_sol, t0_done = tau, t_try, t0_tau
+            p_tau = data_at(path(tau))
+            t_try, r = polish(t_sol + (p_tau.t0 - p_done.t0), p_tau, tol=CLASS_TOL)
+            if certified(t_try, r, p_tau):
+                tau_done, t_sol, p_done = tau, t_try, p_tau
                 pending.pop()
             else:
                 pending.append((tau_done + tau) / 2)
         return t_sol
 
-    t0, reg_eig, target, target_ad = data_at(m)
-    if adj is not None:
-        # primary path: the smooth joint power-sum system reaches machine
-        # precision even at resonant targets; the coefficient residual and
-        # the certificate are then measured at its solution
-        t_ps, r_ps = _solve_power_sums(rep, bip, adj, t0, reg_eig, target_ad)
-        t, r = _solve_section_parameters(rep, bip, t_ps, target, tol, restarts=1)
-        cert = certificate(t, target_ad)
-        if r_ps < 1e-10 and cert <= _cert_tol(target_ad):
-            return t, float(r), float(cert)
+    pt = data_at(m)
+
+    def failure(route, t, r, why="") -> ConsistencyError:
+        return ConsistencyError(
+            f"class solve failed, last route {route}{why}: registered residual "
+            f"{r:.3g} (bound {CLASS_TOL:g}), adjoint certificate "
+            f"{certificate(t, pt):.3g} (threshold _cert_tol = {pt.cert_tol:.3g})"
+        )
+
+    def verdict(route, t, r, cert):
+        if r > CLASS_TOL or cert > pt.cert_tol:
+            raise failure(route, t, r)
+        return t, float(r), float(cert)
+
+    route = "polish"
+    if adj is None:
+        t, r = polish(pt.t0, pt, restarts=2)
     else:
-        t, r = _solve_section_parameters(rep, bip, t0, target, tol, restarts=2)
-        cert = certificate(t, target_ad)
+        t_ps, r_ps = _solve_power_sums(rep, bip, adj, pt)
+        t, r = polish(t_ps, pt)
+        cert = certificate(t, pt)
+        if r_ps < 1e-10 and cert <= pt.cert_tol:
+            return verdict(route, t, r, cert)
+        if not certified(t, r, pt):
+            route = "eigen rescue"
+            t_p, r_p = rescue(t if r <= CLASS_TOL else pt.t0, pt)
+            if certified(t_p, r_p, pt):
+                t, r = t_p, r_p
 
-    if (r > loose or cert > _cert_tol(target_ad) if adj is not None else r > loose) and adj is not None:
-        # wrong fiber or failed solve: the joint eigenvalue system separates
-        # the fibers and tolerates repeated targets
-        t_e = _eigen_rescue(rep, bip, adj, t if r <= loose else t0, reg_eig, target_ad)
-        t_p, r_p = _solve_section_parameters(rep, bip, t_e, target, tol, restarts=1)
-        if r_p <= loose and certificate(t_p, target_ad) <= _cert_tol(target_ad):
-            t, r, cert = t_p, r_p, certificate(t_p, target_ad)
-
-    if r > loose or (adj is not None and cert > _cert_tol(target_ad)):
-        paths = [lambda tau: tuple(c * tau for c in m)]
+    if not certified(t, r, pt):
         # branch collisions along the straight path sit on thin sets; detours
         # through random admissible midpoints generically avoid them
         rng = np.random.default_rng(7)
-        for _ in range(4):
-            mid = _random_admissible_midpoint(rs, m, rng)
+        try:
+            mids = [_random_admissible_midpoint(rs, m, rng) for _ in range(4)]
+        except ConsistencyError as exc:
+            raise failure(route, t, r, f" ({exc})") from exc
+        paths = [("straight path", lambda tau: tuple(c * tau for c in m))]
+        for k, mid in enumerate(mids):
 
             def detour(tau, mid=mid):
                 if tau <= Q(1, 2):
@@ -633,31 +601,27 @@ def _solve_class_with_continuation(
                 lam = 2 * tau - 1
                 return tuple(a + (b - a) * lam for a, b in zip(mid, m))
 
-            paths.append(detour)
-        last_exc = None
-        for path in paths:
+            paths.append((f"detour {k + 1}", detour))
+        for route, path in paths:
             try:
                 t_sol = track(path)
                 break
             except ConsistencyError as exc:
                 last_exc = exc
         else:
-            raise last_exc
+            raise failure(route, t, r, f" ({last_exc})") from last_exc
         # best-effort polish at the final point
-        t, r = _solve_section_parameters(rep, bip, t_sol, target, tol, restarts=1)
-        cert = certificate(t, target_ad)
+        t, r = polish(t_sol, pt)
 
-    if adj is not None and cert > _cert_tol(target_ad):
-        # last resort: eigenvalue steering from wherever we ended up
-        t_j = _eigen_rescue(rep, bip, adj, t, reg_eig, target_ad)
-        t, r = _solve_section_parameters(rep, bip, t_j, target, tol, restarts=1)
-        cert = certificate(t, target_ad)
-    if adj is not None and cert > _cert_tol(target_ad):
-        raise ConsistencyError(
-            f"section parameters match the registered polynomial but fail the "
-            f"adjoint class certificate: {cert}"
-        )
-    return t, float(r), float(cert)
+    cert = certificate(t, pt)
+    if cert > pt.cert_tol:
+        route = "last resort"
+        t, r = rescue(t, pt)
+        cert = certificate(t, pt)
+    if adj is None and np.max(np.abs(t - pt.t0)) > 1e-6 * max(1.0, np.max(np.abs(pt.t0))):
+        # chi(C(t)) = t exactly in type A: the character values must survive
+        raise ConsistencyError("type-A section parameters drifted from characters")
+    return verdict(route, t, r, cert)
 
 
 def _random_admissible_midpoint(rs: RootSystem, m, rng) -> Tuple[Q, ...]:
@@ -678,7 +642,6 @@ def stokes_from_asymptotics(
     type_name: str,
     m: Sequence,
     rep: Representation | None = None,
-    class_tol: float = 1e-8,
 ) -> StokesData:
     """Assemble the canonical Stokes element from asymptotic data m.
 
@@ -699,18 +662,8 @@ def stokes_from_asymptotics(
     y = pt.y
     bip = bipartition(rs)
     order = tuple(sorted(bip.i2)) + tuple(sorted(bip.i1))
-    tables = all_fundamental_tables(rs)
     m_frac = _as_fractions(m)
     t, class_res, adjoint_cert = _solve_class_with_continuation(rs, rep, bip, order, m_frac)
-    if rs.type.family == "A":
-        # chi(C(t)) = t exactly in type A: the character values must survive
-        t0 = np.array([character_value(rs, tables[node - 1], y) for node in order])
-        if np.max(np.abs(t - t0)) > 1e-6 * max(1.0, np.max(np.abs(t0))):
-            raise ConsistencyError("type-A section parameters drifted from characters")
-    if class_res > class_tol:
-        raise ConsistencyError(
-            f"no section parameters matching the torus class: residual {class_res}"
-        )
 
     cs = steinberg_section(rep, bip, t)
     m0 = cs.full()
@@ -771,24 +724,13 @@ def _unipotent_log(u: np.ndarray) -> np.ndarray:
 def verify_factor_supports(sd: StokesData, tol: float = FACTOR_TOL) -> Dict[str, float]:
     """log K1 / log K2 lie in the claimed root spaces, checked in ad(g).
 
-    Rebuilds both unipotent factors from the cached adjoint cross-section
-    factors and expands their logarithms over the ad-matrices of the
+    Rewrites the cached adjoint cross-section factors at sd.t as
+    (K1, K2, A_gamma), as for M0, and expands their logarithms over the ad-matrices of the
     supporting root vectors.
     """
-    order = sd.gamma_order
-    adj = _adjoint_section(sd.type_name, order)
+    adj = _adjoint_section(sd.type_name, sd.gamma_order)
     alg = adj.alg
-    k = len(bipartition(alg.rs).i2)
-
-    k1ad = np.eye(alg.dim, dtype=complex)
-    nblock = np.eye(alg.dim, dtype=complex)
-    for pos in range(k):
-        k1ad = k1ad @ adj.exp_ad_e[order[pos]](sd.t[pos])
-        nblock = nblock @ adj.n_ad[order[pos]]
-    tail = np.eye(alg.dim, dtype=complex)
-    for pos in range(k, len(order)):
-        tail = tail @ adj.exp_ad_e[order[pos]](sd.t[pos])
-    k2ad = nblock @ tail @ np.linalg.inv(nblock)
+    k1ad, k2ad, _ = adj.factors(sd.t).rewritten()
 
     out = {}
     for name, mat, support in (
@@ -832,8 +774,8 @@ def semisimple_spectrum_check(
     if rep is None:
         rep = registered_representation(sd.type_name)
     pred = _target_eigenvalues(rep, sd.y)
-    got_poly = _charpoly(sd.m0)
-    want_poly = _charpoly(np.diag(pred))
+    got_poly = np.poly(sd.m0)
+    want_poly = np.poly(np.diag(pred))
     poly_res = float(np.max(np.abs(got_poly - want_poly)))
     dists = np.abs(pred[:, None] - pred[None, :]) + np.eye(len(pred))
     regular = bool(np.min(dists) > 1e-8)

@@ -1,3 +1,4 @@
+import cmath
 import json
 import os
 from fractions import Fraction as Q
@@ -83,6 +84,36 @@ def test_torus_values_a2():
         character_value(rs, fundamental_characters("A2", i), (Q(0), Q(0))) for i in (1, 2)
     ]
     assert all(abs(v - 3) < 1e-12 for v in at_zero)
+
+
+def _exact_character_value(rs, table, y) -> complex:
+    """Reference evaluator: the weight-by-weight sum with exact pairings mu(y)."""
+    total = 0j
+    for w, m in table.weights:
+        total += m * cmath.exp(2j * cmath.pi * float(weight_pairing(rs, w, y)))
+    return total
+
+
+@pytest.mark.parametrize("name", ["A2", "A3", "B3", "G2"])
+def test_character_value_matches_exact_pairing(name):
+    # the cached float pairing matrix against the exact loop at the identity,
+    # the principal element x0/s and seeded rational torus points
+    rs = build_root_system(name)
+    s = rs.coxeter_number
+    rng = np.random.default_rng(5)
+    identity = (Q(0),) * rs.rank
+    principal = tuple(c / s for c in rs.x0_coords)
+    ys = [identity, principal] + [
+        tuple(Q(int(x), 12) for x in rng.integers(-12, 13, size=rs.rank)) for _ in range(5)
+    ]
+    for i in range(rs.rank):
+        tb = fundamental_characters(name, i + 1)
+        for y in ys:
+            assert abs(character_value(rs, tb, y) - _exact_character_value(rs, tb, y)) < 1e-12
+        assert abs(character_value(rs, tb, identity) - tb.dim) < 1e-12
+        # Kostant: at the principal element every character is 0 or +-1
+        v = character_value(rs, tb, principal)
+        assert min(abs(v - k) for k in (-1, 0, 1)) < 1e-12
 
 
 def _ext_trace(g: np.ndarray, k: int) -> complex:

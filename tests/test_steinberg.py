@@ -1,4 +1,5 @@
 import random
+import re
 from fractions import Fraction as Q
 from itertools import combinations
 
@@ -256,7 +257,9 @@ def test_adjoint_exp_series_matches_expm(name):
 
 
 # t recorded with the cross-section built from scipy.linalg.expm on every
-# evaluation: the benchmark's interior points and every alcove vertex
+# evaluation: the benchmark's interior points and every alcove vertex; D5
+# vertex 0 (recorded with the series cross-section) is the one point found
+# where the power-sum route fails and the continuation and eigen rescue return
 GOLDEN_T = [
     ("B3", "-1/8,-5/4,-15/8", "interior", [
         (3.3363572758385955, -2.6889794309291408e-15),
@@ -350,6 +353,13 @@ GOLDEN_T = [
         (-2.9999999999999987, -5.355143151879768e-16),
         (1.6098883080625278e-15, -2.744719127608676e-16),
     ]),
+    ("D5", "-4,-7,-9,-5,-5", "vertex", [
+        (46.000000000000036, 6.1643798314034256e-15),
+        (15.999999591367251, -1.5469368458839971e-06),
+        (16.000000408632765, 1.5469368471146411e-06),
+        (10.000000000000009, 1.1725325088269604e-15),
+        (130.0000000000001, 3.662666333002769e-15),
+    ]),
 ]
 
 
@@ -377,6 +387,27 @@ def test_midpoint_search_is_bounded():
     with pytest.raises(ConsistencyError, match="no admissible detour midpoint"):
         _random_admissible_midpoint(rs, [Q(0)] * 2, rng)
     assert rng.draws == MIDPOINT_DRAWS
+
+
+def test_failed_class_solve_names_route_residual_and_threshold():
+    # B4 vertex 1: the power sums, the eigen rescue and all five tracked paths
+    # fail; the error names the last route and the numbers it was judged by
+    with pytest.raises(ConsistencyError) as info:
+        stokes_from_asymptotics("B4", [Q(4), Q(1), Q(-1), Q(-2)])
+    msg = str(info.value)
+    assert "last route detour 4 (continuation stalled between tau = " in msg
+    assert re.search(r"registered residual \S+ \(bound 1e-08\)", msg)
+    assert re.search(r"adjoint certificate \S+ \(threshold _cert_tol = \S+\)", msg)
+
+
+def test_gauss_newton_halves_past_nonfinite_trials():
+    # the full first step from 0.1 lands beyond |t| = 10, where the residual
+    # is non-finite; the halvings reject it and the solve still converges
+    def resid(t):
+        return np.where(np.abs(t) > 10, np.inf, t**2 - 4)
+
+    t, r = steinberg._gauss_newton(resid, np.array([0.1]), 1e-12, 60, 1, seed=0)
+    assert r < 1e-12 and abs(t[0] - 2) < 1e-12
 
 
 @pytest.mark.xfail(
