@@ -23,8 +23,9 @@ for n, c, k in [
     (3, [1.0, 0.8, 1.3, 0.8], [1, 2, 0, 2]),
 ]:
     rep = numerical_monodromy(build_system(n, c, k, 1.0))
-    print(f"   sl{n+1}, k={k}: residual {rep.max_coeff_residual:.2e} "
-          f"({rep.nfev} rhs evaluations)")
+    print(f"   sl{n+1}, k={k}: residual {rep.max_coeff_residual:.2e}, "
+          f"exponent residual {rep.exponent_residual:.2e}")
+    print(f"      {rep.steps} Magnus steps, error estimate {rep.error_estimate:.1e}")
     print("      numerical:", np.round(rep.numerical_charpoly, 6))
     print("      predicted:", np.round(rep.predicted_charpoly, 6))
 

@@ -400,23 +400,6 @@ class ChevalleyAlgebra:
                 out[i, j] = complex(v)
         return out
 
-    def ad_sparse(self, x: Element) -> Dict[Tuple[int, int], object]:
-        ent: Dict[Tuple[int, int], object] = {}
-        for j in range(self.dim):
-            for i, v in self.bracket(x, {j: 1}).items():
-                ent[(i, j)] = v
-        return ent
-
-    def killing(self, x: Element, y: Element):
-        """tr(ad x ad y), exact for exact inputs."""
-        ax, ay = self.ad_sparse(x), self.ad_sparse(y)
-        tot = Sq(0)
-        for (i, j), v in ax.items():
-            w = ay.get((j, i))
-            if w is not None:
-                tot = tot + v * w
-        return tot
-
     def form(self, x: Element, y: Element):
         """The normalized invariant form B on elements."""
         rs = self.rs

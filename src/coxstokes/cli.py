@@ -322,7 +322,7 @@ def cmd_monodromy(args) -> int:
     fs = formal_solution(sys_, args.order)
     rep = numerical_monodromy(sys_, radius=args.radius)
     doc = {
-        "schema_version": 1,
+        "schema_version": 2,
         "rank": rep.n,
         "k": [str(x) for x in rep.k],
         "z": rep.z,
@@ -330,9 +330,11 @@ def cmd_monodromy(args) -> int:
         "numerical_charpoly": [[c_.real, c_.imag] for c_ in rep.numerical_charpoly],
         "predicted_charpoly": [[c_.real, c_.imag] for c_ in rep.predicted_charpoly],
         "max_coeff_residual": rep.max_coeff_residual,
+        "exponent_residual": rep.exponent_residual,
+        "error_estimate": rep.error_estimate,
         "central_factor": [rep.central_factor.real, rep.central_factor.imag],
         "tolerance": args.tol,
-        "passed": rep.max_coeff_residual < args.tol,
+        "passed": rep.max_coeff_residual < args.tol and rep.exponent_residual < args.tol,
         "nfev": rep.nfev,
         "steps": rep.steps,
         "formal_solution": {

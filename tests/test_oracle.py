@@ -1,16 +1,25 @@
+import dataclasses
+import json
 from fractions import Fraction as Q
 
 import numpy as np
 import pytest
+from scipy.integrate import solve_ivp
 
+from coxstokes import oracle
 from coxstokes.chevalley import build_chevalley
+from coxstokes.cli import EXIT_VERIFY, main
 from coxstokes.oracle import (
     MeromorphicSystem,
     SystemError_,
     build_system,
+    circle_coefficients,
+    exponent_charpoly,
     formal_solution,
     integrate_monodromy,
+    magnus_propagators,
     numerical_monodromy,
+    sequential_product,
     standard_rep_sl,
 )
 from coxstokes.weightrep import registered_representation
@@ -139,3 +148,117 @@ def test_m_coords_consistency():
     vals = rep.weight_values(sys3.m_coords())
     diag = np.real(np.diag(sys3.m_diag))
     assert np.max(np.abs(vals - diag)) < 1e-12
+
+
+def _dop853_reference(sys_: MeromorphicSystem, radius: float) -> np.ndarray:
+    """The monodromy by scipy's DOP853 on the lambda-plane coefficient (rtol 1e-12)."""
+    size = sys_.rep.size
+    scale = sys_.s / float(sys_.bigN)
+
+    def rhs(theta, y):
+        lam = radius * np.exp(1j * theta)
+        coeff = -scale * (sys_.z / lam**2) * sys_.eta_plus + sys_.m_diag / lam
+        return (1j * lam * (coeff @ y.reshape(size, size))).reshape(-1)
+
+    sol = solve_ivp(rhs, (0.0, 2 * np.pi), np.eye(size, dtype=complex).reshape(-1),
+                    method="DOP853", rtol=1e-12, atol=1e-12, max_step=2 * np.pi / 256)
+    assert sol.success
+    return sol.y[:, -1].reshape(size, size)
+
+
+def _seeded_system(rng, n: int) -> MeromorphicSystem:
+    """A nu-symmetric sl_{n+1} system drawn like the benchmark's monodromy systems."""
+    free = [Q(int(x), 4) for x in rng.integers(-2, 5, size=(n + 1) // 2 + 1)]
+    k = [free[0]] + [free[min(i, n + 1 - i)] for i in range(1, n + 1)]
+    return build_system(n, rng.uniform(0.5, 2.0, size=n + 1), k, rng.uniform(0.5, 2.0))
+
+
+def test_magnus_matches_dop853_reference():
+    rng = np.random.default_rng(0)
+    for n in (2, 3, 4, 5):
+        sys_ = _seeded_system(rng, n)
+        for radius in (0.7, 1.3):
+            got = integrate_monodromy(sys_, radius)
+            want = _dop853_reference(sys_, radius)
+            assert np.linalg.norm(got.mono - want) <= 1e-9 * np.linalg.norm(want), (n, radius)
+            assert type(got.nfev) is int and type(got.steps) is int
+            assert got.steps >= oracle.MIN_STEPS and got.nfev == 3 * (got.steps + got.steps // 2)
+            assert got.error_estimate <= oracle.ERROR_TOL
+
+
+def test_magnus_is_sixth_order():
+    sys4 = build_system(3, [1.0, 0.8, 1.3, 0.8], [1, 2, 0, 2], 1.0)
+    im, k = circle_coefficients(sys4, 0.7)
+
+    def product(steps):
+        return sequential_product(magnus_propagators(im, k, steps))
+
+    ref = product(1024)
+    assert integrate_monodromy(sys4, 0.7).steps == 128
+    err = [np.linalg.norm(product(n) - ref) for n in (64, 128)]
+    assert err[0] >= 40 * err[1]  # measured ratio about 64
+
+
+def test_step_rule():
+    sys3 = build_system(2, [1, 1, 1], [0, 1, 1], 1.0)
+    assert integrate_monodromy(sys3).steps == 128
+    # rho = ||M|| + ||K|| grows like 1/radius; h rho <= 0.2 needs more steps
+    im, k = circle_coefficients(sys3, 0.1)
+    rho = np.linalg.norm(im, 2) + np.linalg.norm(k, 2)
+    steps = integrate_monodromy(sys3, 0.1).steps
+    assert 2 * np.pi * rho / steps <= oracle.STEP_NORM < 2 * (2 * np.pi * rho / steps)
+
+
+def test_step_exponential_refuses_large_generators():
+    sys3 = build_system(2, [1, 1, 1], [0, 1, 1], 1.0)
+    im, k = circle_coefficients(sys3, 1.0)
+    with pytest.raises(ArithmeticError, match="step generator norm"):
+        magnus_propagators(im, k, 4)
+
+
+def test_error_estimate_above_tolerance_raises(monkeypatch):
+    monkeypatch.setattr(oracle, "ERROR_TOL", 1e-20)
+    with pytest.raises(ArithmeticError, match="integrator failed"):
+        integrate_monodromy(build_system(2, [1, 1, 1], [0, 1, 1], 1.0))
+
+
+def test_error_estimate_at_rounding_noise_does_not_raise():
+    # a benchmark system with M = 0: the solution grows to |Phi| ~ 4e4 inside the
+    # loop and returns to I, so Phi_N and Phi_{N/2} differ by rounding noise only
+    # (its Richardson estimate is about 3e-9, above ERROR_TOL)
+    sys4 = build_system(3, [1.717, 1.627, 1.071, 1.738], [Q(-1, 2)] * 4, 1.934)
+    assert not np.any(sys4.m_diag)
+    got = integrate_monodromy(sys4, 0.799)
+    assert got.error_estimate > oracle.ERROR_TOL
+    assert np.linalg.norm(got.mono - np.eye(4)) < 1e-6
+    assert numerical_monodromy(sys4, 0.799).ok
+
+
+def test_exponent_check_passes_and_catches_tampered_m():
+    sys4 = build_system(3, [1.0, 0.8, 1.3, 0.8], [1, 2, 0, 2], 1.0)
+    rep = numerical_monodromy(sys4)
+    assert rep.ok and rep.exponent_residual < 1e-12
+    shifted = (sys4.m_entries[0] + Q(1, 7),) + sys4.m_entries[1:]
+    bad = numerical_monodromy(dataclasses.replace(sys4, m_entries=shifted))
+    assert bad.exponent_residual > 1e-3 and not bad.ok
+    assert bad.max_coeff_residual == rep.max_coeff_residual  # the numerical side is untouched
+
+
+def test_exponent_charpoly_reduces_mod_one():
+    # integer shifts of m_j do not move e^{2 pi i m_j}, and the reduction is exact
+    m = [Q(1, 3), Q(-1, 3), Q(0)]
+    assert np.array_equal(exponent_charpoly(m), exponent_charpoly([Q(7, 3), Q(-10, 3), Q(5)]))
+
+
+def test_radius_0553_known_failure(tmp_path):
+    # an open oracle failure (perfbench/README.md): the charpoly of this monodromy
+    # is ill-conditioned at small radius; the exact exponent check still passes
+    out = tmp_path / "m.json"
+    argv = ["monodromy", "--rank", "3", "--k=-1/2,-1/2,-1/4,-1/2",
+            "--c=1.325,1.974,1.132,1.736", "--z", "1.597", "--radius", "0.553",
+            "--json-out", str(out)]
+    assert main(argv) == EXIT_VERIFY
+    doc = json.loads(out.read_text())
+    assert doc["max_coeff_residual"] > 1e-6 and not doc["passed"]
+    assert doc["exponent_residual"] < 1e-12
+    assert doc["error_estimate"] <= oracle.ERROR_TOL

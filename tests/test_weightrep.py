@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from scipy.linalg import expm
 
-from coxstokes.characters import fundamental_characters
+from coxstokes.characters import fundamental_characters, weight_pairing
 from coxstokes.chevalley import InvariantViolation, build_chevalley
 from coxstokes.weightrep import (
     NilpotentExp,
@@ -167,6 +167,24 @@ def test_float_generators_built_once_and_read_only():
     exp_e, n_i = rep.section_factors(1)
     assert rep.section_factors(1)[0] is exp_e
     assert not n_i.flags.writeable
+    p0 = rep.p0_matrix()
+    assert rep.p0_matrix() is p0 and not p0.flags.writeable
+
+
+@pytest.mark.parametrize("name", sorted(REGISTERED_DIMS))
+def test_weight_values_equal_exact_pairing(name):
+    # the integer table gives the same float as rounding the Fraction pairing once
+    rep = registered_representation(name)
+    rs = rep.rs
+    rng = np.random.default_rng(7)
+    points = [rs.x0_coords] + [
+        tuple(Q(int(a), int(b)) for a, b in zip(rng.integers(-40, 41, rs.rank),
+                                                 rng.integers(1, 25, rs.rank)))
+        for _ in range(3)
+    ]
+    for h in points:
+        want = [float(weight_pairing(rs, w, h)) for w in rep.basis_weights]
+        assert rep.weight_values(h).tolist() == want
 
 
 def test_tampered_representation_raises_invariant_violation():
