@@ -26,7 +26,13 @@ from .coxeter import (
     kostant_chain,
     singular_directions,
 )
-from .oracle import SystemError_, build_system, formal_solution, numerical_monodromy
+from .oracle import (
+    IntegratorError,
+    SystemError_,
+    build_system,
+    formal_solution,
+    numerical_monodromy,
+)
 from .rootcore import AlgebraType, UnsupportedTypeError, build_root_system
 from .spectrum import SpectrumMismatch, ad_spectrum, build_e_plus, match_plane
 from .steinberg import (
@@ -65,6 +71,7 @@ VERIFY_ERRORS = (
     SpectrumMismatch,
     ConsistencyError,
     InvariantViolation,
+    IntegratorError,
 )
 
 

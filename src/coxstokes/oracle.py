@@ -26,7 +26,7 @@ N/2 steps below), and at ||Omega||_1 <= 0.5 the remainder is below 1e-19
 its LU solves).  The propagators are multiplied one after another (a
 pairwise tree product loses about one digit to rounding).  The same integration with N/2 steps gives the
 Richardson estimate ||Phi_N - Phi_{N/2}|| / (63 ||Phi_N||) of the relative
-error.  Above 1e-9 the integration raises ArithmeticError, unless the
+error.  Above 1e-9 the integration raises IntegratorError, unless the
 difference Phi_N - Phi_{N/2} is within a factor 10 of the rounding noise of
 the product itself, measured as the difference between the sequential and the
 pairwise product of the same propagators: there more steps cannot help, and
@@ -56,6 +56,10 @@ from .weightrep import registered_representation
 
 class SystemError_(ValueError):
     """Invalid meromorphic system data."""
+
+
+class IntegratorError(ArithmeticError):
+    """The monodromy integration cannot reach its accuracy target."""
 
 
 @dataclass
@@ -341,7 +345,7 @@ def _exp_taylor(omega: np.ndarray) -> np.ndarray:
     """exp of each matrix of the stack by its Taylor polynomial, in Horner form."""
     norm = np.abs(omega).sum(axis=-2).max()  # largest 1-norm in the stack
     if not norm <= EXP_NORM:  # NaN fails too
-        raise ArithmeticError(f"integrator failed: step generator norm {norm:.3g} above {EXP_NORM}")
+        raise IntegratorError(f"integrator failed: step generator norm {norm:.3g} above {EXP_NORM}")
     eye = np.eye(omega.shape[-1])
     out = eye + omega / EXP_DEGREE
     for k in range(EXP_DEGREE - 1, 0, -1):
@@ -385,7 +389,7 @@ def integrate_monodromy(sys: MeromorphicSystem, radius: float = 1.0) -> Integrat
         # a difference Phi_N - Phi_{N/2} at that level is no truncation error
         rounding = float(np.linalg.norm(mono - _tree_product(props)) / scale)
         if not 63 * estimate <= ROUNDING_MARGIN * rounding:
-            raise ArithmeticError(
+            raise IntegratorError(
                 f"integrator failed: Richardson estimate {estimate:.3g} above {ERROR_TOL:g}"
                 f" with {steps} Magnus steps, rounding noise {rounding:.3g}"
             )

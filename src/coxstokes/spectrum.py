@@ -11,8 +11,8 @@ from dataclasses import dataclass
 from typing import Dict, Sequence, Tuple
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
 
+from .assignment import linear_assignment
 from .chevalley import ChevalleyAlgebra, Element
 from .coxeter import CoxeterPlaneDiagram, circular_cluster, mean_angle
 from .rootcore import Root
@@ -122,7 +122,7 @@ def ad_spectrum(ep: EPlusElement, ray_tol: float = RAY_TOL) -> SpectrumReport:
     # spectrum is invariant under multiplication by e^{2 pi i/s}
     rot = np.exp(2j * np.pi / s) * nz
     cost = np.abs(rot[:, None] - nz[None, :])
-    ri, ci = linear_sum_assignment(cost)
+    ri, ci = linear_assignment(cost)
     if cost[ri, ci].max() > 1e-7 * scale:
         raise SpectrumMismatch("nonzero spectrum not closed under the s-th root rotation")
 
@@ -172,7 +172,7 @@ def match_plane(
             break
         kappa = nz[i] / anchor
         cost = np.abs(kappa * coords[:, None] - nz[None, :])
-        ri, ci = linear_sum_assignment(cost)
+        ri, ci = linear_assignment(cost)
         res = cost[ri, ci].max()
         if best is None or (res, i) < (best[0], best[1]):
             best = (res, i, kappa, ri, ci)
@@ -181,7 +181,7 @@ def match_plane(
     a, b = coords[ri], nz[ci]
     kappa = complex(np.vdot(a, b) / np.vdot(a, a))
     cost = np.abs(kappa * coords[:, None] - nz[None, :])
-    ri, ci = linear_sum_assignment(cost)
+    ri, ci = linear_assignment(cost)
     res = float(cost[ri, ci].max())
     if res > tol * scale:
         raise SpectrumMismatch(f"plane/spectrum match residual {res} above {tol*scale}")

@@ -15,6 +15,7 @@ from typing import Dict, NamedTuple, Sequence, Tuple
 
 import numpy as np
 
+from .assignment import linear_assignment
 from .characters import character_value, fundamental_characters
 from .chevalley import build_chevalley
 from .coxeter import Bipartition, bipartition, coxeter_element
@@ -432,8 +433,6 @@ def _eigen_rescue(
     generic (simple-spectrum) targets it is far better conditioned than the
     coefficient system, so it pulls a wrong-fiber point onto the right one.
     """
-    from scipy.optimize import linear_sum_assignment
-
     def resid(t):
         out = []
         for mat, tgt in (
@@ -442,7 +441,7 @@ def _eigen_rescue(
         ):
             eig = np.linalg.eigvals(mat)
             cost = np.abs(eig[:, None] - tgt[None, :])
-            ri, ci = linear_sum_assignment(cost)
+            ri, ci = linear_assignment(cost)
             d = np.zeros(len(tgt), dtype=complex)
             d[ci] = eig[ri] - tgt[ci]
             out.append(d)
@@ -781,11 +780,9 @@ def semisimple_spectrum_check(
     regular = bool(np.min(dists) > 1e-8)
     eig_res = None
     if regular:
-        from scipy.optimize import linear_sum_assignment
-
         got = np.linalg.eigvals(sd.m0)
         cost = np.abs(pred[:, None] - got[None, :])
-        ri, ci = linear_sum_assignment(cost)
+        ri, ci = linear_assignment(cost)
         eig_res = float(cost[ri, ci].max())
     ok = poly_res <= poly_tol and (eig_res is None or eig_res <= eig_tol)
     return SemisimpleSpectrumReport(regular, poly_res, eig_res, ok)

@@ -8,7 +8,7 @@ import jsonschema
 import pytest
 
 import coxstokes
-from coxstokes import cli
+from coxstokes import cli, oracle
 from coxstokes.chevalley import InvariantViolation
 from coxstokes.cli import EXIT_DOMAIN, EXIT_OK, EXIT_USAGE, EXIT_VERIFY, main
 
@@ -100,6 +100,12 @@ def test_monodromy_domain_error():
     assert run(["monodromy", "--rank", "2", "--k", "0,1,2"]) == EXIT_DOMAIN
 
 
+def test_monodromy_integrator_failure_is_a_verification_failure(monkeypatch, capsys):
+    monkeypatch.setattr(oracle, "ERROR_TOL", 1e-20)
+    assert run(["monodromy", "--rank", "2", "--k", "0,1,1"]) == EXIT_VERIFY
+    assert "verification failure: integrator failed" in capsys.readouterr().err
+
+
 def test_schema_validator_built_once_and_still_applied():
     assert cli._validator("describe") is cli._validator("describe")
     with pytest.raises(jsonschema.ValidationError):
@@ -160,3 +166,30 @@ def test_invariant_checks_fire_under_python_O():
         "disconnected", "odd cycle", "gamma^s", "orbits", "freudenthal", "central",
         f"exit {EXIT_VERIFY}",
     ]
+
+
+_NO_SCIPY = """
+import contextlib, io, sys
+from coxstokes import cli
+
+for argv in (
+    ["describe", "--type", "E6"],
+    ["plane", "--type", "E6"],
+    ["verify", "--type", "E6"],
+    ["stokes", "--type", "B3", "--m=-1/8,-5/4,-15/8"],
+    ["monodromy", "--rank", "2", "--k", "0,1,1"],
+):
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert cli.main(argv) == cli.EXIT_OK, argv
+print(sorted(m for m in sys.modules if m.partition(".")[0] == "scipy"))
+"""
+
+
+def test_cli_commands_never_import_scipy(tmp_path):
+    # scipy.optimize alone costs about 0.6 s and 48 MB at import, in every process
+    src = str(Path(coxstokes.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src, "COXSTOKES_CACHE": str(tmp_path)}
+    out = subprocess.run([sys.executable, "-c", _NO_SCIPY],
+                         capture_output=True, text=True, env=env, timeout=300)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.strip() == "[]"
