@@ -26,6 +26,7 @@ from .coxeter import (
     kostant_chain,
     singular_directions,
 )
+from .jsoncheck import SchemaViolation, compile_schema
 from .oracle import (
     IntegratorError,
     SystemError_,
@@ -72,6 +73,7 @@ VERIFY_ERRORS = (
     ConsistencyError,
     InvariantViolation,
     IntegratorError,
+    SchemaViolation,
 )
 
 
@@ -84,24 +86,16 @@ class _Parser(argparse.ArgumentParser):
 
 @lru_cache(maxsize=None)
 def _validator(kind: str):
-    """The validator of one schema kind, read and schema-checked once."""
-    import jsonschema
-
+    """The compiled check of one schema kind, read and compiled once."""
     schema = json.loads(
         resources.files("coxstokes.schemas").joinpath(f"{kind}.schema.json").read_text()
     )
-    cls = jsonschema.validators.validator_for(schema)
-    cls.check_schema(schema)
-    return cls(schema)
+    return compile_schema(schema)
 
 
 def _validate(kind: str, doc: dict) -> dict:
-    """Raise the best-matching schema error of doc, as jsonschema.validate does."""
-    import jsonschema
-
-    error = jsonschema.exceptions.best_match(_validator(kind).iter_errors(doc))
-    if error is not None:
-        raise error
+    """Return doc, or raise SchemaViolation naming the failing JSON path and keyword."""
+    _validator(kind)(doc)
     return doc
 
 

@@ -4,7 +4,6 @@ import subprocess
 import sys
 from pathlib import Path
 
-import jsonschema
 import pytest
 
 import coxstokes
@@ -108,9 +107,18 @@ def test_monodromy_integrator_failure_is_a_verification_failure(monkeypatch, cap
 
 def test_schema_validator_built_once_and_still_applied():
     assert cli._validator("describe") is cli._validator("describe")
-    with pytest.raises(jsonschema.ValidationError):
+    with pytest.raises(cli.SchemaViolation, match=r"\$ fails required: 'rank'"):
         cli._validate("describe", {"schema_version": 1, "type": "A2"})
     assert InvariantViolation in cli.VERIFY_ERRORS
+    assert cli.SchemaViolation in cli.VERIFY_ERRORS
+
+
+def test_schema_violation_is_a_verification_failure(monkeypatch, capsys):
+    monkeypatch.setattr(cli, "_plane_doc", lambda rs, plane: {"schema_version": 1})
+    assert run(["plane", "--type", "A2"]) == EXIT_VERIFY
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "verification failure: coxstokes/plane/v1: $ fails required" in captured.err
 
 
 _UNDER_O = """
@@ -150,6 +158,7 @@ lat = _Lattice(build_root_system("A2"))
 lat.W[0][0] += Q(1, 7)
 fires("freudenthal", lambda: _freudenthal(lat, (1, 1)), cli.InvariantViolation)
 fires("central", lambda: _central_factor(np.diag([1.0, 2.0])), cli.ConsistencyError)
+fires("schema", lambda: cli._validate("describe", {"schema_version": True}), cli.SchemaViolation)
 cli.build_root_system = lambda name: split
 print("exit", cli.main(["verify", "--type", "A3"]))
 """
@@ -162,8 +171,8 @@ def test_invariant_checks_fire_under_python_O():
         capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src}, timeout=120,
     )
     assert out.returncode == 0, out.stderr
-    assert out.stdout.split("\n")[:7] == [
-        "disconnected", "odd cycle", "gamma^s", "orbits", "freudenthal", "central",
+    assert out.stdout.split("\n")[:8] == [
+        "disconnected", "odd cycle", "gamma^s", "orbits", "freudenthal", "central", "schema",
         f"exit {EXIT_VERIFY}",
     ]
 
@@ -181,12 +190,13 @@ for argv in (
 ):
     with contextlib.redirect_stdout(io.StringIO()):
         assert cli.main(argv) == cli.EXIT_OK, argv
-print(sorted(m for m in sys.modules if m.partition(".")[0] == "scipy"))
+print(sorted(m for m in sys.modules if m.partition(".")[0] in ("scipy", "jsonschema")))
 """
 
 
 def test_cli_commands_never_import_scipy(tmp_path):
-    # scipy.optimize alone costs about 0.6 s and 48 MB at import, in every process
+    # scipy.optimize alone costs about 0.6 s and 48 MB at import, in every process;
+    # jsonschema and its dependencies about 0.1 s and 4 MB
     src = str(Path(coxstokes.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": src, "COXSTOKES_CACHE": str(tmp_path)}
     out = subprocess.run([sys.executable, "-c", _NO_SCIPY],
