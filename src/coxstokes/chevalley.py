@@ -567,9 +567,6 @@ class SigmaData:
             out[self.nu[i] - 1] = coords[i]
         return tuple(out)
 
-    def is_fixed_h(self, coords: Sequence) -> bool:
-        return tuple(coords) == tuple(self.apply_h(coords))
-
 
 def sigma_nu(alg: ChevalleyAlgebra) -> SigmaData:
     """sigma on the Cartan subalgebra, simple root vectors, and e_{+-psi}."""

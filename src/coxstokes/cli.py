@@ -274,7 +274,8 @@ def cmd_verify(args) -> int:
         ok = ok and doc["passed"]
         line = "PASS" if doc["passed"] else "FAIL"
         print(f"[{line}] {t}", file=sys.stderr)
-    _emit(docs[0] if len(docs) == 1 else {"results": docs}, args.json_out)
+    doc = docs[0] if len(docs) == 1 else _validate("verify_all", {"results": docs})
+    _emit(doc, args.json_out)
     return EXIT_OK if ok else EXIT_VERIFY
 
 
@@ -296,7 +297,8 @@ def cmd_stokes(args) -> int:
         "sigma_fixed": pt.sigma_fixed,
     }
     if not pt.admissible:
-        _emit({"schema_version": 1, "type": str(rs.type), "alcove": alcove}, args.json_out)
+        slack = {"schema_version": 1, "type": str(rs.type), "alcove": alcove}
+        _emit(_validate("slack", slack), args.json_out)
         raise InadmissibleError(f"m = {m} is not admissible (see slack report)")
     sd = stokes_from_asymptotics(str(rs.type), m, rep=rep)
     supports = verify_factor_supports(sd)

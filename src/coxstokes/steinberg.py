@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction as Q
 from functools import lru_cache
-from typing import Dict, NamedTuple, Sequence, Tuple
+from typing import Dict, Sequence, Tuple
 
 import numpy as np
 
@@ -23,13 +23,13 @@ from .rootcore import Root, RootSystem, build_root_system, diagram_involution
 from .weightrep import (
     NilpotentExp,
     Representation,
+    UnsupportedRepresentationError,
+    fundamental_representation,
     registered_representation,
     weyl_representative,
 )
 
 FACTOR_TOL = 1e-8
-# draws of _random_admissible_midpoint before it gives up
-MIDPOINT_DRAWS = 10_000
 
 
 class InadmissibleError(ValueError):
@@ -45,6 +45,7 @@ class ConsistencyError(ArithmeticError):
 
 @dataclass(frozen=True)
 class AlcovePoint:
+    m: Tuple[Q, ...]                 # m as fractions (floats to denominators <= 10^12)
     y: Tuple[Q, ...]
     slacks_simple: Tuple[Q, ...]     # alpha_i(y), must be >= 0
     slack_psi: Q                     # 1 - psi(y), must be >= 0
@@ -79,7 +80,7 @@ def alcove_map(rs: RootSystem, m: Sequence) -> AlcovePoint:
         raise ConsistencyError("alcove inequalities disagree with admissibility")
     nu = diagram_involution(rs)
     fixed = all(y[i] == y[nu[i] - 1] for i in range(rs.rank))
-    return AlcovePoint(y, slacks, slack_psi, alcove_ok, fixed)
+    return AlcovePoint(m, y, slacks, slack_psi, alcove_ok, fixed)
 
 
 def certify_alcove_membership(rs: RootSystem, m: Sequence) -> bool:
@@ -322,6 +323,75 @@ def _adjoint_section(type_name: str, order: Tuple[int, ...]) -> _AdjointSection:
     return _AdjointSection(build_root_system(type_name), order)
 
 
+# -- fundamental characters on the cross-section -----------------------------------
+
+
+def _lambda2(g: np.ndarray) -> complex:
+    """The trace of g on Lambda^2: (tr(g)^2 - tr(g^2))/2."""
+    return (np.trace(g) ** 2 - np.sum(g * g.T)) / 2
+
+
+def characters_from_matrices(rs: RootSystem, mats: Dict) -> np.ndarray:
+    """chi_1 .. chi_l (Bourbaki order) of one element, from its matrices.
+
+    mats maps i to the element in V(omega_i) and "ad" to it in the adjoint
+    representation, for the keys _character_sections uses.  A-D: e_k, the
+    trace on Lambda^k of V(omega_1), gives chi_k (e_k - e_{k-2} in type C)
+    below the spin nodes, whose characters are the spin traces.  G2, F4, E6:
+    traces and Lambda^2 of the small and adjoint representations.
+    """
+    family, l = rs.type.family, rs.rank
+    if family in "ABCD":
+        e = np.poly(mats[1])[: l + 1] * (-1.0) ** np.arange(l + 1)
+        spins = [np.trace(mats[k]) for k in sorted(set(mats) - {1})]
+        if family == "C":
+            return e[1:] - np.concatenate([[0.0], e[: l - 1]])
+        return np.concatenate([e[1 : l + 1 - len(spins)], spins])
+    ad = mats["ad"]
+    tr_ad = np.trace(ad)
+    if family == "G":
+        return np.array([np.trace(mats[1]), tr_ad])
+    if family == "F":
+        v = mats[4]
+        return np.array([tr_ad, _lambda2(ad) - tr_ad, _lambda2(v) - tr_ad, np.trace(v)])
+    v, w = mats[1], mats[6]
+    return np.array(
+        [np.trace(v), tr_ad, _lambda2(v), _lambda2(ad) - tr_ad, _lambda2(w), np.trace(w)]
+    )
+
+
+@lru_cache(maxsize=None)
+def _character_sections(type_name: str):
+    """rs, Gamma order, and t -> C(t) in each representation the characters are read from."""
+    rs = build_root_system(type_name)
+    l = rs.rank
+    sources = {"G2": (1, "ad"), "F4": (4, "ad"), "E6": (1, 6, "ad")}.get(str(rs.type)) or {
+        "A": (1,), "B": (1, l), "C": (1,), "D": (1, l - 1, l)}.get(rs.type.family)
+    if sources is None:
+        raise UnsupportedRepresentationError(f"no character recipe for {type_name}")
+    bip = bipartition(rs)
+    order = tuple(sorted(bip.i2)) + tuple(sorted(bip.i1))
+    sections = {}
+    for key in sources:
+        if key == "ad":
+            sections[key] = _adjoint_section(str(rs.type), order).section
+        else:
+            rep = fundamental_representation(str(rs.type), key)
+            sections[key] = lambda t, rep=rep: steinberg_section(rep, bip, t).full()
+    return rs, order, sections
+
+
+def fundamental_traces(type_name: str, t: Sequence[complex]) -> np.ndarray:
+    """chi_i(C(t)) for every fundamental weight omega_i, in Gamma order like t.
+
+    In type A this is t itself.  By Steinberg's theorem the l fundamental
+    characters are coordinates on the cross-section: equal values, same class.
+    """
+    rs, order, sections = _character_sections(type_name)
+    mats = {key: section(t) for key, section in sections.items()}
+    return characters_from_matrices(rs, mats)[np.array(order) - 1]
+
+
 # Adjoint class certificate threshold.  Calibration: wrong classes score
 # ~1e0 and classes at distance 1/50 in m already ~3e-2, while true solutions
 # stay below ~1e-3 away from the deep degeneracies; 1e-2 keeps margin on
@@ -329,10 +399,12 @@ def _adjoint_section(type_name: str, order: Tuple[int, ...]) -> _AdjointSection:
 # (unipotent-class limits), where float eigenvalues of the section spread by
 # eps^(1/k); the enforceable threshold widens accordingly via _cert_tol.
 SELECT_TOL = 1e-2
-# Registered residual every route's answer must reach (resonant targets floor
-# the coefficient residual near sqrt(eps)), and the coefficient solves' target.
+# Registered residual the power-sum route's answer must reach (resonant
+# targets floor the coefficient residual near sqrt(eps)), the polish's target,
+# and the relative residual the character route's answer must reach.
 CLASS_TOL = 1e-8
 SOLVE_TOL = 1e-11
+CHAR_TOL = 1e-10
 
 
 def _cert_tol(target_eig: np.ndarray) -> float:
@@ -381,30 +453,20 @@ def _power_sum_certificate(section_eig: np.ndarray, target_eig: np.ndarray) -> f
     return mismatch / len(target_eig) if np.isfinite(mismatch) else np.inf
 
 
-class _ClassTarget(NamedTuple):
-    """What the class solver needs at one point m."""
-
-    t0: np.ndarray              # character values at y, the seed (exact in type A)
-    reg_eig: np.ndarray         # registered target eigenvalues
-    poly: np.ndarray            # their characteristic polynomial
-    ad_eig: np.ndarray | None   # adjoint target eigenvalues, None in type A
-    cert_tol: float             # _cert_tol(ad_eig), inf in type A
-
-
 def _solve_power_sums(
-    rep: Representation, bip: Bipartition, adj: _AdjointSection, pt: _ClassTarget
+    rep: Representation, bip: Bipartition, adj: _AdjointSection, t0, reg_eig, ad_eig
 ) -> Tuple[np.ndarray, float]:
-    """Gauss-Newton on joint power sums tr(C^k) of both representations.
+    """Gauss-Newton on joint power sums tr(C^k) of both representations, from t0.
 
     Power sums are smooth in the section parameters with no resonant
     conditioning collapse, so the solve reaches machine precision even when
     the target spectra are heavily degenerate (where coefficient or
     eigenvalue-matching systems floor out near sqrt(eps)).
     """
-    kr = np.arange(1, min(len(pt.reg_eig), 24) + 1)
-    ka = np.arange(1, min(len(pt.ad_eig), 28) + 1)
-    pr = _power_sums(pt.reg_eig, kr) / len(pt.reg_eig)
-    pa = _power_sums(pt.ad_eig, ka) / len(pt.ad_eig)
+    kr = np.arange(1, min(len(reg_eig), 24) + 1)
+    ka = np.arange(1, min(len(ad_eig), 28) + 1)
+    pr = _power_sums(reg_eig, kr) / len(reg_eig)
+    pa = _power_sums(ad_eig, ka) / len(ad_eig)
 
     def resid(t):
         er = np.linalg.eigvals(steinberg_section(rep, bip, t).full())
@@ -416,225 +478,84 @@ def _solve_power_sums(
             fa = _power_sums(ea, ka) / len(ea) - pa
         return np.concatenate([fr, fa])
 
-    return _gauss_newton(resid, pt.t0, 1e-12, 60, 3, seed=1)
+    return _gauss_newton(resid, t0, 1e-12, 60, 3, seed=1)
 
 
-def _eigen_rescue(
-    rep: Representation,
-    bip: Bipartition,
-    adj: _AdjointSection,
-    t_seed: np.ndarray,
-    pt: _ClassTarget,
-) -> np.ndarray:
-    """Gauss-Newton on assignment-matched eigenvalues of both representations.
+def _solve_characters(type_name: str, chi: np.ndarray) -> Tuple[np.ndarray, float]:
+    """Gauss-Newton on (chi_i(C(t)) - chi_i) / max(1, |chi_i|) from t = chi.
 
-    Characteristic-polynomial coefficients cannot tell two classes apart when
-    their registered spectra agree; the joint eigenvalue residual can, and at
-    generic (simple-spectrum) targets it is far better conditioned than the
-    coefficient system, so it pulls a wrong-fiber point onto the right one.
+    chi is in Gamma order (fundamental_traces).  Returns t and the max residual.
     """
+    scale = np.maximum(1.0, np.abs(chi))
+
     def resid(t):
-        out = []
-        for mat, tgt in (
-            (steinberg_section(rep, bip, t).full(), pt.reg_eig),
-            (adj.section(t), pt.ad_eig),
-        ):
-            eig = np.linalg.eigvals(mat)
-            cost = np.abs(eig[:, None] - tgt[None, :])
-            ri, ci = linear_assignment(cost)
-            d = np.zeros(len(tgt), dtype=complex)
-            d[ci] = eig[ri] - tgt[ci]
-            out.append(d)
-        return np.concatenate(out)
+        return (fundamental_traces(type_name, t) - chi) / scale
 
-    # at most 80 steps: the 81st evaluation only scores the 80th, so the
-    # rescue returns its last accepted step, which has the least residual
-    return _gauss_newton(resid, t_seed, 1e-12, 81, 1, seed=0)[0]
+    # on to rounding level, past CHAR_TOL: t itself is the answer, not chi(C(t))
+    return _gauss_newton(resid, chi, 1e-14, 60, 1, seed=0)
 
 
-def _solve_class_with_continuation(
-    rs: RootSystem,
-    rep: Representation,
-    bip: Bipartition,
-    order: Tuple[int, ...],
-    m: Tuple[Q, ...],
+def _solve_class(
+    rs: RootSystem, rep: Representation, bip: Bipartition, order: Tuple[int, ...], y
 ) -> Tuple[np.ndarray, float, float]:
-    """Section parameters for the class of e^{2 pi i (m+x0)/s}.
+    """Section parameters for the class of e^{2 pi i y}, y = (m+x0)/s.
 
-    Returns (t, registered residual r, adjoint certificate).  A point is
-    accepted when r <= CLASS_TOL and its adjoint power-sum certificate is at
-    most _cert_tol of the adjoint targets: fiber components of the registered
-    polynomial that belong to other classes score around 1.  In type A the
-    character seed is the exact solution and the certificate is 0.  The
-    routes, each tried only while the point at hand is not accepted:
+    Returns (t, registered residual r, adjoint certificate).  Two routes, the
+    second tried only when the first is not accepted:
 
-    1. power-sum primary: Gauss-Newton on the joint power sums of the
-       registered and adjoint sections, from the character seed;
-    2. polish: Newton on the registered characteristic polynomial from there
-       (in type A from the seed); the solve ends here when the power sums
-       reached 1e-10 and the certificate holds;
-    3. eigen rescue: Gauss-Newton on the matched eigenvalues of both
-       representations, from the polished point (from the seed if its r
-       failed), then polish;
-    4. straight path: the solution tracked along tau*m from tau = 0
-       (admissible by convexity), every step accepted, so the branch cannot
-       hop classes; a stalled path jumps to m with the eigen rescue;
-    5. four detours through random admissible midpoints, tracked the same way
-       (the midpoints are drawn before any path is tracked);
-    6. last resort: eigen rescue and polish from where the continuation ended,
-       when its certificate fails.
+    1. power sums, then polish: Gauss-Newton on the joint power sums of the
+       registered and adjoint sections from the character seed, then Newton
+       on the registered characteristic polynomial from there (in type A the
+       polish alone, from the seed).  Accepted when r <= CLASS_TOL and the
+       adjoint power-sum certificate is at most _cert_tol of the adjoint
+       targets: fiber components of the registered polynomial that belong to
+       other classes score around 1.  In type A the certificate is 0.
+    2. characters: Gauss-Newton on every fundamental character
+       (_solve_characters), from the character seed.  Accepted when the
+       relative character residual is at most CHAR_TOL.  The l fundamental
+       characters are coordinates on the cross-section (Steinberg 1965,
+       sections 7-8), so this pins the regular class without a certificate;
+       r and the certificate at its t are reported, not enforced.
 
-    When no route gives an accepted point, ConsistencyError names the last
-    route tried, r, the certificate and the threshold applied.
+    When neither is accepted, ConsistencyError names the route, the
+    character residual and its bound, r and the certificate.
     """
-    s = rs.coxeter_number
     adj = None if rs.type.family == "A" else _adjoint_section(str(rs.type), order)
-    tables = [fundamental_characters(str(rs.type), node) for node in order]
+    t0 = torus_character_values(rs, [fundamental_characters(str(rs.type), k) for k in order], y)
+    reg_eig = _target_eigenvalues(rep, y)
+    poly = np.poly(np.diag(reg_eig))
+    ad_eig = None if adj is None else adj.target_eig(y)
+    cert_tol = np.inf if adj is None else _cert_tol(ad_eig)
 
-    def data_at(mvec) -> _ClassTarget:
-        y = tuple((mi + x0i) / s for mi, x0i in zip(mvec, rs.x0_coords))
-        t0 = np.array([character_value(rs, tb, y) for tb in tables])
-        reg_eig = _target_eigenvalues(rep, y)
-        poly = np.poly(np.diag(reg_eig))
-        if adj is None:
-            return _ClassTarget(t0, reg_eig, poly, None, np.inf)
-        ad_eig = adj.target_eig(y)
-        return _ClassTarget(t0, reg_eig, poly, ad_eig, _cert_tol(ad_eig))
-
-    def certificate(t, pt: _ClassTarget) -> float:
+    def certificate(t) -> float:
         if adj is None:
             return 0.0
-        return _power_sum_certificate(np.linalg.eigvals(adj.section(t)), pt.ad_eig)
+        return _power_sum_certificate(np.linalg.eigvals(adj.section(t)), ad_eig)
 
-    def certified(t, r, pt: _ClassTarget) -> bool:
-        """The acceptance test of every route."""
-        return r <= CLASS_TOL and certificate(t, pt) <= pt.cert_tol
+    def registered_residual(t) -> np.ndarray:
+        return np.poly(steinberg_section(rep, bip, t).full()) - poly
 
-    def polish(t_start, pt: _ClassTarget, tol=SOLVE_TOL, restarts=1):
-        """Newton on the registered characteristic polynomial from t_start."""
-
-        def resid(t):
-            return np.poly(steinberg_section(rep, bip, t).full()) - pt.poly
-
-        return _gauss_newton(resid, t_start, tol, 60, restarts, seed=0)
-
-    def rescue(t, pt: _ClassTarget):
-        return polish(_eigen_rescue(rep, bip, adj, t, pt), pt)
-
-    def track(path):
-        """Continuation along path(0) = 0 .. path(1) = m, every step accepted.
-
-        Branch collisions force a bisection stall instead of a class hop.
-        """
-        tau_done = Q(0)
-        p_done = data_at(path(Q(0)))
-        t_sol, r0 = polish(p_done.t0, p_done, restarts=4)
-        if not certified(t_sol, r0, p_done):
-            raise ConsistencyError(f"certified class solve failed at m = 0: {r0}")
-        pending = [Q(1)]
-        while pending:
-            tau = pending[-1]
-            if tau - tau_done < Q(1, 512):
-                if adj is not None:
-                    # stalled: jump to the endpoint with the eigenvalue system,
-                    # seeded from the certified warm point
-                    end = data_at(path(Q(1)))
-                    t_p, r_p = rescue(t_sol + (end.t0 - p_done.t0), end)
-                    if certified(t_p, r_p, end):
-                        return t_p
-                raise ConsistencyError(
-                    f"continuation stalled between tau = {tau_done} and {tau}"
-                )
-            p_tau = data_at(path(tau))
-            t_try, r = polish(t_sol + (p_tau.t0 - p_done.t0), p_tau, tol=CLASS_TOL)
-            if certified(t_try, r, p_tau):
-                tau_done, t_sol, p_done = tau, t_try, p_tau
-                pending.pop()
-            else:
-                pending.append((tau_done + tau) / 2)
-        return t_sol
-
-    pt = data_at(m)
-
-    def failure(route, t, r, why="") -> ConsistencyError:
-        return ConsistencyError(
-            f"class solve failed, last route {route}{why}: registered residual "
-            f"{r:.3g} (bound {CLASS_TOL:g}), adjoint certificate "
-            f"{certificate(t, pt):.3g} (threshold _cert_tol = {pt.cert_tol:.3g})"
-        )
-
-    def verdict(route, t, r, cert):
-        if r > CLASS_TOL or cert > pt.cert_tol:
-            raise failure(route, t, r)
-        return t, float(r), float(cert)
-
-    route = "polish"
     if adj is None:
-        t, r = polish(pt.t0, pt, restarts=2)
+        t, r = _gauss_newton(registered_residual, t0, SOLVE_TOL, 60, 2, seed=0)
     else:
-        t_ps, r_ps = _solve_power_sums(rep, bip, adj, pt)
-        t, r = polish(t_ps, pt)
-        cert = certificate(t, pt)
-        if r_ps < 1e-10 and cert <= pt.cert_tol:
-            return verdict(route, t, r, cert)
-        if not certified(t, r, pt):
-            route = "eigen rescue"
-            t_p, r_p = rescue(t if r <= CLASS_TOL else pt.t0, pt)
-            if certified(t_p, r_p, pt):
-                t, r = t_p, r_p
-
-    if not certified(t, r, pt):
-        # branch collisions along the straight path sit on thin sets; detours
-        # through random admissible midpoints generically avoid them
-        rng = np.random.default_rng(7)
-        try:
-            mids = [_random_admissible_midpoint(rs, m, rng) for _ in range(4)]
-        except ConsistencyError as exc:
-            raise failure(route, t, r, f" ({exc})") from exc
-        paths = [("straight path", lambda tau: tuple(c * tau for c in m))]
-        for k, mid in enumerate(mids):
-
-            def detour(tau, mid=mid):
-                if tau <= Q(1, 2):
-                    return tuple(c * 2 * tau for c in mid)
-                lam = 2 * tau - 1
-                return tuple(a + (b - a) * lam for a, b in zip(mid, m))
-
-            paths.append((f"detour {k + 1}", detour))
-        for route, path in paths:
-            try:
-                t_sol = track(path)
-                break
-            except ConsistencyError as exc:
-                last_exc = exc
-        else:
-            raise failure(route, t, r, f" ({last_exc})") from last_exc
-        # best-effort polish at the final point
-        t, r = polish(t_sol, pt)
-
-    cert = certificate(t, pt)
-    if cert > pt.cert_tol:
-        route = "last resort"
-        t, r = rescue(t, pt)
-        cert = certificate(t, pt)
-    if adj is None and np.max(np.abs(t - pt.t0)) > 1e-6 * max(1.0, np.max(np.abs(pt.t0))):
+        t_ps, _ = _solve_power_sums(rep, bip, adj, t0, reg_eig, ad_eig)
+        t, r = _gauss_newton(registered_residual, t_ps, SOLVE_TOL, 60, 1, seed=0)
+    cert = certificate(t)
+    if r > CLASS_TOL or cert > cert_tol:
+        t, r_char = _solve_characters(str(rs.type), t0)
+        r = float(np.max(np.abs(registered_residual(t))))
+        cert = certificate(t)
+        if not r_char <= CHAR_TOL:
+            raise ConsistencyError(
+                f"class solve failed, last route characters: character residual "
+                f"{r_char:.3g} (bound {CHAR_TOL:g}), registered residual {r:.3g} "
+                f"(bound {CLASS_TOL:g}), adjoint certificate {cert:.3g} "
+                f"(threshold _cert_tol = {cert_tol:.3g})"
+            )
+    if adj is None and np.max(np.abs(t - t0)) > 1e-6 * max(1.0, np.max(np.abs(t0))):
         # chi(C(t)) = t exactly in type A: the character values must survive
         raise ConsistencyError("type-A section parameters drifted from characters")
-    return verdict(route, t, r, cert)
-
-
-def _random_admissible_midpoint(rs: RootSystem, m, rng) -> Tuple[Q, ...]:
-    """A random admissible point, comparable in size to m, for path detours."""
-    from .scalars import mat_inv, mat_vec
-
-    ginv = mat_inv(rs.form)
-    span = max(1.0, max(abs(float(c)) for c in m))
-    for _ in range(MIDPOINT_DRAWS):
-        a = [Q(int(x), 16) for x in rng.integers(-16, int(16 * span) + 1, size=rs.rank)]
-        cand = tuple(mat_vec(ginv, a))
-        if admissible_m(rs, cand):
-            return cand
-    raise ConsistencyError(f"no admissible detour midpoint in {MIDPOINT_DRAWS} draws")
+    return t, float(r), float(cert)
 
 
 def stokes_from_asymptotics(
@@ -647,8 +568,8 @@ def stokes_from_asymptotics(
     m is given in H_{alpha_i} coordinates and must satisfy alpha_i(m) >= -1
     for i = 0..l.  The parameters t come from the fundamental characters at
     y = (m+x0)/s (paired with the weight dual to each Gamma entry), corrected
-    so that M0 lies in the conjugacy class of e^{2 pi i y} as seen by the
-    registered representation.
+    by the class solve (_solve_class) so that M0 lies in the conjugacy class
+    of e^{2 pi i y}.
     """
     rs = build_root_system(type_name)
     if rep is None:
@@ -661,8 +582,7 @@ def stokes_from_asymptotics(
     y = pt.y
     bip = bipartition(rs)
     order = tuple(sorted(bip.i2)) + tuple(sorted(bip.i1))
-    m_frac = _as_fractions(m)
-    t, class_res, adjoint_cert = _solve_class_with_continuation(rs, rep, bip, order, m_frac)
+    t, class_res, adjoint_cert = _solve_class(rs, rep, bip, order, y)
 
     cs = steinberg_section(rep, bip, t)
     m0 = cs.full()
@@ -680,7 +600,7 @@ def stokes_from_asymptotics(
     return StokesData(
         type_name=str(rs.type),
         rep_name=rep.name,
-        m=m_frac,
+        m=pt.m,
         y=y,
         t=tuple(complex(c) for c in t),
         gamma_order=order,
@@ -695,13 +615,6 @@ def stokes_from_asymptotics(
         class_residual=float(class_res),
         adjoint_class_residual=float(adjoint_cert),
     )
-
-
-def _as_fractions(m) -> Tuple[Q, ...]:
-    out = []
-    for c in m:
-        out.append(c if isinstance(c, Q) else Q(float(c)).limit_denominator(10**12))
-    return tuple(out)
 
 
 # -- support verification in the adjoint representation -------------------------

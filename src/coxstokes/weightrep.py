@@ -159,9 +159,6 @@ class Representation:
         lam = "".join(str(c) for c in self.highest_weight)
         return f"{self.rs.type}-hw{lam}-dim{self.dim}"
 
-    def h_diag(self, i: int) -> np.ndarray:
-        return np.diag([float(w[i]) for w in self.basis_weights])
-
     def _pairing_table(self) -> Tuple[Tuple[Tuple[int, ...], ...], int]:
         """Integer rows T and denominator D with mu_k(h) = (T h)_k / D, built once.
 

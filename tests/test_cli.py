@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import os
 import subprocess
@@ -121,11 +122,33 @@ def test_schema_violation_is_a_verification_failure(monkeypatch, capsys):
     assert "verification failure: coxstokes/plane/v1: $ fails required" in captured.err
 
 
+def test_slack_report_and_results_wrapper_are_checked(tmp_path, monkeypatch, capsys):
+    out = tmp_path / "doc.json"
+    assert run(["stokes", "--type", "A2", "--m=-5,0", "--json-out", str(out)]) == EXIT_DOMAIN
+    cli._validate("slack", json.loads(out.read_text()))
+    assert run(["verify", "--all", "--json-out", str(out)]) == EXIT_OK
+    cli._validate("verify_all", json.loads(out.read_text()))
+    capsys.readouterr()
+
+    # a slack report whose verdict is not a boolean, and a wrapper without entries
+    real_alcove_map = cli.alcove_map
+    monkeypatch.setattr(
+        cli, "alcove_map", lambda rs, m: dataclasses.replace(real_alcove_map(rs, m), admissible=0)
+    )
+    assert run(["stokes", "--type", "A2", "--m=-5,0"]) == EXIT_VERIFY
+    monkeypatch.setattr(cli, "STANDARD_TYPES", ())
+    assert run(["verify", "--all"]) == EXIT_VERIFY
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "coxstokes/slack/v1: $.alcove.admissible fails const" in captured.err
+    assert "coxstokes/verify_all/v1: $.results fails minItems" in captured.err
+
+
 _UNDER_O = """
 import dataclasses
 from fractions import Fraction as Q
 import numpy as np
-from coxstokes import cli, coxeter
+from coxstokes import cli, coxeter, steinberg
 from coxstokes.characters import _Lattice, _freudenthal
 from coxstokes.oracle import _central_factor
 from coxstokes.rootcore import build_root_system
@@ -159,6 +182,9 @@ lat.W[0][0] += Q(1, 7)
 fires("freudenthal", lambda: _freudenthal(lat, (1, 1)), cli.InvariantViolation)
 fires("central", lambda: _central_factor(np.diag([1.0, 2.0])), cli.ConsistencyError)
 fires("schema", lambda: cli._validate("describe", {"schema_version": True}), cli.SchemaViolation)
+steinberg.CLASS_TOL = 0.0
+steinberg._solve_characters = lambda type_name, chi: (chi, 0.5)
+print("stokes", cli.main(["stokes", "--type", "B3", "--m=-1/8,-5/4,-15/8"]))
 cli.build_root_system = lambda name: split
 print("exit", cli.main(["verify", "--type", "A3"]))
 """
@@ -171,9 +197,9 @@ def test_invariant_checks_fire_under_python_O():
         capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src}, timeout=120,
     )
     assert out.returncode == 0, out.stderr
-    assert out.stdout.split("\n")[:8] == [
+    assert out.stdout.split("\n")[:9] == [
         "disconnected", "odd cycle", "gamma^s", "orbits", "freudenthal", "central", "schema",
-        f"exit {EXIT_VERIFY}",
+        f"stokes {EXIT_VERIFY}", f"exit {EXIT_VERIFY}",
     ]
 
 

@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 from coxstokes import cli
 from coxstokes.jsoncheck import DIALECT, TYPES, SchemaError, SchemaViolation, compile_schema
 
-KINDS = ("describe", "plane", "verify", "stokes", "monodromy")
+KINDS = ("describe", "plane", "verify", "verify_all", "stokes", "slack", "monodromy")
 
 # The documents mutated below: (schema kind, argv) of each command on a few types.
 ARGVS = (
@@ -27,6 +27,8 @@ ARGVS = (
         ("stokes", ["stokes", "--type", "A2", "--m", "1/3,-1/5"]),
         ("stokes", ["stokes", "--type", "G2", "--m=-1/2,-1/3"]),
         ("monodromy", ["monodromy", "--rank", "2", "--k", "0,1,1"]),
+        ("verify_all", ["verify", "--all"]),
+        ("slack", ["stokes", "--type", "A2", "--m=-5,0"]),
     ]
 )
 
@@ -49,7 +51,9 @@ def _documents():
     with tempfile.TemporaryDirectory() as tmp:
         for i, (kind, argv) in enumerate(ARGVS):
             out = Path(tmp) / f"{i}.json"
-            assert cli.main(argv + ["--json-out", str(out)]) == cli.EXIT_OK, argv
+            # the slack report comes with the domain error of an inadmissible m
+            want = cli.EXIT_DOMAIN if kind == "slack" else cli.EXIT_OK
+            assert cli.main(argv + ["--json-out", str(out)]) == want, argv
             docs.append((kind, json.loads(out.read_text())))
     return tuple(docs)
 
@@ -203,6 +207,12 @@ CASES = [
     ("monodromy", ("passed",), 0, False),
     ("monodromy", ("z",), 2, True),                  # an integer is a number
     ("monodromy", ("formal_solution",), [], False),
+    ("verify_all", ("results",), [], False),         # minItems 2
+    ("verify_all", ("results",), {}, False),
+    ("verify_all", ("results", 0, "checks"), _DROP, True),  # entries: verify schema
+    ("slack", ("alcove", "admissible"), True, False),  # const false
+    ("slack", ("alcove", "admissible"), 0, False),
+    ("slack", ("rep",), "A2-hw10-dim3", True),
 ]
 
 

@@ -5,6 +5,8 @@ from itertools import combinations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.linalg import expm
 
 from coxstokes import steinberg
@@ -13,21 +15,22 @@ from coxstokes.coxeter import bipartition
 from coxstokes.rootcore import build_root_system, diagram_involution
 from coxstokes.scalars import mat_inv, mat_vec
 from coxstokes.steinberg import (
-    MIDPOINT_DRAWS,
+    CHAR_TOL,
     ConsistencyError,
     InadmissibleError,
     _adjoint_section,
-    _random_admissible_midpoint,
     admissible_m,
     alcove_map,
     certify_alcove_membership,
+    characters_from_matrices,
+    fundamental_traces,
     semisimple_spectrum_check,
     steinberg_section,
     stokes_from_asymptotics,
     torus_character_values,
     verify_factor_supports,
 )
-from coxstokes.characters import all_fundamental_tables
+from coxstokes.characters import all_fundamental_tables, character_value, fundamental_characters
 from coxstokes.weightrep import (
     NilpotentExp,
     fundamental_representation,
@@ -258,8 +261,8 @@ def test_adjoint_exp_series_matches_expm(name):
 
 # t recorded with the cross-section built from scipy.linalg.expm on every
 # evaluation: the benchmark's interior points and every alcove vertex; D5
-# vertex 0 (recorded with the series cross-section) is the one point found
-# where the power-sum route fails and the continuation and eigen rescue return
+# vertex 0, where the power-sum route fails, is recorded from the character
+# route, whose answer is the exact (46, 16, 16, 10, 130)
 GOLDEN_T = [
     ("B3", "-1/8,-5/4,-15/8", "interior", [
         (3.3363572758385955, -2.6889794309291408e-15),
@@ -354,11 +357,11 @@ GOLDEN_T = [
         (1.6098883080625278e-15, -2.744719127608676e-16),
     ]),
     ("D5", "-4,-7,-9,-5,-5", "vertex", [
-        (46.000000000000036, 6.1643798314034256e-15),
-        (15.999999591367251, -1.5469368458839971e-06),
-        (16.000000408632765, 1.5469368471146411e-06),
-        (10.000000000000009, 1.1725325088269604e-15),
-        (130.0000000000001, 3.662666333002769e-15),
+        (45.999999999999986, -8.271249929286396e-16),
+        (16.0, -1.9852334701272664e-23),
+        (16.0, 8.68539643180679e-24),
+        (10.0, -1.0313320633663406e-16),
+        (130.00000000000003, -2.359005002398817e-15),
     ]),
 ]
 
@@ -374,30 +377,95 @@ def test_section_parameters_golden(name, m_text, kind, t_ref):
     assert np.max(np.abs(np.array(sd.t) - t_ref)) <= tol * max(1.0, np.max(np.abs(t_ref)))
 
 
-def test_midpoint_search_is_bounded():
-    class NeverAdmissible:
-        draws = 0
+# Alcove vertices where the power-sum route fails, with the t the character
+# route returns (in Gamma order): integers, as at every vertex measured so far
+CENSUS = [
+    ("D5", "-4,-7,-9,-5,-5", (46, 16, 16, 10, 130)),
+    ("B4", "-4,-7,-9,-10", (46, 16, 10, 130)),
+    ("B4", "4,1,-1,-2", (46, -16, 10, 130)),
+    ("D5", "4,1,-1,-1,-1", (46, -16, -16, 10, 130)),
+    ("D5", "0,1,3,5,1", (46, 16j, -16j, -10, -130)),
+    ("D5", "0,1,3,1,5", (46, -16j, 16j, -10, -130)),
+    ("F4", "-11,-21,-30,-16", (3732, 27, 79, 378)),
+    ("E6", "-8,-11,-15,-21,-15,-8", (79, 378, 378, 27, 3732, 27)),
+]
 
-        def integers(self, low, high, size):
-            self.draws += 1
-            return np.full(size, high - 1)
 
-    rs = build_root_system("G2")
-    rng = NeverAdmissible()
-    with pytest.raises(ConsistencyError, match="no admissible detour midpoint"):
-        _random_admissible_midpoint(rs, [Q(0)] * 2, rng)
-    assert rng.draws == MIDPOINT_DRAWS
+@pytest.mark.parametrize(
+    "name,m_text,t_exact", [pytest.param(*row, id=f"{row[0]}[{row[1]}]") for row in CENSUS]
+)
+def test_character_route_at_census_vertices(name, m_text, t_exact):
+    rs = build_root_system(name)
+    bip = bipartition(rs)
+    order = tuple(sorted(bip.i2)) + tuple(sorted(bip.i1))
+    y = alcove_map(rs, [Q(c) for c in m_text.split(",")]).y
+    chi = torus_character_values(rs, [fundamental_characters(name, k) for k in order], y)
+    t, r = steinberg._solve_characters(name, chi)
+    assert r <= CHAR_TOL
+    assert np.max(np.abs(t - np.array(t_exact))) <= 1e-9
+    # every fundamental representation small enough to build has its target
+    # spectrum at t (characteristic polynomials: the targets are degenerate)
+    for k in range(1, rs.rank + 1):
+        if fundamental_characters(name, k).dim > 45:
+            continue
+        rep = fundamental_representation(name, k)
+        got = np.poly(steinberg_section(rep, bip, t).full())
+        want = np.poly(np.diag(np.exp(2j * np.pi * rep.weight_values(y))))
+        assert np.max(np.abs(got - want)) <= 1e-9 * np.max(np.abs(want)), k
 
 
-def test_failed_class_solve_names_route_residual_and_threshold():
-    # B4 vertex 1: the power sums, the eigen rescue and all five tracked paths
-    # fail; the error names the last route and the numbers it was judged by
+REGISTERED = ("A2", "A3", "A4", "A5", "A6", "B2", "B3", "B4", "C3", "D4", "D5", "G2", "F4", "E6")
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    name=st.sampled_from(REGISTERED),
+    y=st.lists(st.floats(-2, 2), min_size=6, max_size=6),
+)
+def test_character_recipes_match_weight_tables(name, y):
+    # each recipe of characters_from_matrices, fed the diagonal torus element
+    # e^{2 pi i y} in the representations the route reads, equals the Freudenthal table
+    rs, order, sections = steinberg._character_sections(name)
+    y = y[: rs.rank]
+    mats = {}
+    for key in sections:
+        if key == "ad":
+            eig = _adjoint_section(name, order).target_eig(y)
+        else:
+            eig = np.exp(2j * np.pi * fundamental_representation(name, key).weight_values(y))
+        mats[key] = np.diag(eig)
+    got = characters_from_matrices(rs, mats)
+    for i in range(rs.rank):
+        want = character_value(rs, fundamental_characters(name, i + 1), y)
+        assert abs(got[i] - want) <= 1e-12 * max(1.0, abs(want)), i + 1
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    name=st.sampled_from(("A2", "A3", "A4", "A5", "A6")),
+    parts=st.lists(st.floats(-3, 3), min_size=12, max_size=12),
+)
+def test_type_a_characters_are_the_section_parameters(name, parts):
+    l = int(name[1])
+    t = np.array(parts[:l]) + 1j * np.array(parts[6 : 6 + l])
+    assert np.max(np.abs(fundamental_traces(name, t) - t)) <= 1e-12 * max(1.0, np.max(np.abs(t)))
+
+
+def test_failed_class_solve_names_route_residual_and_threshold(monkeypatch, capsys):
+    # both routes forced to fail at a B3 interior point: the registered bound
+    # is cut to 0 and the character route returns its seed with residual 0.5;
+    # the error names the last route and every number the point was judged by
+    monkeypatch.setattr(steinberg, "CLASS_TOL", 0.0)
+    monkeypatch.setattr(steinberg, "_solve_characters", lambda type_name, chi: (chi, 0.5))
     with pytest.raises(ConsistencyError) as info:
-        stokes_from_asymptotics("B4", [Q(4), Q(1), Q(-1), Q(-2)])
+        stokes_from_asymptotics("B3", [Q(-1, 8), Q(-5, 4), Q(-15, 8)])
     msg = str(info.value)
-    assert "last route detour 4 (continuation stalled between tau = " in msg
-    assert re.search(r"registered residual \S+ \(bound 1e-08\)", msg)
+    assert "last route characters: character residual 0.5 (bound 1e-10)" in msg
+    assert re.search(r"registered residual \S+ \(bound 0\)", msg)
     assert re.search(r"adjoint certificate \S+ \(threshold _cert_tol = \S+\)", msg)
+    assert main(["stokes", "--type", "B3", "--m=-1/8,-5/4,-15/8"]) == EXIT_VERIFY
+    err = capsys.readouterr().err
+    assert "verification failure: class solve failed, last route characters" in err
 
 
 def test_gauss_newton_halves_past_nonfinite_trials():
