@@ -273,10 +273,14 @@ def _gauss_newton(
 class _AdjointSection:
     """Cross-section factors in the adjoint representation, for class pinning.
 
-    The registered representation's characteristic polynomial alone does not
-    separate regular classes in the exceptional types (e.g. e_2 of the 26-dim
-    F4 representation only sees chi_52 + chi_273); adding the adjoint
-    characteristic polynomial does, and its torus targets are exact root data.
+    In F4 and E6 the registered characteristic polynomial alone does not
+    separate regular classes (e.g. e_2 of the 26-dim F4 representation only
+    sees chi_52 + chi_273); the adjoint one adds that information, and its
+    torus targets are exact root data.  In B, C, D and G2 the adjoint is a
+    plethysm of the registered V (_ADJOINT_PLETHYSM), so its spectrum is a
+    function of V's: the adjoint certificate cannot separate classes that the
+    registered characteristic polynomial does not (the D4 half-spin swap
+    passes both).
     """
 
     def __init__(self, rs: RootSystem, order: Tuple[int, ...]):
@@ -329,6 +333,17 @@ def _adjoint_section(type_name: str, order: Tuple[int, ...]) -> _AdjointSection:
 def _lambda2(g: np.ndarray) -> complex:
     """The trace of g on Lambda^2: (tr(g)^2 - tr(g^2))/2."""
     return (np.trace(g) ** 2 - np.sum(g * g.T)) / 2
+
+
+# p_k(ad) from p_k and p_2k of the registered V, p_j = tr_V(g^j), for every
+# group element g: the adjoint is Lambda^2 V in B_n and D_n, S^2 V in C_n and
+# Lambda^2 V_7 - V_7 in G2.  In F4 and E6 it is no plethysm of the 26/27.
+_ADJOINT_PLETHYSM = {
+    "B": lambda p, p2: (p * p - p2) / 2,
+    "C": lambda p, p2: (p * p + p2) / 2,
+    "D": lambda p, p2: (p * p - p2) / 2,
+    "G": lambda p, p2: (p * p - p2) / 2 - p,
+}
 
 
 def characters_from_matrices(rs: RootSystem, mats: Dict) -> np.ndarray:
@@ -462,20 +477,30 @@ def _solve_power_sums(
     conditioning collapse, so the solve reaches machine precision even when
     the target spectra are heavily degenerate (where coefficient or
     eigenvalue-matching systems floor out near sqrt(eps)).
+
+    In B, C, D and G2 the adjoint power sums follow from the registered
+    eigenvalues by _ADJOINT_PLETHYSM, so only the registered section is
+    diagonalized; those adjoint equations repeat registered information and
+    pin no more than the registered power sums do.  F4 and E6 diagonalize the
+    adjoint section.
     """
     kr = np.arange(1, min(len(reg_eig), 24) + 1)
     ka = np.arange(1, min(len(ad_eig), 28) + 1)
     pr = _power_sums(reg_eig, kr) / len(reg_eig)
     pa = _power_sums(ad_eig, ka) / len(ad_eig)
+    plethysm = _ADJOINT_PLETHYSM.get(adj.rs.type.family)
 
     def resid(t):
         er = np.linalg.eigvals(steinberg_section(rep, bip, t).full())
-        ea = np.linalg.eigvals(adj.section(t))
         # a trial step far off the class can overflow the powers; the line
         # search rejects the non-finite residual
         with np.errstate(over="ignore", invalid="ignore"):
             fr = _power_sums(er, kr) / len(er) - pr
-            fa = _power_sums(ea, ka) / len(ea) - pa
+            if plethysm is None:
+                fa = _power_sums(np.linalg.eigvals(adj.section(t)), ka)
+            else:
+                fa = plethysm(_power_sums(er, ka), _power_sums(er, 2 * ka))
+            fa = fa / len(ad_eig) - pa
         return np.concatenate([fr, fa])
 
     return _gauss_newton(resid, t0, 1e-12, 60, 3, seed=1)
@@ -508,8 +533,11 @@ def _solve_class(
        on the registered characteristic polynomial from there (in type A the
        polish alone, from the seed).  Accepted when r <= CLASS_TOL and the
        adjoint power-sum certificate is at most _cert_tol of the adjoint
-       targets: fiber components of the registered polynomial that belong to
-       other classes score around 1.  In type A the certificate is 0.
+       targets: in F4 and E6 fiber components of the registered polynomial
+       that belong to other classes score around 1.  In B, C, D and G2 the
+       certificate is a function of the registered spectrum
+       (_ADJOINT_PLETHYSM), so it separates no classes that r does not; in
+       type A it is 0.
     2. characters: Gauss-Newton on every fundamental character
        (_solve_characters), from the character seed.  Accepted when the
        relative character residual is at most CHAR_TOL.  The l fundamental

@@ -451,6 +451,73 @@ def test_type_a_characters_are_the_section_parameters(name, parts):
     assert np.max(np.abs(fundamental_traces(name, t) - t)) <= 1e-12 * max(1.0, np.max(np.abs(t)))
 
 
+PLETHYSM_TYPES = ("B2", "B3", "B4", "C3", "D4", "D5", "G2")
+# One alcove vertex per type, where the target spectra are degenerate and the
+# section defective, with its exact class point t (in Gamma order) from the
+# character route
+PLETHYSM_VERTICES = {
+    "B2": ("0,1", (0, -2)),
+    "B3": ("0,1,0", (-3, 0, 0)),
+    "B4": ("0,1,-1,-2", (-2, 0, 2, -6)),
+    "C3": ("1,-2,-3/2", (-1, 2, -4)),
+    "D4": ("0,1,0,0", (-3, 0, 0, 0)),
+    "D5": ("0,1,3,1,1", (-2, 0, 0, -2, 6)),
+    "G2": ("3,1", (2, -1)),
+}
+
+
+def _plethysm_sides(name, t):
+    """Adjoint power sums k = 1..28 from the adjoint section's eigenvalues and
+    from the plethysm of the registered section's, with the plethysm's scale
+    (sum_j |mu_j|^k)^2 over the registered eigenvalues mu."""
+    rs = build_root_system(name)
+    bip = bipartition(rs)
+    order = tuple(sorted(bip.i2)) + tuple(sorted(bip.i1))
+    ks = np.arange(1, 29)
+    er = np.linalg.eigvals(steinberg_section(registered_representation(name), bip, t).full())
+    ea = np.linalg.eigvals(_adjoint_section(name, order).section(t))
+    plethysm = steinberg._ADJOINT_PLETHYSM[rs.type.family]
+    want = plethysm(steinberg._power_sums(er, ks), steinberg._power_sums(er, 2 * ks))
+    scale = steinberg._power_sums(np.abs(er), ks).real ** 2
+    return steinberg._power_sums(ea, ks), want, scale
+
+
+@pytest.mark.parametrize("name", PLETHYSM_TYPES)
+def test_adjoint_power_sums_are_a_plethysm_of_the_registered(name):
+    # p_k^2 and p_2k cancel down to the adjoint sums, so the plethysm's
+    # rounding scale is (sum |mu|^k)^2, not |p_k(ad)|
+    rng = np.random.default_rng(10)
+    l = build_root_system(name).rank
+    for _ in range(4):
+        t = rng.normal(size=l) + 1j * rng.normal(size=l)
+        got, want, scale = _plethysm_sides(name, t)
+        assert np.max(np.abs(got - want) / scale) <= 1e-9
+
+
+@pytest.mark.parametrize("name", PLETHYSM_TYPES)
+def test_adjoint_plethysm_at_a_defective_vertex(name):
+    m_text, t = PLETHYSM_VERTICES[name]
+    rs = build_root_system(name)
+    bip = bipartition(rs)
+    order = tuple(sorted(bip.i2)) + tuple(sorted(bip.i1))
+    y = alcove_map(rs, [Q(c) for c in m_text.split(",")]).y
+    got, want, scale = _plethysm_sides(name, np.array(t, dtype=complex))
+    exact = steinberg._power_sums(_adjoint_section(name, order).target_eig(y), np.arange(1, 29))
+    # t is the exact class point: the plethysm of the registered spectrum
+    # gives the adjoint targets' power sums
+    assert np.max(np.abs(want - exact) / scale) <= 1e-9
+    # float eigenvalues of the defective 10-45-dim adjoint section scatter,
+    # so its own power sums agree only to ~1e-8 here (C3)
+    assert np.max(np.abs(got - want) / scale) <= 1e-7
+
+
+def test_no_adjoint_plethysm_for_f4_and_e6():
+    # the adjoint of F4 and E6 is no plethysm of the 26/27 and carries
+    # class information of its own; those types diagonalize the adjoint section
+    for name in ("F4", "E6"):
+        assert build_root_system(name).type.family not in steinberg._ADJOINT_PLETHYSM
+
+
 def test_failed_class_solve_names_route_residual_and_threshold(monkeypatch, capsys):
     # both routes forced to fail at a B3 interior point: the registered bound
     # is cut to 0 and the character route returns its seed with residual 0.5;
