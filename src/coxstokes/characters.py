@@ -14,7 +14,9 @@ import os
 from dataclasses import dataclass
 from fractions import Fraction as Q
 from functools import lru_cache
-from typing import Dict, List, Tuple
+from typing import Dict, List, Sequence, Tuple
+
+import numpy as np
 
 from .rootcore import InvariantViolation, RootSystem, build_root_system
 from .scalars import mat_inv, mat_mul
@@ -55,6 +57,7 @@ class _Lattice:
         # (mu, alpha_j) = mu_j (alpha_j, alpha_j)/2: these lengths, scaled to integers
         den = math.lcm(*(Q(rs.form[j][j]).denominator for j in range(l)))
         self._len_sq = tuple(int(rs.form[j][j] * den) for j in range(l))
+        self._len_den = den
 
     def to_dyn(self, root) -> Weight:
         l = self.rs.rank
@@ -218,49 +221,50 @@ def fundamental_characters(
 
 
 def weight_pairing(rs: RootSystem, weight_dyn: Weight, h_coords) -> Q:
-    """mu(h) for mu in Dynkin coordinates and h in the H_{alpha_i} basis."""
-    lat = _lattice(str(rs.type))
-    n = lat.to_simple_coords(weight_dyn)
-    if all(isinstance(c, (int, Q)) for c in h_coords):
-        return rs.pairing(n, h_coords)
-    l = rs.rank
-    return sum(
-        float(n[i]) * float(rs.form[i][j]) * float(h_coords[j])
-        for i in range(l)
-        for j in range(l)
-    )
+    """mu(h) for mu in Dynkin coordinates and h in the H_{alpha_i} basis, exactly.
+
+    Through the Cartan inverse and the invariant form, in Fractions (a float
+    coordinate at its exact binary value): the reference for WeightPairing.
+    """
+    return rs.pairing(_lattice(str(rs.type)).to_simple_coords(weight_dyn), h_coords)
+
+
+class WeightPairing:
+    """mu_k(h) for a list of weights mu_k (Dynkin labels), h in H_{alpha_j} coordinates.
+
+    The one evaluator of weight pairings.  By definition mu(H_{alpha_j}) =
+    (mu, alpha_j) = w_j (alpha_j, alpha_j)/2 for w the Dynkin labels of mu, so
+    row k is w times the scaled lengths _Lattice._len_sq, over 2 den: integers,
+    with no Cartan inverse.  Calling it computes mu(h) exactly (a float
+    coordinate at its exact binary value) and rounds once.
+    """
+
+    def __init__(self, type_name: str, weights: Sequence[Weight]):
+        lat = _lattice(type_name)
+        self.rows = tuple(tuple(c * n for c, n in zip(w, lat._len_sq)) for w in weights)
+        self.den = 2 * lat._len_den
+
+    def __call__(self, h_coords) -> np.ndarray:
+        h = [Q(c) for c in h_coords]
+        h_den = math.lcm(*(c.denominator for c in h))
+        h_int = [int(c * h_den) for c in h]
+        den = self.den * h_den
+        # int / int true division rounds correctly, as float(Fraction) does
+        return np.array([sum(t * c for t, c in zip(row, h_int)) / den for row in self.rows])
 
 
 @lru_cache(maxsize=None)
-def _pairing_matrix(type_name: str, index: int):
-    """Float (weights x l) matrix M with mu_k(y) = (M @ y)_k, plus multiplicities."""
-    import numpy as np
-
-    rs = build_root_system(type_name)
-    lat = _lattice(type_name)
+def _table_pairing(type_name: str, index: int) -> Tuple[WeightPairing, np.ndarray]:
+    """The pairing of a fundamental character table's weights, and their multiplicities."""
     table = fundamental_characters(type_name, index)
-    l = rs.rank
-    rows = []
-    mults = []
-    for w, mq in table.weights:
-        n = lat.to_simple_coords(w)
-        rows.append(
-            [float(sum(n[i] * rs.form[i][j] for i in range(l))) for j in range(l)]
-        )
-        mults.append(float(mq))
-    return np.array(rows), np.array(mults)
+    mults = np.array([float(m) for _, m in table.weights])
+    return WeightPairing(type_name, [w for w, _ in table.weights]), mults
 
 
 def character_value(rs: RootSystem, table: CharacterTable, y) -> complex:
-    """chi(e^{2 pi i y}) = sum of mult * e^{2 pi i mu(y)} over the weight table.
-
-    The weight pairings mu(y) are one float matrix product, cached per table.
-    """
-    import numpy as np
-
-    M, mults = _pairing_matrix(str(rs.type), table.fundamental_index)
-    yv = np.array([float(c) for c in y])
-    return complex(np.sum(mults * np.exp(2j * np.pi * (M @ yv))))
+    """chi(e^{2 pi i y}) = sum of mult * e^{2 pi i mu(y)} over the weight table."""
+    pairing, mults = _table_pairing(str(rs.type), table.fundamental_index)
+    return complex(np.sum(mults * np.exp(2j * np.pi * pairing(y))))
 
 
 def all_fundamental_tables(rs: RootSystem, dim_cap: int = DEFAULT_DIM_CAP):

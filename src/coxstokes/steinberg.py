@@ -16,7 +16,7 @@ from typing import Dict, Sequence, Tuple
 import numpy as np
 
 from .assignment import linear_assignment
-from .characters import character_value, fundamental_characters
+from .characters import WeightPairing, _lattice, character_value, fundamental_characters
 from .chevalley import build_chevalley
 from .coxeter import Bipartition, bipartition, coxeter_element
 from .rootcore import Root, RootSystem, build_root_system, diagram_involution
@@ -143,9 +143,12 @@ def _product(mats: Sequence[np.ndarray], n: int) -> np.ndarray:
 
 
 def steinberg_section(
-    rep: Representation, bip: Bipartition, t: Sequence[complex]
+    rep: Representation | _AdjointSection, bip: Bipartition, t: Sequence[complex]
 ) -> CrossSectionFactors:
     """C^Gamma(t) = E_1(t_1) n_1 ... E_l(t_l) n_l in the given representation.
+
+    rep is a Representation or the adjoint _AdjointSection; every
+    cross-section, in every representation, is built here.
 
     Gamma orders Pi_2 ascending then Pi_1 ascending; E_i(t) = exp(t e_{beta_i})
     on the Chevalley generator, n_i = exp(-e) exp(f) exp(-e).  With these
@@ -219,7 +222,7 @@ class StokesData:
         }
 
 
-def _target_eigenvalues(rep: Representation, y) -> np.ndarray:
+def _target_eigenvalues(rep: Representation | _AdjointSection, y) -> np.ndarray:
     return np.exp(2j * np.pi * rep.weight_values(y))
 
 
@@ -271,7 +274,11 @@ def _gauss_newton(
 
 
 class _AdjointSection:
-    """Cross-section factors in the adjoint representation, for class pinning.
+    """The adjoint representation as the cross-section and class pinning use it.
+
+    It has the section_factors(i), dim and weight_values of a Representation,
+    so steinberg_section and _target_eigenvalues take it in place of one; its
+    weights are the roots in rs.roots order, then l zeros.
 
     In F4 and E6 the registered characteristic polynomial alone does not
     separate regular classes (e.g. e_2 of the 26-dim F4 representation only
@@ -283,48 +290,48 @@ class _AdjointSection:
     passes both).
     """
 
-    def __init__(self, rs: RootSystem, order: Tuple[int, ...]):
-        alg = build_chevalley(str(rs.type))
+    def __init__(self, rs: RootSystem):
         self.rs = rs
-        self.alg = alg
-        self.order = order
-        self.k = len(bipartition(rs).i2)
-        # ad-matrices of the Chevalley generators: e_i = e_{alpha_i}/L_i, f_i = e_{-alpha_i}
-        self.exp_ad_e: Dict[int, NilpotentExp] = {}
-        self.n_ad: Dict[int, np.ndarray] = {}
-        for i in order:
-            a = rs.simple_roots[i - 1]
-            li = float(rs.inner(a, a)) / 2
-            exp_e = NilpotentExp(alg.ad_dense(alg.e(a)) / li)
-            exp_f = NilpotentExp(alg.ad_dense(alg.e(tuple(-c for c in a))))
-            self.exp_ad_e[i] = exp_e
-            self.n_ad[i] = weyl_representative(exp_e, exp_f)
-        l = rs.rank
-        self._root_pairing = np.array(
-            [
-                [float(sum(r[p] * rs.form[p][q] for p in range(l))) for q in range(l)]
-                for r in rs.roots
-            ]
+        self.alg = build_chevalley(str(rs.type))
+        self.dim = len(rs.roots) + rs.rank
+        lat = _lattice(str(rs.type))
+        zero = (0,) * rs.rank
+        self.weight_values = WeightPairing(
+            str(rs.type), [lat.to_dyn(r) for r in rs.roots] + [zero] * rs.rank
         )
+        self._section_factors: Dict[int, Tuple[NilpotentExp, np.ndarray]] = {}
+        self._support_bases: Dict[Tuple[Root, ...], np.ndarray] = {}
 
-    def factors(self, t: Sequence[complex]) -> CrossSectionFactors:
-        e_parts = tuple(self.exp_ad_e[i](t[pos]) for pos, i in enumerate(self.order))
-        n_parts = tuple(self.n_ad[i] for i in self.order)
-        return CrossSectionFactors(self.order, self.k, e_parts, n_parts)
+    def section_factors(self, i: int) -> Tuple[NilpotentExp, np.ndarray]:
+        """(t -> exp(t ad e_i), n_i), built once per node (0-based i).
 
-    def section(self, t: Sequence[complex]) -> np.ndarray:
-        return self.factors(t).full()
+        ad e_i = ad e_{alpha_i} / L_i and ad f_i = ad e_{-alpha_i}.
+        """
+        got = self._section_factors.get(i)
+        if got is None:
+            alg = self.alg
+            a = self.rs.simple_roots[i]
+            exp_e = NilpotentExp(alg.ad_dense(alg.e(a)) / (float(self.rs.inner(a, a)) / 2))
+            exp_f = NilpotentExp(alg.ad_dense(alg.e(tuple(-c for c in a))))
+            got = (exp_e, weyl_representative(exp_e, exp_f))
+            self._section_factors[i] = got
+        return got
 
-    def target_eig(self, y) -> np.ndarray:
-        yv = np.array([float(c) for c in y])
-        eig = np.exp(2j * np.pi * (self._root_pairing @ yv))
-        return np.concatenate([eig, np.ones(self.rs.rank)])
+    def support_basis(self, support: Tuple[Root, ...]) -> np.ndarray:
+        """The flattened ad-matrices of the root vectors in support, as columns, built once."""
+        got = self._support_bases.get(support)
+        if got is None:
+            alg = self.alg
+            got = np.stack([alg.ad_dense(alg.e(r)).reshape(-1) for r in support], axis=1)
+            got.flags.writeable = False
+            self._support_bases[support] = got
+        return got
 
 
 @lru_cache(maxsize=None)
-def _adjoint_section(type_name: str, order: Tuple[int, ...]) -> _AdjointSection:
-    """The adjoint cross-section factors, built once per type and Gamma order."""
-    return _AdjointSection(build_root_system(type_name), order)
+def _adjoint_section(type_name: str) -> _AdjointSection:
+    """The adjoint cross-section factors, built once per type."""
+    return _AdjointSection(build_root_system(type_name))
 
 
 # -- fundamental characters on the cross-section -----------------------------------
@@ -377,23 +384,19 @@ def characters_from_matrices(rs: RootSystem, mats: Dict) -> np.ndarray:
 
 @lru_cache(maxsize=None)
 def _character_sections(type_name: str):
-    """rs, Gamma order, and t -> C(t) in each representation the characters are read from."""
+    """rs, its bipartition, and the representations the characters are read from."""
     rs = build_root_system(type_name)
     l = rs.rank
     sources = {"G2": (1, "ad"), "F4": (4, "ad"), "E6": (1, 6, "ad")}.get(str(rs.type)) or {
         "A": (1,), "B": (1, l), "C": (1,), "D": (1, l - 1, l)}.get(rs.type.family)
     if sources is None:
         raise UnsupportedRepresentationError(f"no character recipe for {type_name}")
-    bip = bipartition(rs)
-    order = tuple(sorted(bip.i2)) + tuple(sorted(bip.i1))
-    sections = {}
-    for key in sources:
-        if key == "ad":
-            sections[key] = _adjoint_section(str(rs.type), order).section
-        else:
-            rep = fundamental_representation(str(rs.type), key)
-            sections[key] = lambda t, rep=rep: steinberg_section(rep, bip, t).full()
-    return rs, order, sections
+    reps = {
+        key: _adjoint_section(str(rs.type)) if key == "ad"
+        else fundamental_representation(str(rs.type), key)
+        for key in sources
+    }
+    return rs, bipartition(rs), reps
 
 
 def fundamental_traces(type_name: str, t: Sequence[complex]) -> np.ndarray:
@@ -402,8 +405,9 @@ def fundamental_traces(type_name: str, t: Sequence[complex]) -> np.ndarray:
     In type A this is t itself.  By Steinberg's theorem the l fundamental
     characters are coordinates on the cross-section: equal values, same class.
     """
-    rs, order, sections = _character_sections(type_name)
-    mats = {key: section(t) for key, section in sections.items()}
+    rs, bip, reps = _character_sections(type_name)
+    mats = {key: steinberg_section(rep, bip, t).full() for key, rep in reps.items()}
+    order = sorted(bip.i2) + sorted(bip.i1)
     return characters_from_matrices(rs, mats)[np.array(order) - 1]
 
 
@@ -484,10 +488,10 @@ def _solve_power_sums(
     pin no more than the registered power sums do.  F4 and E6 diagonalize the
     adjoint section.
     """
-    kr = np.arange(1, min(len(reg_eig), 24) + 1)
-    ka = np.arange(1, min(len(ad_eig), 28) + 1)
-    pr = _power_sums(reg_eig, kr) / len(reg_eig)
-    pa = _power_sums(ad_eig, ka) / len(ad_eig)
+    kr = np.arange(1, min(rep.dim, 24) + 1)
+    ka = np.arange(1, min(adj.dim, 28) + 1)
+    pr = _power_sums(reg_eig, kr) / rep.dim
+    pa = _power_sums(ad_eig, ka) / adj.dim
     plethysm = _ADJOINT_PLETHYSM.get(adj.rs.type.family)
 
     def resid(t):
@@ -495,12 +499,12 @@ def _solve_power_sums(
         # a trial step far off the class can overflow the powers; the line
         # search rejects the non-finite residual
         with np.errstate(over="ignore", invalid="ignore"):
-            fr = _power_sums(er, kr) / len(er) - pr
+            fr = _power_sums(er, kr) / rep.dim - pr
             if plethysm is None:
-                fa = _power_sums(np.linalg.eigvals(adj.section(t)), ka)
+                fa = _power_sums(np.linalg.eigvals(steinberg_section(adj, bip, t).full()), ka)
             else:
                 fa = plethysm(_power_sums(er, ka), _power_sums(er, 2 * ka))
-            fa = fa / len(ad_eig) - pa
+            fa = fa / adj.dim - pa
         return np.concatenate([fr, fa])
 
     return _gauss_newton(resid, t0, 1e-12, 60, 3, seed=1)
@@ -548,17 +552,18 @@ def _solve_class(
     When neither is accepted, ConsistencyError names the route, the
     character residual and its bound, r and the certificate.
     """
-    adj = None if rs.type.family == "A" else _adjoint_section(str(rs.type), order)
+    adj = None if rs.type.family == "A" else _adjoint_section(str(rs.type))
     t0 = torus_character_values(rs, [fundamental_characters(str(rs.type), k) for k in order], y)
     reg_eig = _target_eigenvalues(rep, y)
     poly = np.poly(np.diag(reg_eig))
-    ad_eig = None if adj is None else adj.target_eig(y)
+    ad_eig = None if adj is None else _target_eigenvalues(adj, y)
     cert_tol = np.inf if adj is None else _cert_tol(ad_eig)
 
     def certificate(t) -> float:
         if adj is None:
             return 0.0
-        return _power_sum_certificate(np.linalg.eigvals(adj.section(t)), ad_eig)
+        section = steinberg_section(adj, bip, t).full()
+        return _power_sum_certificate(np.linalg.eigvals(section), ad_eig)
 
     def registered_residual(t) -> np.ndarray:
         return np.poly(steinberg_section(rep, bip, t).full()) - poly
@@ -664,13 +669,12 @@ def _unipotent_log(u: np.ndarray) -> np.ndarray:
 def verify_factor_supports(sd: StokesData, tol: float = FACTOR_TOL) -> Dict[str, float]:
     """log K1 / log K2 lie in the claimed root spaces, checked in ad(g).
 
-    Rewrites the cached adjoint cross-section factors at sd.t as
-    (K1, K2, A_gamma), as for M0, and expands their logarithms over the ad-matrices of the
+    Rewrites the adjoint cross-section at sd.t as (K1, K2, A_gamma), as for
+    M0, and expands their logarithms over the cached ad-matrices of the
     supporting root vectors.
     """
-    adj = _adjoint_section(sd.type_name, sd.gamma_order)
-    alg = adj.alg
-    k1ad, k2ad, _ = adj.factors(sd.t).rewritten()
+    adj = _adjoint_section(sd.type_name)
+    k1ad, k2ad, _ = steinberg_section(adj, bipartition(adj.rs), sd.t).rewritten()
 
     out = {}
     for name, mat, support in (
@@ -678,8 +682,7 @@ def verify_factor_supports(sd: StokesData, tol: float = FACTOR_TOL) -> Dict[str,
         ("k2", k2ad, sd.k2_support),
     ):
         x = _unipotent_log(mat)
-        basis = [alg.ad_dense(alg.e(r)).reshape(-1) for r in support]
-        A = np.stack(basis, axis=1)
+        A = adj.support_basis(support)
         coef, *_ = np.linalg.lstsq(A, x.reshape(-1), rcond=None)
         res = float(np.max(np.abs(A @ coef - x.reshape(-1))))
         if res > tol * max(1.0, float(np.max(np.abs(x)))):

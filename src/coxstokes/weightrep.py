@@ -13,12 +13,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction as Q
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import Dict, List, Tuple
 
 import numpy as np
 
-from .characters import _lattice, fundamental_characters
+from .characters import WeightPairing, _lattice, fundamental_characters
 from .chevalley import ChevalleyAlgebra, InvariantViolation, _check_bound, build_chevalley
 from .rootcore import Root, RootSystem, build_root_system
 
@@ -151,7 +151,6 @@ class Representation:
     _float_mats: Dict[Tuple[str, int], np.ndarray] = field(default_factory=dict)
     _section_factors: Dict[int, Tuple[NilpotentExp, np.ndarray]] = field(default_factory=dict)
     _alg: ChevalleyAlgebra | None = None
-    _pairing: Tuple[Tuple[Tuple[int, ...], ...], int] | None = None
     _p0: np.ndarray | None = None
 
     @property
@@ -159,37 +158,15 @@ class Representation:
         lam = "".join(str(c) for c in self.highest_weight)
         return f"{self.rs.type}-hw{lam}-dim{self.dim}"
 
-    def _pairing_table(self) -> Tuple[Tuple[Tuple[int, ...], ...], int]:
-        """Integer rows T and denominator D with mu_k(h) = (T h)_k / D, built once.
+    @cached_property
+    def weight_values(self) -> WeightPairing:
+        """mu(h) per basis vector, called with h in H_{alpha_i} coordinates.
 
-        Row k is the k-th basis weight in simple-root coordinates times the
-        invariant form, scaled by D, the lcm of the denominators of all rows.
+        The integer table of the basis weights, built once: row k holds
+        mu_k(H_{alpha_j}) = w_j (alpha_j, alpha_j)/2 over one denominator,
+        and mu(h) is computed exactly and rounded once.
         """
-        if self._pairing is None:
-            rs, lat = self.rs, _lattice(str(self.rs.type))
-            l = rs.rank
-            rows = []
-            for w in self.basis_weights:
-                n = lat.to_simple_coords(w)
-                rows.append([sum(n[i] * Q(rs.form[i][j]) for i in range(l)) for j in range(l)])
-            den = math.lcm(*(x.denominator for row in rows for x in row))
-            table = tuple(tuple(int(x * den) for x in row) for row in rows)
-            self._pairing = (table, den)
-        return self._pairing
-
-    def weight_values(self, h_coords) -> np.ndarray:
-        """mu(h) per basis vector, for h in H_{alpha_i} coordinates.
-
-        Computed exactly (a float coordinate is taken at its exact binary
-        value) and rounded once.
-        """
-        table, den = self._pairing_table()
-        h = [Q(c) for c in h_coords]
-        h_den = math.lcm(*(c.denominator for c in h))
-        h_int = [int(c * h_den) for c in h]
-        den *= h_den
-        # int / int true division rounds correctly, as float(Fraction) does
-        return np.array([sum(t * c for t, c in zip(row, h_int)) / den for row in table])
+        return WeightPairing(str(self.rs.type), self.basis_weights)
 
     def p0_matrix(self) -> np.ndarray:
         """The principal element exp(2 pi i x0/s) in this representation, built once (read-only)."""

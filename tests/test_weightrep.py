@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 from scipy.linalg import expm
 
-from coxstokes.characters import fundamental_characters, weight_pairing
+from coxstokes.characters import _table_pairing, fundamental_characters, weight_pairing
 from coxstokes.chevalley import InvariantViolation, build_chevalley
+from coxstokes.steinberg import _adjoint_section
 from coxstokes.weightrep import (
     NilpotentExp,
     Representation,
@@ -173,7 +174,10 @@ def test_float_generators_built_once_and_read_only():
 
 @pytest.mark.parametrize("name", sorted(REGISTERED_DIMS))
 def test_weight_values_equal_exact_pairing(name):
-    # the integer table gives the same float as rounding the Fraction pairing once
+    # the integer table gives the same float as rounding the Fraction pairing once:
+    # for the registered basis weights, the fundamental character tables (those
+    # of dimension <= 300, which leaves out E6's 351s and 2925 and F4's 1274,
+    # to keep the test under 1 s) and the adjoint weights, the roots then l zeros
     rep = registered_representation(name)
     rs = rep.rs
     rng = np.random.default_rng(7)
@@ -182,9 +186,16 @@ def test_weight_values_equal_exact_pairing(name):
                                                  rng.integers(1, 25, rs.rank)))
         for _ in range(3)
     ]
+    tables = [k for k in range(1, rs.rank + 1) if fundamental_characters(name, k).dim <= 300]
     for h in points:
         want = [float(weight_pairing(rs, w, h)) for w in rep.basis_weights]
         assert rep.weight_values(h).tolist() == want
+        for k in tables:
+            weights = fundamental_characters(name, k).weights
+            want = [float(weight_pairing(rs, w, h)) for w, _ in weights]
+            assert _table_pairing(name, k)[0](h).tolist() == want, k
+        want = [float(rs.pairing(r, h)) for r in rs.roots] + [0.0] * rs.rank
+        assert _adjoint_section(name).weight_values(h).tolist() == want
 
 
 def test_tampered_representation_raises_invariant_violation():
