@@ -8,9 +8,7 @@ coordinates, where dominance and reflections are integer operations.
 
 from __future__ import annotations
 
-import json
 import math
-import os
 from dataclasses import dataclass
 from fractions import Fraction as Q
 from functools import lru_cache
@@ -23,12 +21,11 @@ from .scalars import mat_inv, mat_mul
 
 Weight = Tuple[int, ...]
 
-CACHE_ENV = "COXSTOKES_CACHE"
 DEFAULT_DIM_CAP = 10**6
 
 
 class CharacterScaleError(ValueError):
-    """Requested representation exceeds the configured dimension cap."""
+    """Requested representation exceeds the dimension cap DEFAULT_DIM_CAP."""
 
 
 @dataclass(frozen=True)
@@ -166,22 +163,12 @@ def _freudenthal(lat: _Lattice, lam: Weight) -> Dict[Weight, int]:
     return mult
 
 
-def _cache_path(type_name: str, idx: int) -> str | None:
-    base = os.environ.get(CACHE_ENV)
-    if not base:
-        return None
-    os.makedirs(base, exist_ok=True)
-    return os.path.join(base, f"chartable_{type_name}_w{idx}.json")
-
-
 @lru_cache(maxsize=None)
-def fundamental_characters(
-    type_name: str, index: int, dim_cap: int = DEFAULT_DIM_CAP
-) -> CharacterTable:
+def fundamental_characters(type_name: str, index: int) -> CharacterTable:
     """Weight/multiplicity table of the fundamental representation V(omega_index).
 
     index is 1-based.  Raises CharacterScaleError when the Weyl dimension
-    exceeds dim_cap ("out of desk scale").
+    exceeds DEFAULT_DIM_CAP ("out of desk scale").
     """
     rs = build_root_system(type_name)
     if not 1 <= index <= rs.rank:
@@ -189,18 +176,11 @@ def fundamental_characters(
     lat = _lattice(str(rs.type))
     lam = tuple(int(i == index - 1) for i in range(rs.rank))
     dim = lat.weyl_dim(lam)
-    if dim > dim_cap:
+    if dim > DEFAULT_DIM_CAP:
         raise CharacterScaleError(
             f"character table for {type_name} omega_{index} has dimension {dim}, "
-            f"out of desk scale (cap {dim_cap})"
+            f"out of desk scale (cap {DEFAULT_DIM_CAP})"
         )
-
-    path = _cache_path(type_name, index)
-    if path and os.path.exists(path):
-        with open(path) as fh:
-            data = json.load(fh)
-        weights = tuple((tuple(w), m) for w, m in data["weights"])
-        return CharacterTable(type_name, index, lam, weights, data["dim"])
 
     mult = _freudenthal(lat, lam)
     weights: List[Tuple[Weight, int]] = []
@@ -213,11 +193,7 @@ def fundamental_characters(
         raise ArithmeticError(
             f"character table dimension {total} disagrees with Weyl formula {dim}"
         )
-    table = CharacterTable(type_name, index, lam, tuple(weights), dim)
-    if path:
-        with open(path, "w") as fh:
-            json.dump({"dim": dim, "weights": [[list(w), m] for w, m in weights]}, fh)
-    return table
+    return CharacterTable(type_name, index, lam, tuple(weights), dim)
 
 
 def weight_pairing(rs: RootSystem, weight_dyn: Weight, h_coords) -> Q:
@@ -267,7 +243,5 @@ def character_value(rs: RootSystem, table: CharacterTable, y) -> complex:
     return complex(np.sum(mults * np.exp(2j * np.pi * pairing(y))))
 
 
-def all_fundamental_tables(rs: RootSystem, dim_cap: int = DEFAULT_DIM_CAP):
-    return tuple(
-        fundamental_characters(str(rs.type), i + 1, dim_cap) for i in range(rs.rank)
-    )
+def all_fundamental_tables(rs: RootSystem):
+    return tuple(fundamental_characters(str(rs.type), i + 1) for i in range(rs.rank))

@@ -418,9 +418,9 @@ def fundamental_traces(type_name: str, t: Sequence[complex]) -> np.ndarray:
 # (unipotent-class limits), where float eigenvalues of the section spread by
 # eps^(1/k); the enforceable threshold widens accordingly via _cert_tol.
 SELECT_TOL = 1e-2
-# Registered residual the power-sum route's answer must reach (resonant
-# targets floor the coefficient residual near sqrt(eps)), the polish's target,
-# and the relative residual the character route's answer must reach.
+# Registered residual the power-sum route's and the type-A answer must reach
+# (resonant targets floor the coefficient residual near sqrt(eps)), the
+# polish's target, and the relative residual back-substitution must reach.
 CLASS_TOL = 1e-8
 SOLVE_TOL = 1e-11
 CHAR_TOL = 1e-10
@@ -510,18 +510,41 @@ def _solve_power_sums(
     return _gauss_newton(resid, t0, 1e-12, 60, 3, seed=1)
 
 
-def _solve_characters(type_name: str, chi: np.ndarray) -> Tuple[np.ndarray, float]:
-    """Gauss-Newton on (chi_i(C(t)) - chi_i) / max(1, |chi_i|) from t = chi.
+@lru_cache(maxsize=None)
+def _height_order(type_name: str) -> Tuple[Tuple[int, int], ...]:
+    """(Gamma position, node) pairs sorted by the height of omega_node.
 
-    chi is in Gamma order (fundamental_traces).  Returns t and the max residual.
+    ht omega_i, the sum of its simple-root coordinates, is the row sum of the
+    exact inverse Cartan matrix.
     """
-    scale = np.maximum(1.0, np.abs(chi))
+    bip = bipartition(build_root_system(type_name))
+    ainv = _lattice(type_name).Ainv
+    order = sorted(bip.i2) + sorted(bip.i1)
+    return tuple(sorted(enumerate(order), key=lambda pn: sum(ainv[pn[1] - 1])))
 
-    def resid(t):
-        return (fundamental_traces(type_name, t) - chi) / scale
 
-    # on to rounding level, past CHAR_TOL: t itself is the answer, not chi(C(t))
-    return _gauss_newton(resid, chi, 1e-14, 60, 1, seed=0)
+def _back_substitute(type_name: str, chi: np.ndarray) -> Tuple[np.ndarray, float]:
+    """t with chi(C(t)) = chi (Gamma order, as fundamental_traces), without iteration.
+
+    By Steinberg (Publ. IHES 25, 1965, section 7) chi_i(C(t)) = t_i +
+    f_i(t_j : ht omega_j < ht omega_i), so in height order t_i = chi_i -
+    chi_i(C(t_<i, 0, ...)).  Returns t and the relative character residual
+    max |chi_i(C(t)) - chi_i| / max(1, |chi_i|); above CHAR_TOL (a broken
+    triangular structure lands there too) ConsistencyError names it, the
+    bound and the worst node.
+    """
+    order = _height_order(type_name)
+    t = np.zeros(len(chi), dtype=complex)
+    for p, _ in order:
+        t[p] = chi[p] - fundamental_traces(type_name, t)[p]
+    res = np.abs(fundamental_traces(type_name, t) - chi) / np.maximum(1.0, np.abs(chi))
+    r = float(np.max(res))
+    if not r <= CHAR_TOL:
+        node = dict(order)[int(np.argmax(res))]
+        raise ConsistencyError(
+            f"back-substitution: character residual {r:.3g} (bound {CHAR_TOL:g}) at node {node}"
+        )
+    return t, r
 
 
 def _solve_class(
@@ -529,65 +552,65 @@ def _solve_class(
 ) -> Tuple[np.ndarray, float, float]:
     """Section parameters for the class of e^{2 pi i y}, y = (m+x0)/s.
 
-    Returns (t, registered residual r, adjoint certificate).  Two routes, the
-    second tried only when the first is not accepted:
+    Returns (t, registered residual r, adjoint certificate).  In type A
+    chi(C(t)) = t, so t = chi(y) (in Gamma order), accepted when r <=
+    CLASS_TOL, with certificate 0.  Other types have two routes, the second
+    tried only when the first is not accepted:
 
     1. power sums, then polish: Gauss-Newton on the joint power sums of the
-       registered and adjoint sections from the character seed, then Newton
-       on the registered characteristic polynomial from there (in type A the
-       polish alone, from the seed).  Accepted when r <= CLASS_TOL and the
-       adjoint power-sum certificate is at most _cert_tol of the adjoint
-       targets: in F4 and E6 fiber components of the registered polynomial
-       that belong to other classes score around 1.  In B, C, D and G2 the
-       certificate is a function of the registered spectrum
-       (_ADJOINT_PLETHYSM), so it separates no classes that r does not; in
-       type A it is 0.
-    2. characters: Gauss-Newton on every fundamental character
-       (_solve_characters), from the character seed.  Accepted when the
-       relative character residual is at most CHAR_TOL.  The l fundamental
-       characters are coordinates on the cross-section (Steinberg 1965,
-       sections 7-8), so this pins the regular class without a certificate;
-       r and the certificate at its t are reported, not enforced.
+       registered and adjoint sections from chi(y), then Newton on the
+       registered characteristic polynomial from there.  Accepted when r <=
+       CLASS_TOL and the adjoint power-sum certificate is at most _cert_tol
+       of the adjoint targets: in F4 and E6 fiber components of the
+       registered polynomial that belong to other classes score around 1.
+       In B, C, D and G2 the certificate is a function of the registered
+       spectrum (_ADJOINT_PLETHYSM), so it separates no classes that r does
+       not.
+    2. back-substitution on the fundamental characters (_back_substitute),
+       accepted when the relative character residual is at most CHAR_TOL.
+       They are coordinates on the cross-section (Steinberg 1965, sections
+       7-8), so this pins the regular class without a certificate; r and
+       the certificate at its t are reported, not enforced.
 
-    When neither is accepted, ConsistencyError names the route, the
-    character residual and its bound, r and the certificate.
+    A failure names the character residual, its bound and node, and route
+    1's r and certificate with their bounds.
     """
-    adj = None if rs.type.family == "A" else _adjoint_section(str(rs.type))
     t0 = torus_character_values(rs, [fundamental_characters(str(rs.type), k) for k in order], y)
     reg_eig = _target_eigenvalues(rep, y)
     poly = np.poly(np.diag(reg_eig))
-    ad_eig = None if adj is None else _target_eigenvalues(adj, y)
-    cert_tol = np.inf if adj is None else _cert_tol(ad_eig)
-
-    def certificate(t) -> float:
-        if adj is None:
-            return 0.0
-        section = steinberg_section(adj, bip, t).full()
-        return _power_sum_certificate(np.linalg.eigvals(section), ad_eig)
 
     def registered_residual(t) -> np.ndarray:
         return np.poly(steinberg_section(rep, bip, t).full()) - poly
 
-    if adj is None:
-        t, r = _gauss_newton(registered_residual, t0, SOLVE_TOL, 60, 2, seed=0)
-    else:
-        t_ps, _ = _solve_power_sums(rep, bip, adj, t0, reg_eig, ad_eig)
-        t, r = _gauss_newton(registered_residual, t_ps, SOLVE_TOL, 60, 1, seed=0)
+    if rs.type.family == "A":
+        r = float(np.max(np.abs(registered_residual(t0))))
+        if not r <= CLASS_TOL:
+            raise ConsistencyError(
+                f"type-A class: registered residual {r:.3g} (bound {CLASS_TOL:g}) at t = chi(y)"
+            )
+        return t0, r, 0.0
+    adj = _adjoint_section(str(rs.type))
+    ad_eig = _target_eigenvalues(adj, y)
+    cert_tol = _cert_tol(ad_eig)
+
+    def certificate(t) -> float:
+        section = steinberg_section(adj, bip, t).full()
+        return _power_sum_certificate(np.linalg.eigvals(section), ad_eig)
+
+    t_ps, _ = _solve_power_sums(rep, bip, adj, t0, reg_eig, ad_eig)
+    t, r = _gauss_newton(registered_residual, t_ps, SOLVE_TOL, 60, 1, seed=0)
     cert = certificate(t)
     if r > CLASS_TOL or cert > cert_tol:
-        t, r_char = _solve_characters(str(rs.type), t0)
-        r = float(np.max(np.abs(registered_residual(t))))
-        cert = certificate(t)
-        if not r_char <= CHAR_TOL:
+        try:
+            t, _ = _back_substitute(str(rs.type), t0)
+        except ConsistencyError as exc:
             raise ConsistencyError(
-                f"class solve failed, last route characters: character residual "
-                f"{r_char:.3g} (bound {CHAR_TOL:g}), registered residual {r:.3g} "
+                f"class solve failed, {exc}; power-sum route: registered residual {r:.3g} "
                 f"(bound {CLASS_TOL:g}), adjoint certificate {cert:.3g} "
                 f"(threshold _cert_tol = {cert_tol:.3g})"
-            )
-    if adj is None and np.max(np.abs(t - t0)) > 1e-6 * max(1.0, np.max(np.abs(t0))):
-        # chi(C(t)) = t exactly in type A: the character values must survive
-        raise ConsistencyError("type-A section parameters drifted from characters")
+            ) from None
+        r = float(np.max(np.abs(registered_residual(t))))
+        cert = certificate(t)
     return t, float(r), float(cert)
 
 

@@ -183,7 +183,7 @@ fires("freudenthal", lambda: _freudenthal(lat, (1, 1)), cli.InvariantViolation)
 fires("central", lambda: _central_factor(np.diag([1.0, 2.0])), cli.ConsistencyError)
 fires("schema", lambda: cli._validate("describe", {"schema_version": True}), cli.SchemaViolation)
 steinberg.CLASS_TOL = 0.0
-steinberg._solve_characters = lambda type_name, chi: (chi, 0.5)
+steinberg.CHAR_TOL = 0.0
 print("stokes", cli.main(["stokes", "--type", "B3", "--m=-1/8,-5/4,-15/8"]))
 cli.build_root_system = lambda name: split
 print("exit", cli.main(["verify", "--type", "A3"]))
@@ -220,11 +220,11 @@ print(sorted(m for m in sys.modules if m.partition(".")[0] in ("scipy", "jsonsch
 """
 
 
-def test_cli_commands_never_import_scipy(tmp_path):
+def test_cli_commands_never_import_scipy():
     # scipy.optimize alone costs about 0.6 s and 48 MB at import, in every process;
     # jsonschema and its dependencies about 0.1 s and 4 MB
     src = str(Path(coxstokes.__file__).resolve().parents[1])
-    env = {**os.environ, "PYTHONPATH": src, "COXSTOKES_CACHE": str(tmp_path)}
+    env = {**os.environ, "PYTHONPATH": src}
     out = subprocess.run([sys.executable, "-c", _NO_SCIPY],
                          capture_output=True, text=True, env=env, timeout=300)
     assert out.returncode == 0, out.stderr
@@ -249,14 +249,13 @@ for name, m in (
 """
 
 
-def test_stokes_output_does_not_depend_on_blas_threads(tmp_path):
+def test_stokes_output_does_not_depend_on_blas_threads():
     # B-D and G2 points, vertices among them; E6 is left out, its reported
     # adjoint certificate still moves with the thread count
     src = str(Path(coxstokes.__file__).resolve().parents[1])
     outs = []
     for threads in ("1", "2"):
-        env = {**os.environ, "PYTHONPATH": src, "COXSTOKES_CACHE": str(tmp_path),
-               "OPENBLAS_NUM_THREADS": threads}
+        env = {**os.environ, "PYTHONPATH": src, "OPENBLAS_NUM_THREADS": threads}
         out = subprocess.run([sys.executable, "-c", _STOKES_POINTS],
                              capture_output=True, text=True, env=env, timeout=300)
         assert out.returncode == 0, out.stderr

@@ -18,7 +18,7 @@ def test_demos_found():
 def test_demo_runs(demo, tmp_path):
     # in a temporary directory: 02 writes e8_plane.svg where it runs
     src = str(Path(coxstokes.__file__).resolve().parents[1])
-    env = {**os.environ, "PYTHONPATH": src, "COXSTOKES_CACHE": str(tmp_path)}
+    env = {**os.environ, "PYTHONPATH": src}
     out = subprocess.run([sys.executable, str(demo)], cwd=tmp_path,
                          capture_output=True, text=True, env=env, timeout=300)
     assert out.returncode == 0, out.stderr

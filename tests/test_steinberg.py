@@ -376,8 +376,8 @@ def test_section_parameters_golden(name, m_text, kind, t_ref):
     assert np.max(np.abs(np.array(sd.t) - t_ref)) <= tol * max(1.0, np.max(np.abs(t_ref)))
 
 
-# Alcove vertices where the power-sum route fails, with the t the character
-# route returns (in Gamma order): integers, as at every vertex measured so far
+# Alcove vertices where the power-sum route fails, with the t back-substitution
+# returns (in Gamma order): integers, as at every vertex measured so far
 CENSUS = [
     ("D5", "-4,-7,-9,-5,-5", (46, 16, 16, 10, 130)),
     ("B4", "-4,-7,-9,-10", (46, 16, 10, 130)),
@@ -399,7 +399,7 @@ def test_character_route_at_census_vertices(name, m_text, t_exact):
     order = tuple(sorted(bip.i2)) + tuple(sorted(bip.i1))
     y = alcove_map(rs, [Q(c) for c in m_text.split(",")]).y
     chi = torus_character_values(rs, [fundamental_characters(name, k) for k in order], y)
-    t, r = steinberg._solve_characters(name, chi)
+    t, r = steinberg._back_substitute(name, chi)
     assert r <= CHAR_TOL
     assert np.max(np.abs(t - np.array(t_exact))) <= 1e-9
     # every fundamental representation small enough to build has its target
@@ -414,6 +414,47 @@ def test_character_route_at_census_vertices(name, m_text, t_exact):
 
 
 REGISTERED = ("A2", "A3", "A4", "A5", "A6", "B2", "B3", "B4", "C3", "D4", "D5", "G2", "F4", "E6")
+
+
+@pytest.mark.parametrize("name", REGISTERED)
+def test_back_substitution_at_every_alcove_vertex(name):
+    # y = 0 and y = eps_j / q_j (alpha_i(y) = delta_ij / q_j), the l + 1 vertices
+    rs = build_root_system(name)
+    bip = bipartition(rs)
+    order = tuple(sorted(bip.i2)) + tuple(sorted(bip.i1))
+    tables = [fundamental_characters(name, k) for k in order]
+    l = rs.rank
+    ys = [(Q(0),) * l] + [
+        tuple(rs.epsilon_basis[k][j] / rs.marks[j + 1] for k in range(l)) for j in range(l)
+    ]
+    for v, y in enumerate(ys):
+        _, r = steinberg._back_substitute(name, torus_character_values(rs, tables, y))
+        assert r <= CHAR_TOL, v
+
+
+@pytest.mark.parametrize("name", REGISTERED)
+def test_characters_are_height_triangular(name):
+    # Steinberg (1965, section 7): chi_i(C(t)) = t_i + f_i(t_j : ht omega_j <
+    # ht omega_i), with ht omega_i the row sum of the inverse Cartan matrix
+    rs = build_root_system(name)
+    bip = bipartition(rs)
+    order = sorted(bip.i2) + sorted(bip.i1)
+    ainv = mat_inv([[Q(c) for c in row] for row in rs.cartan])
+    height = [sum(ainv[node - 1]) for node in order]
+    rng = np.random.default_rng(12)
+    l = rs.rank
+    t = rng.normal(size=l) + 1j * rng.normal(size=l)
+    base = fundamental_traces(name, t)
+    for j in range(l):
+        tp = t.copy()
+        tp[j] += rng.normal() + 1j * rng.normal()
+        moved = fundamental_traces(name, tp)
+        tol = 1e-11 * max(1.0, np.max(np.abs(base)), np.max(np.abs(moved)))
+        for i in range(l):
+            if i != j and height[i] <= height[j]:
+                assert abs(moved[i] - base[i]) <= tol, (i, j)
+        # chi_j - t_j does not depend on t_j
+        assert abs((moved[j] - tp[j]) - (base[j] - t[j])) <= tol, j
 
 
 @settings(max_examples=60, deadline=None)
@@ -437,11 +478,20 @@ def test_character_recipes_match_weight_tables(name, y):
 @given(
     name=st.sampled_from(("A2", "A3", "A4", "A5", "A6")),
     parts=st.lists(st.floats(-3, 3), min_size=12, max_size=12),
+    y=st.lists(st.floats(-2, 2), min_size=6, max_size=6),
 )
-def test_type_a_characters_are_the_section_parameters(name, parts):
+def test_type_a_characters_are_the_section_parameters(name, parts, y):
     l = int(name[1])
     t = np.array(parts[:l]) + 1j * np.array(parts[6 : 6 + l])
     assert np.max(np.abs(fundamental_traces(name, t) - t)) <= 1e-12 * max(1.0, np.max(np.abs(t)))
+    # so the class solve returns t = chi(y) itself, with no iteration
+    rs = build_root_system(name)
+    bip = bipartition(rs)
+    order = tuple(sorted(bip.i2)) + tuple(sorted(bip.i1))
+    y = y[:l]
+    chi = torus_character_values(rs, [fundamental_characters(name, k) for k in order], y)
+    got, r, cert = steinberg._solve_class(rs, registered_representation(name), bip, order, y)
+    assert np.array_equal(got, chi) and r <= steinberg.CLASS_TOL and cert == 0.0
 
 
 PLETHYSM_TYPES = ("B2", "B3", "B4", "C3", "D4", "D5", "G2")
@@ -510,20 +560,20 @@ def test_no_adjoint_plethysm_for_f4_and_e6():
 
 
 def test_failed_class_solve_names_route_residual_and_threshold(monkeypatch, capsys):
-    # both routes forced to fail at a B3 interior point: the registered bound
-    # is cut to 0 and the character route returns its seed with residual 0.5;
-    # the error names the last route and every number the point was judged by
+    # both routes forced to fail at a B3 interior point: the registered and the
+    # character bounds are cut to 0, below the rounding-level residuals; the
+    # error names the residual, its bound and node, and route 1's numbers
     monkeypatch.setattr(steinberg, "CLASS_TOL", 0.0)
-    monkeypatch.setattr(steinberg, "_solve_characters", lambda type_name, chi: (chi, 0.5))
+    monkeypatch.setattr(steinberg, "CHAR_TOL", 0.0)
     with pytest.raises(ConsistencyError) as info:
         stokes_from_asymptotics("B3", [Q(-1, 8), Q(-5, 4), Q(-15, 8)])
     msg = str(info.value)
-    assert "last route characters: character residual 0.5 (bound 1e-10)" in msg
-    assert re.search(r"registered residual \S+ \(bound 0\)", msg)
+    assert re.search(r"back-substitution: character residual \S+ \(bound 0\) at node [123];", msg)
+    assert re.search(r"power-sum route: registered residual \S+ \(bound 0\)", msg)
     assert re.search(r"adjoint certificate \S+ \(threshold _cert_tol = \S+\)", msg)
     assert main(["stokes", "--type", "B3", "--m=-1/8,-5/4,-15/8"]) == EXIT_VERIFY
     err = capsys.readouterr().err
-    assert "verification failure: class solve failed, last route characters" in err
+    assert "verification failure: class solve failed, back-substitution" in err
 
 
 def test_gauss_newton_halves_past_nonfinite_trials():
