@@ -350,7 +350,12 @@ def cmd_monodromy(args) -> int:
     return EXIT_OK if doc["passed"] else EXIT_VERIFY
 
 
+@lru_cache(maxsize=None)
 def build_parser() -> _Parser:
+    """The argument parser, built once per process and shared (callers must not modify it).
+
+    parse_args returns a fresh namespace on every call.
+    """
     p = _Parser(prog="coxstokes", description=__doc__)
     sub = p.add_subparsers(dest="command", required=True)
 

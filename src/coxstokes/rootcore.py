@@ -135,6 +135,11 @@ class RootSystem:
     r_coeffs: Tuple[Q, ...]                      # x_0 = sum r_i H_{a_i}
     epsilon_basis: Tuple[Tuple[Q, ...], ...]     # eps_j in the H_{a_i} basis (column j)
     _root_set: frozenset = field(repr=False, default=frozenset())
+    # alpha -> the row sum_i alpha_i G_ij, filled on first use by pairing(); not an
+    # init field, so dataclasses.replace (a changed form) starts an empty one
+    _form_rows: Dict[tuple, Tuple[Q, ...]] = field(
+        init=False, repr=False, compare=False, default_factory=dict
+    )
 
     @property
     def rank(self) -> int:
@@ -152,10 +157,20 @@ class RootSystem:
         return sum(x[i] * G[i][j] * y[j] for i in range(n) for j in range(n))
 
     def pairing(self, root, h_coords) -> Q:
-        """alpha(h) for h = sum h_j H_{alpha_j}; alpha may be any weight vector."""
-        G = self.form
+        """alpha(h) for h = sum h_j H_{alpha_j}; alpha may be any weight vector.
+
+        The exact sum_ij alpha_i G_ij h_j, taken as l products of h with the
+        row sum_i alpha_i G_ij, which is computed once per alpha and cached.
+        """
         n = self.rank
-        return sum(Q(root[i]) * G[i][j] * Q(h_coords[j]) for i in range(n) for j in range(n))
+        key = tuple(root)
+        row = self._form_rows.get(key)
+        if row is None:
+            G = self.form
+            row = tuple(sum(Q(key[i]) * G[i][j] for i in range(n)) for j in range(n))
+            self._form_rows[key] = row
+        h = [Q(h_coords[j]) for j in range(n)]
+        return sum((r * hj for r, hj in zip(row, h) if r), Q(0))
 
     def reflect(self, j: int, root: Root) -> Root:
         """Simple reflection R_{alpha_j} (j is 0-based) acting on root coordinates."""

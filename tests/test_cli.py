@@ -261,3 +261,48 @@ def test_stokes_output_does_not_depend_on_blas_threads():
         assert out.returncode == 0, out.stderr
         outs.append(out.stdout)
     assert outs[0] == outs[1]
+
+
+_CALLS = """
+import contextlib, io, json, sys
+from coxstokes import cli
+
+out = []
+for argv in json.loads(sys.argv[1]):
+    buf = io.StringIO()
+    with contextlib.redirect_stdout(buf), contextlib.redirect_stderr(io.StringIO()):
+        try:
+            rc = cli.main(argv)
+        except SystemExit as exc:
+            rc = exc.code
+    out.append([rc, buf.getvalue()])
+print(json.dumps(out))
+"""
+
+
+def test_parser_is_reused_without_carrying_state(tmp_path):
+    # the parser is built once per process; a call must not see the options of
+    # the one before it, so a sequence of calls in one process gives what each
+    # call gives as the first in a fresh process
+    json_out = str(tmp_path / "s.json")
+    calls = [
+        ["stokes", "--type", "A2", "--m", "1/3,0", "--bogus"],
+        ["stokes", "--type", "A2", "--m", "1/3,0"],
+        ["stokes", "--type", "A2", "--m", "0,1/4", "--json-out", json_out],
+        ["stokes", "--type", "A2", "--m", "0,1/4"],
+        ["monodromy", "--rank", "2", "--k", "0,1,1", "--tol", "1e-30"],
+        ["monodromy", "--rank", "2", "--k", "0,1,1"],
+    ]
+    src = str(Path(coxstokes.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src}
+
+    def results(argvs):
+        out = subprocess.run([sys.executable, "-c", _CALLS, json.dumps(argvs)],
+                             capture_output=True, text=True, env=env, timeout=300)
+        assert out.returncode == 0, out.stderr
+        return json.loads(out.stdout)
+
+    together = results(calls)
+    assert [rc for rc, _ in together] == [EXIT_USAGE, EXIT_OK, EXIT_OK, EXIT_OK, EXIT_VERIFY, EXIT_OK]
+    assert together[2][1] == "" and together[3][1].startswith("{")
+    assert together == [results([argv])[0] for argv in calls]

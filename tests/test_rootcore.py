@@ -1,3 +1,5 @@
+import dataclasses
+import random
 from fractions import Fraction as Q
 
 import pytest
@@ -122,3 +124,27 @@ def test_diagram_involutions():
     assert diagram_involution(build_root_system("D5")) == (1, 2, 3, 5, 4)
     assert diagram_involution(build_root_system("E6")) == (6, 2, 5, 4, 3, 1)
     assert diagram_involution(build_root_system("E7")) == (1, 2, 3, 4, 5, 6, 7)
+
+
+@pytest.mark.parametrize("name", ALL_TYPES)
+def test_pairing_matches_the_double_sum(name):
+    # pairing takes l products with a cached form row; the definition is the
+    # double sum over the Gram matrix, and the two must agree as Fractions
+    rs = build_root_system(name)
+    l, G = rs.rank, rs.form
+    rng = random.Random(f"pairing:{name}")
+    for _ in range(3):
+        h = [Q(rng.randint(-60, 60), rng.randint(1, 24)) for _ in range(l)]
+        for root in rs.roots + (rs.psi,):
+            want = sum(Q(root[i]) * G[i][j] * h[j] for i in range(l) for j in range(l))
+            got = rs.pairing(root, h)
+            assert type(got) is Q and got == want, (root, h)
+    weight = tuple(Q(rng.randint(-9, 9), 3) for _ in range(l))  # not a root
+    want = sum(weight[i] * G[i][j] * h[j] for i in range(l) for j in range(l))
+    assert rs.pairing(weight, h) == want
+    assert rs.pairing(list(weight), [float(c) for c in h]) == sum(
+        weight[i] * G[i][j] * Q(float(h[j])) for i in range(l) for j in range(l)
+    )
+    # a copy with another form does not read the original's cached rows
+    doubled = dataclasses.replace(rs, form=tuple(tuple(2 * x for x in row) for row in G))
+    assert doubled.pairing(rs.psi, h) == 2 * rs.pairing(rs.psi, h)
