@@ -284,11 +284,15 @@ def cmd_stokes(args) -> int:
     m = _parse_fractions(args.m) if args.m else [Q(0)] * rs.rank
     if len(m) != rs.rank:
         raise UnsupportedTypeError(f"m must have {rs.rank} components")
-    rep = (
-        fundamental_representation(str(rs.type), args.rep)
-        if args.rep
-        else registered_representation(str(rs.type))
-    )
+    # the class is solved in the registered representation, so a type without
+    # one (E7, E8) fails here, before any --rep representation is built
+    rep = registered_representation(str(rs.type))
+    if args.rep is not None:
+        if not 1 <= args.rep <= rs.rank:
+            raise UnsupportedRepresentationError(
+                f"--rep {args.rep} is outside 1..{rs.rank} for {rs.type}"
+            )
+        rep = fundamental_representation(str(rs.type), args.rep)
     pt = alcove_map(rs, m)
     alcove = {
         "admissible": pt.admissible,
@@ -386,7 +390,8 @@ def build_parser() -> _Parser:
     st = sub.add_parser("stokes", help="Stokes data M0 = K1 K2 P0 from asymptotics m")
     st.add_argument("--type", required=True)
     st.add_argument("--m", default=None, help="comma-separated rationals, H-basis coords")
-    st.add_argument("--rep", type=int, default=None, help="fundamental rep index override")
+    st.add_argument("--rep", type=int, default=None,
+                    help="index 1..l of the fundamental representation M0 is assembled in")
     common(st)
     st.set_defaults(fn=cmd_stokes)
 

@@ -138,7 +138,6 @@ def ad_spectrum(ep: EPlusElement, ray_tol: float = RAY_TOL) -> SpectrumReport:
 class PlaneMatch:
     kappa: complex
     max_residual: float
-    per_ray_counts_match: bool
 
 
 def match_plane(
@@ -149,7 +148,9 @@ def match_plane(
     """Find kappa with {kappa * coord(a)} = nonzero spectrum as multisets.
 
     kappa is seeded from a ray representative and polished by least squares on
-    the optimal assignment; the match is accepted below tol (relative).
+    the optimal assignment; the match is accepted below tol (relative), and
+    when every spectrum ray holds as many eigenvalues as the plane ray that
+    kappa rotates onto it holds roots.
     """
     nz = sr.nonzero
     coords = np.array([plane.coord[r] for r in sorted(plane.coord)])
@@ -186,10 +187,11 @@ def match_plane(
     if res > tol * scale:
         raise SpectrumMismatch(f"plane/spectrum match residual {res} above {tol*scale}")
 
-    counts_ok = tuple(c for _, c in sr.rays) == tuple(
-        len(a) for a in _rotate_assignment(sr, plane, kappa)
-    )
-    return PlaneMatch(kappa, res, counts_ok)
+    counts = tuple(c for _, c in sr.rays)
+    plane_counts = tuple(len(a) for a in _rotate_assignment(sr, plane, kappa))
+    if counts != plane_counts:
+        raise SpectrumMismatch(f"per-ray counts {counts} differ from the plane's {plane_counts}")
+    return PlaneMatch(kappa, res)
 
 
 def _rotate_assignment(sr: SpectrumReport, plane: CoxeterPlaneDiagram, kappa: complex):

@@ -192,7 +192,6 @@ class StokesData:
     k2_support: Tuple[Root, ...]
     factorization_residual: float
     class_residual: float
-    adjoint_class_residual: float = 0.0
 
     def to_jsonable(self) -> Dict:
         def mat(a):
@@ -202,7 +201,7 @@ class StokesData:
             ]
 
         return {
-            "schema_version": 1,
+            "schema_version": 2,
             "type": self.type_name,
             "rep": self.rep_name,
             "m": [str(c) for c in self.m],
@@ -218,7 +217,6 @@ class StokesData:
             "k2_support": [list(r) for r in self.k2_support],
             "factorization_residual": self.factorization_residual,
             "class_residual": self.class_residual,
-            "adjoint_class_residual": self.adjoint_class_residual,
         }
 
 
@@ -274,20 +272,18 @@ def _gauss_newton(
 
 
 class _AdjointSection:
-    """The adjoint representation as the cross-section and class pinning use it.
+    """The adjoint representation as the cross-section, characters and supports use it.
 
     It has the section_factors(i), dim and weight_values of a Representation,
     so steinberg_section and _target_eigenvalues take it in place of one; its
     weights are the roots in rs.roots order, then l zeros.
 
-    In F4 and E6 the registered characteristic polynomial alone does not
-    separate regular classes (e.g. e_2 of the 26-dim F4 representation only
-    sees chi_52 + chi_273); the adjoint one adds that information, and its
-    torus targets are exact root data.  In B, C, D and G2 the adjoint is a
-    plethysm of the registered V (_ADJOINT_PLETHYSM), so its spectrum is a
-    function of V's: the adjoint certificate cannot separate classes that the
-    registered characteristic polynomial does not (the D4 half-spin swap
-    passes both).
+    Its sections give the G2, F4 and E6 characters that are read off ad
+    (characters_from_matrices) and the support check; its torus targets
+    give the power-sum route's adjoint power sums.  Its section is never
+    diagonalized: in B, C, D and G2 the adjoint is a plethysm of the
+    registered V (_ADJOINT_PLETHYSM), and F4 and E6 solve by
+    back-substitution.
     """
 
     def __init__(self, rs: RootSystem):
@@ -411,13 +407,6 @@ def fundamental_traces(type_name: str, t: Sequence[complex]) -> np.ndarray:
     return characters_from_matrices(rs, mats)[np.array(order) - 1]
 
 
-# Adjoint class certificate threshold.  Calibration: wrong classes score
-# ~1e0 and classes at distance 1/50 in m already ~3e-2, while true solutions
-# stay below ~1e-3 away from the deep degeneracies; 1e-2 keeps margin on
-# either side.  Near the alcove vertices the target spectra become defective
-# (unipotent-class limits), where float eigenvalues of the section spread by
-# eps^(1/k); the enforceable threshold widens accordingly via _cert_tol.
-SELECT_TOL = 1e-2
 # Registered residual the power-sum route's and the type-A answer must reach
 # (resonant targets floor the coefficient residual near sqrt(eps)), the
 # polish's target, and the relative residual back-substitution must reach.
@@ -426,73 +415,30 @@ SOLVE_TOL = 1e-11
 CHAR_TOL = 1e-10
 
 
-def _cert_tol(target_eig: np.ndarray) -> float:
-    """Enforceable certificate threshold for these adjoint targets.
-
-    k-fold degenerate targets make the section matrix defective there, and
-    float spectra of defective matrices scatter by roughly eps^(1/k); below
-    that scale the certificate carries no information (all unipotent classes
-    share every spectral invariant), so enforcement degrades gracefully.
-    """
-    order = np.lexsort((target_eig.imag, target_eig.real))
-    kmax = 1
-    k = 0
-    while k < len(order):
-        j = k + 1
-        while j < len(order) and abs(
-            target_eig[order[j]] - target_eig[order[j - 1]]
-        ) <= 1e-6:
-            j += 1
-        kmax = max(kmax, j - k)
-        k = j
-    return max(SELECT_TOL, 3.0 * (1e-12) ** (1.0 / kmax))
-
-
 def _power_sums(eig: np.ndarray, ks: np.ndarray) -> np.ndarray:
     """p_k = sum_j eig_j^k for each k in ks."""
     return (eig[None, :] ** ks[:, None]).sum(axis=1)
 
 
-def _power_sum_certificate(section_eig: np.ndarray, target_eig: np.ndarray) -> float:
-    """Normalized power-sum mismatch max_{k<=28} |p_k(section) - p_k(target)|/dim.
-
-    Characteristic-polynomial coefficients are hopeless here (at dim(g) ~
-    50-80 they respond to 1e-12 eigenvalue perturbations at O(1) through the
-    one-root-removed subproducts), and eigenvalue matching breaks at heavy
-    resonance, where a sqrt(eps)-accurate parameter point splits degenerate
-    clusters beyond their gaps.  Traces of powers are smooth in the section
-    parameters and conditioning-free: measured on solved points they stay
-    below ~3e-4 even at the worst resonances, while classes with m shifted by
-    1/50 already differ at 3e-2 and generic wrong classes at ~1e0.  A section
-    blown up far from the class overflows the powers; it scores inf.
-    """
-    ks = np.arange(1, 29)
-    with np.errstate(over="ignore", invalid="ignore"):
-        mismatch = float(np.max(np.abs(_power_sums(section_eig, ks) - _power_sums(target_eig, ks))))
-    return mismatch / len(target_eig) if np.isfinite(mismatch) else np.inf
-
-
 def _solve_power_sums(
-    rep: Representation, bip: Bipartition, adj: _AdjointSection, t0, reg_eig, ad_eig
+    rep: Representation, bip: Bipartition, plethysm, t0, reg_eig, ad_eig
 ) -> Tuple[np.ndarray, float]:
-    """Gauss-Newton on joint power sums tr(C^k) of both representations, from t0.
+    """Gauss-Newton on the power sums tr(C^k) of the registered and adjoint sections, from t0.
 
     Power sums are smooth in the section parameters with no resonant
     conditioning collapse, so the solve reaches machine precision even when
     the target spectra are heavily degenerate (where coefficient or
     eigenvalue-matching systems floor out near sqrt(eps)).
 
-    In B, C, D and G2 the adjoint power sums follow from the registered
-    eigenvalues by _ADJOINT_PLETHYSM, so only the registered section is
+    The adjoint power sums follow from the registered eigenvalues by the
+    family's plethysm (_ADJOINT_PLETHYSM), so only the registered section is
     diagonalized; those adjoint equations repeat registered information and
-    pin no more than the registered power sums do.  F4 and E6 diagonalize the
-    adjoint section.
+    pin no more than the registered power sums do.
     """
     kr = np.arange(1, min(rep.dim, 24) + 1)
-    ka = np.arange(1, min(adj.dim, 28) + 1)
+    ka = np.arange(1, min(len(ad_eig), 28) + 1)
     pr = _power_sums(reg_eig, kr) / rep.dim
-    pa = _power_sums(ad_eig, ka) / adj.dim
-    plethysm = _ADJOINT_PLETHYSM.get(adj.rs.type.family)
+    pa = _power_sums(ad_eig, ka) / len(ad_eig)
 
     def resid(t):
         er = np.linalg.eigvals(steinberg_section(rep, bip, t).full())
@@ -500,11 +446,7 @@ def _solve_power_sums(
         # search rejects the non-finite residual
         with np.errstate(over="ignore", invalid="ignore"):
             fr = _power_sums(er, kr) / rep.dim - pr
-            if plethysm is None:
-                fa = _power_sums(np.linalg.eigvals(steinberg_section(adj, bip, t).full()), ka)
-            else:
-                fa = plethysm(_power_sums(er, ka), _power_sums(er, 2 * ka))
-            fa = fa / adj.dim - pa
+            fa = plethysm(_power_sums(er, ka), _power_sums(er, 2 * ka)) / len(ad_eig) - pa
         return np.concatenate([fr, fa])
 
     return _gauss_newton(resid, t0, 1e-12, 60, 3, seed=1)
@@ -548,33 +490,31 @@ def _back_substitute(type_name: str, chi: np.ndarray) -> Tuple[np.ndarray, float
 
 
 def _solve_class(
-    rs: RootSystem, rep: Representation, bip: Bipartition, order: Tuple[int, ...], y
-) -> Tuple[np.ndarray, float, float]:
+    rs: RootSystem, bip: Bipartition, order: Tuple[int, ...], y
+) -> Tuple[np.ndarray, float]:
     """Section parameters for the class of e^{2 pi i y}, y = (m+x0)/s.
 
-    Returns (t, registered residual r, adjoint certificate).  In type A
-    chi(C(t)) = t, so t = chi(y) (in Gamma order), accepted when r <=
-    CLASS_TOL, with certificate 0.  Other types have two routes, the second
-    tried only when the first is not accepted:
+    Returns t and the residual r of the registered characteristic polynomial
+    at t.  The class is solved in the registered representation, whichever
+    representation M0 is then assembled in.
 
-    1. power sums, then polish: Gauss-Newton on the joint power sums of the
-       registered and adjoint sections from chi(y), then Newton on the
-       registered characteristic polynomial from there.  Accepted when r <=
-       CLASS_TOL and the adjoint power-sum certificate is at most _cert_tol
-       of the adjoint targets: in F4 and E6 fiber components of the
-       registered polynomial that belong to other classes score around 1.
-       In B, C, D and G2 the certificate is a function of the registered
-       spectrum (_ADJOINT_PLETHYSM), so it separates no classes that r does
-       not.
-    2. back-substitution on the fundamental characters (_back_substitute),
-       accepted when the relative character residual is at most CHAR_TOL.
-       They are coordinates on the cross-section (Steinberg 1965, sections
-       7-8), so this pins the regular class without a certificate; r and
-       the certificate at its t are reported, not enforced.
+    - Type A: chi(C(t)) = t, so t = chi(y) (in Gamma order), accepted when
+      r <= CLASS_TOL.
+    - B, C, D and G2 (the families of _ADJOINT_PLETHYSM): power sums, then
+      polish.  Gauss-Newton on the power sums of the registered section and
+      their adjoint plethysm from chi(y), then Newton on the registered
+      characteristic polynomial from there; accepted when r <= CLASS_TOL,
+      else back-substitution.
+    - F4 and E6: back-substitution only.  Their registered characteristic
+      polynomial alone does not separate regular classes.
 
-    A failure names the character residual, its bound and node, and route
-    1's r and certificate with their bounds.
+    Back-substitution (_back_substitute) solves the fundamental characters,
+    which are coordinates on the cross-section (Steinberg 1965, sections
+    7-8), so it pins the regular class; it is accepted at CHAR_TOL, and r at
+    its t is reported, not enforced.  A failure names the character
+    residual, its bound and node, and the power-sum route's r and bound.
     """
+    rep = registered_representation(str(rs.type))
     t0 = torus_character_values(rs, [fundamental_characters(str(rs.type), k) for k in order], y)
     reg_eig = _target_eigenvalues(rep, y)
     poly = np.poly(np.diag(reg_eig))
@@ -588,30 +528,21 @@ def _solve_class(
             raise ConsistencyError(
                 f"type-A class: registered residual {r:.3g} (bound {CLASS_TOL:g}) at t = chi(y)"
             )
-        return t0, r, 0.0
-    adj = _adjoint_section(str(rs.type))
-    ad_eig = _target_eigenvalues(adj, y)
-    cert_tol = _cert_tol(ad_eig)
-
-    def certificate(t) -> float:
-        section = steinberg_section(adj, bip, t).full()
-        return _power_sum_certificate(np.linalg.eigvals(section), ad_eig)
-
-    t_ps, _ = _solve_power_sums(rep, bip, adj, t0, reg_eig, ad_eig)
-    t, r = _gauss_newton(registered_residual, t_ps, SOLVE_TOL, 60, 1, seed=0)
-    cert = certificate(t)
-    if r > CLASS_TOL or cert > cert_tol:
-        try:
-            t, _ = _back_substitute(str(rs.type), t0)
-        except ConsistencyError as exc:
-            raise ConsistencyError(
-                f"class solve failed, {exc}; power-sum route: registered residual {r:.3g} "
-                f"(bound {CLASS_TOL:g}), adjoint certificate {cert:.3g} "
-                f"(threshold _cert_tol = {cert_tol:.3g})"
-            ) from None
-        r = float(np.max(np.abs(registered_residual(t))))
-        cert = certificate(t)
-    return t, float(r), float(cert)
+        return t0, r
+    plethysm = _ADJOINT_PLETHYSM.get(rs.type.family)
+    route1 = ""
+    if plethysm is not None:
+        ad_eig = _target_eigenvalues(_adjoint_section(str(rs.type)), y)
+        t_ps, _ = _solve_power_sums(rep, bip, plethysm, t0, reg_eig, ad_eig)
+        t, r = _gauss_newton(registered_residual, t_ps, SOLVE_TOL, 60, 1, seed=0)
+        if r <= CLASS_TOL:
+            return t, float(r)
+        route1 = f"; power-sum route: registered residual {r:.3g} (bound {CLASS_TOL:g})"
+    try:
+        t, _ = _back_substitute(str(rs.type), t0)
+    except ConsistencyError as exc:
+        raise ConsistencyError(f"class solve failed, {exc}{route1}") from None
+    return t, float(np.max(np.abs(registered_residual(t))))
 
 
 def stokes_from_asymptotics(
@@ -625,7 +556,8 @@ def stokes_from_asymptotics(
     for i = 0..l.  The parameters t come from the fundamental characters at
     y = (m+x0)/s (paired with the weight dual to each Gamma entry), corrected
     by the class solve (_solve_class) so that M0 lies in the conjugacy class
-    of e^{2 pi i y}.
+    of e^{2 pi i y}.  rep (default: the registered representation) is the one
+    M0, K1 and K2 are assembled in; it does not change t.
     """
     rs = build_root_system(type_name)
     if rep is None:
@@ -638,7 +570,7 @@ def stokes_from_asymptotics(
     y = pt.y
     bip = bipartition(rs)
     order = tuple(sorted(bip.i2)) + tuple(sorted(bip.i1))
-    t, class_res, adjoint_cert = _solve_class(rs, rep, bip, order, y)
+    t, class_res = _solve_class(rs, bip, order, y)
 
     cs = steinberg_section(rep, bip, t)
     m0 = cs.full()
@@ -669,7 +601,6 @@ def stokes_from_asymptotics(
         k2_support=k2_support,
         factorization_residual=float(resid),
         class_residual=float(class_res),
-        adjoint_class_residual=float(adjoint_cert),
     )
 
 

@@ -86,6 +86,67 @@ def test_stokes_inadmissible(tmp_path):
     assert doc["alcove"]["admissible"] is False
 
 
+@pytest.mark.parametrize("type_name,rep", [("B3", "0"), ("B3", "-1"), ("B3", "4"), ("G2", "3")])
+def test_stokes_rep_outside_the_rank_is_a_domain_error(type_name, rep, capsys):
+    assert run(["stokes", "--type", type_name, "--rep=" + rep]) == EXIT_DOMAIN
+    assert f"outside 1..{type_name[1]}" in capsys.readouterr().err
+
+
+def test_stokes_rep_without_a_registered_representation_fails_first(capsys):
+    # the class solve needs the registered representation, so E7 fails before
+    # its 56-dim V(omega_7) is built
+    assert run(["stokes", "--type", "E7", "--rep", "7"]) == EXIT_DOMAIN
+    assert "no registered representation for E7" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "type_name,m", [("B3", "-1/8,-5/4,-15/8"), ("G2", "-45/8,-13/4"), ("D4", "-7/8,-1,-1/2,-3/4")]
+)
+def test_stokes_t_does_not_depend_on_rep(tmp_path, type_name, m):
+    # the class is solved in the registered representation; --rep only picks
+    # the one M0, K1 and K2 are assembled and checked in (JSON floats
+    # round-trip, so equal lists are bit-identical t)
+    docs = []
+    for extra in ([], ["--rep", "2"]):
+        out = tmp_path / "s.json"
+        argv = ["stokes", "--type", type_name, "--m=" + m, "--json-out", str(out), *extra]
+        assert run(argv) == EXIT_OK
+        docs.append(json.loads(out.read_text()))
+    assert docs[0]["rep"] != docs[1]["rep"]
+    assert docs[0]["t"] == docs[1]["t"]
+
+
+# F4 and E6 at m = 0 and at every alcove vertex, with the exit code and, where
+# pinned, the exact class point t (Gamma order).  F4 v0 and E6 v0, v1 and v6
+# solve to their class but miss the 1e-7 bound of the float characteristic
+# polynomial check (exit 3).
+F4_E6_CENSUS = [
+    ("F4", "0,0,0,0", EXIT_OK, (0, 0, 0, 0)),
+    ("F4", "-11,-21,-30,-16", EXIT_VERIFY, (3732, 27, 79, 378)),
+    ("F4", "1,-3,-6,-4", EXIT_OK, None),
+    ("F4", "1,3,2,0", EXIT_OK, None),
+    ("F4", "1,3,6,2", EXIT_OK, None),
+    ("F4", "1,3,6,8", EXIT_OK, None),
+    ("E6", "0,0,0,0,0,0", EXIT_OK, (0, 0, 0, 0, 0, 0)),
+    ("E6", "-8,-11,-15,-21,-15,-8", EXIT_VERIFY, (79, 378, 378, 27, 3732, 27)),
+    ("E6", "8,1,5,3,1,0", EXIT_VERIFY, None),
+    ("E6", "-2,1,-3,-3,-3,-2", EXIT_OK, None),
+    ("E6", "2,1,5,3,1,0", EXIT_OK, None),
+    ("E6", "0,1,1,3,1,0", EXIT_OK, None),
+    ("E6", "0,1,1,3,5,2", EXIT_OK, None),
+    ("E6", "0,1,1,3,5,8", EXIT_VERIFY, None),
+]
+
+
+def test_f4_and_e6_census(tmp_path):
+    out = tmp_path / "s.json"
+    for type_name, m, code, t_exact in F4_E6_CENSUS:
+        assert run(["stokes", "--type", type_name, "--m=" + m, "--json-out", str(out)]) == code, m
+        if t_exact is not None:
+            t = [complex(*z) for z in json.loads(out.read_text())["t"]]
+            assert max(abs(a - b) for a, b in zip(t, t_exact)) <= 1e-12 * max(1, *t_exact), m
+
+
 def test_monodromy_pass_and_fail(tmp_path):
     out = tmp_path / "m.json"
     assert run(["monodromy", "--rank", "2", "--k", "0,1,1",
@@ -241,6 +302,8 @@ for name, m in (
     ("G2", "-9,-5"),
     ("C3", "1,4,9/2"),
     ("D5", "0,0,0,0,0"),
+    ("F4", "0,0,0,0"),
+    ("E6", "0,0,0,0,0,0"),
 ):
     buf = io.StringIO()
     with contextlib.redirect_stdout(buf):
@@ -250,8 +313,7 @@ for name, m in (
 
 
 def test_stokes_output_does_not_depend_on_blas_threads():
-    # B-D and G2 points, vertices among them; E6 is left out, its reported
-    # adjoint certificate still moves with the thread count
+    # B-D, G2, F4 and E6 points, vertices among them
     src = str(Path(coxstokes.__file__).resolve().parents[1])
     outs = []
     for threads in ("1", "2"):

@@ -198,7 +198,7 @@ CASES = [
     ("stokes", ("t", 0), [0.5, 0.0, 1.0], False),    # maxItems 2
     ("stokes", ("t", 0, 1), True, False),
     ("stokes", ("class_residual",), _DROP, False),
-    ("stokes", ("adjoint_class_residual",), "0", False),
+    ("stokes", ("class_residual",), "0", False),     # a string is not a number
     ("stokes", ("support_residuals", "k2"), _DROP, False),
     ("stokes", ("support_residuals", "k1"), None, False),
     ("stokes", ("spectrum_check", "ok"), 1, False),

@@ -1,9 +1,11 @@
 import dataclasses
+import json
 
 import numpy as np
 import pytest
 from scipy.optimize import linear_sum_assignment
 
+from coxstokes import cli
 from coxstokes.chevalley import build_chevalley
 from coxstokes.cli import STANDARD_TYPES
 from coxstokes.coxeter import bipartition, coxeter_plane
@@ -83,7 +85,6 @@ def test_match_plane_default_coefficients(name):
     sr = ad_spectrum(build_e_plus(alg))
     m = match_plane(sr, plane)
     assert m.max_residual < 1e-6
-    assert m.per_ray_counts_match
     # per-ray eigenvalue count equals |R(d_i)| as multisets of (sorted) counts
     assert sorted(c for _, c in sr.rays) == sorted(len(a) for a in plane.assignment)
 
@@ -163,3 +164,30 @@ def test_perturbed_eigenvalue_fails_match():
     nz[5] *= 1 + 1e-4
     with pytest.raises(SpectrumMismatch, match="match residual"):
         match_plane(dataclasses.replace(sr, nonzero=nz), plane)
+
+
+def _tampered_plane(plane):
+    """The plane with one root moved from ray d_2 to ray d_3, coordinates unchanged."""
+    assign = list(plane.assignment)
+    root = min(assign[1])
+    assign[1] = assign[1] - {root}
+    assign[2] = assign[2] | {root}
+    return dataclasses.replace(plane, assignment=tuple(assign))
+
+
+def test_tampered_ray_counts_fail_match():
+    plane, sr = _plane_and_spectrum("D4")
+    with pytest.raises(SpectrumMismatch, match="per-ray counts"):
+        match_plane(sr, _tampered_plane(plane))
+
+
+def test_verify_reports_tampered_ray_counts(tmp_path, monkeypatch):
+    real = cli.coxeter_plane
+    monkeypatch.setattr(
+        cli, "coxeter_plane", lambda rs, bip, ray_tol: _tampered_plane(real(rs, bip, ray_tol=ray_tol))
+    )
+    out = tmp_path / "v.json"
+    assert cli.main(["verify", "--type", "D4", "--json-out", str(out)]) == cli.EXIT_VERIFY
+    checks = {c["name"]: c for c in json.loads(out.read_text())["checks"]}
+    assert not checks["apposition_spectrum"]["passed"]
+    assert "per-ray counts" in checks["apposition_spectrum"]["detail"]
