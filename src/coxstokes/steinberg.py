@@ -224,6 +224,11 @@ def _target_eigenvalues(rep: Representation | _AdjointSection, y) -> np.ndarray:
     return np.exp(2j * np.pi * rep.weight_values(y))
 
 
+def _distinct(eig: np.ndarray) -> bool:
+    """No two of eig within 1e-8 of each other (regular, not resonant, targets)."""
+    return bool(np.min(np.abs(eig[:, None] - eig[None, :]) + np.eye(len(eig))) > 1e-8)
+
+
 def _gauss_newton(
     resid, t0, tol: float, iters: int, restarts: int, seed: int
 ) -> Tuple[np.ndarray, float]:
@@ -279,11 +284,10 @@ class _AdjointSection:
     weights are the roots in rs.roots order, then l zeros.
 
     Its sections give the G2, F4 and E6 characters that are read off ad
-    (characters_from_matrices) and the support check; its torus targets
-    give the power-sum route's adjoint power sums.  Its section is never
-    diagonalized: in B, C, D and G2 the adjoint is a plethysm of the
-    registered V (_ADJOINT_PLETHYSM), and F4 and E6 solve by
-    back-substitution.
+    (characters_from_matrices) and the support check.  Neither its section
+    nor its torus targets enter the class solve: in B, C, D and G2 the
+    adjoint power sums are a plethysm of the registered V's
+    (_ADJOINT_PLETHYSM), and F4 and E6 solve by back-substitution.
     """
 
     def __init__(self, rs: RootSystem):
@@ -421,33 +425,34 @@ def _power_sums(eig: np.ndarray, ks: np.ndarray) -> np.ndarray:
 
 
 def _solve_power_sums(
-    rep: Representation, bip: Bipartition, plethysm, t0, reg_eig, ad_eig
+    rep: Representation, bip: Bipartition, t0, reg_eig
 ) -> Tuple[np.ndarray, float]:
     """Gauss-Newton on the power sums tr(C^k) of the registered and adjoint sections, from t0.
 
     Power sums are smooth in the section parameters with no resonant
-    conditioning collapse, so the solve reaches machine precision even when
-    the target spectra are heavily degenerate (where coefficient or
-    eigenvalue-matching systems floor out near sqrt(eps)).
-
-    The adjoint power sums follow from the registered eigenvalues by the
-    family's plethysm (_ADJOINT_PLETHYSM), so only the registered section is
+    conditioning collapse.  The adjoint power sums, of the section and of the
+    targets alike, follow from the registered eigenvalues by the family's
+    plethysm (_ADJOINT_PLETHYSM), so only the registered section is
     diagonalized; those adjoint equations repeat registered information and
     pin no more than the registered power sums do.
     """
+    rs = rep.rs
+    plethysm = _ADJOINT_PLETHYSM[rs.type.family]
+    dim_ad = len(rs.roots) + rs.rank
     kr = np.arange(1, min(rep.dim, 24) + 1)
-    ka = np.arange(1, min(len(ad_eig), 28) + 1)
-    pr = _power_sums(reg_eig, kr) / rep.dim
-    pa = _power_sums(ad_eig, ka) / len(ad_eig)
+    ka = np.arange(1, min(dim_ad, 28) + 1)
 
-    def resid(t):
-        er = np.linalg.eigvals(steinberg_section(rep, bip, t).full())
+    def sums(eig):
         # a trial step far off the class can overflow the powers; the line
         # search rejects the non-finite residual
         with np.errstate(over="ignore", invalid="ignore"):
-            fr = _power_sums(er, kr) / rep.dim - pr
-            fa = plethysm(_power_sums(er, ka), _power_sums(er, 2 * ka)) / len(ad_eig) - pa
-        return np.concatenate([fr, fa])
+            pa = plethysm(_power_sums(eig, ka), _power_sums(eig, 2 * ka))
+            return np.concatenate([_power_sums(eig, kr) / rep.dim, pa / dim_ad])
+
+    target = sums(reg_eig)
+
+    def resid(t):
+        return sums(np.linalg.eigvals(steinberg_section(rep, bip, t).full())) - target
 
     return _gauss_newton(resid, t0, 1e-12, 60, 3, seed=1)
 
@@ -500,13 +505,16 @@ def _solve_class(
 
     - Type A: chi(C(t)) = t, so t = chi(y) (in Gamma order), accepted when
       r <= CLASS_TOL.
-    - B, C, D and G2 (the families of _ADJOINT_PLETHYSM): power sums, then
-      polish.  Gauss-Newton on the power sums of the registered section and
-      their adjoint plethysm from chi(y), then Newton on the registered
-      characteristic polynomial from there; accepted when r <= CLASS_TOL,
-      else back-substitution.
-    - F4 and E6: back-substitution only.  Their registered characteristic
-      polynomial alone does not separate regular classes.
+    - B, C, D and G2 (the families of _ADJOINT_PLETHYSM) with distinct
+      registered targets: power sums, then polish.  Gauss-Newton on the
+      power sums of the registered section and their adjoint plethysm from
+      chi(y), then Newton on the registered characteristic polynomial from
+      there; accepted when r <= CLASS_TOL, else back-substitution.
+    - Colliding registered targets (every alcove vertex, and resonant
+      interior points), F4 and E6: back-substitution only.  Where targets
+      collide, r <= CLASS_TOL pins t only to about sqrt(r) (1e-6 at the
+      B3, B4, D4 and D5 vertices); in F4 and E6 the registered polynomial
+      alone does not separate regular classes.
 
     Back-substitution (_back_substitute) solves the fundamental characters,
     which are coordinates on the cross-section (Steinberg 1965, sections
@@ -529,11 +537,9 @@ def _solve_class(
                 f"type-A class: registered residual {r:.3g} (bound {CLASS_TOL:g}) at t = chi(y)"
             )
         return t0, r
-    plethysm = _ADJOINT_PLETHYSM.get(rs.type.family)
     route1 = ""
-    if plethysm is not None:
-        ad_eig = _target_eigenvalues(_adjoint_section(str(rs.type)), y)
-        t_ps, _ = _solve_power_sums(rep, bip, plethysm, t0, reg_eig, ad_eig)
+    if rs.type.family in _ADJOINT_PLETHYSM and _distinct(reg_eig):
+        t_ps, _ = _solve_power_sums(rep, bip, t0, reg_eig)
         t, r = _gauss_newton(registered_residual, t_ps, SOLVE_TOL, 60, 1, seed=0)
         if r <= CLASS_TOL:
             return t, float(r)
@@ -674,8 +680,7 @@ def semisimple_spectrum_check(
     got_poly = np.poly(sd.m0)
     want_poly = np.poly(np.diag(pred))
     poly_res = float(np.max(np.abs(got_poly - want_poly)))
-    dists = np.abs(pred[:, None] - pred[None, :]) + np.eye(len(pred))
-    regular = bool(np.min(dists) > 1e-8)
+    regular = _distinct(pred)
     eig_res = None
     if regular:
         got = np.linalg.eigvals(sd.m0)
