@@ -512,9 +512,9 @@ def _solve_class(
       there; accepted when r <= CLASS_TOL, else back-substitution.
     - Colliding registered targets (every alcove vertex, and resonant
       interior points), F4 and E6: back-substitution only.  Where targets
-      collide, r <= CLASS_TOL pins t only to about sqrt(r) (1e-6 at the
-      B3, B4, D4 and D5 vertices); in F4 and E6 the registered polynomial
-      alone does not separate regular classes.
+      collide, r <= CLASS_TOL pins t only to about sqrt(r) (route 1 ends up
+      to 4.5e-6 off at B2-B4, D4 and D5 vertices); in F4 and E6 the
+      registered polynomial alone does not separate regular classes.
 
     Back-substitution (_back_substitute) solves the fundamental characters,
     which are coordinates on the cross-section (Steinberg 1965, sections

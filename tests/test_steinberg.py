@@ -259,11 +259,12 @@ def test_adjoint_exp_series_matches_expm(name):
 
 
 # t recorded with the cross-section built from scipy.linalg.expm on every
-# evaluation: the benchmark's interior points and every alcove vertex.  The
-# vertex rows, B3 (0, -7/4, -21/8) and D5 vertex 0 have colliding registered
-# targets and are the exact back-substitution answers (B3 (0, -7/4, -21/8),
-# (0, 1, 0) and (0, 1, 3) were first recorded from the power-sum route, about
-# 2e-6 off in t_3); the other interior rows are the power-sum route's.
+# evaluation: the benchmark's interior points and every alcove vertex.  At the
+# vertex rows, B3 (0, -7/4, -21/8) and D5 vertex 0 the registered targets
+# collide and the class solve back-substitutes; these rows agree with its
+# exact answer to 1e-12.  B3 (0, -7/4, -21/8), (0, 1, 0) and (0, 1, 3) are
+# recorded from back-substitution: the power-sum route left t_3 about 2e-6
+# off there.  The other interior rows are the power-sum route's.
 GOLDEN_T = [
     ("B3", "-1/8,-5/4,-15/8", "interior", [
         (3.3363572758385955, -2.6889794309291408e-15),
@@ -379,9 +380,9 @@ def test_section_parameters_golden(name, m_text, kind, t_ref):
 
 
 # Alcove vertices with the t back-substitution returns (in Gamma order):
-# integers, as at every vertex measured so far.  At the D5 and B4 rows the
-# power-sum route reaches the registered bound 1.4e-6 to 4.5e-6 away from
-# these; the class solve back-substitutes there, as at every vertex.
+# integers, as at every vertex measured so far.  At the D5 rows the power-sum
+# route meets the registered bound 1.4e-6 to 4.5e-6 away from these; the
+# class solve back-substitutes there, as at every vertex.
 CENSUS = [
     ("D5", "-4,-7,-9,-5,-5", (46, 16, 16, 10, 130)),
     ("B4", "-4,-7,-9,-10", (46, 16, 10, 130)),
@@ -401,11 +402,13 @@ def test_character_route_at_census_vertices(name, m_text, t_exact):
     rs = build_root_system(name)
     bip = bipartition(rs)
     order = tuple(sorted(bip.i2)) + tuple(sorted(bip.i1))
-    y = alcove_map(rs, [Q(c) for c in m_text.split(",")]).y
+    m = [Q(c) for c in m_text.split(",")]
+    y = alcove_map(rs, m).y
     chi = torus_character_values(rs, [fundamental_characters(name, k) for k in order], y)
     t, r = steinberg._back_substitute(name, chi)
     assert r <= CHAR_TOL
     assert np.max(np.abs(t - np.array(t_exact))) <= 1e-9
+    assert np.max(np.abs(np.array(stokes_from_asymptotics(name, m).t) - t_exact)) <= 1e-9
     # every fundamental representation small enough to build has its target
     # spectrum at t (characteristic polynomials: the targets are degenerate)
     for k in range(1, rs.rank + 1):
@@ -417,31 +420,35 @@ def test_character_route_at_census_vertices(name, m_text, t_exact):
         assert np.max(np.abs(got - want)) <= 1e-9 * np.max(np.abs(want)), k
 
 
-@pytest.mark.parametrize(
-    "name,m_text,t_exact", [pytest.param(*row, id=f"{row[0]}[{row[1]}]") for row in CENSUS]
-)
-def test_stokes_t_at_census_vertices(name, m_text, t_exact):
-    sd = stokes_from_asymptotics(name, [Q(c) for c in m_text.split(",")])
-    assert np.max(np.abs(np.array(sd.t) - np.array(t_exact))) <= 1e-9
-
-
 REGISTERED = ("A2", "A3", "A4", "A5", "A6", "B2", "B3", "B4", "C3", "D4", "D5", "G2", "F4", "E6")
 
 
 @pytest.mark.parametrize("name", REGISTERED)
-def test_back_substitution_at_every_alcove_vertex(name):
-    # y = 0 and y = eps_j / q_j (alpha_i(y) = delta_ij / q_j), the l + 1 vertices
+def test_back_substitution_at_every_alcove_vertex(name, monkeypatch):
+    # y = 0 and y = eps_j / q_j (alpha_i(y) = delta_ij / q_j), the l + 1 vertices.
+    # Their registered targets collide, where the registered residual pins t
+    # only to about sqrt(eps): outside type A the class solve returns the
+    # back-substitution t and never enters the power-sum route.
+    def forbidden(*args):
+        raise AssertionError("power-sum route entered")
+
+    monkeypatch.setattr(steinberg, "_solve_power_sums", forbidden)
     rs = build_root_system(name)
     bip = bipartition(rs)
     order = tuple(sorted(bip.i2)) + tuple(sorted(bip.i1))
     tables = [fundamental_characters(name, k) for k in order]
-    l = rs.rank
+    reg = registered_representation(name)
+    l, s = rs.rank, rs.coxeter_number
     ys = [(Q(0),) * l] + [
         tuple(rs.epsilon_basis[k][j] / rs.marks[j + 1] for k in range(l)) for j in range(l)
     ]
     for v, y in enumerate(ys):
-        _, r = steinberg._back_substitute(name, torus_character_values(rs, tables, y))
+        t, r = steinberg._back_substitute(name, torus_character_values(rs, tables, y))
         assert r <= CHAR_TOL, v
+        assert not steinberg._distinct(steinberg._target_eigenvalues(reg, y)), v
+        if rs.type.family != "A":
+            m = [s * c - x for c, x in zip(y, rs.r_coeffs)]
+            assert np.array_equal(stokes_from_asymptotics(name, m).t, t), v
 
 
 @pytest.mark.parametrize("name", REGISTERED)
@@ -571,32 +578,6 @@ def test_adjoint_plethysm_at_a_defective_vertex(name):
     # float eigenvalues of the defective 10-45-dim adjoint section scatter,
     # so its own power sums agree only to ~1e-8 here (C3)
     assert np.max(np.abs(got - want) / scale) <= 1e-7
-
-
-@pytest.mark.parametrize("name", PLETHYSM_TYPES)
-def test_colliding_targets_back_substitute(name, monkeypatch):
-    # at every alcove vertex the registered targets collide, where the
-    # registered residual pins t only to about sqrt(eps): the class solve
-    # never enters the power-sum route and returns the back-substitution t
-    def forbidden(*args):
-        raise AssertionError("power-sum route entered")
-
-    monkeypatch.setattr(steinberg, "_solve_power_sums", forbidden)
-    rs = build_root_system(name)
-    bip = bipartition(rs)
-    order = tuple(sorted(bip.i2)) + tuple(sorted(bip.i1))
-    tables = [fundamental_characters(name, k) for k in order]
-    rep = registered_representation(name)
-    l, s = rs.rank, rs.coxeter_number
-    ys = [(Q(0),) * l] + [
-        tuple(rs.epsilon_basis[k][j] / rs.marks[j + 1] for k in range(l)) for j in range(l)
-    ]
-    for v, y in enumerate(ys):
-        m = [s * c - r for c, r in zip(y, rs.r_coeffs)]
-        assert alcove_map(rs, m).y == y
-        assert not steinberg._distinct(steinberg._target_eigenvalues(rep, y)), v
-        t, _ = steinberg._back_substitute(name, torus_character_values(rs, tables, y))
-        assert np.array_equal(stokes_from_asymptotics(name, m).t, t), v
 
 
 def test_no_adjoint_plethysm_for_f4_and_e6(monkeypatch):
