@@ -329,7 +329,7 @@ def cmd_monodromy(args) -> int:
     fs = formal_solution(sys_, args.order)
     rep = numerical_monodromy(sys_, radius=args.radius)
     doc = {
-        "schema_version": 2,
+        "schema_version": 3,
         "rank": rep.n,
         "k": [str(x) for x in rep.k],
         "z": rep.z,
@@ -339,6 +339,7 @@ def cmd_monodromy(args) -> int:
         "max_coeff_residual": rep.max_coeff_residual,
         "exponent_residual": rep.exponent_residual,
         "error_estimate": rep.error_estimate,
+        "rounding_noise": rep.rounding_noise,
         "central_factor": [rep.central_factor.real, rep.central_factor.imag],
         "tolerance": args.tol,
         "passed": rep.max_coeff_residual < args.tol and rep.exponent_residual < args.tol,

@@ -177,10 +177,6 @@ class CoxeterPlaneDiagram:
     def num_rays(self) -> int:
         return len(self.ray_angles)
 
-    def positive_sector(self) -> Tuple[FrozenSet[Root], ...]:
-        s = len(self.ray_angles) // 2
-        return self.assignment[:s]
-
 
 def _cluster(values: Sequence[float], tol: float) -> List[List[int]]:
     """Index groups of values whose sorted neighbours lie within tol."""

@@ -9,29 +9,66 @@ On the circle lambda = r e^{i theta} the system reads
 
     dPhi/dtheta = A(theta) Phi,   A(theta) = i M + e^{-i theta} K,
 
-with M = diag(m) and K = -i (s/N)(z/r) eta_+ constant.  The monodromy is
-integrated with N equal steps of the sixth-order Magnus method on three
-Gauss-Legendre nodes per step, in the Blanes-Casas-Ros form with three
-commutators (Blanes, Casas, Oteo, Ros, "The Magnus expansion and some of its
-applications", Phys. Rep. 470 (2009)).  The step rule is
+with M = diag(m) and K = -i (s/N)(z/r) eta_+ constant.  It has the cyclic
+symmetry of the tt*-Toda system (Guest, Its, Lin, "Isomonodromy aspects of the
+tt* equations of Cecotti and Vafa I", Comm. Math. Phys. 2015)
+
+    A(theta + 2 pi/s) = Omega A(theta) Omega^{-1},
+    Omega = diag(omega^j) (j = 0..n),   omega = e^{2 pi i/s}:
+
+M is diagonal, and the entries of eta_+ sit at (j - 1, j) and (n, 0), which
+conjugation by Omega multiplies by omega^{-1}, as the turn by 2 pi/s multiplies
+e^{-i theta}.  Hence, with Phi(0) = I and U_1 = Phi(2 pi/s),
+Phi(theta + 2 pi/s) = Omega Phi(theta) Omega^{-1} U_1, and as Omega^s = I,
+
+    Phi(2 pi) = (Omega^{-1} U_1)^s.
+
+This is the shape of the prediction P0^{-s} (M0)^s: P0 = e^{i pi n/s} Omega^{-1}
+(the exponential of 2 pi i x0/s) acts on M and eta_+ as Omega^{-1} does, and the
+two differ by a central scalar.
+
+U_1 is integrated with per = 2 ceil(N/(2s)) equal steps of the sixth-order
+Magnus method on three Gauss-Legendre nodes per step, in the Blanes-Casas-Ros
+form with three commutators (Blanes, Casas, Oteo, Ros, "The Magnus expansion
+and some of its applications", Phys. Rep. 470 (2009)).  N is the full-circle
+step rule
 
     N = max(128, 2^ceil(log2(2 pi rho / 0.2))),   rho = ||M||_2 + ||K||_2,
 
-so that h ||A(theta)|| <= 0.2 on every step.  All N step generators Omega are
-formed in one batched expression and exponentiated together by their Taylor
-polynomial of degree 16, evaluated in Paterson-Stockmeyer form in six batched
-matrix products.  M is diagonal and K has
-one entry per row and column, so ||h A||_1 = ||h A||_2 <= 0.2 (0.4 for the
-N/2 steps below), and at ||Omega||_1 <= 0.5 the remainder is below 1e-19
-(scipy's expm would loop over the stack and wake a BLAS worker thread for
-its LU solves).  The propagators are multiplied one after another (a
-pairwise tree product loses about one digit to rounding).  The same integration with N/2 steps gives the
-Richardson estimate ||Phi_N - Phi_{N/2}|| / (63 ||Phi_N||) of the relative
-error.  Above 1e-9 the integration raises IntegratorError, unless the
-difference Phi_N - Phi_{N/2} is within a factor 10 of the rounding noise of
-the product itself, measured as the difference between the sequential and the
-pairwise product of the same propagators: there more steps cannot help, and
-the characteristic-polynomial comparison decides.
+so the circle is cut into s per >= N steps and h ||A(theta)|| <= 0.2 on every
+step.  All step generators of the sector are formed in one batched
+expression and exponentiated together by their Taylor polynomial of degree 16,
+evaluated in Paterson-Stockmeyer form in six batched matrix products.  M is
+diagonal and K has one entry per row and column, so ||h A||_1 = ||h A||_2 <= 0.2
+(0.4 for the per/2 steps below), and at a generator 1-norm <= 0.5 the remainder
+is below 1e-19 (scipy's expm would loop over the stack and wake a BLAS worker
+thread for its LU solves).
+
+The propagators are multiplied pairwise in np.clongdouble to U_1, and the s-th
+power is taken in np.clongdouble too.  Powering in double loses digits when Phi
+grows inside the loop: at one sl3 system with M = 0, where Phi(2 pi) = I and
+||U_1|| = 4.2e3, the double-precision power is off by 1.8e-6 relative and the
+extended one by 2.1e-9.  The same integration with per/2 steps a sector gives
+the Richardson estimate ||Phi_N - Phi_{N/2}|| / (63 ||Phi_N||) of the relative
+error.  The rounding noise is ||Phi_N - Phi_double|| / ||Phi_N||, with Phi_double
+the same propagators multiplied pairwise and powered in double precision.
+Above 1e-9 the integration raises IntegratorError, unless Phi_N - Phi_{N/2} is
+within a factor 10 of the rounding noise: there more steps cannot help, and
+the characteristic-polynomial comparison decides.  ``steps`` counts the Magnus
+steps of the whole circle, s per, and ``nfev`` the coefficient evaluations at
+the Gauss nodes made in the two sector integrations, 3 (per + per/2).
+
+The numerical characteristic polynomial is formed from the spectrum of the
+sector factor, eig(Phi(2 pi)) = eig(Omega^{-1} U_1)^s, which is the better
+conditioned of the two where ||Omega^{-1} U_1|| is far below ||Phi||: at an sl4
+system with ||Phi|| = 5.6e4 and ||U_1|| = 7.8e2 its residual is 4.3e-8, where
+the charpoly of Phi carries 4.5e-5.
+
+np.longdouble is the 80-bit x87 format on x86-64 Linux (eps 1.1e-19), where
+this was measured.  Where np.longdouble is plain double, powering loses digits
+as above, and the Richardson estimate and the rounding exemption are meant to
+turn that into IntegratorError (CLI exit 3), never into a silent pass; that
+case is unverified.
 
 Besides the numerical comparison, ``numerical_monodromy`` runs an exact,
 radius-free exponent check: the residue of the system at infinity is M, so the
@@ -45,7 +82,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction as Q
-from typing import Dict, List, NamedTuple, Sequence, Tuple
+from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -307,6 +344,7 @@ class MonodromyReport:
     max_coeff_residual: float
     exponent_residual: float           # predicted charpoly vs prod (x - e^{2 pi i m_j})
     error_estimate: float              # Richardson estimate of the integration error
+    rounding_noise: float              # relative distance to the double-precision product
     central_factor: complex            # the P0^{-s} scalar in the standard rep
     nfev: int
     steps: int
@@ -317,21 +355,23 @@ class MonodromyReport:
 
 
 class Integration(NamedTuple):
-    mono: np.ndarray
+    mono: np.ndarray                   # Phi(2 pi) = sector^s
+    sector: np.ndarray                 # the one-sector factor Omega^{-1} U_1
     nfev: int                          # coefficient evaluations at the Gauss nodes
-    steps: int
+    steps: int                         # Magnus steps of the full circle, s per sector
     error_estimate: float
+    rounding_noise: float
 
 
 def _commutator(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return a @ b - b @ a
 
 
-def _magnus_generators(im: np.ndarray, k: np.ndarray, steps: int) -> np.ndarray:
-    """The (steps, n, n) stack of sixth-order Magnus step generators Omega over [0, 2 pi]."""
+def _magnus_generators(im: np.ndarray, k: np.ndarray, steps: int, count: int) -> np.ndarray:
+    """The first count of the steps sixth-order Magnus step generators over [0, 2 pi]."""
     h = 2 * np.pi / steps
-    theta = h * (np.arange(steps)[:, None] + _GL_NODES)          # (steps, 3)
-    a = h * (im + np.exp(-1j * theta)[..., None, None] * k)      # (steps, 3, n, n)
+    theta = h * (np.arange(count)[:, None] + _GL_NODES)          # (count, 3)
+    a = h * (im + np.exp(-1j * theta)[..., None, None] * k)      # (count, 3, n, n)
     alpha1 = a[:, 1]
     alpha2 = math.sqrt(15.0) / 3 * (a[:, 2] - a[:, 0])
     alpha3 = 10.0 / 3 * (a[:, 2] - 2 * a[:, 1] + a[:, 0])
@@ -340,10 +380,12 @@ def _magnus_generators(im: np.ndarray, k: np.ndarray, steps: int) -> np.ndarray:
     return alpha1 + alpha3 / 12 + _commutator(-20 * alpha1 - alpha3 + c1, alpha2 + c2) / 240
 
 
-def magnus_propagators(im: np.ndarray, k: np.ndarray, steps: int) -> np.ndarray:
-    """The (steps, n, n) stack of sixth-order Magnus step propagators over [0, 2 pi]."""
+def magnus_propagators(
+    im: np.ndarray, k: np.ndarray, steps: int, count: Optional[int] = None
+) -> np.ndarray:
+    """The first count (default all) of the steps sixth-order Magnus propagators over [0, 2 pi]."""
     # the generators' intermediate stacks are freed before the exponential allocates its powers
-    return _exp_taylor(_magnus_generators(im, k, steps))
+    return _exp_taylor(_magnus_generators(im, k, steps, steps if count is None else count))
 
 
 _EXP_COEFFS = tuple(1 / math.factorial(j) for j in range(EXP_DEGREE + 1))
@@ -388,11 +430,21 @@ def sequential_product(props: np.ndarray) -> np.ndarray:
     return phi
 
 
-def _tree_product(props: np.ndarray) -> np.ndarray:
-    """The same product as sequential_product, multiplied pairwise (power-of-two length)."""
+def tree_product(props: np.ndarray) -> np.ndarray:
+    """The same product as sequential_product, multiplied pairwise in the dtype of props."""
     while len(props) > 1:
-        props = props[1::2] @ props[0::2]
+        even = len(props) // 2 * 2
+        paired = props[1:even:2] @ props[0:even:2]
+        props = paired if even == len(props) else np.concatenate((paired, props[-1:]))
     return props[0]
+
+
+def sector_phases(s: int) -> np.ndarray:
+    """The diagonal omega^{-j}, j = 0..s-1, of Omega^{-1}, omega = e^{2 pi i/s}, in clongdouble."""
+    angle = 2 * np.arccos(np.longdouble(-1)) / s * np.arange(s, dtype=np.longdouble)
+    out = np.empty(s, dtype=np.clongdouble)
+    out.real, out.imag = np.cos(angle), -np.sin(angle)
+    return out
 
 
 def circle_coefficients(sys: MeromorphicSystem, radius: float) -> Tuple[np.ndarray, np.ndarray]:
@@ -404,24 +456,33 @@ def circle_coefficients(sys: MeromorphicSystem, radius: float) -> Tuple[np.ndarr
 def integrate_monodromy(sys: MeromorphicSystem, radius: float = 1.0) -> Integration:
     """Fundamental solution continued counterclockwise around |lambda| = radius."""
     im, k = circle_coefficients(sys, radius)
+    s = sys.s
     rho = np.linalg.norm(im, 2) + np.linalg.norm(k, 2)
-    steps = max(MIN_STEPS, 2 ** math.ceil(math.log2(2 * np.pi * rho / STEP_NORM)))
-    props = magnus_propagators(im, k, steps)
-    mono = sequential_product(props)
-    half = sequential_product(magnus_propagators(im, k, steps // 2))
+    full = max(MIN_STEPS, 2 ** math.ceil(math.log2(2 * np.pi * rho / STEP_NORM)))
+    per = 2 * math.ceil(full / (2 * s))  # even, so the Richardson run has per/2 steps a sector
+    steps = s * per
+    phases = sector_phases(s)[:, None]
+    props = magnus_propagators(im, k, steps, per)
+    sector = phases * tree_product(props.astype(np.clongdouble))
+    mono = np.linalg.matrix_power(sector, s)
+    half_props = magnus_propagators(im, k, steps // 2, per // 2).astype(np.clongdouble)
+    half = np.linalg.matrix_power(phases * tree_product(half_props), s)
     scale = np.linalg.norm(mono)
     estimate = float(np.linalg.norm(mono - half) / (63 * scale))
+    # the same propagators multiplied and powered in double precision
+    double = np.linalg.matrix_power(phases.astype(complex) * tree_product(props), s)
+    rounding = float(np.linalg.norm(mono - double) / scale)
     if not estimate <= ERROR_TOL:  # NaN too
-        # rounding noise of the product, seen by multiplying the same propagators pairwise;
-        # a difference Phi_N - Phi_{N/2} at that level is no truncation error
-        rounding = float(np.linalg.norm(mono - _tree_product(props)) / scale)
+        # a difference Phi_N - Phi_{N/2} at the level of the rounding noise is no truncation error
         if not 63 * estimate <= ROUNDING_MARGIN * rounding:
             raise IntegratorError(
                 f"integrator failed: Richardson estimate {estimate:.3g} above {ERROR_TOL:g}"
                 f" with {steps} Magnus steps, rounding noise {rounding:.3g}"
             )
-    nfev = len(_GL_NODES) * (steps + steps // 2)
-    return Integration(mono, nfev, steps, estimate)
+    nfev = len(_GL_NODES) * (per + per // 2)
+    return Integration(
+        mono.astype(complex), sector.astype(complex), nfev, steps, estimate, rounding
+    )
 
 
 def _central_factor(m: np.ndarray) -> complex:
@@ -445,7 +506,7 @@ def numerical_monodromy(sys: MeromorphicSystem, radius: float = 1.0) -> Monodrom
     solutions by an unknowable constant factor.  The prediction is also
     compared with the exact exponent at infinity (exponent_residual).
     """
-    mono, nfev, steps, estimate = integrate_monodromy(sys, radius)
+    integ = integrate_monodromy(sys, radius)
 
     sd = stokes_from_asymptotics(f"A{sys.n}", sys.m_coords())
     rep = registered_representation(f"A{sys.n}")
@@ -455,7 +516,8 @@ def numerical_monodromy(sys: MeromorphicSystem, radius: float = 1.0) -> Monodrom
     central = _central_factor(p0_inv_s)
     pred = p0_inv_s @ m0s
 
-    cp_num = np.poly(mono)
+    # eig(Phi(2 pi)) = eig(sector)^s, and the sector factor's spectrum is the better conditioned
+    cp_num = np.poly(np.linalg.eigvals(integ.sector) ** s)
     cp_pred = np.poly(pred)
     resid = float(np.max(np.abs(cp_num - cp_pred)))
     exp_resid = float(np.max(np.abs(cp_pred - exponent_charpoly(sys.m_entries))))
@@ -468,8 +530,9 @@ def numerical_monodromy(sys: MeromorphicSystem, radius: float = 1.0) -> Monodrom
         predicted_charpoly=cp_pred,
         max_coeff_residual=resid,
         exponent_residual=exp_resid,
-        error_estimate=estimate,
+        error_estimate=integ.error_estimate,
+        rounding_noise=integ.rounding_noise,
         central_factor=central,
-        nfev=nfev,
-        steps=steps,
+        nfev=integ.nfev,
+        steps=integ.steps,
     )

@@ -9,7 +9,7 @@ from scipy.linalg import expm
 
 from coxstokes import oracle
 from coxstokes.chevalley import build_chevalley
-from coxstokes.cli import EXIT_VERIFY, main
+from coxstokes.cli import EXIT_OK, main
 from coxstokes.rootcore import build_root_system
 from coxstokes.scalars import mat_inv, mat_vec
 from coxstokes.oracle import (
@@ -237,7 +237,9 @@ def test_magnus_matches_dop853_reference():
             want = _dop853_reference(sys_, radius)
             assert np.linalg.norm(got.mono - want) <= 1e-9 * np.linalg.norm(want), (n, radius)
             assert type(got.nfev) is int and type(got.steps) is int
-            assert got.steps >= oracle.MIN_STEPS and got.nfev == 3 * (got.steps + got.steps // 2)
+            per = got.steps // sys_.s  # Magnus steps in one sector of 2 pi / s
+            assert got.steps == sys_.s * per >= oracle.MIN_STEPS and per % 2 == 0
+            assert got.nfev == 3 * (per + per // 2)
             assert got.error_estimate <= oracle.ERROR_TOL
 
 
@@ -255,8 +257,9 @@ def test_magnus_is_sixth_order():
 
 
 def test_step_rule():
+    # sl3 at radius 1: the full-circle rule's 128 steps become 3 sectors of 2 ceil(128/6) = 44
     sys3 = build_system(2, [1, 1, 1], [0, 1, 1], 1.0)
-    assert integrate_monodromy(sys3).steps == 128
+    assert integrate_monodromy(sys3).steps == 132
     # rho = ||M|| + ||K|| grows like 1/radius; h rho <= 0.2 needs more steps
     im, k = circle_coefficients(sys3, 0.1)
     rho = np.linalg.norm(im, 2) + np.linalg.norm(k, 2)
@@ -300,15 +303,16 @@ def test_error_estimate_above_tolerance_raises(monkeypatch):
 
 
 def test_error_estimate_at_rounding_noise_does_not_raise():
-    # a benchmark system with M = 0: the solution grows to |Phi| ~ 4e4 inside the
-    # loop and returns to I, so Phi_N and Phi_{N/2} differ by rounding noise only
-    # (its Richardson estimate is about 3e-9, above ERROR_TOL)
-    sys4 = build_system(3, [1.717, 1.627, 1.071, 1.738], [Q(-1, 2)] * 4, 1.934)
+    # a system with M = 0: the solution grows inside the loop and returns to I, so
+    # Phi_N and Phi_{N/2} differ by rounding noise only (its Richardson estimate
+    # is about 2.7e-9, above ERROR_TOL)
+    sys4 = build_system(3, [1.479, 1.606, 1.773, 1.922], [Q(-1, 2)] * 4, 1.39)
     assert not np.any(sys4.m_diag)
-    got = integrate_monodromy(sys4, 0.799)
+    got = integrate_monodromy(sys4, 0.724)
     assert got.error_estimate > oracle.ERROR_TOL
+    assert 63 * got.error_estimate <= oracle.ROUNDING_MARGIN * got.rounding_noise
     assert np.linalg.norm(got.mono - np.eye(4)) < 1e-6
-    assert numerical_monodromy(sys4, 0.799).ok
+    assert numerical_monodromy(sys4, 0.724).ok
 
 
 def test_exponent_check_passes_and_catches_tampered_m():
@@ -327,15 +331,81 @@ def test_exponent_charpoly_reduces_mod_one():
     assert np.array_equal(exponent_charpoly(m), exponent_charpoly([Q(7, 3), Q(-10, 3), Q(5)]))
 
 
-def test_radius_0553_known_failure(tmp_path):
-    # an open oracle failure (perfbench/README.md): the charpoly of this monodromy
-    # is ill-conditioned at small radius; the exact exponent check still passes
+def test_radius_0553_passes(tmp_path):
+    # once an open oracle failure (perfbench/README.md): |Phi(2 pi)| = 5.6e4 with its
+    # eigenvalues on the unit circle, so the charpoly of Phi itself carries errors of
+    # 3e-5 to 6e-5 even from a long-double product.  The sector factor's spectrum,
+    # at |Omega^{-1} U_1| = 7.8e2, gives the measured residual 4.3e-8: 23 times
+    # below the default --tol 1e-6
     out = tmp_path / "m.json"
     argv = ["monodromy", "--rank", "3", "--k=-1/2,-1/2,-1/4,-1/2",
             "--c=1.325,1.974,1.132,1.736", "--z", "1.597", "--radius", "0.553",
             "--json-out", str(out)]
-    assert main(argv) == EXIT_VERIFY
+    assert main(argv) == EXIT_OK
     doc = json.loads(out.read_text())
-    assert doc["max_coeff_residual"] > 1e-6 and not doc["passed"]
+    assert doc["schema_version"] == 3 and doc["passed"] and doc["tolerance"] == 1e-6
+    assert 1e-8 < doc["max_coeff_residual"] < 1e-7
     assert doc["exponent_residual"] < 1e-12
-    assert doc["error_estimate"] <= oracle.ERROR_TOL
+    assert doc["error_estimate"] <= oracle.ERROR_TOL and doc["rounding_noise"] < 1e-8
+
+
+def _omega(s: int) -> np.ndarray:
+    return np.diag(np.exp(2j * np.pi * np.arange(s) / s))
+
+
+def test_circle_coefficient_cyclic_symmetry():
+    # A(theta + 2 pi/s) = Omega A(theta) Omega^{-1}, and P0 = e^{i pi n/s} Omega^{-1}
+    rng = np.random.default_rng(11)
+    for n in (2, 3, 4, 5):
+        sys_ = _seeded_system(rng, n)
+        s = sys_.s
+        im, k = circle_coefficients(sys_, rng.uniform(0.7, 1.3))
+        omega, omega_inv = _omega(s), np.linalg.inv(_omega(s))
+        for theta in rng.uniform(0.0, 2 * np.pi, 4):
+            rotated = im + np.exp(-1j * (theta + 2 * np.pi / s)) * k
+            conj = omega @ (im + np.exp(-1j * theta) * k) @ omega_inv
+            assert np.max(np.abs(rotated - conj)) < 1e-12, n
+        assert np.max(np.abs(sys_.rep.p0 - np.exp(1j * np.pi * n / s) * omega_inv)) < 1e-12
+        assert np.max(np.abs(oracle.sector_phases(s) - np.diag(omega_inv))) < 1e-15
+
+
+def test_sector_power_matches_full_circle_product():
+    # (Omega^{-1} U_1)^s against the same s * per Magnus steps multiplied around the circle
+    rng = np.random.default_rng(13)
+    for n in (2, 3, 4, 5):
+        for _ in range(3):
+            sys_ = _seeded_system(rng, n)
+            radius = rng.uniform(0.7, 1.3)
+            got = integrate_monodromy(sys_, radius)
+            im, k = circle_coefficients(sys_, radius)
+            want = sequential_product(magnus_propagators(im, k, got.steps))
+            assert np.linalg.norm(got.mono - want) <= 1e-12 * np.linalg.norm(want), n
+
+
+def test_tampered_sector_phase_fails_dop853_comparison(monkeypatch):
+    # omega^2 in place of omega: the Richardson pair shares the fault, DOP853 does not
+    phases = oracle.sector_phases
+    monkeypatch.setattr(oracle, "sector_phases", lambda s: phases(s) ** 2)
+    rng = np.random.default_rng(0)
+    for n in (2, 3, 4, 5):
+        sys_ = _seeded_system(rng, n)
+        got = integrate_monodromy(sys_, 0.7)
+        want = _dop853_reference(sys_, 0.7)
+        assert np.linalg.norm(got.mono - want) > 1e-3 * np.linalg.norm(want), n
+
+
+def test_error_bounds_cover_true_error_at_m_zero():
+    # with M = 0 the coefficients commute and Phi(2 pi) = exp(K * integral of e^{-i theta}) = I
+    # exactly; above the propagators' own rounding (a few eps) the larger of the Richardson
+    # estimate and the rounding noise bounds the true error (3.3 to 1.5e3 times it at the
+    # 961 such systems of a 20,000-op seeded census)
+    rng = np.random.default_rng(17)
+    floor = 64 * np.finfo(float).eps
+    for i in range(40):
+        n = 2 + i % 4
+        k = [Q(int(rng.integers(-2, 5)), 4)] * (n + 1)
+        sys_ = build_system(n, rng.uniform(0.5, 2.0, n + 1), k, rng.uniform(0.5, 2.0))
+        assert not np.any(sys_.m_diag)
+        got = integrate_monodromy(sys_, rng.uniform(0.7, 1.3))
+        true = np.linalg.norm(got.mono - np.eye(n + 1)) / np.linalg.norm(got.mono)
+        assert max(got.error_estimate, got.rounding_noise, floor) >= true, (n, true)
