@@ -560,13 +560,6 @@ class SigmaData:
     sigma_on_h: Tuple[Tuple[Q, ...], ...]   # matrix on H_{a_i} coordinates
     signs: Dict[Root, Tuple[Root, object]]  # e_root -> (image root, sign)
 
-    def apply_h(self, coords: Sequence) -> Tuple:
-        l = len(self.nu)
-        out = [0] * l
-        for i in range(l):
-            out[self.nu[i] - 1] = coords[i]
-        return tuple(out)
-
 
 def sigma_nu(alg: ChevalleyAlgebra) -> SigmaData:
     """sigma on the Cartan subalgebra, simple root vectors, and e_{+-psi}."""

@@ -17,6 +17,7 @@ from typing import List, Sequence
 
 import numpy as np
 
+from . import oracle
 from .characters import CharacterScaleError
 from .chevalley import InvariantViolation, build_chevalley
 from .coxeter import (
@@ -28,6 +29,7 @@ from .coxeter import (
 )
 from .jsoncheck import SchemaViolation, compile_schema
 from .oracle import (
+    FORMAL_ORDER,
     IntegratorError,
     SystemError_,
     build_system,
@@ -59,6 +61,9 @@ STANDARD_TYPES = (
     "A2", "A3", "A4", "A5", "A6", "B2", "B3", "B4", "C3",
     "D4", "D5", "G2", "F4", "E6", "E7", "E8",
 )
+# largest dim(g) whose apposition spectrum verify computes: a scale guard
+# above E8 (248), the largest standard type
+SPEC_DIM_CAP = 250
 
 DOMAIN_ERRORS = (
     UnsupportedTypeError,
@@ -210,7 +215,7 @@ def _plane_doc(rs, plane) -> dict:
 def cmd_plane(args) -> int:
     rs = build_root_system(args.type)
     bip = bipartition(rs)
-    plane = coxeter_plane(rs, bip, ray_tol=args.tol_ray)
+    plane = coxeter_plane(rs, bip)
     doc = _validate("plane", _plane_doc(rs, plane))
     _emit(doc, args.json_out)
     if args.svg_out:
@@ -219,7 +224,7 @@ def cmd_plane(args) -> int:
     return EXIT_OK
 
 
-def _verify_one(type_name: str, args) -> dict:
+def _verify_one(type_name: str) -> dict:
     rs = build_root_system(type_name)
     bip = bipartition(rs)
     checks = []
@@ -234,7 +239,7 @@ def _verify_one(type_name: str, args) -> dict:
     plane_holder = {}
 
     def build_plane():
-        plane_holder["plane"] = coxeter_plane(rs, bip, ray_tol=args.tol_ray)
+        plane_holder["plane"] = coxeter_plane(rs, bip)
 
     record("coxeter_plane_rays", build_plane)
     if "plane" in plane_holder:
@@ -248,11 +253,11 @@ def _verify_one(type_name: str, args) -> dict:
     )
 
     dim = rs.rank + len(rs.roots)
-    if dim <= args.spec_dim_cap:
+    if dim <= SPEC_DIM_CAP:
         def spectrum_check():
             alg = build_chevalley(type_name)
             sr = ad_spectrum(build_e_plus(alg))
-            match_plane(sr, plane_holder["plane"], tol=args.tol_spec)
+            match_plane(sr, plane_holder["plane"])
 
         record("apposition_spectrum", spectrum_check)
     passed = all(c["passed"] for c in checks)
@@ -269,7 +274,7 @@ def cmd_verify(args) -> int:
     docs = []
     ok = True
     for t in types:
-        doc = _validate("verify", _verify_one(t, args))
+        doc = _validate("verify", _verify_one(t))
         docs.append(doc)
         ok = ok and doc["passed"]
         line = "PASS" if doc["passed"] else "FAIL"
@@ -326,7 +331,7 @@ def cmd_monodromy(args) -> int:
         k = k * (args.rank + 1)
     c = _parse_fractions(args.c) if args.c else [Q(1)] * (args.rank + 1)
     sys_ = build_system(args.rank, [float(x) for x in c], k, args.z)
-    fs = formal_solution(sys_, args.order)
+    fs = formal_solution(sys_, FORMAL_ORDER)
     rep = numerical_monodromy(sys_, radius=args.radius)
     doc = {
         "schema_version": 3,
@@ -341,8 +346,8 @@ def cmd_monodromy(args) -> int:
         "error_estimate": rep.error_estimate,
         "rounding_noise": rep.rounding_noise,
         "central_factor": [rep.central_factor.real, rep.central_factor.imag],
-        "tolerance": args.tol,
-        "passed": rep.max_coeff_residual < args.tol and rep.exponent_residual < args.tol,
+        "tolerance": oracle.MONODROMY_TOL,
+        "passed": rep.ok,
         "nfev": rep.nfev,
         "steps": rep.steps,
         "formal_solution": {
@@ -375,16 +380,12 @@ def build_parser() -> _Parser:
     pl = sub.add_parser("plane", help="Coxeter plane diagram (JSON + optional SVG)")
     pl.add_argument("--type", required=True)
     pl.add_argument("--svg-out", default=None)
-    pl.add_argument("--tol-ray", type=float, default=1e-9)
     common(pl)
     pl.set_defaults(fn=cmd_plane)
 
     v = sub.add_parser("verify", help="run the theorem checks for one or all types")
     v.add_argument("--type", default="A2")
     v.add_argument("--all", action="store_true")
-    v.add_argument("--tol-ray", type=float, default=1e-9)
-    v.add_argument("--tol-spec", type=float, default=1e-6)
-    v.add_argument("--spec-dim-cap", type=int, default=250)
     common(v)
     v.set_defaults(fn=cmd_verify)
 
@@ -402,8 +403,6 @@ def build_parser() -> _Parser:
     mo.add_argument("--c", default=None, help="comma-separated c_0..c_n")
     mo.add_argument("--z", type=float, default=1.0)
     mo.add_argument("--radius", type=float, default=1.0)
-    mo.add_argument("--order", type=int, default=5, help="formal-solution order")
-    mo.add_argument("--tol", type=float, default=1e-6)
     common(mo)
     mo.set_defaults(fn=cmd_monodromy)
     return p

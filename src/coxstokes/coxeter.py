@@ -171,7 +171,6 @@ class CoxeterPlaneDiagram:
     ray_angles: Tuple[float, ...]              # angle of d_1 .. d_{2s}, clockwise
     assignment: Tuple[FrozenSet[Root], ...]    # R(d_1) .. R(d_{2s})
     wheel_radii: Tuple[float, ...]
-    sector_offset: int = 0
 
     @property
     def num_rays(self) -> int:
@@ -207,16 +206,11 @@ def mean_angle(angles: np.ndarray) -> float:
     return float(np.mean(angles)) % (2 * np.pi)
 
 
-def coxeter_plane(
-    rs: RootSystem,
-    bip: Bipartition | None = None,
-    sector_offset: int = 0,
-    ray_tol: float = RAY_TOL,
-) -> CoxeterPlaneDiagram:
+def coxeter_plane(rs: RootSystem, bip: Bipartition | None = None) -> CoxeterPlaneDiagram:
     """Project all roots onto the plane of the Coxeter element's m_1 = 1 eigenvalue.
 
     coord(gamma a) = e^{-2 pi i/s} coord(a); the global phase puts the Pi_2 roots
-    on angle 0 (ray d_1 when sector_offset = 0) and rays are labeled clockwise.
+    on angle 0 (ray d_1) and rays are labeled clockwise.
     """
     if rs.rank < 2:
         raise ValueError("rank > 1 required")
@@ -251,24 +245,22 @@ def coxeter_plane(
 
     # cluster root arguments into rays (circularly) and check there are 2s of them
     angles = np.array([np.angle(coord[r]) for r in rs.roots]) % (2 * np.pi)
-    ray_groups = circular_cluster(angles, ray_tol)
+    ray_groups = circular_cluster(angles, RAY_TOL)
     if len(ray_groups) != 2 * s:
         raise TheoremCheckError(
             f"expected 2s = {2*s} singular directions, found {len(ray_groups)}"
         )
     ray_angle_list = sorted(mean_angle(angles[g]) for g in ray_groups)
     gaps = np.diff(ray_angle_list + [ray_angle_list[0] + 2 * np.pi])
-    if np.max(np.abs(gaps - np.pi / s)) > ray_tol:
+    if np.max(np.abs(gaps - np.pi / s)) > RAY_TOL:
         raise TheoremCheckError(f"ray gaps deviate from pi/s: {gaps}")
 
-    # label d_1.. d_{2s} clockwise from angle 0 (shifted by the sector offset)
-    ray_angles = tuple(
-        float((-(sector_offset + i) * np.pi / s) % (2 * np.pi)) for i in range(2 * s)
-    )
+    # label d_1.. d_{2s} clockwise from angle 0
+    ray_angles = tuple(float((-i * np.pi / s) % (2 * np.pi)) for i in range(2 * s))
     diffs = np.abs(angles[:, None] - np.array(ray_angles)[None, :])
     diffs = np.minimum(diffs, 2 * np.pi - diffs)
     nearest = np.argmin(diffs, axis=1)
-    off = diffs[np.arange(len(angles)), nearest] > ray_tol
+    off = diffs[np.arange(len(angles)), nearest] > RAY_TOL
     if off.any():
         angle = angles[np.argmax(off)]
         raise TheoremCheckError(f"root angle {angle} not on any expected ray")
@@ -277,7 +269,7 @@ def coxeter_plane(
         assign[i].add(r)
 
     radii = sorted(abs(c) for c in coord.values())
-    wheel_groups = _cluster(radii, ray_tol * max(radii))
+    wheel_groups = _cluster(radii, RAY_TOL * max(radii))
     wheels = tuple(sorted(float(np.mean([radii[i] for i in g])) for g in wheel_groups))
 
     return CoxeterPlaneDiagram(
@@ -285,7 +277,6 @@ def coxeter_plane(
         ray_angles=ray_angles,
         assignment=tuple(frozenset(a) for a in assign),
         wheel_radii=wheels,
-        sector_offset=sector_offset,
     )
 
 
@@ -309,8 +300,6 @@ def singular_directions(
     R(d_{s-1}) = gamma^{-1}(-Pi_2), R(d_s) = Pi_1, and the positive sector is
     exactly Delta_+.  Any mismatch raises TheoremCheckError.
     """
-    if plane.sector_offset != 0:
-        raise ValueError("theorem checks require a plane with sector_offset = 0")
     s = rs.coxeter_number
     gamma = coxeter_element(rs, bip)
     G = gamma.matrix

@@ -58,6 +58,12 @@ the characteristic-polynomial comparison decides.  ``steps`` counts the Magnus
 steps of the whole circle, s per, and ``nfev`` the coefficient evaluations at
 the Gauss nodes made in the two sector integrations, 3 (per + per/2).
 
+Neither the Richardson estimate nor the rounding noise sees the
+double-precision rounding inside the propagators themselves, so the pair
+bounds the error only above about 1e-14.  In a census of 20,000 seeded bench
+systems, 50 of the 961 with M = 0, where Phi(2 pi) = I exactly, had a true
+error ||Phi - I|| / ||Phi|| of 6.7e-16 to 6.2e-15, above both.
+
 The numerical characteristic polynomial is formed from the spectrum of the
 sector factor, eig(Phi(2 pi)) = eig(Omega^{-1} U_1)^s, which is the better
 conditioned of the two where ||Omega^{-1} U_1|| is far below ||Phi||: at an sl4
@@ -107,8 +113,6 @@ class SlRep:
     n: int
     h: Dict[int, np.ndarray]           # H_{alpha_i}, 1-based
     e_pos: Dict[Tuple[int, int], np.ndarray]   # e_{x_i - x_j) = E_{i,j}, i < j
-    x0: np.ndarray
-    p0: np.ndarray
 
     @property
     def size(self) -> int:
@@ -128,10 +132,7 @@ def standard_rep_sl(n: int) -> SlRep:
 
     h = {i: E(i - 1, i - 1) - E(i, i) for i in range(1, n + 1)}
     e_pos = {(i, j): E(i, j) for i in range(N) for j in range(N) if i != j}
-    x0 = np.diag([n / 2 - j for j in range(N)]).astype(complex)
-    s = n + 1
-    p0 = np.diag([np.exp(2j * np.pi * (n / 2 - j) / s) for j in range(N)])
-    return SlRep(n, h, e_pos, x0, p0)
+    return SlRep(n, h, e_pos)
 
 
 @dataclass
@@ -201,6 +202,8 @@ def build_system(n: int, c: Sequence, k: Sequence, z: float) -> MeromorphicSyste
 
 
 # -- formal solution at the irregular pole --------------------------------------
+
+FORMAL_ORDER = 5         # order of the formal solution the CLI reports
 
 
 @dataclass
@@ -331,6 +334,7 @@ ERROR_TOL = 1e-9         # largest accepted Richardson estimate
 EXP_DEGREE = 16          # Taylor degree of the step exponential (a multiple of 4)
 EXP_NORM = 0.5           # largest step generator 1-norm it is used at
 ROUNDING_MARGIN = 10     # Richardson differences within this factor of rounding noise are noise
+MONODROMY_TOL = 1e-6     # bound on both charpoly residuals of a passing monodromy check
 
 
 @dataclass
@@ -351,7 +355,9 @@ class MonodromyReport:
 
     @property
     def ok(self) -> bool:
-        return self.max_coeff_residual < 1e-6 and self.exponent_residual < 1e-6
+        return (
+            self.max_coeff_residual < MONODROMY_TOL and self.exponent_residual < MONODROMY_TOL
+        )
 
 
 class Integration(NamedTuple):

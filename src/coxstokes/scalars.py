@@ -192,9 +192,6 @@ class Sq:
     def __complex__(self):
         return complex(float(self))
 
-    def is_rational(self) -> bool:
-        return self.b == 0
-
     def rational(self) -> Q:
         if self.b != 0:
             raise ValueError(f"{self} is not rational")

@@ -93,7 +93,7 @@ class SpectrumReport:
         }
 
 
-def ad_spectrum(ep: EPlusElement, ray_tol: float = RAY_TOL) -> SpectrumReport:
+def ad_spectrum(ep: EPlusElement) -> SpectrumReport:
     """Eigenvalues of ad(E_+), clustered by argument into the 2s rays."""
     alg = ep.alg
     s = alg.rs.coxeter_number
@@ -107,7 +107,7 @@ def ad_spectrum(ep: EPlusElement, ray_tol: float = RAY_TOL) -> SpectrumReport:
         raise SpectrumMismatch(f"zero eigenvalue multiplicity {zmult}, expected l = {l}")
 
     angles = np.angle(nz) % (2 * np.pi)
-    groups = circular_cluster(angles, ray_tol)
+    groups = circular_cluster(angles, RAY_TOL)
     if len(groups) != 2 * s:
         raise SpectrumMismatch(
             f"nonzero spectrum clusters into {len(groups)} rays, expected 2s = {2*s}"
@@ -116,8 +116,8 @@ def ad_spectrum(ep: EPlusElement, ray_tol: float = RAY_TOL) -> SpectrumReport:
     order = np.argsort(reps)
     ray_angles = [reps[i] for i in order]
     gaps = np.diff(ray_angles + [ray_angles[0] + 2 * np.pi])
-    if np.max(np.abs(gaps - np.pi / s)) > ray_tol:
-        raise SpectrumMismatch(f"ray gaps deviate from pi/s beyond {ray_tol}: {gaps}")
+    if np.max(np.abs(gaps - np.pi / s)) > RAY_TOL:
+        raise SpectrumMismatch(f"ray gaps deviate from pi/s beyond {RAY_TOL}: {gaps}")
 
     # spectrum is invariant under multiplication by e^{2 pi i/s}
     rot = np.exp(2j * np.pi / s) * nz
@@ -140,17 +140,16 @@ class PlaneMatch:
     max_residual: float
 
 
-def match_plane(
-    sr: SpectrumReport,
-    plane: CoxeterPlaneDiagram,
-    tol: float = MATCH_TOL,
-) -> PlaneMatch:
+def match_plane(sr: SpectrumReport, plane: CoxeterPlaneDiagram) -> PlaneMatch:
     """Find kappa with {kappa * coord(a)} = nonzero spectrum as multisets.
 
-    kappa is seeded from a ray representative and polished by least squares on
-    the optimal assignment; the match is accepted below tol (relative), and
+    kappa is seeded once, from the eigenvalue whose modulus best fits the
+    largest root of ray d_1 (the anchor), and polished by least squares on the
+    optimal assignment; the match is accepted below MATCH_TOL (relative), and
     when every spectrum ray holds as many eigenvalues as the plane ray that
-    kappa rotates onto it holds roots.
+    kappa rotates onto it holds roots.  In every standard type each eigenvalue
+    on the anchor's wheel seeds a match to rounding; a seed that does not match
+    fails the MATCH_TOL check, so the single seed cannot pass a wrong spectrum.
     """
     nz = sr.nonzero
     coords = np.array([plane.coord[r] for r in sorted(plane.coord)])
@@ -160,32 +159,19 @@ def match_plane(
     anchor = max(
         (plane.coord[r] for r in plane.assignment[0]), key=abs
     )
-
-    # Any kappa with assignment residual r has | |kappa| max|coords| - max|nz| | <= r,
-    # so a candidate whose bound exceeds the best residual so far cannot win.
-    # Trying candidates by increasing bound, in practice only the anchor's wheel,
-    # keeps the winner of the search over all of nz, ties going to the first.
-    bound = np.abs(np.abs(nz) / abs(anchor) * np.max(np.abs(coords)) - scale)
-    slack = 1e-12 * scale   # rounding of bound and residual
-    best = None
-    for i in np.argsort(bound).tolist():
-        if best is not None and bound[i] > best[0] + slack:
-            break
-        kappa = nz[i] / anchor
-        cost = np.abs(kappa * coords[:, None] - nz[None, :])
-        ri, ci = linear_assignment(cost)
-        res = cost[ri, ci].max()
-        if best is None or (res, i) < (best[0], best[1]):
-            best = (res, i, kappa, ri, ci)
-    res, _, kappa, ri, ci = best
-    # least-squares polish of kappa over the chosen assignment
+    # |kappa| max|coords| = max|nz| for the true kappa
+    fit = np.abs(np.abs(nz) / abs(anchor) * np.max(np.abs(coords)) - scale)
+    kappa = nz[int(np.argmin(fit))] / anchor
+    cost = np.abs(kappa * coords[:, None] - nz[None, :])
+    ri, ci = linear_assignment(cost)
+    # least-squares polish of kappa over that assignment
     a, b = coords[ri], nz[ci]
     kappa = complex(np.vdot(a, b) / np.vdot(a, a))
     cost = np.abs(kappa * coords[:, None] - nz[None, :])
     ri, ci = linear_assignment(cost)
     res = float(cost[ri, ci].max())
-    if res > tol * scale:
-        raise SpectrumMismatch(f"plane/spectrum match residual {res} above {tol*scale}")
+    if res > MATCH_TOL * scale:
+        raise SpectrumMismatch(f"plane/spectrum match residual {res} above {MATCH_TOL*scale}")
 
     counts = tuple(c for _, c in sr.rays)
     plane_counts = tuple(len(a) for a in _rotate_assignment(sr, plane, kappa))

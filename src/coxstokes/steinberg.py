@@ -626,7 +626,7 @@ def _unipotent_log(u: np.ndarray) -> np.ndarray:
     return out
 
 
-def verify_factor_supports(sd: StokesData, tol: float = FACTOR_TOL) -> Dict[str, float]:
+def verify_factor_supports(sd: StokesData) -> Dict[str, float]:
     """log K1 / log K2 lie in the claimed root spaces, checked in ad(g).
 
     Rewrites the adjoint cross-section at sd.t as (K1, K2, A_gamma), as for
@@ -645,13 +645,16 @@ def verify_factor_supports(sd: StokesData, tol: float = FACTOR_TOL) -> Dict[str,
         A = adj.support_basis(support)
         coef, *_ = np.linalg.lstsq(A, x.reshape(-1), rcond=None)
         res = float(np.max(np.abs(A @ coef - x.reshape(-1))))
-        if res > tol * max(1.0, float(np.max(np.abs(x)))):
+        if res > FACTOR_TOL * max(1.0, float(np.max(np.abs(x)))):
             raise ConsistencyError(f"log {name} leaves its root-space span: {res}")
         out[name] = res
     return out
 
 
 # -- spectrum check --------------------------------------------------------------
+
+EIG_TOL = 1e-7      # pointwise eigenvalue bound at distinct targets
+POLY_TOL = 1e-7     # characteristic-polynomial coefficient bound
 
 
 @dataclass
@@ -665,8 +668,6 @@ class SemisimpleSpectrumReport:
 def semisimple_spectrum_check(
     sd: StokesData,
     rep: Representation | None = None,
-    eig_tol: float = 1e-7,
-    poly_tol: float = 1e-7,
 ) -> SemisimpleSpectrumReport:
     """Spectrum of M0 against {e^{2 pi i mu(y)} : mu weight of the rep}.
 
@@ -687,5 +688,5 @@ def semisimple_spectrum_check(
         cost = np.abs(pred[:, None] - got[None, :])
         ri, ci = linear_assignment(cost)
         eig_res = float(cost[ri, ci].max())
-    ok = poly_res <= poly_tol and (eig_res is None or eig_res <= eig_tol)
+    ok = poly_res <= POLY_TOL and (eig_res is None or eig_res <= EIG_TOL)
     return SemisimpleSpectrumReport(regular, poly_res, eig_res, ok)

@@ -103,7 +103,7 @@ def test_killing_proportional_to_form(name):
     l = rs.rank
     h0 = alg.h([Q(1)] + [Q(0)] * (l - 1))
     ratio = _killing(alg, h0, h0) / Sq(rs.form[0][0])
-    assert ratio.is_rational() and ratio.rational() > 0
+    assert ratio.rational() > 0  # raises unless the ratio is rational
     pairs = [
         (alg.h([Q(int(k == i)) for k in range(l)]), alg.h([Q(int(k == j)) for k in range(l)]), rs.form[i][j])
         for i in range(l)
@@ -178,10 +178,8 @@ def test_sigma_properties(name):
     rs = alg.rs
     sd = sigma_nu(alg)
     l = rs.rank
-    # involution on h, and sign -1 on simple/highest root vectors
+    # sign -1 on simple/highest root vectors (sigma_nu raises unless nu is an involution)
     for i in range(l):
-        coords = [Q(int(k == i)) for k in range(l)]
-        assert sd.apply_h(sd.apply_h(coords)) == tuple(coords)
         img, sign = sd.signs[rs.simple_roots[i]]
         assert img == rs.simple_roots[sd.nu[i] - 1] and sign == -1
     assert sd.signs[rs.psi] == (rs.psi, -1)

@@ -62,10 +62,10 @@ def test_verify_single(tmp_path):
     assert doc["passed"] and any(c["name"] == "apposition_spectrum" for c in doc["checks"])
 
 
-def test_verify_spectrum_skipped_by_cap(tmp_path):
+def test_verify_spectrum_skipped_by_cap(tmp_path, monkeypatch):
+    monkeypatch.setattr(cli, "SPEC_DIM_CAP", 5)
     out = tmp_path / "v.json"
-    assert run(["verify", "--type", "B3", "--spec-dim-cap", "5",
-                "--json-out", str(out)]) == EXIT_OK
+    assert run(["verify", "--type", "B3", "--json-out", str(out)]) == EXIT_OK
     doc = json.loads(out.read_text())
     assert all(c["name"] != "apposition_spectrum" for c in doc["checks"])
 
@@ -147,14 +147,32 @@ def test_f4_and_e6_census(tmp_path):
             assert max(abs(a - b) for a, b in zip(t, t_exact)) <= 1e-12 * max(1, *t_exact), m
 
 
-def test_monodromy_pass_and_fail(tmp_path):
+def test_monodromy_pass_and_fail(tmp_path, monkeypatch):
     out = tmp_path / "m.json"
-    assert run(["monodromy", "--rank", "2", "--k", "0,1,1",
-                "--json-out", str(out)]) == EXIT_OK
+    argv = ["monodromy", "--rank", "2", "--k", "0,1,1", "--json-out", str(out)]
+    assert run(argv) == EXIT_OK
     doc = json.loads(out.read_text())
-    assert doc["passed"] and doc["max_coeff_residual"] < 1e-6
-    assert run(["monodromy", "--rank", "2", "--k", "0,1,1", "--tol", "1e-30",
-                "--json-out", str(out)]) == EXIT_VERIFY
+    assert doc["passed"] and doc["max_coeff_residual"] < 1e-6 and doc["tolerance"] == 1e-6
+    # the JSON verdict, its reported bound and MonodromyReport.ok all read one constant
+    monkeypatch.setattr(oracle, "MONODROMY_TOL", 1e-30)
+    assert run(argv) == EXIT_VERIFY
+    doc = json.loads(out.read_text())
+    assert not doc["passed"] and doc["tolerance"] == 1e-30
+    assert not oracle.numerical_monodromy(oracle.build_system(2, [1, 1, 1], [0, 1, 1], 1.0)).ok
+
+
+@pytest.mark.parametrize("argv", [
+    ["plane", "--type", "A2", "--tol-ray", "1"],
+    ["verify", "--type", "A2", "--tol-ray", "1"],
+    ["verify", "--type", "A2", "--tol-spec", "1"],
+    ["verify", "--type", "A2", "--spec-dim-cap", "5"],
+    ["monodromy", "--rank", "2", "--tol", "1"],
+    ["monodromy", "--rank", "2", "--order", "3"],
+])
+def test_no_option_moves_a_verdict_bound(argv):
+    with pytest.raises(SystemExit) as exc:
+        run(argv)
+    assert exc.value.code == EXIT_USAGE
 
 
 def test_monodromy_domain_error():
@@ -352,7 +370,7 @@ def test_parser_is_reused_without_carrying_state(tmp_path):
         ["stokes", "--type", "A2", "--m", "1/3,0"],
         ["stokes", "--type", "A2", "--m", "0,1/4", "--json-out", json_out],
         ["stokes", "--type", "A2", "--m", "0,1/4"],
-        ["monodromy", "--rank", "2", "--k", "0,1,1", "--tol", "1e-30"],
+        ["monodromy", "--rank", "2", "--k", "0,1,1", "--radius", "0.8"],
         ["monodromy", "--rank", "2", "--k", "0,1,1"],
     ]
     src = str(Path(coxstokes.__file__).resolve().parents[1])
@@ -365,6 +383,7 @@ def test_parser_is_reused_without_carrying_state(tmp_path):
         return json.loads(out.stdout)
 
     together = results(calls)
-    assert [rc for rc, _ in together] == [EXIT_USAGE, EXIT_OK, EXIT_OK, EXIT_OK, EXIT_VERIFY, EXIT_OK]
+    assert [rc for rc, _ in together] == [EXIT_USAGE, EXIT_OK, EXIT_OK, EXIT_OK, EXIT_OK, EXIT_OK]
+    assert '"radius": 0.8' in together[4][1] and '"radius": 1.0' in together[5][1]
     assert together[2][1] == "" and together[3][1].startswith("{")
     assert together == [results([argv])[0] for argv in calls]

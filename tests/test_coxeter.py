@@ -195,15 +195,6 @@ def test_mismatched_bipartition_fails():
         singular_directions(rs, swapped, plane)
 
 
-def test_sector_offset_accepted():
-    rs = build_root_system("A3")
-    bip = bipartition(rs)
-    plane = coxeter_plane(rs, bip, sector_offset=1)
-    assert plane.num_rays == 2 * rs.coxeter_number
-    with pytest.raises(ValueError):
-        singular_directions(rs, bip, plane)
-
-
 @pytest.mark.parametrize("name", LISTED)
 def test_both_labelings_give_valid_planes(name):
     rs = build_root_system(name)

@@ -33,8 +33,9 @@ def test_standard_rep_tables():
     assert np.array_equal(rep.e_pos[(0, 1)], [[0, 1, 0], [0, 0, 0], [0, 0, 0]])
     for i in range(1, 3):
         assert abs(np.trace(rep.h[i])) == 0
+    # the P0 that numerical_monodromy predicts with, in the same basis order
     want_p0 = np.diag([np.exp(2j * np.pi / 3), 1, np.exp(-2j * np.pi / 3)])
-    assert np.max(np.abs(rep.p0 - want_p0)) < 1e-12
+    assert np.max(np.abs(registered_representation("A2").p0_matrix() - want_p0)) < 1e-12
     with pytest.raises(ValueError):
         standard_rep_sl(1)
 
@@ -85,7 +86,7 @@ def test_build_system_examples():
 
 def test_cyclic_symmetry_of_coefficient():
     sys3 = build_system(2, [1.0, 0.6, 0.6], [1, 0, 0], 1.3)
-    p0 = sys3.rep.p0
+    p0 = registered_representation("A2").p0_matrix()
     rot = p0 @ sys3.eta_plus @ np.linalg.inv(p0)
     assert np.max(np.abs(rot - np.exp(2j * np.pi / 3) * sys3.eta_plus)) < 1e-12
 
@@ -336,7 +337,7 @@ def test_radius_0553_passes(tmp_path):
     # eigenvalues on the unit circle, so the charpoly of Phi itself carries errors of
     # 3e-5 to 6e-5 even from a long-double product.  The sector factor's spectrum,
     # at |Omega^{-1} U_1| = 7.8e2, gives the measured residual 4.3e-8: 23 times
-    # below the default --tol 1e-6
+    # below MONODROMY_TOL = 1e-6
     out = tmp_path / "m.json"
     argv = ["monodromy", "--rank", "3", "--k=-1/2,-1/2,-1/4,-1/2",
             "--c=1.325,1.974,1.132,1.736", "--z", "1.597", "--radius", "0.553",
@@ -365,7 +366,8 @@ def test_circle_coefficient_cyclic_symmetry():
             rotated = im + np.exp(-1j * (theta + 2 * np.pi / s)) * k
             conj = omega @ (im + np.exp(-1j * theta) * k) @ omega_inv
             assert np.max(np.abs(rotated - conj)) < 1e-12, n
-        assert np.max(np.abs(sys_.rep.p0 - np.exp(1j * np.pi * n / s) * omega_inv)) < 1e-12
+        p0 = registered_representation(f"A{n}").p0_matrix()
+        assert np.max(np.abs(p0 - np.exp(1j * np.pi * n / s) * omega_inv)) < 1e-12
         assert np.max(np.abs(oracle.sector_phases(s) - np.diag(omega_inv))) < 1e-15
 
 

@@ -29,7 +29,7 @@ def test_sq_field_ops():
     assert (a * b) / b == a
     assert a * a.inverse() == Sq(1)
     one = Sq(0, 1, 2) * Sq(0, Q(1, 2), 2)
-    assert one == Sq(1) and one.is_rational()
+    assert one == Sq(1) and one.rational() == 1
     with pytest.raises(ValueError):
         Sq(0, 1, 2) * Sq(0, 1, 3)
     assert abs(float(Sq(0, 1, 2)) - 2**0.5) < 1e-15
