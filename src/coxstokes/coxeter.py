@@ -16,6 +16,10 @@ import numpy as np
 from .rootcore import InvariantViolation, Root, RootSystem, integer_form
 
 RAY_TOL = 1e-9
+# gamma's eigenvalue e^{-2 pi i/s} is found within EIGENPLANE_TOL, and the projection
+# is gamma-equivariant within EQUIVARIANCE_TOL relative to max(1, |coord(a)|)
+EIGENPLANE_TOL = 1e-8
+EQUIVARIANCE_TOL = 1e-8
 
 
 class TheoremCheckError(AssertionError):
@@ -26,9 +30,6 @@ class TheoremCheckError(AssertionError):
 class Bipartition:
     i1: Tuple[int, ...]  # 1-based node indices, contains node 1
     i2: Tuple[int, ...]
-
-    def side(self, node: int) -> int:
-        return 1 if node in self.i1 else 2
 
 
 def bipartition(rs: RootSystem) -> Bipartition:
@@ -125,8 +126,8 @@ def _tau_word(bip: Bipartition, i: int) -> Tuple[int, ...]:
 def kostant_chain(rs: RootSystem, n: int, bip: Bipartition | None = None):
     """Blocks tau^{(0)}Pi_1, tau^{(-1)}Pi_2, ... whose union is Lambda(tau^{(n)}).
 
-    Verifies the disjoint-union identity against an independent inversion-set
-    computation and returns the list of blocks.
+    Verifies the disjoint-union identity at every prefix m <= n against an
+    independent inversion-set computation and returns the list of n blocks.
     """
     if bip is None:
         bip = bipartition(rs)
@@ -138,30 +139,26 @@ def kostant_chain(rs: RootSystem, n: int, bip: Bipartition | None = None):
     tau = {p: _word_array(R, _tau_word(bip, p)) for p in (0, 1)}
     tau_rev = {p: _word_array(R, _tau_word(bip, p)[::-1]) for p in (0, 1)}
 
-    # block j is tau^{(-(j-1))} Pi_j, with tau^{(-(j-1))} = tau_1 tau_2 ... tau_{j-1}
+    # block m is tau^{(-(m-1))} Pi_m, with tau^{(-(m-1))} = tau_1 tau_2 ... tau_{m-1};
+    # tau^{(m)} = tau_m ... tau_1 is an independent product for the inversion set
     blocks: List[FrozenSet[Root]] = []
-    inv_prefix = np.eye(rs.rank, dtype=np.int64)
-    for j in range(1, n + 1):
-        pi_j = _simple_columns(rs, bip.i1 if j % 2 == 1 else bip.i2)
-        blocks.append(_as_roots(inv_prefix @ pi_j))
-        inv_prefix = inv_prefix @ tau_rev[j % 2]
-
-    # tau^{(n)} = tau_n ... tau_1, an independent product for the inversion set
-    tau_n = np.eye(rs.rank, dtype=np.int64)
-    for i in range(1, n + 1):
-        tau_n = tau[i % 2] @ tau_n
-
     union: set = set()
     total = 0
-    for b in blocks:
-        total += len(b)
-        union |= b
-    lam = _inversions(rs, tau_n)
-    if total != len(union) or union != lam:
-        raise TheoremCheckError(
-            f"Kostant chain mismatch for n={n}: blocks give {len(union)} roots "
-            f"(sum {total}), inversion set has {len(lam)}"
-        )
+    inv_prefix = np.eye(rs.rank, dtype=np.int64)
+    tau_m = np.eye(rs.rank, dtype=np.int64)
+    for m in range(1, n + 1):
+        pi_m = _simple_columns(rs, bip.i1 if m % 2 == 1 else bip.i2)
+        blocks.append(_as_roots(inv_prefix @ pi_m))
+        inv_prefix = inv_prefix @ tau_rev[m % 2]
+        tau_m = tau[m % 2] @ tau_m
+        total += len(blocks[-1])
+        union |= blocks[-1]
+        lam = _inversions(rs, tau_m)
+        if total != len(union) or union != lam:
+            raise TheoremCheckError(
+                f"Kostant chain mismatch for n={m}: blocks give {len(union)} roots "
+                f"(sum {total}), inversion set has {len(lam)}"
+            )
     return blocks
 
 
@@ -189,21 +186,13 @@ def _cluster(values: Sequence[float], tol: float) -> List[List[int]]:
     return groups
 
 
-def circular_cluster(angles: np.ndarray, tol: float) -> List[List[int]]:
-    """Index groups of angles in [0, 2 pi), as ``_cluster`` but merged through 0."""
-    groups = _cluster(angles, tol)
-    if len(groups) > 1:
-        wrap = (2 * np.pi - angles[groups[-1][-1]]) + angles[groups[0][0]]
-        if wrap <= tol:
-            groups[0] = groups.pop() + groups[0]
-    return groups
-
-
-def mean_angle(angles: np.ndarray) -> float:
-    """Mean of one cluster of angles in [0, 2 pi), also when it wraps through 0."""
-    if np.max(angles) - np.min(angles) > np.pi:
-        angles = (angles + np.pi) % (2 * np.pi) - np.pi
-    return float(np.mean(angles)) % (2 * np.pi)
+def ray_index(angles: np.ndarray, s: int, offset: float, tol: float) -> np.ndarray:
+    """k mod 2s of the ray offset + k pi/s nearest each angle, or -1 for an
+    angle farther than tol from it."""
+    x = (np.asarray(angles, dtype=float) - offset) * (s / np.pi)
+    k = np.rint(x)
+    off = np.abs(x - k) * (np.pi / s) > tol
+    return np.where(off, -1, k.astype(np.int64) % (2 * s))
 
 
 def coxeter_plane(rs: RootSystem, bip: Bipartition | None = None) -> CoxeterPlaneDiagram:
@@ -221,52 +210,39 @@ def coxeter_plane(rs: RootSystem, bip: Bipartition | None = None) -> CoxeterPlan
     vals, vecs = np.linalg.eig(gamma.matrix.T.astype(np.float64))
     target = np.exp(-2j * np.pi / s)
     k = int(np.argmin(np.abs(vals - target)))
-    if abs(vals[k] - target) > 1e-8:
+    if abs(vals[k] - target) > EIGENPLANE_TOL:
         raise ArithmeticError(f"eigenplane for e^(-2 pi i/s) not found: {vals}")
     u = vecs[:, k]
 
     coord = {r: complex(np.dot(u, np.array(r, dtype=float))) for r in rs.roots}
 
-    # rotate so Pi_2 roots sit on angle 0; they must share one argument
+    # the global phase puts the first Pi_2 root on angle 0
     pi2 = [rs.simple_roots[i - 1] for i in bip.i2]
     phase = coord[pi2[0]] / abs(coord[pi2[0]])
-    u = u / phase
     coord = {r: c / phase for r, c in coord.items()}
-    args = [np.angle(coord[b]) for b in pi2]
-    if max(args) - min(args) > 1e-9:
-        raise TheoremCheckError(f"Pi_2 roots do not share one ray: args={args}")
 
     # verify the equivariance coord(gamma a) = e^{-2 pi i /s} coord(a)
     rot = np.exp(-2j * np.pi / s)
     images = np.array(rs.roots, dtype=np.int64) @ gamma.matrix.T
     for r, img in zip(rs.roots, map(tuple, images.tolist())):
-        if abs(coord[img] - rot * coord[r]) > 1e-8 * max(1.0, abs(coord[r])):
+        if abs(coord[img] - rot * coord[r]) > EQUIVARIANCE_TOL * max(1.0, abs(coord[r])):
             raise ArithmeticError("projection is not gamma-equivariant")
 
-    # cluster root arguments into rays (circularly) and check there are 2s of them
-    angles = np.array([np.angle(coord[r]) for r in rs.roots]) % (2 * np.pi)
-    ray_groups = circular_cluster(angles, RAY_TOL)
-    if len(ray_groups) != 2 * s:
-        raise TheoremCheckError(
-            f"expected 2s = {2*s} singular directions, found {len(ray_groups)}"
-        )
-    ray_angle_list = sorted(mean_angle(angles[g]) for g in ray_groups)
-    gaps = np.diff(ray_angle_list + [ray_angle_list[0] + 2 * np.pi])
-    if np.max(np.abs(gaps - np.pi / s)) > RAY_TOL:
-        raise TheoremCheckError(f"ray gaps deviate from pi/s: {gaps}")
-
-    # label d_1.. d_{2s} clockwise from angle 0
-    ray_angles = tuple(float((-i * np.pi / s) % (2 * np.pi)) for i in range(2 * s))
-    diffs = np.abs(angles[:, None] - np.array(ray_angles)[None, :])
-    diffs = np.minimum(diffs, 2 * np.pi - diffs)
-    nearest = np.argmin(diffs, axis=1)
-    off = diffs[np.arange(len(angles)), nearest] > RAY_TOL
-    if off.any():
-        angle = angles[np.argmax(off)]
+    # each root lies on a ray k pi/s; d_{i+1}, clockwise from angle 0, is ray k = -i
+    angles = np.angle([coord[r] for r in rs.roots])
+    ray = ray_index(angles, s, 0.0, RAY_TOL / 2)
+    if (ray < 0).any():
+        angle = angles[np.argmax(ray < 0)] % (2 * np.pi)
         raise TheoremCheckError(f"root angle {angle} not on any expected ray")
     assign: List[set] = [set() for _ in range(2 * s)]
-    for r, i in zip(rs.roots, nearest.tolist()):
-        assign[i].add(r)
+    for r, k in zip(rs.roots, ray.tolist()):
+        assign[-k % (2 * s)].add(r)
+    found = sum(1 for a in assign if a)
+    if found != 2 * s:
+        raise TheoremCheckError(f"expected 2s = {2*s} singular directions, found {found}")
+    if not assign[0].issuperset(pi2):
+        raise TheoremCheckError(f"Pi_2 roots not all on d_1: {sorted(set(pi2) - assign[0])}")
+    ray_angles = tuple(float((-i * np.pi / s) % (2 * np.pi)) for i in range(2 * s))
 
     radii = sorted(abs(c) for c in coord.values())
     wheel_groups = _cluster(radii, RAY_TOL * max(radii))
@@ -286,9 +262,6 @@ class SingularDirectionReport:
     num_rays: int
     head: FrozenSet[Root]      # R(d_1) = Pi_2
     tail: FrozenSet[Root]      # R(d_s) = Pi_1
-    per_ray_orthogonal: bool
-    positive_sector_is_delta_plus: bool
-    fundamental_domain_ok: bool
 
 
 def singular_directions(
@@ -329,8 +302,7 @@ def singular_directions(
     union: set = set()
     for i in range(s):
         union |= plane.assignment[i]
-    pos_ok = union == set(rs.positive_roots)
-    if not pos_ok:
+    if union != set(rs.positive_roots):
         raise TheoremCheckError("positive sector union is not Delta_+")
 
     # roots on one ray are pairwise orthogonal, checked with the form scaled to integers
@@ -351,8 +323,7 @@ def singular_directions(
     # R(d_1) u R(d_2) is a fundamental domain for the gamma-orbits
     dom = set(plane.assignment[0]) | set(plane.assignment[1])
     orbits = _gamma_orbits(rs, gamma)
-    fd_ok = len(dom) == rs.rank and all(len(dom & o) == 1 for o in orbits)
-    if not fd_ok:
+    if len(dom) != rs.rank or any(len(dom & o) != 1 for o in orbits):
         raise TheoremCheckError("R(d_1) u R(d_2) is not a fundamental domain")
 
     return SingularDirectionReport(
@@ -360,9 +331,6 @@ def singular_directions(
         num_rays=2 * s,
         head=plane.assignment[0],
         tail=plane.assignment[s - 1],
-        per_ray_orthogonal=True,
-        positive_sector_is_delta_plus=pos_ok,
-        fundamental_domain_ok=fd_ok,
     )
 
 

@@ -8,17 +8,18 @@ rescaling they coincide with the plane coordinates of the roots.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Sequence, Tuple
+from typing import Sequence, Tuple
 
 import numpy as np
 
 from .assignment import linear_assignment
-from .chevalley import ChevalleyAlgebra, Element
-from .coxeter import CoxeterPlaneDiagram, circular_cluster, mean_angle
-from .rootcore import Root
+from .chevalley import ChevalleyAlgebra
+from .coxeter import CoxeterPlaneDiagram, ray_index
 
 ZERO_TOL = 1e-8
 RAY_TOL = 1e-7
+# the nonzero spectrum is closed under e^{2 pi i/s}, relative to max|eigenvalue|
+ROTATION_TOL = 1e-7
 MATCH_TOL = 1e-6
 
 
@@ -33,8 +34,6 @@ class SpectrumMismatch(AssertionError):
 @dataclass
 class EPlusElement:
     alg: ChevalleyAlgebra
-    coefficients: Tuple[complex, ...]     # index 0 pairs with e_{-psi}
-    element: Element
     ad: np.ndarray
 
 
@@ -60,41 +59,18 @@ def build_e_plus(alg: ChevalleyAlgebra, coeffs: Sequence[complex] | None = None)
     kernel_dim = int(np.sum(sv < ZERO_TOL * scale))
     if kernel_dim != l:
         raise RegularityError(f"kernel of ad(E_+) has dimension {kernel_dim}, expected {l}")
-    return EPlusElement(alg, coeffs, el, ad)
+    return EPlusElement(alg, ad)
 
 
 @dataclass
 class SpectrumReport:
-    eigenvalues: np.ndarray                 # all dim(g) of them
-    nonzero: np.ndarray                     # sorted canonically by (angle, radius)
+    nonzero: np.ndarray                     # sorted canonically by (ray, radius)
     zero_multiplicity: int
-    rays: Tuple[Tuple[float, int], ...]     # (angle, eigenvalue count) per ray
-    ray_members: Tuple[Tuple[int, ...], ...]
-
-    def to_jsonable(self) -> dict:
-        """(real, imag, ray index) triples for external plotting."""
-        eig = self.nonzero
-        angles = np.angle(eig) % (2 * np.pi)
-        ray_angles = [a for a, _ in self.rays]
-        out = []
-        for z, ang in zip(eig, angles):
-            diffs = [
-                min(abs(ang - a), 2 * np.pi - abs(ang - a)) for a in ray_angles
-            ]
-            out.append(
-                {"real": float(z.real), "imag": float(z.imag),
-                 "ray": int(np.argmin(diffs)) + 1}
-            )
-        return {
-            "schema_version": 1,
-            "zero_multiplicity": self.zero_multiplicity,
-            "rays": [{"angle": a, "count": c} for a, c in self.rays],
-            "eigenvalues": out,
-        }
+    rays: Tuple[Tuple[float, int], ...]     # (angle, eigenvalue count) of ray k = 0 .. 2s-1
 
 
 def ad_spectrum(ep: EPlusElement) -> SpectrumReport:
-    """Eigenvalues of ad(E_+), clustered by argument into the 2s rays."""
+    """Eigenvalues of ad(E_+), each on one of the 2s rays phi + k pi/s."""
     alg = ep.alg
     s = alg.rs.coxeter_number
     l = alg.rs.rank
@@ -106,32 +82,31 @@ def ad_spectrum(ep: EPlusElement) -> SpectrumReport:
     if zmult != l:
         raise SpectrumMismatch(f"zero eigenvalue multiplicity {zmult}, expected l = {l}")
 
-    angles = np.angle(nz) % (2 * np.pi)
-    groups = circular_cluster(angles, RAY_TOL)
-    if len(groups) != 2 * s:
+    # angle * 2s sends every ray to one point, whose mean direction gives phi mod
+    # pi/s; phi is taken in [-pi/4s, 3pi/4s), away from both offsets 0 and pi/2s
+    # that a real ad(E_+) can have, so rounding cannot relabel its rays
+    theta = np.angle(nz)
+    q = np.pi / (4 * s)
+    phi = float((np.angle(np.exp(2j * s * theta).sum()) / (2 * s) + q) % (np.pi / s) - q)
+    ray = ray_index(theta, s, phi, RAY_TOL / 2)
+    if (ray < 0).any():
+        angle = theta[np.argmax(ray < 0)] % (2 * np.pi)
+        raise SpectrumMismatch(f"eigenvalue angle {angle} not within {RAY_TOL / 2} of a ray")
+    counts = np.bincount(ray, minlength=2 * s)
+    if not counts.all():
         raise SpectrumMismatch(
-            f"nonzero spectrum clusters into {len(groups)} rays, expected 2s = {2*s}"
+            f"nonzero spectrum fills {np.count_nonzero(counts)} rays, expected 2s = {2*s}"
         )
-    reps = [mean_angle(angles[g]) for g in groups]
-    order = np.argsort(reps)
-    ray_angles = [reps[i] for i in order]
-    gaps = np.diff(ray_angles + [ray_angles[0] + 2 * np.pi])
-    if np.max(np.abs(gaps - np.pi / s)) > RAY_TOL:
-        raise SpectrumMismatch(f"ray gaps deviate from pi/s beyond {RAY_TOL}: {gaps}")
 
     # spectrum is invariant under multiplication by e^{2 pi i/s}
     rot = np.exp(2j * np.pi / s) * nz
     cost = np.abs(rot[:, None] - nz[None, :])
     ri, ci = linear_assignment(cost)
-    if cost[ri, ci].max() > 1e-7 * scale:
+    if cost[ri, ci].max() > ROTATION_TOL * scale:
         raise SpectrumMismatch("nonzero spectrum not closed under the s-th root rotation")
 
-    key = np.lexsort((np.abs(nz), np.round(np.angle(nz) % (2 * np.pi), 9)))
-    rays = tuple(
-        (ray_angles[k], len(groups[order[k]])) for k in range(len(groups))
-    )
-    members = tuple(tuple(groups[order[k]]) for k in range(len(groups)))
-    return SpectrumReport(eig, nz[key], zmult, rays, members)
+    rays = tuple((phi + k * np.pi / s, int(c)) for k, c in enumerate(counts))
+    return SpectrumReport(nz[np.lexsort((np.abs(nz), ray))], zmult, rays)
 
 
 @dataclass
@@ -173,22 +148,12 @@ def match_plane(sr: SpectrumReport, plane: CoxeterPlaneDiagram) -> PlaneMatch:
     if res > MATCH_TOL * scale:
         raise SpectrumMismatch(f"plane/spectrum match residual {res} above {MATCH_TOL*scale}")
 
+    # ray 0 of the spectrum sits at its offset phi; spectrum ray k holds kappa times
+    # plane ray k - shift, which is d_{shift-k+1}
+    s = plane.num_rays // 2
+    shift = int(np.rint((np.angle(kappa) - sr.rays[0][0]) * s / np.pi))
     counts = tuple(c for _, c in sr.rays)
-    plane_counts = tuple(len(a) for a in _rotate_assignment(sr, plane, kappa))
+    plane_counts = tuple(len(plane.assignment[(shift - k) % (2 * s)]) for k in range(2 * s))
     if counts != plane_counts:
         raise SpectrumMismatch(f"per-ray counts {counts} differ from the plane's {plane_counts}")
     return PlaneMatch(kappa, res)
-
-
-def _rotate_assignment(sr: SpectrumReport, plane: CoxeterPlaneDiagram, kappa: complex):
-    """Plane ray sets reordered to the spectrum's ray angles via arg(kappa)."""
-    shift = np.angle(kappa)
-    out = []
-    for ang, _cnt in sr.rays:
-        target = (ang - shift) % (2 * np.pi)
-        diffs = [
-            min(abs(target - a) % (2 * np.pi), 2 * np.pi - abs(target - a) % (2 * np.pi))
-            for a in plane.ray_angles
-        ]
-        out.append(plane.assignment[int(np.argmin(diffs))])
-    return out

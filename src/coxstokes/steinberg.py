@@ -83,16 +83,6 @@ def alcove_map(rs: RootSystem, m: Sequence) -> AlcovePoint:
     return AlcovePoint(m, y, slacks, slack_psi, alcove_ok, fixed)
 
 
-def certify_alcove_membership(rs: RootSystem, m: Sequence) -> bool:
-    """Membership of y in the alcove (resp. its sigma-fixed part for A/D_odd/E6)."""
-    pt = alcove_map(rs, m)
-    t = rs.type
-    needs_sigma = t.family == "A" or (t.family == "D" and t.rank % 2 == 1) or (
-        t.family == "E" and t.rank == 6
-    )
-    return pt.admissible and (pt.sigma_fixed or not needs_sigma)
-
-
 # -- torus character values ----------------------------------------------------
 
 

@@ -28,7 +28,6 @@ from coxstokes.spectrum import ad_spectrum, build_e_plus, match_plane
 from coxstokes.steinberg import (
     admissible_m,
     alcove_map,
-    certify_alcove_membership,
     steinberg_section,
     stokes_from_asymptotics,
 )
@@ -174,12 +173,14 @@ def test_criterion_8_alcove_equivalence():
             hits += 1
             sym = tuple((m[i] + m[nu[i] - 1]) / 2 for i in range(rs.rank))
             if admissible_m(rs, sym):
-                assert certify_alcove_membership(rs, sym)
+                pt = alcove_map(rs, sym)
+                assert pt.admissible and pt.sigma_fixed
             moved = next(i for i in range(rs.rank) if nu[i] != i + 1)
             asym = list(sym)
             asym[moved] += Q(1, 23)
             if admissible_m(rs, asym):
-                assert not certify_alcove_membership(rs, asym)
+                pt = alcove_map(rs, asym)
+                assert pt.admissible and not pt.sigma_fixed
 
 
 @_report(9, "formal solution: sl3 order 5 residuals < 1e-9 and Lambda_0 = 0")

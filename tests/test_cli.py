@@ -227,8 +227,9 @@ _UNDER_O = """
 import dataclasses
 from fractions import Fraction as Q
 import numpy as np
-from coxstokes import cli, coxeter, steinberg
+from coxstokes import cli, coxeter, spectrum, steinberg
 from coxstokes.characters import _Lattice, _freudenthal
+from coxstokes.chevalley import build_chevalley
 from coxstokes.oracle import _central_factor
 from coxstokes.rootcore import build_root_system
 
@@ -261,6 +262,11 @@ lat.W[0][0] += Q(1, 7)
 fires("freudenthal", lambda: _freudenthal(lat, (1, 1)), cli.InvariantViolation)
 fires("central", lambda: _central_factor(np.diag([1.0, 2.0])), cli.ConsistencyError)
 fires("schema", lambda: cli._validate("describe", {"schema_version": True}), cli.SchemaViolation)
+ep = spectrum.build_e_plus(build_chevalley("A2"))
+eigs = np.linalg.eigvals(ep.ad)
+eigs[np.argmax(np.abs(eigs))] *= np.exp(1e-6j)
+off_ray = dataclasses.replace(ep, ad=np.diag(eigs))
+fires("off ray", lambda: spectrum.ad_spectrum(off_ray), spectrum.SpectrumMismatch)
 steinberg.CLASS_TOL = 0.0
 steinberg.CHAR_TOL = 0.0
 print("stokes", cli.main(["stokes", "--type", "B3", "--m=-1/8,-5/4,-15/8"]))
@@ -276,9 +282,9 @@ def test_invariant_checks_fire_under_python_O():
         capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src}, timeout=120,
     )
     assert out.returncode == 0, out.stderr
-    assert out.stdout.split("\n")[:9] == [
+    assert out.stdout.split("\n")[:10] == [
         "disconnected", "odd cycle", "gamma^s", "orbits", "freudenthal", "central", "schema",
-        f"stokes {EXIT_VERIFY}", f"exit {EXIT_VERIFY}",
+        "off ray", f"stokes {EXIT_VERIFY}", f"exit {EXIT_VERIFY}",
     ]
 
 

@@ -4,6 +4,7 @@ from fractions import Fraction as Q
 import numpy as np
 import pytest
 
+from coxstokes import coxeter
 from coxstokes.coxeter import (
     TheoremCheckError,
     Bipartition,
@@ -13,6 +14,7 @@ from coxstokes.coxeter import (
     gamma_orbits,
     inversion_set,
     kostant_chain,
+    ray_index,
     singular_directions,
 )
 from coxstokes.rootcore import build_root_system
@@ -81,6 +83,25 @@ def test_kostant_chain_all_n(name):
         kostant_chain(rs, rs.coxeter_number + 1, bip)
 
 
+@pytest.mark.parametrize("name,m", [("A4", 3), ("D4", 4), ("E6", 7)])
+def test_kostant_chain_checks_every_prefix(name, m, monkeypatch):
+    # an inversion set that is wrong at one middle prefix only fails the chain at n = s
+    rs = build_root_system(name)
+    bip = bipartition(rs)
+    _, chain = reference_kostant_blocks(rs, bip, m)
+    tau_m = coxeter._word_array(coxeter._reflections(rs), chain)
+    real = coxeter._inversions
+
+    def wrong_at_m(rs_, M):
+        lam = real(rs_, M)
+        return lam - {min(lam)} if np.array_equal(M, tau_m) else lam
+
+    monkeypatch.setattr(coxeter, "_inversions", wrong_at_m)
+    assert len(kostant_chain(rs, m - 1, bip)) == m - 1
+    with pytest.raises(TheoremCheckError, match=rf"mismatch for n={m}:"):
+        kostant_chain(rs, rs.coxeter_number, bip)
+
+
 def test_kostant_chain_examples():
     rs = build_root_system("A2")
     bip = bipartition(rs)
@@ -103,8 +124,6 @@ def test_plane_rays_and_theorem(name):
     gaps = np.diff(sorted(plane.ray_angles) + [min(plane.ray_angles) + 2 * np.pi])
     assert np.max(np.abs(gaps - np.pi / s)) < 1e-9
     report = singular_directions(rs, bip, plane)
-    assert report.positive_sector_is_delta_plus
-    assert report.fundamental_domain_ok
     pi1 = frozenset(rs.simple_roots[i - 1] for i in bip.i1)
     pi2 = frozenset(rs.simple_roots[i - 1] for i in bip.i2)
     assert report.head == pi2 and report.tail == pi1
@@ -270,3 +289,22 @@ def test_non_orthogonal_ray_fails_theorem_check():
     skewed = dataclasses.replace(rs, form=tuple(tuple(row) for row in form))
     with pytest.raises(TheoremCheckError, match=r"d_2 not orthogonal: \(0, 1, 1\), \(1, 1, 0\)"):
         singular_directions(skewed, bip, plane)
+
+
+def test_ray_index_bound_and_wrap_around():
+    s, tol = 3, 1e-9
+    step = np.pi / s
+    # exact rays, including k = 0 approached from below 2 pi and from negative angles
+    angles = np.array([0.0, step, 5 * step, 2 * np.pi, -step, -6 * step, 7 * step])
+    assert ray_index(angles, s, 0.0, tol).tolist() == [0, 1, 5, 0, 5, 0, 1]
+    # within the bound on both sides of a ray, through 0 and 2 pi
+    near = np.array([tol / 2, -tol / 2, 2 * np.pi - tol / 2, -2 * np.pi + tol / 2])
+    assert ray_index(near, s, 0.0, tol).tolist() == [0, 0, 0, 0]
+    # beyond it on both sides
+    far = np.array([2 * tol, -2 * tol, 2 * np.pi - 2 * tol, step + 2 * tol, -step - 2 * tol])
+    assert ray_index(far, s, 0.0, tol).tolist() == [-1] * 5
+    # an offset moves every ray; a negative angle near offset - pi/s is ray 2s - 1
+    off = 0.3
+    assert ray_index(np.array([off, off - step + tol / 2, off - 4 * tol]), s, off, tol).tolist() \
+        == [0, 2 * s - 1, -1]
+

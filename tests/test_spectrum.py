@@ -10,6 +10,7 @@ from coxstokes.chevalley import build_chevalley
 from coxstokes.cli import STANDARD_TYPES
 from coxstokes.coxeter import bipartition, coxeter_plane
 from coxstokes.spectrum import (
+    RAY_TOL,
     RegularityError,
     SpectrumMismatch,
     ad_spectrum,
@@ -112,16 +113,24 @@ def test_per_ray_counts_larger_types(name):
     assert sorted(c for _, c in sr.rays) == sorted(len(a) for a in plane.assignment)
 
 
-def test_spectrum_json_dump():
-    alg = build_chevalley("A2")
-    sr = ad_spectrum(build_e_plus(alg))
-    doc = sr.to_jsonable()
-    assert doc["zero_multiplicity"] == 2
-    assert len(doc["eigenvalues"]) == 6
-    assert {p["ray"] for p in doc["eigenvalues"]} == set(range(1, 7))
-    import json
+@pytest.mark.parametrize("name", ["A2", "D4", "G2"])
+def test_turned_eigenvalue_against_the_ray_bound(name):
+    # a diagonal ad with the true spectrum; one eigenvalue turned off its ray
+    ep = build_e_plus(build_chevalley(name))
+    sr = ad_spectrum(ep)
+    eigs = np.concatenate([np.zeros(sr.zero_multiplicity), sr.nonzero])
+    i = sr.zero_multiplicity + len(sr.nonzero) // 3
 
-    json.dumps(doc)  # serializable
+    def turned(angle):
+        e = eigs.copy()
+        e[i] *= np.exp(1j * angle)
+        return ad_spectrum(dataclasses.replace(ep, ad=np.diag(e)))
+
+    with pytest.raises(SpectrumMismatch, match="not within"):
+        turned(10 * RAY_TOL)
+    near = turned(RAY_TOL / 10)
+    assert [c for _, c in near.rays] == [c for _, c in sr.rays]
+    assert np.allclose([a for a, _ in near.rays], [a for a, _ in sr.rays], rtol=0, atol=RAY_TOL)
 
 
 def _plane_and_spectrum(name):

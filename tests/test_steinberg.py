@@ -21,7 +21,6 @@ from coxstokes.steinberg import (
     _adjoint_section,
     admissible_m,
     alcove_map,
-    certify_alcove_membership,
     characters_from_matrices,
     fundamental_traces,
     semisimple_spectrum_check,
@@ -94,15 +93,16 @@ def test_sigma_fixed_filter(name, needs_sigma):
     m_sym = rand_admissible_m(rng, rs)
     # symmetrize in H-coordinates
     m_sym = tuple((m_sym[i] + m_sym[nu[i] - 1]) / 2 for i in range(rs.rank))
-    assert alcove_map(rs, m_sym).sigma_fixed
-    assert certify_alcove_membership(rs, m_sym) == admissible_m(rs, m_sym)
+    pt = alcove_map(rs, m_sym)
+    assert pt.sigma_fixed
+    assert pt.admissible == admissible_m(rs, m_sym)
     if needs_sigma and nu != tuple(range(1, rs.rank + 1)):
         moved = next(i for i in range(rs.rank) if nu[i] != i + 1)
         m_asym = list(m_sym)
         m_asym[moved] += Q(1, 17)
         if admissible_m(rs, m_asym):
-            assert not alcove_map(rs, m_asym).sigma_fixed
-            assert not certify_alcove_membership(rs, m_asym)
+            pt = alcove_map(rs, m_asym)
+            assert pt.admissible and not pt.sigma_fixed
 
 
 # -- cross-section ----------------------------------------------------------------
