@@ -85,7 +85,8 @@ def test_kostant_chain_all_n(name):
 
 @pytest.mark.parametrize("name,m", [("A4", 3), ("D4", 4), ("E6", 7)])
 def test_kostant_chain_checks_every_prefix(name, m, monkeypatch):
-    # an inversion set that is wrong at one middle prefix only fails the chain at n = s
+    # an inversion set wrong only at prefix m: the chain to m - 1 passes, and the
+    # chain to s fails there, naming m
     rs = build_root_system(name)
     bip = bipartition(rs)
     _, chain = reference_kostant_blocks(rs, bip, m)
@@ -307,4 +308,3 @@ def test_ray_index_bound_and_wrap_around():
     off = 0.3
     assert ray_index(np.array([off, off - step + tol / 2, off - 4 * tol]), s, off, tol).tolist() \
         == [0, 2 * s - 1, -1]
-
