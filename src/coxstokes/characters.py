@@ -3,7 +3,9 @@
 Dominant multiplicities come from the Freudenthal recursion, full weight
 lists from Weyl-orbit expansion, with the Weyl dimension formula as an
 independent cross-check.  Weights are handled in Dynkin (fundamental-weight)
-coordinates, where dominance and reflections are integer operations.
+coordinates, where dominance and reflections are integer operations, and
+every inner product is an integer sum over the root system's scaled simple
+lengths, so the recursion runs in integers.
 """
 
 from __future__ import annotations
@@ -16,8 +18,7 @@ from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
 
-from .rootcore import InvariantViolation, RootSystem, build_root_system
-from .scalars import mat_inv, mat_mul
+from .rootcore import InvariantViolation, Root, RootSystem, build_root_system
 
 Weight = Tuple[int, ...]
 
@@ -37,129 +38,98 @@ class CharacterTable:
     dim: int
 
 
-class _Lattice:
-    """Dynkin-coordinate weight arithmetic for one root system."""
-
-    def __init__(self, rs: RootSystem):
-        self.rs = rs
-        l = rs.rank
-        A = [[Q(rs.cartan[i][j]) for j in range(l)] for i in range(l)]
-        Ainv = mat_inv(A)
-        G = [[rs.form[i][j] for j in range(l)] for i in range(l)]
-        AinvT = [[Ainv[j][i] for j in range(l)] for i in range(l)]
-        self.W = mat_mul(mat_mul(Ainv, G), AinvT)  # (mu,nu) = mu W nu^T
-        self.Ainv = Ainv
-        self.pos_dyn = [self.to_dyn(r) for r in rs.positive_roots]
-        self.rho = tuple([1] * l)
-        # (mu, alpha_j) = mu_j (alpha_j, alpha_j)/2: these lengths, scaled to integers
-        den = math.lcm(*(Q(rs.form[j][j]).denominator for j in range(l)))
-        self._len_sq = tuple(int(rs.form[j][j] * den) for j in range(l))
-        self._len_den = den
-
-    def to_dyn(self, root) -> Weight:
-        l = self.rs.rank
-        return tuple(
-            sum(root[j] * self.rs.cartan[j][i] for j in range(l)) for i in range(l)
-        )
-
-    def to_simple_coords(self, d: Weight) -> Tuple[Q, ...]:
-        l = self.rs.rank
-        return tuple(sum(Q(d[i]) * self.Ainv[i][j] for i in range(l)) for j in range(l))
-
-    def inner(self, a, b) -> Q:
-        l = self.rs.rank
-        return sum(Q(a[i]) * self.W[i][j] * Q(b[j]) for i in range(l) for j in range(l))
-
-    def reflect(self, i: int, d: Weight) -> Weight:
-        l = self.rs.rank
-        return tuple(d[j] - d[i] * self.rs.cartan[i][j] for j in range(l))
-
-    def dominant_conjugate(self, d: Weight) -> Weight:
-        while True:
-            for i, c in enumerate(d):
-                if c < 0:
-                    d = self.reflect(i, d)
-                    break
-            else:
-                return d
-
-    def orbit(self, d: Weight) -> List[Weight]:
-        seen = {d}
-        frontier = [d]
-        while frontier:
-            nxt = []
-            for w in frontier:
-                for i in range(self.rs.rank):
-                    v = self.reflect(i, w)
-                    if v not in seen:
-                        seen.add(v)
-                        nxt.append(v)
-            frontier = nxt
-        return sorted(seen)
-
-    def weyl_dim(self, lam: Weight) -> int:
-        """prod over positive roots of (lam+rho, alpha)/(rho, alpha), in integers."""
-        num = den = 1
-        for root in self.rs.positive_roots:
-            num *= sum(c * (m + 1) * w for c, m, w in zip(root, lam, self._len_sq))
-            den *= sum(c * w for c, w in zip(root, self._len_sq))
-        if num % den:
-            raise InvariantViolation(f"Weyl dimension of {lam} is not an integer")
-        return num // den
+def weyl_dim(rs: RootSystem, lam: Weight) -> int:
+    """prod over positive roots of (lam+rho, alpha)/(rho, alpha), in integers."""
+    num = den = 1
+    for root in rs.positive_roots:
+        num *= sum(c * (m + 1) * n for c, m, n in zip(root, lam, rs.simple_lengths))
+        den *= sum(c * n for c, n in zip(root, rs.simple_lengths))
+    if num % den:
+        raise InvariantViolation(f"Weyl dimension of {lam} is not an integer")
+    return num // den
 
 
-@lru_cache(maxsize=None)
-def _lattice(type_name: str) -> _Lattice:
-    return _Lattice(build_root_system(type_name))
+def _reflect(rs: RootSystem, i: int, d: Weight) -> Weight:
+    """The simple reflection s_{alpha_i} (0-based i) on Dynkin labels: d - d_i alpha_i."""
+    return tuple(x - d[i] * a for x, a in zip(d, rs.cartan[i]))
 
 
-def _dominant_weights(lat: _Lattice, lam: Weight) -> List[Weight]:
-    """All dominant weights below lam, sorted by decreasing height of mu."""
-    found = {lam}
+def _dominant_conjugate(rs: RootSystem, d: Weight) -> Weight:
+    while True:
+        for i, c in enumerate(d):
+            if c < 0:
+                d = _reflect(rs, i, d)
+                break
+        else:
+            return d
+
+
+def _orbit(rs: RootSystem, d: Weight) -> List[Weight]:
+    seen = {d}
+    frontier = [d]
+    while frontier:
+        nxt = []
+        for w in frontier:
+            for i in range(rs.rank):
+                v = _reflect(rs, i, w)
+                if v not in seen:
+                    seen.add(v)
+                    nxt.append(v)
+        frontier = nxt
+    return sorted(seen)
+
+
+def _dominant_weights(rs: RootSystem, lam: Weight, pos_dyn) -> List[Tuple[Weight, Root]]:
+    """All dominant mu below lam, each with the simple-root coordinates of lam - mu,
+    sorted by the height of lam - mu."""
+    found = {lam: (0,) * rs.rank}
     frontier = [lam]
     while frontier:
         nxt = []
         for w in frontier:
-            for a in lat.pos_dyn:
-                v = tuple(x - y for x, y in zip(w, a))
+            for a, a_dyn in zip(rs.positive_roots, pos_dyn):
+                v = tuple(x - y for x, y in zip(w, a_dyn))
                 if all(c >= 0 for c in v) and v not in found:
-                    found.add(v)
+                    found[v] = tuple(x + y for x, y in zip(found[w], a))
                     nxt.append(v)
         frontier = nxt
-
-    def level(mu):
-        # height of lam - mu in simple-root coordinates
-        diff = lat.to_simple_coords(tuple(a - b for a, b in zip(lam, mu)))
-        return sum(diff)
-
-    return sorted(found, key=lambda mu: (level(mu), mu))
+    return sorted(found.items(), key=lambda item: (sum(item[1]), item[0]))
 
 
-def _freudenthal(lat: _Lattice, lam: Weight) -> Dict[Weight, int]:
-    doms = _dominant_weights(lat, lam)
+def _freudenthal(rs: RootSystem, lam: Weight) -> Dict[Weight, int]:
+    """Dominant multiplicities of V(lam) by Freudenthal's recursion, in integers.
+
+    For w in Dynkin labels and alpha in simple-root coordinates, (w, alpha) =
+    sum_j alpha_j w_j L_j / (2 den), L the simple_lengths and den the
+    length_den.  With lam - mu = sum_j c_j alpha_j, (lam+rho)^2 - (mu+rho)^2 =
+    (lam - mu, lam + mu + 2 rho) = sum_j c_j (lam_j + mu_j + 2) L_j / (2 den).
+    The factor 1/(2 den) cancels from the quotient, which must divide exactly.
+    """
+    lengths = rs.simple_lengths
+    pos = [(rs.to_dyn(a), tuple(c * n for c, n in zip(a, lengths))) for a in rs.positive_roots]
+    doms = _dominant_weights(rs, lam, [a_dyn for a_dyn, _ in pos])
     mult: Dict[Weight, int] = {lam: 1}
-    lam_rho = tuple(a + b for a, b in zip(lam, lat.rho))
-    c_top = lat.inner(lam_rho, lam_rho)
-    for mu in doms[1:]:
-        acc = Q(0)
-        for a in lat.pos_dyn:
+    for mu, c in doms[1:]:
+        acc = 0
+        for a_dyn, a_len in pos:
             k = 1
             while True:
-                w = tuple(m + k * x for m, x in zip(mu, a))
-                m_w = mult.get(lat.dominant_conjugate(w), 0)
+                w = tuple(m + k * x for m, x in zip(mu, a_dyn))
+                m_w = mult.get(_dominant_conjugate(rs, w), 0)
                 if m_w == 0:
                     break  # weight strings are unbroken: first gap ends the ray
-                acc += 2 * m_w * lat.inner(w, a)
+                acc += m_w * sum(x * y for x, y in zip(w, a_len))
                 k += 1
-        mu_rho = tuple(a + b for a, b in zip(mu, lat.rho))
-        denom = c_top - lat.inner(mu_rho, mu_rho)
+        denom = sum(ci * (a + b + 2) * n for ci, a, b, n in zip(c, lam, mu, lengths))
         if denom == 0:
             raise ArithmeticError("Freudenthal denominator vanished")
-        m = acc / denom
-        if m.denominator != 1:
-            raise InvariantViolation(f"Freudenthal multiplicity of {mu} is not an integer: {m}")
+        m, rem = divmod(2 * acc, denom)
+        if rem:
+            raise InvariantViolation(
+                f"Freudenthal multiplicity of {mu} is not an integer: {Q(2 * acc, denom)}"
+            )
         if m:
-            mult[mu] = int(m)
+            mult[mu] = m
     return mult
 
 
@@ -173,19 +143,18 @@ def fundamental_characters(type_name: str, index: int) -> CharacterTable:
     rs = build_root_system(type_name)
     if not 1 <= index <= rs.rank:
         raise ValueError(f"fundamental index must be 1..{rs.rank}")
-    lat = _lattice(str(rs.type))
     lam = tuple(int(i == index - 1) for i in range(rs.rank))
-    dim = lat.weyl_dim(lam)
+    dim = weyl_dim(rs, lam)
     if dim > DEFAULT_DIM_CAP:
         raise CharacterScaleError(
             f"character table for {type_name} omega_{index} has dimension {dim}, "
             f"out of desk scale (cap {DEFAULT_DIM_CAP})"
         )
 
-    mult = _freudenthal(lat, lam)
+    mult = _freudenthal(rs, lam)
     weights: List[Tuple[Weight, int]] = []
     for mu, m in mult.items():
-        for w in lat.orbit(mu):
+        for w in _orbit(rs, mu):
             weights.append((w, m))
     weights.sort()
     total = sum(m for _, m in weights)
@@ -202,7 +171,10 @@ def weight_pairing(rs: RootSystem, weight_dyn: Weight, h_coords) -> Q:
     Through the Cartan inverse and the invariant form, in Fractions (a float
     coordinate at its exact binary value): the reference for WeightPairing.
     """
-    return rs.pairing(_lattice(str(rs.type)).to_simple_coords(weight_dyn), h_coords)
+    l = rs.rank
+    ainv = rs.cartan_inv
+    simple = [sum(Q(weight_dyn[i]) * ainv[i][j] for i in range(l)) for j in range(l)]
+    return rs.pairing(simple, h_coords)
 
 
 class WeightPairing:
@@ -210,15 +182,15 @@ class WeightPairing:
 
     The one evaluator of weight pairings.  By definition mu(H_{alpha_j}) =
     (mu, alpha_j) = w_j (alpha_j, alpha_j)/2 for w the Dynkin labels of mu, so
-    row k is w times the scaled lengths _Lattice._len_sq, over 2 den: integers,
-    with no Cartan inverse.  Calling it computes mu(h) exactly (a float
+    row k is w times the root system's simple_lengths, over 2 length_den:
+    integers, with no Cartan inverse.  Calling it computes mu(h) exactly (a float
     coordinate at its exact binary value) and rounds once.
     """
 
     def __init__(self, type_name: str, weights: Sequence[Weight]):
-        lat = _lattice(type_name)
-        self.rows = tuple(tuple(c * n for c, n in zip(w, lat._len_sq)) for w in weights)
-        self.den = 2 * lat._len_den
+        rs = build_root_system(type_name)
+        self.rows = tuple(tuple(c * n for c, n in zip(w, rs.simple_lengths)) for w in weights)
+        self.den = 2 * rs.length_den
 
     def __call__(self, h_coords) -> np.ndarray:
         h = [Q(c) for c in h_coords]

@@ -44,16 +44,13 @@ from .rootcore import (
     Root,
     RootSystem,
     build_root_system,
+    check_bound,
     diagram_involution,
     integer_form,
 )
 from .scalars import Sq
 
 Element = Dict[int, object]  # basis index -> scalar (Sq/Fraction/complex)
-
-# Largest magnitude an integer check may reach; bound checks raise above it,
-# so int64 arithmetic (limit 2^63) can never wrap.
-_INT_LIMIT = 2**62
 
 
 def _neg(r: Root) -> Root:
@@ -62,11 +59,6 @@ def _neg(r: Root) -> Root:
 
 def _add(a: Root, b: Root) -> Root:
     return tuple(x + y for x, y in zip(a, b))
-
-
-def _check_bound(bound: int, what: str):
-    if bound >= _INT_LIMIT:
-        raise InvariantViolation(f"{what}: magnitude bound {bound} could overflow int64")
 
 
 def _exact_div(num: int, den: int) -> int:
@@ -105,7 +97,7 @@ def _root_tables(rs: RootSystem):
     n, l = R.shape
     off = 2 * int(np.abs(R).max())
     base = 2 * off + 1
-    _check_bound(base**l, "root keys")
+    check_bound(base**l, "root keys")
     place = base ** np.arange(l, dtype=np.int64)
     keys = (R + off) @ place
     order = np.argsort(keys)
@@ -124,7 +116,7 @@ def _root_tables(rs: RootSystem):
     sums[~V.any(axis=-1)] = -2
 
     G, form_den = integer_form(rs)
-    _check_bound(l * l * int(np.abs(R).max()) ** 2 * int(np.abs(G).max()), "inner products")
+    check_bound(l * l * int(np.abs(R).max()) ** 2 * int(np.abs(G).max()), "inner products")
     inner = R @ G @ R.T
     return R, neg, sums, inner, form_den
 
@@ -217,8 +209,8 @@ def verify_magnitudes(t: ChevalleyTables):
     u, v, d, D, F = t.n_rat, t.n_surd, t.surd, t.den, t.form_den
     p, q = _root_strings(t.sums, t.neg)
     top = max(int(np.abs(u).max()), int(np.abs(v).max()))
-    _check_bound(2 * F * (1 + d) * top * top, "N^2")
-    _check_bound(int(q.max()) * (int(p.max()) + 1) * int(np.abs(t.inner).max()) * D * D, "N^2")
+    check_bound(2 * F * (1 + d) * top * top, "N^2")
+    check_bound(int(q.max()) * (int(p.max()) + 1) * int(np.abs(t.inner).max()) * D * D, "N^2")
     # D^2 N^2 = u^2 + d v^2 + 2uv sqrt(d), against D^2 q(p+1)(a,a)/2
     lhs = 2 * F * (u * u + d * v * v)
     rhs = q * (p + 1) * np.diagonal(t.inner)[:, None] * (D * D)
@@ -248,8 +240,8 @@ def verify_jacobi(t: ChevalleyTables):
     d, D, F = t.surd, t.den, t.form_den
     n = len(neg)
     top = max(int(np.abs(u).max()), int(np.abs(v).max()))
-    _check_bound(3 * F * (1 + d) * top * top + 3 * D * D * int(np.abs(t.inner).max()), "Jacobi")
-    _check_bound(6 * top * int(np.abs(R).max()), "Jacobi")
+    check_bound(3 * F * (1 + d) * top * top + 3 * D * D * int(np.abs(t.inner).max()), "Jacobi")
+    check_bound(6 * top * int(np.abs(R).max()), "Jacobi")
     surd = bool(v.any())
 
     # Cartan part: a+b+c = 0 means c = -(a+b), one triple per bracketable pair

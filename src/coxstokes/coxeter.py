@@ -13,7 +13,14 @@ from typing import Dict, FrozenSet, List, Sequence, Tuple
 
 import numpy as np
 
-from .rootcore import InvariantViolation, Root, RootSystem, integer_form
+from .rootcore import (
+    InvariantViolation,
+    Root,
+    RootSystem,
+    integer_form,
+    reflection_matrices,
+    word_matrix,
+)
 
 RAY_TOL = 1e-9
 # gamma's eigenvalue e^{-2 pi i/s} is found within EIGENPLANE_TOL, and the projection
@@ -63,23 +70,6 @@ def bipartition(rs: RootSystem) -> Bipartition:
     return Bipartition(i1, i2)
 
 
-def _reflections(rs: RootSystem) -> np.ndarray:
-    """R[j] is the simple reflection R_{alpha_{j+1}} as an int64 matrix on
-    columns of root coordinates: it subtracts <root, alpha_j^vee> from entry j."""
-    l = rs.rank
-    R = np.tile(np.eye(l, dtype=np.int64), (l, 1, 1))
-    R[np.arange(l), np.arange(l), :] -= np.array(rs.cartan, dtype=np.int64).T
-    return R
-
-
-def _word_array(R: np.ndarray, word: Sequence[int]) -> np.ndarray:
-    """Matrix of a reflection word (1-based indices, leftmost acts last)."""
-    M = np.eye(R.shape[1], dtype=np.int64)
-    for j in word:
-        M = M @ R[j - 1]
-    return M
-
-
 def _as_roots(cols: np.ndarray) -> FrozenSet[Root]:
     """The columns of an integer matrix as a set of root tuples."""
     return frozenset(map(tuple, cols.T.tolist()))
@@ -102,7 +92,7 @@ class CoxeterElement:
 def coxeter_element(rs: RootSystem, bip: Bipartition) -> CoxeterElement:
     """gamma = tau_2 tau_1 for the given bipartition."""
     word = tuple(sorted(bip.i2)) + tuple(sorted(bip.i1))
-    M = _word_array(_reflections(rs), word)
+    M = word_matrix(reflection_matrices(rs.cartan), word)
     M.flags.writeable = False
     if np.linalg.matrix_power(M, rs.coxeter_number)[:, 0].tolist() != list(rs.simple_roots[0]):
         raise TheoremCheckError("gamma^s != identity on probe root")
@@ -111,7 +101,7 @@ def coxeter_element(rs: RootSystem, bip: Bipartition) -> CoxeterElement:
 
 def inversion_set(rs: RootSystem, word: Sequence[int]) -> FrozenSet[Root]:
     """Positive roots sent to negative roots by the word's Weyl element."""
-    return _inversions(rs, _word_array(_reflections(rs), word))
+    return _inversions(rs, word_matrix(reflection_matrices(rs.cartan), word))
 
 
 def _inversions(rs: RootSystem, M: np.ndarray) -> FrozenSet[Root]:
@@ -134,10 +124,10 @@ def kostant_chain(rs: RootSystem, n: int, bip: Bipartition | None = None):
     s = rs.coxeter_number
     if not 1 <= n <= s:
         raise ValueError(f"n must be in 1..s = 1..{s}")
-    R = _reflections(rs)
+    R = reflection_matrices(rs.cartan)
     # tau_i by i % 2, as the product of its commuting reflections in both orders
-    tau = {p: _word_array(R, _tau_word(bip, p)) for p in (0, 1)}
-    tau_rev = {p: _word_array(R, _tau_word(bip, p)[::-1]) for p in (0, 1)}
+    tau = {p: word_matrix(R, _tau_word(bip, p)) for p in (0, 1)}
+    tau_rev = {p: word_matrix(R, _tau_word(bip, p)[::-1]) for p in (0, 1)}
 
     # block m is tau^{(-(m-1))} Pi_m, with tau^{(-(m-1))} = tau_1 tau_2 ... tau_{m-1};
     # tau^{(m)} = tau_m ... tau_1 is an independent product for the inversion set

@@ -12,7 +12,7 @@ import re
 from dataclasses import dataclass, field
 from fractions import Fraction as Q
 from functools import lru_cache
-from typing import Dict, List, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
 
@@ -31,6 +31,17 @@ class InvariantViolation(AssertionError):
     Raised explicitly, never by ``assert``, so the checks also hold under
     ``python -O``.
     """
+
+
+# Largest magnitude an integer check may reach; check_bound raises above it,
+# so int64 arithmetic (limit 2^63) can never wrap.
+INT_LIMIT = 2**62
+
+
+def check_bound(bound: int, what: str):
+    """Raise InvariantViolation when an int64 computation bounded by bound could wrap."""
+    if bound >= INT_LIMIT:
+        raise InvariantViolation(f"{what}: magnitude bound {bound} could overflow int64")
 
 
 _MIN_RANK = {"A": 2, "B": 2, "C": 2, "D": 3, "F": 4, "G": 2}
@@ -134,6 +145,9 @@ class RootSystem:
     exponents: Tuple[int, ...]
     r_coeffs: Tuple[Q, ...]                      # x_0 = sum r_i H_{a_i}
     epsilon_basis: Tuple[Tuple[Q, ...], ...]     # eps_j in the H_{a_i} basis (column j)
+    cartan_inv: Tuple[Tuple[Q, ...], ...]        # omega_i = sum_j cartan_inv[i][j] a_j
+    simple_lengths: Tuple[int, ...]              # (a_j, a_j) * length_den
+    length_den: int                              # lcm of the (a_j, a_j) denominators
     _root_set: frozenset = field(repr=False, default=frozenset())
     # alpha -> the row sum_i alpha_i G_ij, filled on first use by pairing(); not an
     # init field, so dataclasses.replace (a changed form) starts an empty one
@@ -171,6 +185,11 @@ class RootSystem:
             self._form_rows[key] = row
         h = [Q(h_coords[j]) for j in range(n)]
         return sum((r * hj for r, hj in zip(row, h) if r), Q(0))
+
+    def to_dyn(self, root) -> Tuple[int, ...]:
+        """Dynkin labels <root, alpha_i^vee> of a vector in simple-root coordinates."""
+        n = self.rank
+        return tuple(sum(root[j] * self.cartan[j][i] for j in range(n)) for i in range(n))
 
     def reflect(self, j: int, root: Root) -> Root:
         """Simple reflection R_{alpha_j} (j is 0-based) acting on root coordinates."""
@@ -211,23 +230,26 @@ def _reflection_closure(rs_cartan: List[List[int]], l: int) -> List[Root]:
     return sorted(seen, key=_root_key)
 
 
-def _coxeter_matrix(cartan, l) -> np.ndarray:
-    """Product of all simple reflections, as an integer matrix on root coords."""
-    mats = []
-    for j in range(l):
-        Rj = np.eye(l, dtype=np.int64)
-        for i in range(l):
-            Rj[i][j] -= cartan[i][j]
-        mats.append(Rj.T)  # acts on column vectors of coordinates
-    out = np.eye(l, dtype=np.int64)
-    for M in mats:
-        out = M @ out
-    return out
+def reflection_matrices(cartan) -> np.ndarray:
+    """R[j] is the simple reflection R_{alpha_{j+1}} as an int64 matrix on
+    columns of root coordinates: it subtracts <root, alpha_j^vee> from entry j."""
+    l = len(cartan)
+    R = np.tile(np.eye(l, dtype=np.int64), (l, 1, 1))
+    R[np.arange(l), np.arange(l), :] -= np.array(cartan, dtype=np.int64).T
+    return R
+
+
+def word_matrix(R: np.ndarray, word: Sequence[int]) -> np.ndarray:
+    """Matrix of a reflection word (1-based indices, leftmost acts last)."""
+    M = np.eye(R.shape[1], dtype=np.int64)
+    for j in word:
+        M = M @ R[j - 1]
+    return M
 
 
 def _exponents_from_angles(cartan, l: int, s: int) -> Tuple[int, ...]:
-    """Exponents read off the eigenvalue angles of a Coxeter element matrix."""
-    C = _coxeter_matrix(cartan, l)
+    """Exponents read off the eigenvalue angles of the Coxeter element R_l ... R_1."""
+    C = word_matrix(reflection_matrices(cartan), range(l, 0, -1))
     eig = np.linalg.eigvals(C.astype(np.complex128))
     exps = []
     for lam in eig:
@@ -287,6 +309,10 @@ def build_root_system(type_name) -> RootSystem:
     ginv = mat_inv(form)
     r_coeffs = mat_vec(ginv, [Q(1)] * l)
     eps = tuple(tuple(ginv[i][j] for i in range(l)) for j in range(l))
+    # A = G diag(2/G_jj), so A^{-1} = diag(G_ii/2) G^{-1}: no second inversion
+    cartan_inv = tuple(tuple(form[i][i] / 2 * ginv[i][j] for j in range(l)) for i in range(l))
+    length_den = math.lcm(*(form[j][j].denominator for j in range(l)))
+    simple_lengths = tuple(int(form[j][j] * length_den) for j in range(l))
 
     return RootSystem(
         type=t,
@@ -301,6 +327,9 @@ def build_root_system(type_name) -> RootSystem:
         exponents=exps,
         r_coeffs=tuple(r_coeffs),
         epsilon_basis=eps,
+        cartan_inv=cartan_inv,
+        simple_lengths=simple_lengths,
+        length_den=length_den,
         _root_set=frozenset(roots),
     )
 

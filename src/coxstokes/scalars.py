@@ -27,11 +27,6 @@ def mat_vec(A: Sequence[Sequence[Q]], v: Sequence[Q]) -> Vector:
     return tuple(sum(row[j] * v[j] for j in range(len(v))) for row in A)
 
 
-def mat_mul(A: Sequence[Sequence[Q]], B: Sequence[Sequence[Q]]) -> Matrix:
-    n, m, p = len(A), len(B), len(B[0])
-    return [[sum(A[i][k] * B[k][j] for k in range(m)) for j in range(p)] for i in range(n)]
-
-
 def mat_inv(A: Sequence[Sequence[Q]]) -> Matrix:
     """Exact inverse by Gauss-Jordan elimination."""
     n = len(A)

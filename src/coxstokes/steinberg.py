@@ -16,7 +16,7 @@ from typing import Dict, Sequence, Tuple
 import numpy as np
 
 from .assignment import linear_assignment
-from .characters import WeightPairing, _lattice, character_value, fundamental_characters
+from .characters import WeightPairing, character_value, fundamental_characters
 from .chevalley import build_chevalley
 from .coxeter import Bipartition, bipartition, coxeter_element
 from .rootcore import Root, RootSystem, build_root_system, diagram_involution
@@ -284,10 +284,9 @@ class _AdjointSection:
         self.rs = rs
         self.alg = build_chevalley(str(rs.type))
         self.dim = len(rs.roots) + rs.rank
-        lat = _lattice(str(rs.type))
         zero = (0,) * rs.rank
         self.weight_values = WeightPairing(
-            str(rs.type), [lat.to_dyn(r) for r in rs.roots] + [zero] * rs.rank
+            str(rs.type), [rs.to_dyn(r) for r in rs.roots] + [zero] * rs.rank
         )
         self._section_factors: Dict[int, Tuple[NilpotentExp, np.ndarray]] = {}
         self._support_bases: Dict[Tuple[Root, ...], np.ndarray] = {}
@@ -454,8 +453,9 @@ def _height_order(type_name: str) -> Tuple[Tuple[int, int], ...]:
     ht omega_i, the sum of its simple-root coordinates, is the row sum of the
     exact inverse Cartan matrix.
     """
-    bip = bipartition(build_root_system(type_name))
-    ainv = _lattice(type_name).Ainv
+    rs = build_root_system(type_name)
+    bip = bipartition(rs)
+    ainv = rs.cartan_inv
     order = sorted(bip.i2) + sorted(bip.i1)
     return tuple(sorted(enumerate(order), key=lambda pn: sum(ainv[pn[1] - 1])))
 

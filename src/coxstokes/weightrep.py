@@ -18,9 +18,9 @@ from typing import Dict, List, Tuple
 
 import numpy as np
 
-from .characters import WeightPairing, _lattice, fundamental_characters
-from .chevalley import ChevalleyAlgebra, InvariantViolation, _check_bound, build_chevalley
-from .rootcore import Root, RootSystem, build_root_system
+from .characters import WeightPairing, fundamental_characters, weyl_dim
+from .chevalley import ChevalleyAlgebra, build_chevalley
+from .rootcore import InvariantViolation, Root, RootSystem, build_root_system, check_bound
 
 Word = Tuple[int, ...]  # f_{i1} f_{i2} ... applied to the highest vector
 Weight = Tuple[int, ...]
@@ -88,7 +88,6 @@ class _VermaWords:
     def __init__(self, rs: RootSystem, lam: Weight):
         self.rs = rs
         self.lam = lam
-        self.lat = _lattice(str(rs.type))
         self._e_memo: Dict[Tuple[int, Word], Dict[Word, Q]] = {}
         self._form_memo: Dict[Tuple[Word, Word], Q] = {}
 
@@ -297,10 +296,10 @@ def _build_representation(rs: RootSystem, lam: Weight) -> Representation:
         mu = vw.weight(w)
         for i in range(l):
             down = (i,) + w
-            mu_dn = tuple(m - c for m, c in zip(mu, vw.lat.to_dyn(rs.simple_roots[i])))
+            mu_dn = tuple(m - c for m, c in zip(mu, rs.cartan[i]))
             for row, v in coords_of({down: Q(1)}, mu_dn).items():
                 fmats[i][row][col] = v
-            mu_up = tuple(m + c for m, c in zip(mu, vw.lat.to_dyn(rs.simple_roots[i])))
+            mu_up = tuple(m + c for m, c in zip(mu, rs.cartan[i]))
             for row, v in coords_of(vw.e_act(i, w), mu_up).items():
                 emats[i][row][col] = v
 
@@ -322,7 +321,7 @@ def _scaled_generators(rep: Representation) -> Tuple[np.ndarray, np.ndarray, int
     ints = [[[x.numerator * (scale // x.denominator) for x in row] for row in m] for m in mats]
     top = max(abs(x) for m in ints for row in m for x in row)
     weight_top = max(abs(w) for mu in rep.basis_weights for w in mu)
-    _check_bound(2 * rep.dim * top * top + scale * scale * weight_top, f"{rep.name} generators")
+    check_bound(2 * rep.dim * top * top + scale * scale * weight_top, f"{rep.name} generators")
     stack = np.array(ints, dtype=np.int64).reshape(2, rep.rs.rank, rep.dim, rep.dim)
     return stack[0], stack[1], scale
 
@@ -350,9 +349,8 @@ def _verify_representation(rep: Representation):
             f"[e_{i}, f_{j}] deviates at ({r},{c}): {got + want} != {want}"
         )
     # e_i, f_i shift weights by +-alpha_i
-    lat = _lattice(str(rep.rs.type))
     for i in range(l):
-        ai = np.array(lat.to_dyn(rep.rs.simple_roots[i]), dtype=np.int64)
+        ai = np.array(rep.rs.cartan[i], dtype=np.int64)  # alpha_i in Dynkin labels
         for name, mats, sign in (("e", E, 1), ("f", F, -1)):
             rows, cols = np.nonzero(mats[i])
             moved = np.flatnonzero((weights[rows] != weights[cols] + sign * ai).any(axis=1))
@@ -393,7 +391,6 @@ def registered_representation(type_name: str) -> Representation:
     if rs.type.family in "ABCD":
         idx = 1
     else:
-        lat = _lattice(str(rs.type))
-        dims = [lat.weyl_dim(tuple(int(j == i) for j in range(rs.rank))) for i in range(rs.rank)]
+        dims = [weyl_dim(rs, tuple(int(j == i) for j in range(rs.rank))) for i in range(rs.rank)]
         idx = int(np.argmin(dims)) + 1
     return fundamental_representation(type_name, idx)

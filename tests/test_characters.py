@@ -10,6 +10,7 @@ from coxstokes.characters import (
     character_value,
     fundamental_characters,
     weight_pairing,
+    weyl_dim,
 )
 from coxstokes.rootcore import build_root_system
 
@@ -32,20 +33,32 @@ def test_fundamental_dimensions(name):
     assert dims == KNOWN_DIMS[name]
 
 
+def _simple_coords(rs, weight_dyn):
+    """A weight in simple-root coordinates through the exact Cartan inverse."""
+    l = rs.rank
+    return [sum(Q(weight_dyn[i]) * rs.cartan_inv[i][j] for i in range(l)) for j in range(l)]
+
+
 @pytest.mark.parametrize("name", ["A3", "B3", "C3", "G2", "F4", "E6", "E8"])
 def test_weyl_dim_matches_form_product(name):
     # reference: prod (lam+rho, alpha)/(rho, alpha) with the Fraction form
-    from coxstokes.characters import _lattice
-
-    lat = _lattice(name)
-    l = lat.rs.rank
+    rs = build_root_system(name)
+    l = rs.rank
+    rho = _simple_coords(rs, (1,) * l)
     lams = [tuple(int(i == j) for j in range(l)) for i in range(l)] + [tuple(range(l))]
     for lam in lams:
-        lr = tuple(m + 1 for m in lam)
+        lr = _simple_coords(rs, tuple(m + 1 for m in lam))
         want = Q(1)
-        for a in lat.pos_dyn:
-            want *= lat.inner(lr, a) / lat.inner(lat.rho, a)
-        assert lat.weyl_dim(lam) == want
+        for a in rs.positive_roots:
+            want *= rs.inner(lr, a) / rs.inner(rho, a)
+        assert weyl_dim(rs, lam) == want
+
+
+@pytest.mark.parametrize("name,index,zero_mult", [("E6", 2, 6), ("F4", 4, 2), ("E8", 8, 8)])
+def test_zero_weight_multiplicity(name, index, zero_mult):
+    # the adjoint E6 and E8 modules carry the rank at weight 0, the 26 of F4 carries 2
+    mult = dict(fundamental_characters(name, index).weights)
+    assert mult[(0,) * build_root_system(name).rank] == zero_mult
 
 
 def test_a2_standard_weights():
@@ -55,15 +68,17 @@ def test_a2_standard_weights():
 
 
 def test_weyl_invariance_of_multiplicities():
+    # s_i mu = mu - 2 (mu, a_i)/(a_i, a_i) a_i in the Fraction form, back to Dynkin labels
     rs = build_root_system("C3")
-    from coxstokes.characters import _lattice
-
-    lat = _lattice("C3")
     tb = fundamental_characters("C3", 2)
     mult = dict(tb.weights)
     for w, m in tb.weights:
-        for i in range(rs.rank):
-            assert mult[lat.reflect(i, w)] == m
+        mu = _simple_coords(rs, w)
+        for i, a in enumerate(rs.simple_roots):
+            c = 2 * rs.inner(mu, a) / rs.inner(a, a)
+            image = rs.to_dyn([x - c * y for x, y in zip(mu, a)])
+            assert all(x.denominator == 1 for x in image)
+            assert mult[tuple(int(x) for x in image)] == m
 
 
 def test_dimension_cap():

@@ -225,10 +225,9 @@ def test_slack_report_and_results_wrapper_are_checked(tmp_path, monkeypatch, cap
 
 _UNDER_O = """
 import dataclasses
-from fractions import Fraction as Q
 import numpy as np
 from coxstokes import cli, coxeter, spectrum, steinberg
-from coxstokes.characters import _Lattice, _freudenthal
+from coxstokes.characters import _freudenthal
 from coxstokes.chevalley import build_chevalley
 from coxstokes.oracle import _central_factor
 from coxstokes.rootcore import build_root_system
@@ -257,9 +256,8 @@ wrong_s = dataclasses.replace(a3, coxeter_number=5)
 fires("gamma^s", lambda: coxeter.coxeter_element(wrong_s, bip), coxeter.TheoremCheckError)
 gamma = coxeter.coxeter_element(a3, bip)
 fires("orbits", lambda: coxeter._gamma_orbits(wrong_s, gamma), coxeter.TheoremCheckError)
-lat = _Lattice(build_root_system("A2"))
-lat.W[0][0] += Q(1, 7)
-fires("freudenthal", lambda: _freudenthal(lat, (1, 1)), cli.InvariantViolation)
+skewed = dataclasses.replace(build_root_system("A2"), simple_lengths=(3, 2))
+fires("freudenthal", lambda: _freudenthal(skewed, (3, 0)), cli.InvariantViolation)
 fires("central", lambda: _central_factor(np.diag([1.0, 2.0])), cli.ConsistencyError)
 fires("schema", lambda: cli._validate("describe", {"schema_version": True}), cli.SchemaViolation)
 ep = spectrum.build_e_plus(build_chevalley("A2"))

@@ -85,6 +85,18 @@ def test_form_normalization_and_cartan_reconstruction(name):
 
 
 @pytest.mark.parametrize("name", ALL_TYPES)
+def test_weight_lattice_data(name):
+    # the Cartan inverse read off G^{-1}, the scaled lengths and the Dynkin labels
+    rs = build_root_system(name)
+    l = rs.rank
+    for i in range(l):
+        row = [sum(rs.cartan_inv[i][k] * rs.cartan[k][j] for k in range(l)) for j in range(l)]
+        assert row == [int(i == j) for j in range(l)]
+        assert rs.to_dyn(rs.simple_roots[i]) == rs.cartan[i]
+        assert Q(rs.simple_lengths[i], rs.length_den) == rs.form[i][i]
+
+
+@pytest.mark.parametrize("name", ALL_TYPES)
 def test_dual_data(name):
     rs = build_root_system(name)
     dd = dual_data(rs)
