@@ -24,8 +24,9 @@ tables (``ChevalleyTables``), never on scalar objects:
 
 The magnitude and Jacobi checks are always on and use integer arithmetic
 only, behind a bound check that raises before any product could overflow.
-``Sq`` values are made from the tables only for the public element API
-(``nval``, ``bracket``, ``ad_dense``) and for the JSON export.
+Adjoint matrices (``ChevalleyAlgebra.ad``) are scattered from the same
+tables.  ``Sq`` values are made from them only for the public element API
+(``nval``, ``bracket``) and for the JSON export.
 """
 
 from __future__ import annotations
@@ -34,8 +35,8 @@ import json
 import math
 from dataclasses import dataclass
 from fractions import Fraction as Q
-from functools import lru_cache
-from typing import Dict, Sequence, Tuple
+from functools import cached_property, lru_cache
+from typing import Dict, Mapping, Sequence, Tuple
 
 import numpy as np
 
@@ -86,6 +87,16 @@ class ChevalleyTables:
     n_surd: np.ndarray  # (n, n) v
     den: int            # D
     surd: int           # d
+    q: np.ndarray       # (n, n) b + k a is a root for k = 1..q[a, b]
+
+    @property
+    def p(self) -> np.ndarray:
+        """(n, n) b - k a is a root for k = 1..p[a, b]; that is q[-a, b].
+
+        Derived, not stored: a second n x n table would add 1.3 MB over the
+        16 standard types to every process that keeps them.
+        """
+        return self.q[self.neg]
 
     def root(self, i: int) -> Root:
         return tuple(int(c) for c in self.roots[i])
@@ -121,25 +132,20 @@ def _root_tables(rs: RootSystem):
     return R, neg, sums, inner, form_den
 
 
-def _root_strings(sums: np.ndarray, neg: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-    """Root-string numbers: b - k a is a root for k = 1..p, b + k a for k = 1..q.
-
-    p[i, j], q[i, j] for a = root i, b = root j, by iterated table lookups.
-    """
-    n = len(neg)
-
-    def walk(step: np.ndarray) -> np.ndarray:
-        count = np.zeros((n, n), dtype=np.int64)
-        cur = sums[:, step].T  # cur[i, j] = index of b + step_i
-        for _ in range(n):
-            live = cur >= 0
-            if not live.any():
-                return count
-            count += live
-            cur = np.where(live, sums[np.maximum(cur, 0), step[:, None]], -1)
-        raise InvariantViolation("a root string does not terminate")
-
-    return walk(neg), walk(np.arange(n))
+def _root_strings(sums: np.ndarray) -> np.ndarray:
+    """Root-string numbers: q[i, j] = q means b + k a is a root for k = 1..q,
+    for a = root i, b = root j, by iterated table lookups."""
+    n = len(sums)
+    q = np.zeros((n, n), dtype=np.int64)
+    cur = sums.T  # cur[i, j] = index of b + a
+    rows = np.arange(n)[:, None]
+    for _ in range(n):
+        live = cur >= 0
+        if not live.any():
+            return q
+        q += live
+        cur = np.where(live, sums[np.maximum(cur, 0), rows], -1)
+    raise InvariantViolation("a root string does not terminate")
 
 
 def _sqrt_pair(m: int, d: int) -> Tuple[int, int]:
@@ -160,7 +166,7 @@ def build_tables(rs: RootSystem) -> ChevalleyTables:
     n = len(R)
     diag = np.diagonal(inner)
     d = D = _exact_div(int(diag.max()), int(diag.min()))
-    p, q = _root_strings(sums, neg)
+    q = _root_strings(sums)
     u = np.zeros((n, n), dtype=np.int64)
     v = np.zeros((n, n), dtype=np.int64)
     S, negl = sums.tolist(), neg.tolist()
@@ -184,7 +190,7 @@ def build_tables(rs: RootSystem) -> ChevalleyTables:
         if not pairs:  # simple root
             continue
         a1, b1 = pairs[0]
-        m = _exact_div(int(q[a1, b1]) * (int(p[a1, b1]) + 1) * int(diag[a1]) * D * D, 2 * F)
+        m = _exact_div(int(q[a1, b1]) * (int(q[negl[a1], b1]) + 1) * int(diag[a1]) * D * D, 2 * F)
         n1 = _sqrt_pair(m, d)
         put(a1, b1, n1)
         for a, b in pairs[1:]:
@@ -196,9 +202,9 @@ def build_tables(rs: RootSystem) -> ChevalleyTables:
             else:
                 val = (-_exact_div(tv, n1[1]), -_exact_div(tu, d * n1[1]))
             put(a, b, val)
-    for arr in (R, neg, sums, inner, u, v):
+    for arr in (R, neg, sums, inner, u, v, q):
         arr.flags.writeable = False  # shared by the cached algebra
-    return ChevalleyTables(R, neg, sums, inner, F, u, v, D, d)
+    return ChevalleyTables(R, neg, sums, inner, F, u, v, D, d, q)
 
 
 # -- exact checks on the tables ---------------------------------------------------
@@ -206,8 +212,7 @@ def build_tables(rs: RootSystem) -> ChevalleyTables:
 
 def verify_magnitudes(t: ChevalleyTables):
     """N(a,b)^2 = q(p+1)(a,a)/2 on bracketable pairs, N = 0 elsewhere, N(-a,-b) = -N(a,b)."""
-    u, v, d, D, F = t.n_rat, t.n_surd, t.surd, t.den, t.form_den
-    p, q = _root_strings(t.sums, t.neg)
+    u, v, d, D, F, p, q = t.n_rat, t.n_surd, t.surd, t.den, t.form_den, t.p, t.q
     top = max(int(np.abs(u).max()), int(np.abs(v).max()))
     check_bound(2 * F * (1 + d) * top * top, "N^2")
     check_bound(int(q.max()) * (int(p.max()) + 1) * int(np.abs(t.inner).max()) * D * D, "N^2")
@@ -226,15 +231,30 @@ def verify_magnitudes(t: ChevalleyTables):
 
 
 def verify_jacobi(t: ChevalleyTables):
-    """Exact Jacobi identity on every ordered triple of root vectors.
+    """Exact Jacobi identity on every triple, checked on the generators e_{+-a_i}.
+
+    First N(b, a) = -N(a, b): the bracket is then antisymmetric, so
+    J(x, y, z) = [[x,y],z] + [[y,z],x] + [[z,x],y] is alternating, and
+    J(x, ., .) = 0 says exactly that ad x is a derivation.
 
     Triples involving Cartan elements hold by linearity of the root
-    functionals.  For roots a, b, c every term of
-    [[e_a,e_b],e_c] + [[e_b,e_c],e_a] + [[e_c,e_a],e_b] lies on e_{a+b+c}
-    (an N N product, or (z,x) e_z when x+y = 0) or, when a+b+c = 0, on the
-    Cartan subalgebra.  Both parts are checked, the rational and the sqrt(d)
-    components separately, on integers scaled by D^2 F.  The e-part is swept
-    one root a at a time over all (b, c), so no array has n^3 entries.
+    functionals.  For roots a, b, c every term of J(e_a, e_b, e_c) lies on
+    e_{a+b+c} (an N N product, or (z,x) e_z when x+y = 0) or, when
+    a+b+c = 0, on the Cartan subalgebra.  The Cartan part is checked on every
+    triple; the e-part only on the 2l rows a = +-a_i, each over all (b, c).
+    Both are checked on integers scaled by D^2 F, the rational and the
+    sqrt(d) components separately.
+
+    That covers every triple.  The x for which ad x is a derivation form a
+    linear subspace L.  For x in L, ad[x, y] = [ad x, ad y] (the derivation
+    rule on [y, z]), and a commutator of derivations is a derivation, so L
+    is closed under the bracket.  The rows put every e_{+-a_i} in L, and
+    they generate g: [e_{a_i}, e_{-a_i}] = H_{a_i}, and every positive root
+    of height k > 1 is a simple root plus a positive root of height k - 1
+    (Humphreys, Introduction to Lie Algebras, 10.2), and likewise for the
+    negative roots, with N nonzero on each such pair, as
+    ``verify_magnitudes`` proves; ``ChevalleyAlgebra`` runs that check
+    first.  So L = g, and J vanishes on all of g.
     """
     u, v, S, R, neg = t.n_rat, t.n_surd, t.sums, t.roots, t.neg
     d, D, F = t.surd, t.den, t.form_den
@@ -243,6 +263,14 @@ def verify_jacobi(t: ChevalleyTables):
     check_bound(3 * F * (1 + d) * top * top + 3 * D * D * int(np.abs(t.inner).max()), "Jacobi")
     check_bound(6 * top * int(np.abs(R).max()), "Jacobi")
     surd = bool(v.any())
+
+    for X in (u, v):
+        bad = X + X.T
+        if bad.any():
+            i, j = np.argwhere(bad)[0]
+            raise InvariantViolation(
+                f"Jacobi fails: N(b, a) != -N(a, b) at roots {t.root(i)}, {t.root(j)}"
+            )
 
     # Cartan part: a+b+c = 0 means c = -(a+b), one triple per bracketable pair
     I, J = np.nonzero(S >= 0)
@@ -263,7 +291,7 @@ def verify_jacobi(t: ChevalleyTables):
         out += (X[:, i][:, None] * Y[Sc[:, i]]).T
         return out
 
-    for i in range(n):
+    for i in np.flatnonzero(np.abs(R).sum(axis=1) == 1):  # the rows a = +-a_i
         ni = neg[i]
         rat = F * nn(u, u, i)
         if surd:
@@ -305,7 +333,11 @@ class ChevalleyAlgebra:
         t = self.tables = build_tables(rs)
         verify_magnitudes(t)
         verify_jacobi(t)
-        # N(a, b) as Sq objects for the element API, one object per distinct value
+
+    @cached_property
+    def _nvals(self) -> np.ndarray:
+        """N(a, b) as Sq objects for the element API, one object per distinct value."""
+        t = self.tables
         code = t.n_rat * (2 * int(np.abs(t.n_surd).max()) + 1) + t.n_surd
         _, first, inverse = np.unique(code, return_index=True, return_inverse=True)
         sq = np.empty(len(first), dtype=object)
@@ -313,7 +345,7 @@ class ChevalleyAlgebra:
             Sq(Q(int(t.n_rat.flat[k]), t.den), Q(int(t.n_surd.flat[k]), t.den), t.surd)
             for k in first
         ]
-        self._nvals = sq[inverse.reshape(code.shape)]
+        return sq[inverse.reshape(code.shape)]
 
     def nval(self, x: Root, y: Root) -> Sq:
         """N(x,y) for arbitrary roots with x+y a root (0 if x+y not a root)."""
@@ -382,14 +414,27 @@ class ChevalleyAlgebra:
                         del out[k]
         return out
 
-    def ad_dense(self, x: Element) -> np.ndarray:
-        """Adjoint matrix of x on the full basis, as a complex array."""
-        n = self.dim
-        out = np.zeros((n, n), dtype=np.complex128)
-        for j in range(n):
-            col = self.bracket(x, {j: 1})
-            for i, v in col.items():
-                out[i, j] = complex(v)
+    def ad(self, terms: Mapping[Root, complex]) -> np.ndarray:
+        """Adjoint matrix of sum c_a e_a (terms: root a -> c_a) on the full basis.
+
+        Scattered from the tables: column H_k holds -c_a (a, a_k) at e_a,
+        column e_b holds c_a N(a, b) at e_{a+b}, and column e_{-a} holds c_a a
+        on the Cartan rows.  Each entry comes from one term, so no entry is
+        summed, and N is the float of its Sq value.
+        """
+        t, l = self.tables, self.rs.rank
+        out = np.zeros((self.dim, self.dim), dtype=np.complex128)
+        for root, c in terms.items():
+            a = self._ridx[root]
+            h = -t.inner[a, self._simple_idx]
+            k = np.flatnonzero(h)
+            out[l + a, k] = c * (h[k] / t.form_den)
+            u, v = t.n_rat[a], t.n_surd[a]
+            b = np.flatnonzero(u | v)
+            n = np.where(v[b] == 0, u[b] / t.den, v[b] / t.den * math.sqrt(t.surd))
+            out[l + t.sums[a, b], l + b] = c * n
+            k = np.flatnonzero(t.roots[a])
+            out[k, l + t.neg[a]] = c * t.roots[a, k]
         return out
 
     def form(self, x: Element, y: Element):

@@ -191,13 +191,6 @@ class RootSystem:
         n = self.rank
         return tuple(sum(root[j] * self.cartan[j][i] for j in range(n)) for i in range(n))
 
-    def reflect(self, j: int, root: Root) -> Root:
-        """Simple reflection R_{alpha_j} (j is 0-based) acting on root coordinates."""
-        c = sum(root[i] * self.cartan[i][j] for i in range(self.rank))
-        out = list(root)
-        out[j] -= c
-        return tuple(out)
-
     @property
     def x0_coords(self) -> Tuple[Q, ...]:
         return self.r_coeffs
@@ -207,26 +200,18 @@ class RootSystem:
         return tuple(-c for c in self.psi)
 
 
-def _reflection_closure(rs_cartan: List[List[int]], l: int) -> List[Root]:
+def _reflection_closure(cartan: List[List[int]], l: int) -> List[Root]:
+    R = reflection_matrices(cartan)
     simples = [tuple(int(i == j) for j in range(l)) for i in range(l)]
-
-    def reflect(j, root):
-        c = sum(root[i] * rs_cartan[i][j] for i in range(l))
-        out = list(root)
-        out[j] -= c
-        return tuple(out)
-
     seen = set(simples)
-    frontier = list(simples)
+    frontier = simples
     while frontier:
-        nxt = []
-        for r in frontier:
-            for j in range(l):
-                s = reflect(j, r)
-                if s not in seen:
-                    seen.add(s)
-                    nxt.append(s)
-        frontier = nxt
+        images = R @ np.array(frontier, dtype=np.int64).T  # images[j][:, k]: R_j of root k
+        frontier = []
+        for s in map(tuple, images.transpose(0, 2, 1).reshape(-1, l).tolist()):
+            if s not in seen:
+                seen.add(s)
+                frontier.append(s)
     return sorted(seen, key=_root_key)
 
 

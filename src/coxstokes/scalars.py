@@ -5,8 +5,9 @@ invariant form pairs opposite root vectors to 1 forces structure constants
 of the form q*sqrt(d) (q rational, d in {1,2,3} depending on the algebra).
 ``Sq`` implements exact arithmetic in Q(sqrt(d)).  The Chevalley build and
 its checks do not use it: they run on integer tables (see ``chevalley``).
-``Sq`` serves the element API (``nval``, ``bracket``, ``ad_dense``) and the
-exact strings of the structure-constant JSON export.
+``Sq`` serves the element API (``nval``, ``bracket``) and the exact strings
+of the structure-constant JSON export; adjoint matrices are scattered from
+the integer tables.
 """
 
 from __future__ import annotations

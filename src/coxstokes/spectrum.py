@@ -50,10 +50,7 @@ def build_e_plus(alg: ChevalleyAlgebra, coeffs: Sequence[complex] | None = None)
     coeffs = tuple(complex(c) for c in coeffs)
     if len(coeffs) != l + 1 or any(c == 0 for c in coeffs):
         raise ValueError("need l+1 nonzero coefficients (index 0 for alpha_0 = -psi)")
-    el = alg.e(rs.alpha0, coeffs[0])
-    for i in range(l):
-        el = alg.add(el, alg.e(rs.simple_roots[i], coeffs[i + 1]))
-    ad = alg.ad_dense(el)
+    ad = alg.ad(dict(zip((rs.alpha0,) + rs.simple_roots, coeffs)))
     sv = np.linalg.svd(ad, compute_uv=False)
     scale = sv[0]
     kernel_dim = int(np.sum(sv < ZERO_TOL * scale))

@@ -300,8 +300,8 @@ class _AdjointSection:
         if got is None:
             alg = self.alg
             a = self.rs.simple_roots[i]
-            exp_e = NilpotentExp(alg.ad_dense(alg.e(a)) / (float(self.rs.inner(a, a)) / 2))
-            exp_f = NilpotentExp(alg.ad_dense(alg.e(tuple(-c for c in a))))
+            exp_e = NilpotentExp(alg.ad({a: 1}) / (float(self.rs.inner(a, a)) / 2))
+            exp_f = NilpotentExp(alg.ad({tuple(-c for c in a): 1}))
             got = (exp_e, weyl_representative(exp_e, exp_f))
             self._section_factors[i] = got
         return got
@@ -311,7 +311,7 @@ class _AdjointSection:
         got = self._support_bases.get(support)
         if got is None:
             alg = self.alg
-            got = np.stack([alg.ad_dense(alg.e(r)).reshape(-1) for r in support], axis=1)
+            got = np.stack([alg.ad({r: 1}).reshape(-1) for r in support], axis=1)
             got.flags.writeable = False
             self._support_bases[support] = got
         return got

@@ -28,6 +28,7 @@ from coxstokes.chevalley import (
 from coxstokes.cli import STANDARD_TYPES
 from coxstokes.rootcore import build_root_system
 from coxstokes.scalars import Sq
+from coxstokes.spectrum import build_e_plus, default_coefficients
 
 TYPES = ["A2", "A3", "B2", "B3", "C3", "D4", "G2", "F4"]
 
@@ -117,7 +118,7 @@ def test_killing_proportional_to_form(name):
 def test_g2_adjoint_dimensions():
     alg = build_chevalley("G2")
     assert alg.dim == 14
-    ad = alg.ad_dense(alg.e((1, 0)))
+    ad = alg.ad({(1, 0): 1})
     assert ad.shape == (14, 14)
 
 
@@ -228,14 +229,13 @@ def test_structure_constant_export():
 
 
 def test_bracket_agrees_with_adjoint_matrix():
-    import numpy as np
-
     alg = build_chevalley("B2")
     rng = random.Random(9)
     dim = alg.dim
-    x = {rng.randrange(dim): complex(1.0, 0.5), rng.randrange(dim): 2.0}
+    terms = {rng.choice(alg.rs.roots): complex(1.0, 0.5), rng.choice(alg.rs.roots): 2.0}
+    x = alg.add(*(alg.e(r, c) for r, c in terms.items()))
     y = {rng.randrange(dim): complex(0.0, -1.5), rng.randrange(dim): 1.0}
-    ad = alg.ad_dense(x)
+    ad = alg.ad(terms)
     vy = np.zeros(dim, dtype=complex)
     for i, c in y.items():
         vy[i] += c
@@ -244,6 +244,29 @@ def test_bracket_agrees_with_adjoint_matrix():
     for i, c in alg.bracket(x, y).items():
         got[i] = complex(c)
     assert np.max(np.abs(got - want)) < 1e-12
+
+
+def _ad_reference(alg, x):
+    """Adjoint matrix of the element x, one column per basis element, from bracket."""
+    n = alg.dim
+    out = np.zeros((n, n), dtype=np.complex128)
+    for j in range(n):
+        for i, v in alg.bracket(x, {j: 1}).items():
+            out[i, j] = complex(v)
+    return out
+
+
+@pytest.mark.parametrize("name", STANDARD_TYPES)
+def test_ad_matches_bracket_reference(name):
+    # byte for byte: every root vector, and E_+ with the spectrum's coefficients
+    alg = build_chevalley(name)
+    rs = alg.rs
+    for r in rs.roots:
+        assert alg.ad({r: 1}).tobytes() == _ad_reference(alg, alg.e(r)).tobytes(), r
+    terms = dict(zip((rs.alpha0,) + rs.simple_roots, map(complex, default_coefficients(alg))))
+    x = alg.add(*(alg.e(r, c) for r, c in terms.items()))
+    assert alg.ad(terms).tobytes() == _ad_reference(alg, x).tobytes()
+    assert build_e_plus(alg).ad.tobytes() == alg.ad(terms).tobytes()
 
 
 def test_principal_element():
@@ -322,13 +345,11 @@ def _tuple_strings(rs, a, b):
 
 @pytest.mark.parametrize("name", TYPES)
 def test_root_tables_match_tuple_arithmetic(name):
-    from coxstokes.chevalley import _root_strings
-
     alg = build_chevalley(name)
     rs, t = alg.rs, alg.tables
     index = {r: i for i, r in enumerate(rs.roots)}
     zero = (0,) * rs.rank
-    p, q = _root_strings(t.sums, t.neg)
+    p, q = t.p, t.q
     assert [tuple(r) for r in t.roots.tolist()] == list(rs.roots)
     for i, a in enumerate(rs.roots):
         assert t.neg[i] == index[neg(a)]
@@ -342,8 +363,9 @@ def test_root_tables_match_tuple_arithmetic(name):
 @pytest.mark.parametrize("name", STANDARD_TYPES)
 def test_tables_are_integer_and_encoding_per_family(name):
     t = build_chevalley(name).tables
-    for arr in (t.roots, t.neg, t.sums, t.inner, t.n_rat, t.n_surd):
-        assert arr.dtype == np.int64
+    for arr in (t.roots, t.neg, t.sums, t.inner, t.n_rat, t.n_surd, t.q):
+        assert arr.dtype == np.int64 and not arr.flags.writeable
+    assert t.p.dtype == np.int64
     fam = name[0]
     assert t.surd == t.den == {"B": 2, "C": 2, "F": 2, "G": 3}.get(fam, 1)
     assert t.form_den == {"C": 2, "F": 2, "G": 3}.get(fam, 1)
@@ -385,6 +407,84 @@ def test_magnitude_check_catches_broken_negation_symmetry():
     u[ni, nj], v[ni, nj] = u[i, j], v[i, j]  # N(-a,-b) = +N(a,b): magnitudes still fine
     with pytest.raises(InvariantViolation, match="N\\(-a,-b\\)"):
         verify_magnitudes(dataclasses.replace(t, n_rat=u, n_surd=v))
+
+
+def _jacobi_all_rows(t):
+    """Reference: the Jacobi sweep over all |Phi| rows a, as verify_jacobi ran
+    before it was cut to the 2l generator rows (and without its antisymmetry
+    check)."""
+    u, v, S, R, neg, inner = t.n_rat, t.n_surd, t.sums, t.roots, t.neg, t.inner
+    d, D, F = t.surd, t.den, t.form_den
+    n = len(neg)
+    I, J = np.nonzero(S >= 0)
+    K = neg[S[I, J]]
+    for X in (u, v):
+        if (X[I, J, None] * R[K] + X[J, K, None] * R[I] + X[K, I, None] * R[J]).any():
+            raise InvariantViolation("Jacobi fails on the Cartan part")
+    Sc = np.maximum(S, 0)
+
+    def nn(X, Y, i):
+        out = X[i][:, None] * Y[Sc[i]]
+        out += X * Y[:, i][Sc]
+        out += (X[:, i][:, None] * Y[Sc[:, i]]).T
+        return out
+
+    for i in range(n):
+        ni = neg[i]
+        rat = F * nn(u, u, i) + F * d * nn(v, v, i)
+        rat[ni, :] += D * D * inner[:, i]
+        rat[np.arange(n), neg] += D * D * inner[i]
+        rat[:, ni] += D * D * inner[:, ni]
+        if rat.any() or (nn(u, v, i) + nn(v, u, i)).any():
+            raise InvariantViolation(f"Jacobi fails on row {t.root(i)}")
+
+
+def _verdict(check, t):
+    try:
+        check(t)
+    except InvariantViolation:
+        return False
+    return True
+
+
+def _flip_triple(t, rng):
+    """Tables with the twelve entries of one zero-sum triple (a, b, c) and its
+    negative sign-flipped: magnitudes and both symmetries still hold."""
+    a, b = map(int, rng.choice(np.argwhere(t.sums >= 0)))
+    c = int(t.neg[t.sums[a, b]])
+    u, v = t.n_rat.copy(), t.n_surd.copy()
+    for x, y in ((a, b), (b, c), (c, a), (b, a), (c, b), (a, c)):
+        for i, j in ((x, y), (t.neg[x], t.neg[y])):
+            u[i, j], v[i, j] = -u[i, j], -v[i, j]
+    return dataclasses.replace(t, n_rat=u, n_surd=v)
+
+
+@pytest.mark.parametrize("name", ["B3", "C3", "G2", "F4", "D4", "E6"])
+def test_generator_rows_agree_with_all_rows_on_sign_flips(name):
+    t = build_chevalley(name).tables
+    rng = np.random.default_rng(21)
+    rejected = 0
+    for _ in range(60):
+        bad = _flip_triple(t, rng)
+        verify_magnitudes(bad)
+        full = _verdict(_jacobi_all_rows, bad)
+        assert _verdict(verify_jacobi, bad) == full
+        rejected += not full
+    assert rejected > 0
+
+
+@pytest.mark.parametrize("name", ["B3", "G2", "E6"])
+def test_jacobi_check_catches_broken_antisymmetry(name):
+    # N(b, a) and N(-b, -a) flipped together: magnitudes and N(-a,-b) = -N(a,b) still hold
+    t = build_chevalley(name).tables
+    a, b = np.argwhere(t.sums >= 0)[len(t.neg) // 2]
+    u, v = t.n_rat.copy(), t.n_surd.copy()
+    for i, j in ((b, a), (t.neg[b], t.neg[a])):
+        u[i, j], v[i, j] = -u[i, j], -v[i, j]
+    bad = dataclasses.replace(t, n_rat=u, n_surd=v)
+    verify_magnitudes(bad)
+    with pytest.raises(InvariantViolation, match="N\\(b, a\\) != -N\\(a, b\\)"):
+        verify_jacobi(bad)
 
 
 def test_bound_check_raises_before_int64_overflow():

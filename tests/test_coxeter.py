@@ -230,7 +230,8 @@ def test_both_labelings_give_valid_planes(name):
 def apply_word(rs, word, root):
     """Apply a reflection word (1-based indices, leftmost acts last), one tuple at a time."""
     for j in reversed(word):
-        root = rs.reflect(j - 1, root)
+        c = sum(root[i] * rs.cartan[i][j - 1] for i in range(rs.rank))
+        root = root[: j - 1] + (root[j - 1] - c,) + root[j:]
     return root
 
 
