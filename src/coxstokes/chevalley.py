@@ -47,7 +47,6 @@ from .rootcore import (
     build_root_system,
     check_bound,
     diagram_involution,
-    integer_form,
 )
 from .scalars import Sq
 
@@ -103,30 +102,35 @@ class ChevalleyTables:
 
 
 def _root_tables(rs: RootSystem):
-    """Root coordinates, negation and root-sum indices, and the scaled form."""
+    """Root coordinates, negation and root-sum indices, and the scaled form.
+
+    A root's key is its coordinates shifted by off, read as base-(2 off + 1)
+    digits.  Keys are linear: key(a + b) = key(a) + key(b) - key(0), with no
+    carry, since every |a + b| coordinate is at most off.
+    """
     R = np.array(rs.roots, dtype=np.int64)
     n, l = R.shape
     off = 2 * int(np.abs(R).max())
     base = 2 * off + 1
-    check_bound(base**l, "root keys")
+    check_bound(2 * base**l, "root keys")
     place = base ** np.arange(l, dtype=np.int64)
     keys = (R + off) @ place
+    zero = off * int(place.sum())
     order = np.argsort(keys)
     sorted_keys = keys[order]
 
-    def lookup(v: np.ndarray) -> np.ndarray:
-        k = (v + off) @ place
+    def lookup(k: np.ndarray) -> np.ndarray:
         pos = np.minimum(np.searchsorted(sorted_keys, k), n - 1)
         return np.where(sorted_keys[pos] == k, order[pos], -1)
 
-    neg = lookup(-R)
+    neg = lookup(2 * zero - keys)
     if (neg < 0).any():
         raise InvariantViolation("the root set is not closed under negation")
-    V = R[:, None, :] + R[None, :, :]
-    sums = lookup(V)
-    sums[~V.any(axis=-1)] = -2
+    K = keys[:, None] + keys[None, :] - zero
+    sums = lookup(K)
+    sums[K == zero] = -2
 
-    G, form_den = integer_form(rs)
+    G, form_den = rs.integer_form
     check_bound(l * l * int(np.abs(R).max()) ** 2 * int(np.abs(G).max()), "inner products")
     inner = R @ G @ R.T
     return R, neg, sums, inner, form_den

@@ -17,7 +17,6 @@ from .rootcore import (
     InvariantViolation,
     Root,
     RootSystem,
-    integer_form,
     reflection_matrices,
     word_matrix,
 )
@@ -299,7 +298,7 @@ def singular_directions(
     rays = [sorted(a) for a in plane.assignment]
     ray_of = np.repeat(np.arange(2 * s), [len(r) for r in rays])
     on_rays = np.array([r for ray in rays for r in ray], dtype=np.int64)
-    gram = on_rays @ integer_form(rs)[0] @ on_rays.T
+    gram = on_rays @ rs.integer_form[0] @ on_rays.T
     same_ray = ray_of[:, None] == ray_of[None, :]
     np.fill_diagonal(same_ray, False)
     bad = np.argwhere(same_ray & (gram != 0))

@@ -11,7 +11,7 @@ import math
 import re
 from dataclasses import dataclass, field
 from fractions import Fraction as Q
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
@@ -186,6 +186,17 @@ class RootSystem:
         h = [Q(h_coords[j]) for j in range(n)]
         return sum((r * hj for r, hj in zip(row, h) if r), Q(0))
 
+    @cached_property
+    def integer_form(self) -> Tuple[np.ndarray, int]:
+        """The Gram matrix scaled to int64 by F = lcm of its denominators, and F.
+
+        Built once per root system and read-only, since every caller shares it.
+        """
+        den = math.lcm(*(Q(x).denominator for row in self.form for x in row))
+        G = np.array([[int(Q(x) * den) for x in row] for row in self.form], dtype=np.int64)
+        G.flags.writeable = False
+        return G, den
+
     def to_dyn(self, root) -> Tuple[int, ...]:
         """Dynkin labels <root, alpha_i^vee> of a vector in simple-root coordinates."""
         n = self.rank
@@ -317,13 +328,6 @@ def build_root_system(type_name) -> RootSystem:
         length_den=length_den,
         _root_set=frozenset(roots),
     )
-
-
-def integer_form(rs: RootSystem) -> Tuple[np.ndarray, int]:
-    """The Gram matrix scaled to int64 by F = lcm of its denominators, and F."""
-    den = math.lcm(*(Q(x).denominator for row in rs.form for x in row))
-    G = np.array([[int(Q(x) * den) for x in row] for row in rs.form], dtype=np.int64)
-    return G, den
 
 
 def highest_root_marks(rs: RootSystem):

@@ -3,6 +3,14 @@
 E_+ = sum_{i=0..l} c_i e_{a_i} (a_0 = -psi) is regular; its nonzero adjoint
 eigenvalues fill the 2s singular directions, and after one global complex
 rescaling they coincide with the plane coordinates of the roots.
+
+The kernel is read off the principal grading: H_k has degree 0 and e_a
+degree ht(a) mod s.  Every term of E_+ has degree 1 (ht(-psi) = 1 - s), so
+ad(E_+) maps g_k into g_{k+1}: it is block-cyclic, and its singular values
+are the union of those of its s blocks g_k -> g_{k+1}.  That degree is
+checked exactly, entry by entry, before the blocks are read.  At real
+coefficients (the default c_i = sqrt(q_i)) ad(E_+) is kept real, so its
+decompositions run in real arithmetic.
 """
 
 from __future__ import annotations
@@ -24,7 +32,9 @@ MATCH_TOL = 1e-6
 
 
 class RegularityError(ArithmeticError):
-    """ad(E_+) does not have an l-dimensional kernel."""
+    """ad(E_+) does not have an l-dimensional kernel, or has an entry off the
+    principal grading (E_+ has degree 1, so every nonzero entry of ad(E_+)
+    maps g_k into g_{k+1})."""
 
 
 class SpectrumMismatch(AssertionError):
@@ -43,6 +53,13 @@ def default_coefficients(alg: ChevalleyAlgebra) -> Tuple[float, ...]:
 
 
 def build_e_plus(alg: ChevalleyAlgebra, coeffs: Sequence[complex] | None = None) -> EPlusElement:
+    """ad(E_+) for the coefficients (index 0 for alpha_0 = -psi), checked regular.
+
+    The matrix is real (float64) when every coefficient is, and complex
+    otherwise.  Its kernel dimension counts the singular values below
+    ZERO_TOL times the largest, taken block by block over the principal
+    grading (``graded_singular_values``); RegularityError unless it is l.
+    """
     rs = alg.rs
     l = rs.rank
     if coeffs is None:
@@ -51,12 +68,42 @@ def build_e_plus(alg: ChevalleyAlgebra, coeffs: Sequence[complex] | None = None)
     if len(coeffs) != l + 1 or any(c == 0 for c in coeffs):
         raise ValueError("need l+1 nonzero coefficients (index 0 for alpha_0 = -psi)")
     ad = alg.ad(dict(zip((rs.alpha0,) + rs.simple_roots, coeffs)))
-    sv = np.linalg.svd(ad, compute_uv=False)
-    scale = sv[0]
-    kernel_dim = int(np.sum(sv < ZERO_TOL * scale))
+    if not any(c.imag for c in coeffs):
+        ad = ad.real.copy()  # every imaginary part is exactly 0
+    sv = graded_singular_values(alg, ad)
+    kernel_dim = int(np.sum(sv < ZERO_TOL * sv[0]))
     if kernel_dim != l:
         raise RegularityError(f"kernel of ad(E_+) has dimension {kernel_dim}, expected {l}")
     return EPlusElement(alg, ad)
+
+
+def graded_singular_values(alg: ChevalleyAlgebra, ad: np.ndarray) -> np.ndarray:
+    """All dim g singular values of a degree-1 ad matrix, descending, from its blocks.
+
+    H_k has degree 0 and e_a degree ht(a) mod s.  First every entry mapping
+    g_k outside g_{k+1} is checked to be exactly 0 (RegularityError names
+    the first that is not).  Then ad* ad is block diagonal, with the blocks
+    B_k* B_k of B_k: g_k -> g_{k+1}; so the singular values are those of
+    the B_k, each padded with zeros to dim g_k.
+    """
+    rs = alg.rs
+    s = rs.coxeter_number
+    deg = np.concatenate([np.zeros(rs.rank, dtype=np.int64), alg.tables.roots.sum(axis=1)]) % s
+    off = np.argwhere((ad != 0) & (deg[:, None] != (deg[None, :] + 1) % s))
+    if len(off):
+        i, j = off[0]
+        raise RegularityError(
+            f"ad(E_+) maps {alg.label(j)} of degree {deg[j]} onto {alg.label(i)} "
+            f"of degree {deg[i]}, off the principal grading"
+        )
+    parts = [np.flatnonzero(deg == k) for k in range(s)]
+    sv = np.zeros(alg.dim)
+    at = 0
+    for k, cols in enumerate(parts):
+        block = np.linalg.svd(ad[np.ix_(parts[(k + 1) % s], cols)], compute_uv=False)
+        sv[at:at + len(block)] = block
+        at += len(cols)
+    return np.sort(sv)[::-1]
 
 
 @dataclass

@@ -265,6 +265,11 @@ eigs = np.linalg.eigvals(ep.ad)
 eigs[np.argmax(np.abs(eigs))] *= np.exp(1e-6j)
 off_ray = dataclasses.replace(ep, ad=np.diag(eigs))
 fires("off ray", lambda: spectrum.ad_spectrum(off_ray), spectrum.SpectrumMismatch)
+a2 = build_chevalley("A2")
+moved = spectrum.build_e_plus(a2).ad.copy()
+i = a2.root_index[a2.rs.simple_roots[0]]
+moved[0, 0], moved[i, 0] = moved[i, 0], 0.0  # H_1 -> H_1 has degree 0, not 1
+fires("grading", lambda: spectrum.graded_singular_values(a2, moved), spectrum.RegularityError)
 steinberg.CLASS_TOL = 0.0
 steinberg.CHAR_TOL = 0.0
 print("stokes", cli.main(["stokes", "--type", "B3", "--m=-1/8,-5/4,-15/8"]))
@@ -280,9 +285,9 @@ def test_invariant_checks_fire_under_python_O():
         capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src}, timeout=120,
     )
     assert out.returncode == 0, out.stderr
-    assert out.stdout.split("\n")[:10] == [
+    assert out.stdout.split("\n")[:11] == [
         "disconnected", "odd cycle", "gamma^s", "orbits", "freudenthal", "central", "schema",
-        "off ray", f"stokes {EXIT_VERIFY}", f"exit {EXIT_VERIFY}",
+        "off ray", "grading", f"stokes {EXIT_VERIFY}", f"exit {EXIT_VERIFY}",
     ]
 
 

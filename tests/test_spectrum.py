@@ -6,16 +6,19 @@ import pytest
 from scipy.optimize import linear_sum_assignment
 
 from coxstokes import cli
-from coxstokes.chevalley import build_chevalley
+from coxstokes.chevalley import ChevalleyAlgebra, build_chevalley
 from coxstokes.cli import STANDARD_TYPES
 from coxstokes.coxeter import bipartition, coxeter_plane
+from coxstokes.rootcore import build_root_system
 from coxstokes.spectrum import (
     RAY_TOL,
+    ZERO_TOL,
     RegularityError,
     SpectrumMismatch,
     ad_spectrum,
     build_e_plus,
     default_coefficients,
+    graded_singular_values,
     match_plane,
 )
 
@@ -65,14 +68,19 @@ def test_scaling_linearity():
     assert cost[ri, ci].max() < 1e-9
 
 
+def _random_coefficients(name):
+    """10 complex coefficient vectors, kept safely away from zero."""
+    rs = build_chevalley(name).rs
+    rng = np.random.default_rng(hash(name) % 2**32)
+    return [rng.normal(size=rs.rank + 1) + 1j * rng.normal(size=rs.rank + 1) + 2.0
+            for _ in range(10)]
+
+
 @pytest.mark.parametrize("name", SMALL)
 def test_rotation_closure_and_regularity_random(name):
     alg = build_chevalley(name)
     rs = alg.rs
-    rng = np.random.default_rng(hash(name) % 2**32)
-    for _ in range(10):
-        coeffs = rng.normal(size=rs.rank + 1) + 1j * rng.normal(size=rs.rank + 1)
-        coeffs += 2.0  # keep safely away from zero
+    for coeffs in _random_coefficients(name):
         ep = build_e_plus(alg, coeffs)   # raises RegularityError on kernel mismatch
         sr = ad_spectrum(ep)
         assert sr.zero_multiplicity == rs.rank
@@ -188,3 +196,86 @@ def test_verify_reports_tampered_ray_counts(tmp_path, monkeypatch):
     checks = {c["name"]: c for c in json.loads(out.read_text())["checks"]}
     assert not checks["apposition_spectrum"]["passed"]
     assert "per-ray counts" in checks["apposition_spectrum"]["detail"]
+
+
+def _dense_kernel(ad):
+    """The reference count: the kernel dimension from the dense SVD of the whole matrix."""
+    sv = np.linalg.svd(ad, compute_uv=False)
+    return int(np.sum(sv < ZERO_TOL * sv[0])), sv
+
+
+def _assert_graded_equals_dense(alg, ad):
+    dense_dim, dense = _dense_kernel(ad)
+    graded = graded_singular_values(alg, ad)
+    assert np.abs(graded - dense).max() <= 1e-13 * dense[0]
+    assert int(np.sum(graded < ZERO_TOL * graded[0])) == dense_dim == alg.rs.rank
+
+
+@pytest.mark.parametrize("name", STANDARD_TYPES)
+def test_graded_kernel_equals_dense_svd(name):
+    alg = build_chevalley(name)
+    _assert_graded_equals_dense(alg, build_e_plus(alg).ad)
+
+
+@pytest.mark.parametrize("name", SMALL)
+def test_graded_kernel_equals_dense_svd_complex(name):
+    alg = build_chevalley(name)
+    for coeffs in _random_coefficients(name):
+        ep = build_e_plus(alg, coeffs)
+        assert ep.ad.dtype == np.complex128
+        _assert_graded_equals_dense(alg, ep.ad)
+
+
+def _tampered_algebra(name, tamper):
+    """A fresh algebra whose ad(E_+) is tampered; the cached one stays untouched."""
+    alg = ChevalleyAlgebra(build_root_system(name))
+    real_ad = alg.ad
+
+    def ad(terms):
+        out = real_ad(terms)
+        tamper(alg, out)
+        return out
+
+    alg.ad = ad
+    return alg
+
+
+def _move_off_grading(alg, ad):
+    # H_1 -> e_{alpha_1} has degree 1; moved to H_1 -> H_1 it has degree 0
+    i = alg.root_index[alg.rs.simple_roots[0]]
+    ad[0, 0], ad[i, 0] = ad[i, 0], 0
+
+
+def _zero_cartan_column(alg, ad):
+    # g_0 -> g_1 is injective (the kernel has no degree-0 part); one column less
+    ad[:, 0] = 0
+
+
+@pytest.mark.parametrize("name", ["A2", "D4", "G2", "E6"])
+def test_entry_off_the_grading_raises(name):
+    alg = _tampered_algebra(name, _move_off_grading)
+    for coeffs in (None, [1j] + [1.0] * alg.rs.rank):  # real, then complex ad(E_+)
+        with pytest.raises(RegularityError, match="off the principal grading"):
+            build_e_plus(alg, coeffs)
+
+
+@pytest.mark.parametrize("name", ["A2", "D4", "G2", "E6"])
+def test_zero_block_column_raises(name):
+    alg = _tampered_algebra(name, _zero_cartan_column)
+    assert _dense_kernel(alg.ad(dict.fromkeys(alg.rs.simple_roots, 1.0)))[0] == alg.rs.rank + 1
+    with pytest.raises(RegularityError, match=f"dimension {alg.rs.rank + 1}, expected"):
+        build_e_plus(alg)
+
+
+@pytest.mark.parametrize("name", STANDARD_TYPES)
+def test_real_spectrum_equals_complex_spectrum(name):
+    alg = build_chevalley(name)
+    rs = alg.rs
+    ep = build_e_plus(alg)
+    terms = dict(zip((rs.alpha0,) + rs.simple_roots, map(complex, default_coefficients(alg))))
+    complex_ep = dataclasses.replace(ep, ad=alg.ad(terms))
+    assert ep.ad.dtype == np.float64 and complex_ep.ad.dtype == np.complex128
+    real, cplx = ad_spectrum(ep).nonzero, ad_spectrum(complex_ep).nonzero
+    cost = np.abs(real[:, None] - cplx[None, :])
+    ri, ci = linear_sum_assignment(cost)
+    assert cost[ri, ci].max() <= 1e-13 * np.max(np.abs(cplx))
