@@ -306,7 +306,7 @@ def cmd_stokes(args) -> int:
         slack = {"schema_version": 1, "type": str(rs.type), "alcove": alcove}
         _emit(_validate("slack", slack), args.json_out)
         raise InadmissibleError(f"m = {m} is not admissible (see slack report)")
-    sd = stokes_from_asymptotics(str(rs.type), m, rep=rep)
+    sd = stokes_from_asymptotics(str(rs.type), pt, rep=rep)
     supports = verify_factor_supports(sd)
     chk = semisimple_spectrum_check(sd, rep=rep)
     doc = sd.to_jsonable()

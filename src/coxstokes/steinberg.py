@@ -8,7 +8,8 @@ conjugacy class is pinned to that of the torus element e^{2 pi i (m+x0)/s}.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, field
 from fractions import Fraction as Q
 from functools import lru_cache
 from typing import Dict, Sequence, Tuple
@@ -24,7 +25,6 @@ from .weightrep import (
     NilpotentExp,
     Representation,
     UnsupportedRepresentationError,
-    fundamental_representation,
     registered_representation,
     weyl_representative,
 )
@@ -100,14 +100,18 @@ class CrossSectionFactors:
     k: int                         # |Pi_2|
     e_parts: Tuple[np.ndarray, ...]
     n_parts: Tuple[np.ndarray, ...]
+    _full: np.ndarray | None = field(default=None, repr=False)
 
     @property
     def dim(self) -> int:
         return self.e_parts[0].shape[0]
 
     def full(self) -> np.ndarray:
-        pairs = zip(self.e_parts, self.n_parts)
-        return _product([f for pair in pairs for f in pair], self.dim)
+        """C = E_1 n_1 ... E_l n_l, multiplied out once."""
+        if self._full is None:
+            pairs = zip(self.e_parts, self.n_parts)
+            self._full = _product([f for pair in pairs for f in pair], self.dim)
+        return self._full
 
     def a_gamma(self) -> np.ndarray:
         return _product(self.n_parts, self.dim)
@@ -273,11 +277,10 @@ class _AdjointSection:
     so steinberg_section and _target_eigenvalues take it in place of one; its
     weights are the roots in rs.roots order, then l zeros.
 
-    Its sections give the G2, F4 and E6 characters that are read off ad
-    (characters_from_matrices) and the support check.  Neither its section
-    nor its torus targets enter the class solve: in B, C, D and G2 the
-    adjoint power sums are a plethysm of the registered V's
-    (_ADJOINT_PLETHYSM), and F4 and E6 solve by back-substitution.
+    Its sections serve the support check.  Neither its section nor its torus
+    targets enter the class solve: in B, C, D and G2 the adjoint power sums
+    are a plethysm of the registered V's (_ADJOINT_PLETHYSM), and the closed
+    form evaluates no section.
     """
 
     def __init__(self, rs: RootSystem):
@@ -323,12 +326,77 @@ def _adjoint_section(type_name: str) -> _AdjointSection:
     return _AdjointSection(build_root_system(type_name))
 
 
-# -- fundamental characters on the cross-section -----------------------------------
+# -- the class solve in closed form ------------------------------------------------
+
+# node -> integer polynomial in Bourbaki-labelled variables, as monomial ->
+# coefficient, a monomial the sorted tuple of the nodes it multiplies
+CharacterMap = Dict[int, Dict[Tuple[int, ...], int]]
+
+# (chi(C(t)), t(chi)) of the exceptional types (Steinberg, Publ. IHES 25, 1965,
+# section 7); tier-1 derives them exactly
+_EXCEPTIONAL_MAPS: Dict[str, Tuple[CharacterMap, CharacterMap]] = {
+    "G2": ({1: {(1,): 1, (): -1}, 2: {(2,): 1, (1,): -2, (): 1}},
+           {1: {(1,): 1, (): 1}, 2: {(2,): 1, (1,): 2, (): 1}}),
+    "F4": ({1: {(1,): 1, (4,): -1}, 2: {(2,): 1, (3,): -1, (4,): 2, (1, 4): -1, (): -1},
+            3: {(3,): 1, (1,): -1, (4,): -1, (): 1}, 4: {(4,): 1, (): -1}},
+           {1: {(1,): 1, (4,): 1, (): 1},
+            2: {(2,): 1, (1,): 2, (3,): 1, (4,): 2, (1, 4): 1, (4, 4): 1, (): 1},
+            3: {(3,): 1, (1,): 1, (4,): 2, (): 1}, 4: {(4,): 1, (): 1}}),
+    "E6": ({1: {(1,): 1}, 2: {(2,): 1, (): -1}, 3: {(3,): 1, (6,): -1},
+            4: {(4,): 1, (2,): -1, (1, 6): -1, (): 1}, 5: {(5,): 1, (1,): -1}, 6: {(6,): 1}},
+           {1: {(1,): 1}, 2: {(2,): 1, (): 1}, 3: {(3,): 1, (6,): 1},
+            4: {(4,): 1, (2,): 1, (1, 6): 1}, 5: {(5,): 1, (1,): 1}, 6: {(6,): 1}}),
+}
 
 
-def _lambda2(g: np.ndarray) -> complex:
-    """The trace of g on Lambda^2: (tr(g)^2 - tr(g^2))/2."""
-    return (np.trace(g) ** 2 - np.sum(g * g.T)) / 2
+def character_map(type_name: str) -> Tuple[CharacterMap, CharacterMap]:
+    """(chi(C(t)), t(chi)): the fundamental characters on the cross-section and their inverse.
+
+    By Steinberg's theorem the chi_i(C(t)) are coordinates on the
+    cross-section: chi_i = t_i + (integer polynomial in the t_j with ht
+    omega_j < ht omega_i), so the inverse is an integer polynomial too,
+    affine in A-D and G2, of degree 2 in F4 and E6.  G2, F4 and E6 are
+    tables.  A-D follow one rule at every rank: along the chain of nodes
+    k <= top (none in A, l - 1 in B, l in C, l - 2 in D), chi_k = t_k -
+    t_{k-step} - [k = step], step 1 in B and 2 in C and D, so t_k = chi_k +
+    chi_{k-step} + ... + [step in that chain]; elsewhere chi_k = t_k.  The
+    tables are shared: callers read them only.  Raises
+    UnsupportedRepresentationError for E7 and E8.
+    """
+    rs = build_root_system(type_name)
+    family, l = rs.type.family, rs.rank
+    if str(rs.type) in _EXCEPTIONAL_MAPS:
+        return _EXCEPTIONAL_MAPS[str(rs.type)]
+    if family not in "ABCD":
+        raise UnsupportedRepresentationError(f"no closed-form class solve for {type_name}")
+    step, top = (1, l - 1) if family == "B" else (2, {"A": 0, "C": l, "D": l - 2}[family])
+    chi_of_t: CharacterMap = {}
+    t_of_chi: CharacterMap = {}
+    for k in range(1, l + 1):
+        chain = tuple(range(k, 0, -step)) if k <= top else (k,)
+        chi_of_t[k] = {(k,): 1, **{(j,): -1 for j in chain[1:2]}}
+        t_of_chi[k] = {(j,): 1 for j in chain}
+        if k <= top and step in chain:
+            t_of_chi[k][()] = 1
+            if k == step:
+                chi_of_t[k][()] = -1
+    return chi_of_t, t_of_chi
+
+
+def _evaluate(polys: CharacterMap, x: Dict[int, complex]) -> Dict[int, complex]:
+    """Each node's polynomial at x (node -> value), with complex arithmetic."""
+    return {
+        node: sum(c * math.prod((x[j] for j in mono), start=1 + 0j) for mono, c in terms.items())
+        for node, terms in polys.items()
+    }
+
+
+# Registered residual the power-sum route's and the type-A answer must reach
+# (resonant targets floor the coefficient residual near sqrt(eps)), the
+# polish's target, and the relative character residual the closed form must reach.
+CLASS_TOL = 1e-8
+SOLVE_TOL = 1e-11
+CHAR_TOL = 1e-10
 
 
 # p_k(ad) from p_k and p_2k of the registered V, p_j = tr_V(g^j), for every
@@ -340,72 +408,6 @@ _ADJOINT_PLETHYSM = {
     "D": lambda p, p2: (p * p - p2) / 2,
     "G": lambda p, p2: (p * p - p2) / 2 - p,
 }
-
-
-def characters_from_matrices(rs: RootSystem, mats: Dict) -> np.ndarray:
-    """chi_1 .. chi_l (Bourbaki order) of one element, from its matrices.
-
-    mats maps i to the element in V(omega_i) and "ad" to it in the adjoint
-    representation, for the keys _character_sections uses.  A-D: e_k, the
-    trace on Lambda^k of V(omega_1), gives chi_k (e_k - e_{k-2} in type C)
-    below the spin nodes, whose characters are the spin traces.  G2, F4, E6:
-    traces and Lambda^2 of the small and adjoint representations.
-    """
-    family, l = rs.type.family, rs.rank
-    if family in "ABCD":
-        e = np.poly(mats[1])[: l + 1] * (-1.0) ** np.arange(l + 1)
-        spins = [np.trace(mats[k]) for k in sorted(set(mats) - {1})]
-        if family == "C":
-            return e[1:] - np.concatenate([[0.0], e[: l - 1]])
-        return np.concatenate([e[1 : l + 1 - len(spins)], spins])
-    ad = mats["ad"]
-    tr_ad = np.trace(ad)
-    if family == "G":
-        return np.array([np.trace(mats[1]), tr_ad])
-    if family == "F":
-        v = mats[4]
-        return np.array([tr_ad, _lambda2(ad) - tr_ad, _lambda2(v) - tr_ad, np.trace(v)])
-    v, w = mats[1], mats[6]
-    return np.array(
-        [np.trace(v), tr_ad, _lambda2(v), _lambda2(ad) - tr_ad, _lambda2(w), np.trace(w)]
-    )
-
-
-@lru_cache(maxsize=None)
-def _character_sections(type_name: str):
-    """rs, its bipartition, and the representations the characters are read from."""
-    rs = build_root_system(type_name)
-    l = rs.rank
-    sources = {"G2": (1, "ad"), "F4": (4, "ad"), "E6": (1, 6, "ad")}.get(str(rs.type)) or {
-        "A": (1,), "B": (1, l), "C": (1,), "D": (1, l - 1, l)}.get(rs.type.family)
-    if sources is None:
-        raise UnsupportedRepresentationError(f"no character recipe for {type_name}")
-    reps = {
-        key: _adjoint_section(str(rs.type)) if key == "ad"
-        else fundamental_representation(str(rs.type), key)
-        for key in sources
-    }
-    return rs, bipartition(rs), reps
-
-
-def fundamental_traces(type_name: str, t: Sequence[complex]) -> np.ndarray:
-    """chi_i(C(t)) for every fundamental weight omega_i, in Gamma order like t.
-
-    In type A this is t itself.  By Steinberg's theorem the l fundamental
-    characters are coordinates on the cross-section: equal values, same class.
-    """
-    rs, bip, reps = _character_sections(type_name)
-    mats = {key: steinberg_section(rep, bip, t).full() for key, rep in reps.items()}
-    order = sorted(bip.i2) + sorted(bip.i1)
-    return characters_from_matrices(rs, mats)[np.array(order) - 1]
-
-
-# Registered residual the power-sum route's and the type-A answer must reach
-# (resonant targets floor the coefficient residual near sqrt(eps)), the
-# polish's target, and the relative residual back-substitution must reach.
-CLASS_TOL = 1e-8
-SOLVE_TOL = 1e-11
-CHAR_TOL = 1e-10
 
 
 def _power_sums(eig: np.ndarray, ks: np.ndarray) -> np.ndarray:
@@ -446,52 +448,37 @@ def _solve_power_sums(
     return _gauss_newton(resid, t0, 1e-12, 60, 3, seed=1)
 
 
-@lru_cache(maxsize=None)
-def _height_order(type_name: str) -> Tuple[Tuple[int, int], ...]:
-    """(Gamma position, node) pairs sorted by the height of omega_node.
+def _closed_form(type_name: str, order: Tuple[int, ...], chi: np.ndarray) -> np.ndarray:
+    """t with chi(C(t)) = chi, both in Gamma order, read off t(chi) (character_map).
 
-    ht omega_i, the sum of its simple-root coordinates, is the row sum of the
-    exact inverse Cartan matrix.
+    No section is evaluated.  Returns t, after checking the relative character
+    residual max |chi_i(C(t)) - chi_i| / max(1, |chi_i|), with chi(C(t)) from
+    the forward polynomial; above CHAR_TOL ConsistencyError names it, the bound
+    and the worst node.
     """
-    rs = build_root_system(type_name)
-    bip = bipartition(rs)
-    ainv = rs.cartan_inv
-    order = sorted(bip.i2) + sorted(bip.i1)
-    return tuple(sorted(enumerate(order), key=lambda pn: sum(ainv[pn[1] - 1])))
-
-
-def _back_substitute(type_name: str, chi: np.ndarray) -> Tuple[np.ndarray, float]:
-    """t with chi(C(t)) = chi (Gamma order, as fundamental_traces), without iteration.
-
-    By Steinberg (Publ. IHES 25, 1965, section 7) chi_i(C(t)) = t_i +
-    f_i(t_j : ht omega_j < ht omega_i), so in height order t_i = chi_i -
-    chi_i(C(t_<i, 0, ...)).  Returns t and the relative character residual
-    max |chi_i(C(t)) - chi_i| / max(1, |chi_i|); above CHAR_TOL (a broken
-    triangular structure lands there too) ConsistencyError names it, the
-    bound and the worst node.
-    """
-    order = _height_order(type_name)
-    t = np.zeros(len(chi), dtype=complex)
-    for p, _ in order:
-        t[p] = chi[p] - fundamental_traces(type_name, t)[p]
-    res = np.abs(fundamental_traces(type_name, t) - chi) / np.maximum(1.0, np.abs(chi))
-    r = float(np.max(res))
-    if not r <= CHAR_TOL:
-        node = dict(order)[int(np.argmax(res))]
+    chi_of_t, t_of_chi = character_map(type_name)
+    x = dict(zip(order, chi))
+    t = _evaluate(t_of_chi, x)
+    back = _evaluate(chi_of_t, t)
+    res = {node: abs(back[node] - x[node]) / max(1.0, abs(x[node])) for node in order}
+    node = max(order, key=res.get)
+    if not res[node] <= CHAR_TOL:
         raise ConsistencyError(
-            f"back-substitution: character residual {r:.3g} (bound {CHAR_TOL:g}) at node {node}"
+            f"closed form: character residual {res[node]:.3g} (bound {CHAR_TOL:g}) at node {node}"
         )
-    return t, r
+    return np.array([t[node] for node in order])
 
 
 def _solve_class(
     rs: RootSystem, bip: Bipartition, order: Tuple[int, ...], y
-) -> Tuple[np.ndarray, float]:
+) -> Tuple[np.ndarray, float, CrossSectionFactors]:
     """Section parameters for the class of e^{2 pi i y}, y = (m+x0)/s.
 
-    Returns t and the residual r of the registered characteristic polynomial
-    at t.  The class is solved in the registered representation, whichever
-    representation M0 is then assembled in.
+    Returns t, the residual r of the registered characteristic polynomial at
+    t, and the registered cross-section at t, whose product is M0 when M0 is
+    assembled in the registered representation.  The class is solved in the
+    registered representation, whichever representation M0 is then
+    assembled in.
 
     - Type A: chi(C(t)) = t, so t = chi(y) (in Gamma order), accepted when
       r <= CLASS_TOL.
@@ -499,26 +486,32 @@ def _solve_class(
       registered targets: power sums, then polish.  Gauss-Newton on the
       power sums of the registered section and their adjoint plethysm from
       chi(y), then Newton on the registered characteristic polynomial from
-      there; accepted when r <= CLASS_TOL, else back-substitution.
+      there; accepted when r <= CLASS_TOL, else the closed form.
     - Colliding registered targets (every alcove vertex, and resonant
-      interior points), F4 and E6: back-substitution only.  Where targets
+      interior points), F4 and E6: the closed form only.  Where targets
       collide, r <= CLASS_TOL pins t only to about sqrt(r) (route 1 ends up
       to 4.5e-6 off at B2-B4, D4 and D5 vertices); in F4 and E6 the
       registered polynomial alone does not separate regular classes.
 
-    Back-substitution (_back_substitute) solves the fundamental characters,
-    which are coordinates on the cross-section (Steinberg 1965, sections
-    7-8), so it pins the regular class; it is accepted at CHAR_TOL, and r at
-    its t is reported, not enforced.  A failure names the character
-    residual, its bound and node, and the power-sum route's r and bound.
+    The closed form (_closed_form) reads t off chi(y) through the inverse of
+    the fundamental characters on the cross-section (character_map), which
+    are coordinates there (Steinberg 1965, sections 7-8), so it pins the
+    regular class; it is accepted at CHAR_TOL, and r at its t is reported,
+    not enforced.  A failure names the character residual, its bound and
+    node, and the power-sum route's r and bound.
     """
     rep = registered_representation(str(rs.type))
     t0 = torus_character_values(rs, [fundamental_characters(str(rs.type), k) for k in order], y)
     reg_eig = _target_eigenvalues(rep, y)
     poly = np.poly(np.diag(reg_eig))
+    last = [None, None]  # the t last evaluated and its registered section
 
     def registered_residual(t) -> np.ndarray:
-        return np.poly(steinberg_section(rep, bip, t).full()) - poly
+        last[:] = t, steinberg_section(rep, bip, t)
+        return np.poly(last[1].full()) - poly
+
+    def solved(t, r) -> Tuple[np.ndarray, float, CrossSectionFactors]:
+        return t, float(r), last[1] if last[0] is t else steinberg_section(rep, bip, t)
 
     if rs.type.family == "A":
         r = float(np.max(np.abs(registered_residual(t0))))
@@ -526,39 +519,42 @@ def _solve_class(
             raise ConsistencyError(
                 f"type-A class: registered residual {r:.3g} (bound {CLASS_TOL:g}) at t = chi(y)"
             )
-        return t0, r
+        return solved(t0, r)
     route1 = ""
     if rs.type.family in _ADJOINT_PLETHYSM and _distinct(reg_eig):
         t_ps, _ = _solve_power_sums(rep, bip, t0, reg_eig)
         t, r = _gauss_newton(registered_residual, t_ps, SOLVE_TOL, 60, 1, seed=0)
         if r <= CLASS_TOL:
-            return t, float(r)
+            return solved(t, r)
         route1 = f"; power-sum route: registered residual {r:.3g} (bound {CLASS_TOL:g})"
     try:
-        t, _ = _back_substitute(str(rs.type), t0)
+        t = _closed_form(str(rs.type), order, t0)
     except ConsistencyError as exc:
         raise ConsistencyError(f"class solve failed, {exc}{route1}") from None
-    return t, float(np.max(np.abs(registered_residual(t))))
+    return solved(t, np.max(np.abs(registered_residual(t))))
 
 
 def stokes_from_asymptotics(
     type_name: str,
-    m: Sequence,
+    m: Sequence | AlcovePoint,
     rep: Representation | None = None,
 ) -> StokesData:
     """Assemble the canonical Stokes element from asymptotic data m.
 
     m is given in H_{alpha_i} coordinates and must satisfy alpha_i(m) >= -1
-    for i = 0..l.  The parameters t come from the fundamental characters at
-    y = (m+x0)/s (paired with the weight dual to each Gamma entry), corrected
-    by the class solve (_solve_class) so that M0 lies in the conjugacy class
-    of e^{2 pi i y}.  rep (default: the registered representation) is the one
-    M0, K1 and K2 are assembled in; it does not change t.
+    for i = 0..l; it may also be given as its AlcovePoint (alcove_map(rs,
+    m)), which is then not computed again.  The parameters t come from the
+    fundamental characters at y = (m+x0)/s (paired with the weight dual to
+    each Gamma entry), corrected by the class solve (_solve_class) so that M0
+    lies in the conjugacy class of e^{2 pi i y}.  rep (default: the
+    registered representation) is the one M0, K1 and K2 are assembled in; it
+    does not change t.
     """
     rs = build_root_system(type_name)
+    registered = registered_representation(str(rs.type))
     if rep is None:
-        rep = registered_representation(type_name)
-    pt = alcove_map(rs, m)
+        rep = registered
+    pt = m if isinstance(m, AlcovePoint) else alcove_map(rs, m)
     if not pt.admissible:
         raise InadmissibleError(
             f"m inadmissible: simple slacks {pt.slacks_simple}, psi slack {pt.slack_psi}"
@@ -566,9 +562,9 @@ def stokes_from_asymptotics(
     y = pt.y
     bip = bipartition(rs)
     order = tuple(sorted(bip.i2)) + tuple(sorted(bip.i1))
-    t, class_res = _solve_class(rs, bip, order, y)
-
-    cs = steinberg_section(rep, bip, t)
+    t, class_res, cs = _solve_class(rs, bip, order, y)
+    if rep is not registered:
+        cs = steinberg_section(rep, bip, t)
     m0 = cs.full()
     k1, k2, a_gamma = cs.rewritten()
     resid = np.max(np.abs(m0 - k1 @ k2 @ a_gamma))

@@ -22,6 +22,36 @@ def test_no_module_imports_a_private_sibling_name():
     assert private_sibling_imports(Path(coxstokes.__file__).parent) == []
 
 
+def reference_imports(package: Path):
+    """'module: name' for each import of the test-side character reference, or of a name it defines."""
+    reference = Path(__file__).with_name("character_reference.py")
+    defined = {
+        node.name
+        for node in ast.parse(reference.read_text()).body
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+    }
+    found = []
+    for path in sorted(package.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Import):
+                found += [f"{path.stem}: {a.name}" for a in node.names if "character_reference" in a.name]
+            elif isinstance(node, ast.ImportFrom):
+                if "character_reference" in (node.module or ""):
+                    found.append(f"{path.stem}: {node.module}")
+                found += [f"{path.stem}: {a.name}" for a in node.names if a.name in defined]
+    return found
+
+
+def test_no_module_imports_the_character_reference(tmp_path):
+    # fundamental_traces, back-substitution and the exact derivation of the
+    # closed-form tables are the tests' reference; the run path reads the tables
+    assert reference_imports(Path(coxstokes.__file__).parent) == []
+    (tmp_path / "user.py").write_text(
+        "import character_reference\nfrom .steinberg import fundamental_traces\n"
+    )
+    assert reference_imports(tmp_path) == ["user: character_reference", "user: fundamental_traces"]
+
+
 ELEMENT_API = {"e", "h", "add", "scale", "bracket"}
 
 

@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import zlib
 
 import numpy as np
 import pytest
@@ -71,7 +72,7 @@ def test_scaling_linearity():
 def _random_coefficients(name):
     """10 complex coefficient vectors, kept safely away from zero."""
     rs = build_chevalley(name).rs
-    rng = np.random.default_rng(hash(name) % 2**32)
+    rng = np.random.default_rng(zlib.crc32(name.encode()))
     return [rng.normal(size=rs.rank + 1) + 1j * rng.normal(size=rs.rank + 1) + 2.0
             for _ in range(10)]
 

@@ -1,15 +1,18 @@
+import math
 import random
 import re
 from fractions import Fraction as Q
 from itertools import combinations
+from typing import Tuple
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.linalg import expm
 
-from coxstokes import steinberg
+import character_reference as ref
+from coxstokes import cli, steinberg
 from coxstokes.cli import EXIT_VERIFY, main
 from coxstokes.coxeter import bipartition
 from coxstokes.rootcore import build_root_system, diagram_involution
@@ -21,15 +24,14 @@ from coxstokes.steinberg import (
     _adjoint_section,
     admissible_m,
     alcove_map,
-    characters_from_matrices,
-    fundamental_traces,
+    character_map,
     semisimple_spectrum_check,
     steinberg_section,
     stokes_from_asymptotics,
     torus_character_values,
     verify_factor_supports,
 )
-from coxstokes.characters import all_fundamental_tables, character_value, fundamental_characters
+from coxstokes.characters import _table_pairing, all_fundamental_tables, fundamental_characters
 from coxstokes.weightrep import (
     NilpotentExp,
     fundamental_representation,
@@ -399,15 +401,18 @@ CENSUS = [
     "name,m_text,t_exact", [pytest.param(*row, id=f"{row[0]}[{row[1]}]") for row in CENSUS]
 )
 def test_character_route_at_census_vertices(name, m_text, t_exact):
+    # the closed form, and back-substitution on sections, land on the integer t
     rs = build_root_system(name)
     bip = bipartition(rs)
     order = tuple(sorted(bip.i2)) + tuple(sorted(bip.i1))
     m = [Q(c) for c in m_text.split(",")]
     y = alcove_map(rs, m).y
     chi = torus_character_values(rs, [fundamental_characters(name, k) for k in order], y)
-    t, r = steinberg._back_substitute(name, chi)
-    assert r <= CHAR_TOL
+    t = steinberg._closed_form(name, order, chi)
     assert np.max(np.abs(t - np.array(t_exact))) <= 1e-9
+    t_ref, r = ref.back_substitute(name, chi)
+    assert r <= CHAR_TOL
+    assert np.max(np.abs(t_ref - np.array(t_exact))) <= 1e-9
     assert np.max(np.abs(np.array(stokes_from_asymptotics(name, m).t) - t_exact)) <= 1e-9
     # every fundamental representation small enough to build has its target
     # spectrum at t (characteristic polynomials: the targets are degenerate)
@@ -423,12 +428,21 @@ def test_character_route_at_census_vertices(name, m_text, t_exact):
 REGISTERED = ("A2", "A3", "A4", "A5", "A6", "B2", "B3", "B4", "C3", "D4", "D5", "G2", "F4", "E6")
 
 
+def _vertices(rs):
+    """(y, m) at the l + 1 alcove vertices: y = 0 and y = eps_j / q_j (alpha_i(y) = delta_ij / q_j)."""
+    l, s = rs.rank, rs.coxeter_number
+    ys = [(Q(0),) * l] + [
+        tuple(rs.epsilon_basis[k][j] / rs.marks[j + 1] for k in range(l)) for j in range(l)
+    ]
+    return [(y, [s * c - x for c, x in zip(y, rs.r_coeffs)]) for y in ys]
+
+
 @pytest.mark.parametrize("name", REGISTERED)
 def test_back_substitution_at_every_alcove_vertex(name, monkeypatch):
-    # y = 0 and y = eps_j / q_j (alpha_i(y) = delta_ij / q_j), the l + 1 vertices.
-    # Their registered targets collide, where the registered residual pins t
-    # only to about sqrt(eps): outside type A the class solve returns the
-    # back-substitution t and never enters the power-sum route.
+    # The vertices' registered targets collide, where the registered residual
+    # pins t only to about sqrt(eps): outside type A the class solve returns
+    # the closed-form t and never enters the power-sum route.  That t agrees
+    # with back-substitution on sections, the route it replaced, to 1e-13.
     def forbidden(*args):
         raise AssertionError("power-sum route entered")
 
@@ -438,17 +452,15 @@ def test_back_substitution_at_every_alcove_vertex(name, monkeypatch):
     order = tuple(sorted(bip.i2)) + tuple(sorted(bip.i1))
     tables = [fundamental_characters(name, k) for k in order]
     reg = registered_representation(name)
-    l, s = rs.rank, rs.coxeter_number
-    ys = [(Q(0),) * l] + [
-        tuple(rs.epsilon_basis[k][j] / rs.marks[j + 1] for k in range(l)) for j in range(l)
-    ]
-    for v, y in enumerate(ys):
-        t, r = steinberg._back_substitute(name, torus_character_values(rs, tables, y))
+    for v, (y, m) in enumerate(_vertices(rs)):
+        chi = torus_character_values(rs, tables, y)
+        t_ref, r = ref.back_substitute(name, chi)
         assert r <= CHAR_TOL, v
         assert not steinberg._distinct(steinberg._target_eigenvalues(reg, y)), v
         if rs.type.family != "A":
-            m = [s * c - x for c, x in zip(y, rs.r_coeffs)]
+            t = steinberg._closed_form(name, order, chi)
             assert np.array_equal(stokes_from_asymptotics(name, m).t, t), v
+            assert np.max(np.abs(t - t_ref)) <= 1e-13 * max(1.0, np.max(np.abs(t_ref))), v
 
 
 @pytest.mark.parametrize("name", REGISTERED)
@@ -463,11 +475,11 @@ def test_characters_are_height_triangular(name):
     rng = np.random.default_rng(12)
     l = rs.rank
     t = rng.normal(size=l) + 1j * rng.normal(size=l)
-    base = fundamental_traces(name, t)
+    base = ref.fundamental_traces(name, t)
     for j in range(l):
         tp = t.copy()
         tp[j] += rng.normal() + 1j * rng.normal()
-        moved = fundamental_traces(name, tp)
+        moved = ref.fundamental_traces(name, tp)
         tol = 1e-11 * max(1.0, np.max(np.abs(base)), np.max(np.abs(moved)))
         for i in range(l):
             if i != j and height[i] <= height[j]:
@@ -476,20 +488,61 @@ def test_characters_are_height_triangular(name):
         assert abs((moved[j] - tp[j]) - (base[j] - t[j])) <= tol, j
 
 
+def _unit_root(num: int, den: int) -> Tuple[float, float]:
+    """(cos, sin) of 2 pi num/den, the phase reduced in integers to an angle of at most pi/4.
+
+    num/den mod 1 is split exactly into q quarter turns and a rest r in
+    [0, 1/4), reflected to 1/4 - r above 1/8 (cos and sin swapped); cos and
+    sin see one rounded angle below pi/4, and the quarter turns are exact.
+    """
+    q, rest = divmod(4 * (num % den), den)
+    swap = 2 * rest > den
+    angle = (math.pi / 2) * ((den - rest if swap else rest) / den)
+    c, s = math.cos(angle), math.sin(angle)
+    if swap:
+        c, s = s, c
+    for _ in range(q):
+        c, s = -s, c
+    return c, s
+
+
+def _accurate_character(rs, index, y) -> complex:
+    """chi_index(e^{2 pi i y}) over the Freudenthal table, each term rounded once.
+
+    mu(y) is the integer row of mu times the integer numerators of y, over one
+    denominator, so its phase is reduced exactly (_unit_root), and math.fsum
+    adds the terms without further rounding.  The package's character_value
+    takes the phase unreduced and sums in floats: at the @example below its
+    E6 chi_4, a sum of 2,925 terms, is 1.2e-12 off (relative, against 40-digit
+    arithmetic), and this sum 2.9e-14.
+    """
+    pairing, mults = _table_pairing(str(rs.type), index)
+    h = [Q(c) for c in y]
+    h_den = math.lcm(*(c.denominator for c in h))
+    h_int = [int(c * h_den) for c in h]
+    terms = [
+        (int(mult), _unit_root(sum(a * b for a, b in zip(row, h_int)), pairing.den * h_den))
+        for row, mult in zip(pairing.rows, mults)
+    ]
+    return complex(math.fsum(m * c for m, (c, _) in terms), math.fsum(m * s for m, (_, s) in terms))
+
+
 @settings(max_examples=60, deadline=None)
 @given(
     name=st.sampled_from(REGISTERED),
     y=st.lists(st.floats(-2, 2), min_size=6, max_size=6),
 )
+# summed without phase reduction, the 2,925 weights of E6 chi_4 lose 1e-12 here
+@example(name="E6", y=[0.0, 1.501953125, 1.501953125, -0.74609375, 0.0, 0.0])
 def test_character_recipes_match_weight_tables(name, y):
-    # each recipe of characters_from_matrices, fed the diagonal torus element
+    # each recipe of ref.characters_from_matrices, fed the diagonal torus element
     # e^{2 pi i y} in the representations the route reads, equals the Freudenthal table
-    rs, _, reps = steinberg._character_sections(name)
+    rs, _, reps = ref.character_sections(name)
     y = y[: rs.rank]
     mats = {key: np.diag(steinberg._target_eigenvalues(rep, y)) for key, rep in reps.items()}
-    got = characters_from_matrices(rs, mats)
+    got = ref.characters_from_matrices(rs, mats)
     for i in range(rs.rank):
-        want = character_value(rs, fundamental_characters(name, i + 1), y)
+        want = _accurate_character(rs, i + 1, y)
         assert abs(got[i] - want) <= 1e-12 * max(1.0, abs(want)), i + 1
 
 
@@ -502,14 +555,14 @@ def test_character_recipes_match_weight_tables(name, y):
 def test_type_a_characters_are_the_section_parameters(name, parts, y):
     l = int(name[1])
     t = np.array(parts[:l]) + 1j * np.array(parts[6 : 6 + l])
-    assert np.max(np.abs(fundamental_traces(name, t) - t)) <= 1e-12 * max(1.0, np.max(np.abs(t)))
+    assert np.max(np.abs(ref.fundamental_traces(name, t) - t)) <= 1e-12 * max(1.0, np.max(np.abs(t)))
     # so the class solve returns t = chi(y) itself, with no iteration
     rs = build_root_system(name)
     bip = bipartition(rs)
     order = tuple(sorted(bip.i2)) + tuple(sorted(bip.i1))
     y = y[:l]
     chi = torus_character_values(rs, [fundamental_characters(name, k) for k in order], y)
-    got, r = steinberg._solve_class(rs, bip, order, y)
+    got, r, _ = steinberg._solve_class(rs, bip, order, y)
     assert np.array_equal(got, chi) and r <= steinberg.CLASS_TOL
 
 
@@ -602,11 +655,11 @@ def test_failed_class_solve_names_route_residual_and_threshold(monkeypatch, caps
     with pytest.raises(ConsistencyError) as info:
         stokes_from_asymptotics("B3", [Q(-1, 8), Q(-5, 4), Q(-15, 8)])
     msg = str(info.value)
-    assert re.search(r"back-substitution: character residual \S+ \(bound 0\) at node [123];", msg)
+    assert re.search(r"closed form: character residual \S+ \(bound 0\) at node [123];", msg)
     assert re.search(r"power-sum route: registered residual \S+ \(bound 0\)$", msg)
     assert main(["stokes", "--type", "B3", "--m=-1/8,-5/4,-15/8"]) == EXIT_VERIFY
     err = capsys.readouterr().err
-    assert "verification failure: class solve failed, back-substitution" in err
+    assert "verification failure: class solve failed, closed form" in err
 
 
 def test_gauss_newton_halves_past_nonfinite_trials():
