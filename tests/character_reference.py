@@ -336,16 +336,13 @@ def grid_values(type_name: str, node: int) -> np.ndarray:
             n_j = minus_e @ _exp(_exp_terms(gens[j - 1][1]), 1) @ minus_e
             factors = [_exp(e_terms, b) @ n_j for b in range(bound[j - 1] + 1)]
             den = math.lcm(*(f.den for f in factors))
-            fac = np.stack([f.ints * (den // f.den) for f in factors])
-            bound_abs = np.abs(stack.ints)[:, None] @ np.abs(fac)[None]
-            assert bound_abs.max() < EXACT, "product leaves the exact float range"
-            prod = stack.ints[:, None] @ fac[None]
-            stack = Rational(prod.reshape(-1, *prod.shape[2:]), stack.den * den)
+            fac = Rational(np.stack([f.ints * (den // f.den) for f in factors])[None], den)
+            prod = Rational(stack.ints[:, None], stack.den) @ fac
+            stack = Rational(prod.ints.reshape(-1, *prod.ints.shape[2:]), prod.den)
         p = _power_sums(stack, k, surd=source == "ad" and build_chevalley(type_name).tables.surd != 1)
         total = total + sign * _newton_e(p, k)
     shape = tuple(bound[j - 1] + 1 for j in order)
-    values = total.reshape(shape).transpose(np.argsort(order))
-    return values
+    return total.reshape(shape).transpose(np.argsort(order))
 
 
 def _power_sums(stack: Rational, k: int, surd: bool) -> Dict[int, np.ndarray]:

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 from scipy.linalg import expm
 
 import character_reference as ref
-from coxstokes import cli, steinberg
+from coxstokes import steinberg
 from coxstokes.cli import EXIT_VERIFY, main
 from coxstokes.coxeter import bipartition
 from coxstokes.rootcore import build_root_system, diagram_involution
@@ -24,7 +24,6 @@ from coxstokes.steinberg import (
     _adjoint_section,
     admissible_m,
     alcove_map,
-    character_map,
     semisimple_spectrum_check,
     steinberg_section,
     stokes_from_asymptotics,
