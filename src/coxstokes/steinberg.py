@@ -166,6 +166,24 @@ def steinberg_section(
     return CrossSectionFactors(order, len(bip.i2), tuple(e_parts), tuple(n_parts))
 
 
+def _section_stack(
+    rep: Representation | _AdjointSection, bip: Bipartition, ts: np.ndarray
+) -> np.ndarray:
+    """The sections C(t) at a (k, l) stack of t, as a (k, dim, dim) stack.
+
+    Each matrix is bitwise steinberg_section(rep, bip, t).full() at its row:
+    the product takes the same factors in the same order, each E_i(t) for
+    the whole stack at once.  The factors are multiplied in as they are
+    built, not kept.
+    """
+    order = tuple(sorted(bip.i2)) + tuple(sorted(bip.i1))
+    out = np.eye(rep.dim, dtype=complex)
+    for pos, node in enumerate(order):
+        exp_e, n_i = rep.section_factors(node - 1)
+        out = out @ exp_e(ts[:, pos]) @ n_i
+    return out
+
+
 # -- Stokes data ----------------------------------------------------------------
 
 
@@ -189,9 +207,10 @@ class StokesData:
 
     def to_jsonable(self) -> Dict:
         def mat(a):
+            a = np.asarray(a)
             return [
-                [[round(float(z.real), 15), round(float(z.imag), 15)] for z in row]
-                for row in np.asarray(a)
+                [[round(x, 15), round(y, 15)] for x, y in zip(re_row, im_row)]
+                for re_row, im_row in zip(a.real.tolist(), a.imag.tolist())
             ]
 
         return {
@@ -223,50 +242,120 @@ def _distinct(eig: np.ndarray) -> bool:
     return bool(np.min(np.abs(eig[:, None] - eig[None, :]) + np.eye(len(eig))) > 1e-8)
 
 
+# Step lengths 2^-i, i = 0..29, tried per stacked line-search call: the full
+# step alone, which most iterations take, then 1..7, then 8..29.
+_TRIAL_CHUNKS = (1, 7, 22)
+
+
+def _max_abs(rows) -> np.ndarray:
+    """max |F| of each residual row; rows is a (k, m) array or a list of k rows."""
+    if isinstance(rows, np.ndarray):
+        return np.max(np.abs(rows), axis=-1)
+    return np.array([np.max(np.abs(f)) for f in rows])
+
+
 def _gauss_newton(
     resid, t0, tol: float, iters: int, restarts: int, seed: int
 ) -> Tuple[np.ndarray, float]:
     """Damped Gauss-Newton on r(t) = max |resid(t)|, restarted around t0.
 
+    resid maps a (k, l) stack of t to their k residual rows: a (k, m) array,
+    or a list of k rows where rows differ in dtype (np.poly returns a real
+    row when the roots are closed under conjugation, and the Jacobian
+    differences of real rows are taken in real arithmetic).
+
     A step solves the forward-difference Jacobian (h = 1e-7 max(1, |t|_inf))
-    by least squares, then halves up to 30 times until the trial residual is
-    finite and below r; an attempt ends when no halving is, or after `iters`
-    steps.  Attempt k + 1 restarts from t0 + 0.3 (k + 1) (N + iN), N standard
-    normal from default_rng(seed).  Returns the first iterate with r < tol,
-    else the best iterate evaluated, with its r.
+    by least squares, then tries the step lengths 2^-i, i = 0..29, in order
+    until the trial residual is finite and below r; an attempt ends when none
+    is, or after `iters` steps.  Attempt k + 1 starts from
+    t0 + 0.3 k (N + iN), N standard normal from default_rng(seed), drawn up
+    front in attempt order.  Returns the first iterate with r < tol of the
+    first attempt that has one, else the first iterate of least r in
+    attempt order; with its r.
+
+    The attempts run in lockstep, and every resid call is a stack: all
+    starts; the l Jacobian columns of every live attempt; the trials of
+    every attempt still searching, in chunks of _TRIAL_CHUNKS lengths.  An
+    accepted trial's row is the next iterate's residual.  Each row of a
+    stack is bitwise the residual of its t alone, so the result is bitwise
+    that of running the attempts one after another with one t per call: an
+    attempt that stops (at tol, or when its least-squares solve raises
+    LinAlgError) drops the attempts after it, which that order would never
+    run, while the earlier ones run on; the error is raised only if no
+    earlier attempt reaches tol.
     """
     l = len(t0)
     rng = np.random.default_rng(seed)
-    t = np.array(t0, dtype=complex)
-    best = None
-    for attempt in range(restarts):
-        for _ in range(iters):
-            F = resid(t)
-            r = float(np.max(np.abs(F)))
-            if best is None or r < best[0]:
-                best = (r, t.copy())
-            if r < tol:
-                return t, r
-            h = 1e-7 * max(1.0, float(np.max(np.abs(t))))
-            J = np.empty((len(F), l), dtype=complex)
-            for j in range(l):
-                tp = t.copy()
-                tp[j] += h
-                J[:, j] = (resid(tp) - F) / h
-            step, *_ = np.linalg.lstsq(J, -F, rcond=None)
-            lam = 1.0
-            for _ in range(30):
-                cand = t + lam * step
-                r_cand = np.max(np.abs(resid(cand)))
-                if np.isfinite(r_cand) and r_cand < r:
-                    t = cand
-                    break
-                lam /= 2
-            else:
-                break
-        t = np.array(t0, dtype=complex) + 0.3 * (attempt + 1) * (
-            rng.normal(size=l) + 1j * rng.normal(size=l)
+    t = [np.array(t0, dtype=complex)]
+    for k in range(1, restarts):
+        t.append(
+            np.array(t0, dtype=complex) + 0.3 * k * (rng.normal(size=l) + 1j * rng.normal(size=l))
         )
+    F = list(resid(np.stack(t)))
+    r = [0.0] * restarts
+    seen = [[] for _ in t]          # (r, t) at each iterate, per attempt
+    stop = [None] * restarts        # (t, r) at tol, or the LinAlgError raised
+    live = list(range(restarts))    # attempts still stepping, in order
+    for _ in range(iters):
+        for i, a in enumerate(live):
+            r[a] = float(np.max(np.abs(F[a])))
+            seen[a].append((r[a], t[a]))
+            if r[a] < tol:
+                stop[a], live = (t[a], r[a]), live[:i]
+                break
+        if not live:
+            break
+        h = [1e-7 * max(1.0, float(np.max(np.abs(t[a])))) for a in live]
+        cols = []
+        for a, ha in zip(live, h):
+            for j in range(l):
+                tp = t[a].copy()
+                tp[j] += ha
+                cols.append(tp)
+        G = resid(np.stack(cols))
+        searching = []
+        for i, (a, ha) in enumerate(zip(live, h)):
+            J = np.empty((len(F[a]), l), dtype=complex)
+            for j in range(l):
+                J[:, j] = (G[i * l + j] - F[a]) / ha
+            try:
+                step, *_ = np.linalg.lstsq(J, -F[a], rcond=None)
+            except np.linalg.LinAlgError as exc:
+                stop[a], live = exc, live[:i]
+                break
+            searching.append((a, step))
+        first = 0
+        for size in _TRIAL_CHUNKS:
+            if not searching:
+                break
+            lams = [0.5**i for i in range(first, first + size)]
+            cands = [t[a] + lam * step for a, step in searching for lam in lams]
+            rows = resid(np.stack(cands))
+            r_cand = _max_abs(rows)
+            unmet = []
+            for i, (a, step) in enumerate(searching):
+                for k in range(i * size, (i + 1) * size):
+                    if np.isfinite(r_cand[k]) and r_cand[k] < r[a]:
+                        t[a], F[a] = cands[k], rows[k]
+                        break
+                else:
+                    unmet.append((a, step))
+            searching = unmet
+            first += size
+        ended = {a for a, _ in searching}
+        live = [a for a in live if a not in ended]
+        if not live:
+            break
+    for a in range(restarts):
+        if isinstance(stop[a], np.linalg.LinAlgError):
+            raise stop[a]
+        if stop[a] is not None:
+            return stop[a]
+    best = None
+    for history in seen:
+        for ra, ta in history:
+            if best is None or ra < best[0]:
+                best = (ra, ta)
     return best[1], best[0]
 
 
@@ -410,9 +499,70 @@ _ADJOINT_PLETHYSM = {
 }
 
 
+# rows of a residual stack whose power sums are taken in one call
+_SUM_ROWS = 8
+
+
 def _power_sums(eig: np.ndarray, ks: np.ndarray) -> np.ndarray:
-    """p_k = sum_j eig_j^k for each k in ks."""
-    return (eig[None, :] ** ks[:, None]).sum(axis=1)
+    """p_k = sum_j eig_j^k for each k in ks, over the last axis of eig."""
+    return (eig[..., None, :] ** ks[:, None]).sum(axis=-1)
+
+
+def _section_spectra(
+    rep: Representation, bip: Bipartition, ts: np.ndarray
+) -> Tuple[np.ndarray, np.ndarray]:
+    """Eigenvalues of the sections at a (k, l) stack of t, and which rows have them.
+
+    Returns a (k, dim) array and a (k,) mask; each row is bitwise
+    np.linalg.eigvals of its section alone.  A row whose section is not
+    finite (a trial far off the class overflows) has none, since it would
+    make eigvals raise for the whole stack; callers give it an infinite
+    residual, which the line search rejects.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        mats = _section_stack(rep, bip, ts)
+    ok = np.isfinite(mats).all(axis=(1, 2))
+    eig = np.full(mats.shape[:2], np.nan, dtype=complex)
+    eig[ok] = np.linalg.eigvals(mats[ok])
+    return eig, ok
+
+
+def _power_sum_residual(rep: Representation, bip: Bipartition, reg_eig: np.ndarray):
+    """The stacked residual of _solve_power_sums: (k, l) stack of t -> (k, m) rows.
+
+    Row: the power sums tr(C^k)/dim of the registered section, k = 1..min(dim,
+    24), then the adjoint ones p_k(ad)/dim(ad), k = 1..min(dim(ad), 28),
+    from the registered eigenvalues by the family's plethysm, minus the same
+    sums of the targets reg_eig.  A row without eigenvalues
+    (_section_spectra) is inf.
+    """
+    rs = rep.rs
+    plethysm = _ADJOINT_PLETHYSM[rs.type.family]
+    dim_ad = len(rs.roots) + rs.rank
+    kr = np.arange(1, min(rep.dim, 24) + 1)
+    ka = np.arange(1, min(dim_ad, 28) + 1)
+
+    def sums(eig):
+        # a trial step far off the class can overflow the powers; the line
+        # search rejects the non-finite residual
+        with np.errstate(over="ignore", invalid="ignore"):
+            pa = plethysm(_power_sums(eig, ka), _power_sums(eig, 2 * ka))
+            return np.concatenate([_power_sums(eig, kr) / rep.dim, pa / dim_ad], axis=-1)
+
+    target = sums(reg_eig)
+
+    def resid(ts):
+        eig, ok = _section_spectra(rep, bip, ts)
+        out = np.full((len(ts), len(target)), np.inf, dtype=complex)
+        rows = np.flatnonzero(ok)
+        # a few rows at a time: the (rows, k, dim) power stacks and numpy's
+        # buffers for them stay a few tens of kB
+        for i in range(0, len(rows), _SUM_ROWS):
+            block = rows[i : i + _SUM_ROWS]
+            out[block] = sums(eig[block]) - target
+        return out
+
+    return resid
 
 
 def _solve_power_sums(
@@ -427,25 +577,7 @@ def _solve_power_sums(
     diagonalized; those adjoint equations repeat registered information and
     pin no more than the registered power sums do.
     """
-    rs = rep.rs
-    plethysm = _ADJOINT_PLETHYSM[rs.type.family]
-    dim_ad = len(rs.roots) + rs.rank
-    kr = np.arange(1, min(rep.dim, 24) + 1)
-    ka = np.arange(1, min(dim_ad, 28) + 1)
-
-    def sums(eig):
-        # a trial step far off the class can overflow the powers; the line
-        # search rejects the non-finite residual
-        with np.errstate(over="ignore", invalid="ignore"):
-            pa = plethysm(_power_sums(eig, ka), _power_sums(eig, 2 * ka))
-            return np.concatenate([_power_sums(eig, kr) / rep.dim, pa / dim_ad])
-
-    target = sums(reg_eig)
-
-    def resid(t):
-        return sums(np.linalg.eigvals(steinberg_section(rep, bip, t).full())) - target
-
-    return _gauss_newton(resid, t0, 1e-12, 60, 3, seed=1)
+    return _gauss_newton(_power_sum_residual(rep, bip, reg_eig), t0, 1e-12, 60, 3, seed=1)
 
 
 def _closed_form(type_name: str, order: Tuple[int, ...], chi: np.ndarray) -> np.ndarray:
@@ -499,27 +631,38 @@ def _solve_class(
     regular class; it is accepted at CHAR_TOL, and r at its t is reported,
     not enforced.  A failure names the character residual, its bound and
     node, and the power-sum route's r and bound.
+
+    Both Gauss-Newton runs of the power-sum route evaluate stacks of t
+    (_gauss_newton): one stacked section product, one np.linalg.eigvals
+    over the stack (_section_spectra), then the power sums over it, or
+    np.poly row by row for the polish.  The three power-sum attempts run in
+    lockstep, and each line search tries its step lengths in chunks of 1, 7
+    and 22.  Every stacked row is bitwise its single evaluation, so t and r
+    are bitwise those of evaluating one t at a time.
     """
     rep = registered_representation(str(rs.type))
     t0 = torus_character_values(rs, [fundamental_characters(str(rs.type), k) for k in order], y)
     reg_eig = _target_eigenvalues(rep, y)
     poly = np.poly(np.diag(reg_eig))
-    last = [None, None]  # the t last evaluated and its registered section
 
-    def registered_residual(t) -> np.ndarray:
-        last[:] = t, steinberg_section(rep, bip, t)
-        return np.poly(last[1].full()) - poly
+    def registered_residual(ts) -> list:
+        eig, ok = _section_spectra(rep, bip, ts)
+        inf = np.full(len(poly), np.inf)
+        return [np.poly(e) - poly if good else inf for e, good in zip(eig, ok)]
 
-    def solved(t, r) -> Tuple[np.ndarray, float, CrossSectionFactors]:
-        return t, float(r), last[1] if last[0] is t else steinberg_section(rep, bip, t)
+    def solved(t, r=None) -> Tuple[np.ndarray, float, CrossSectionFactors]:
+        cs = steinberg_section(rep, bip, t)
+        if r is None:
+            r = np.max(np.abs(np.poly(cs.full()) - poly))
+        return t, float(r), cs
 
     if rs.type.family == "A":
-        r = float(np.max(np.abs(registered_residual(t0))))
+        t, r, cs = solved(t0)
         if not r <= CLASS_TOL:
             raise ConsistencyError(
                 f"type-A class: registered residual {r:.3g} (bound {CLASS_TOL:g}) at t = chi(y)"
             )
-        return solved(t0, r)
+        return t, r, cs
     route1 = ""
     if rs.type.family in _ADJOINT_PLETHYSM and _distinct(reg_eig):
         t_ps, _ = _solve_power_sums(rep, bip, t0, reg_eig)
@@ -531,7 +674,7 @@ def _solve_class(
         t = _closed_form(str(rs.type), order, t0)
     except ConsistencyError as exc:
         raise ConsistencyError(f"class solve failed, {exc}{route1}") from None
-    return solved(t, np.max(np.abs(registered_residual(t))))
+    return solved(t)
 
 
 def stokes_from_asymptotics(

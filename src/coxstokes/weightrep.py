@@ -37,6 +37,10 @@ class NilpotentExp:
     is then sum_k t^k x^k/k!.  Chevalley generators move weight spaces by a
     root, so their powers vanish exactly, also in floating point.  A matrix
     whose n-th power is not exactly zero raises ValueError.
+
+    For an array of t the result is the stack of exp(t x) over t's shape.
+    Each t takes its own row-times-terms product, so every matrix of the
+    stack is bitwise the one a single t gives.
     """
 
     def __init__(self, x: np.ndarray):
@@ -54,9 +58,10 @@ class NilpotentExp:
         self.terms.flags.writeable = False
         self._k = np.arange(len(terms))
 
-    def __call__(self, t: complex) -> np.ndarray:
-        flat = complex(t) ** self._k @ self.terms.reshape(len(self._k), -1)
-        return flat.reshape(self.terms.shape[1:])
+    def __call__(self, t) -> np.ndarray:
+        t = np.asarray(t, dtype=complex)
+        flat = t[..., None, None] ** self._k @ self.terms.reshape(len(self._k), -1)
+        return flat.reshape(t.shape + self.terms.shape[1:])
 
 
 def weyl_representative(exp_e: NilpotentExp, exp_f: NilpotentExp) -> np.ndarray:

@@ -94,3 +94,51 @@ def test_element_api_guard_sees_algebra_calls_only(tmp_path):
     assert sorted(element_api_calls(tmp_path)) == [
         "user: alg.add", "user: alg.e", "user: build_chevalley(t).bracket", "user: self.alg.h",
     ]
+
+
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+
+
+def bench_harness_names(bench: Path):
+    """(module, name) for each coxstokes name the bench harness reaches by name.
+
+    These are the functions perfbench/spans.py wraps (its TIMED and COUNTED
+    tables, read as literals) and every name a perfbench file imports from
+    coxstokes or one of its modules.  The files are parsed, not imported or
+    edited.
+    """
+    names = []
+    for node in ast.parse((bench / "spans.py").read_text()).body:
+        if isinstance(node, ast.Assign) and [ast.unparse(t) for t in node.targets] in (
+            ["TIMED"],
+            ["COUNTED"],
+        ):
+            for module, fns in ast.literal_eval(node.value).items():
+                names += [(f"coxstokes.{module}", fn) for fn in fns]
+    for path in sorted(bench.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if not isinstance(node, ast.ImportFrom):
+                continue
+            if (node.module or "").split(".")[0] == "coxstokes":
+                names += [(node.module, a.name) for a in node.names]
+    return names
+
+
+def test_every_name_the_bench_harness_reaches_exists():
+    # spans.install getattr()s each listed name, so a rename in src would
+    # crash a traced bench run instead of failing here
+    import importlib
+
+    names = bench_harness_names(PERFBENCH)
+    assert ("coxstokes.steinberg", "steinberg_section") in names
+    assert ("coxstokes.steinberg", "FACTOR_TOL") in names
+    for module, name in names:
+        # a name imported from the package itself may be a submodule
+        if module == "coxstokes" and not hasattr(importlib.import_module(module), name):
+            importlib.import_module(f"{module}.{name}")
+    missing = [
+        f"{module}.{name}"
+        for module, name in names
+        if not hasattr(importlib.import_module(module), name)
+    ]
+    assert missing == []
