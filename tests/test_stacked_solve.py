@@ -155,15 +155,11 @@ def test_stacked_eigvals_and_power_sums_are_bitwise_per_matrix(case):
             assert same_bits(sums[1][i], steinberg._power_sums(single, 2 * ks))
 
 
-def _b3_case():
+def test_overflowing_row_gets_an_infinite_residual():
     rep, bip, _ = _section_setup("B3")
     y = alcove_map(build_root_system("B3"), [Q(-1, 8), Q(-5, 4), Q(-15, 8)]).y
+    reg_eig = steinberg._target_eigenvalues(rep, y)
     ts = np.array([[0.3 + 0.1j, -1.2, 2.0], [1e200, 1e200, 1e200]])
-    return rep, bip, steinberg._target_eigenvalues(rep, y), ts
-
-
-def test_overflowing_row_gets_an_infinite_residual():
-    rep, bip, reg_eig, ts = _b3_case()
     with np.errstate(over="ignore", invalid="ignore"):
         section = steinberg_section(rep, bip, ts[1]).full()
     assert not np.isfinite(section).all()
