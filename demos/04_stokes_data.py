@@ -36,7 +36,11 @@ print("   K1 supported on", sd.k1_support, " K2 on", sd.k2_support)
 print("   ||M0 - K1 K2 A_gamma|| =", sd.factorization_residual)
 chk = semisimple_spectrum_check(sd)
 print("   spectrum matches e^{2 pi i mu(y)}:", chk.ok, f"(residual {chk.charpoly_residual:.2e})")
-print("   adjoint-representation support residuals:", verify_factor_supports(sd))
+sup = verify_factor_supports(sd)
+print("   support residuals of log K1, log K2 (in the standard representation):", sup.residuals)
+print("   Stokes multipliers (coefficients of log K1, log K2 on their root vectors):")
+for name in ("k1", "k2"):
+    print(f"     {name}:", np.round(sup.multipliers[name], 8))
 
 print()
 print("D4 (triality diagram), generic m:")
@@ -45,3 +49,8 @@ print("   Gamma order:", sd.gamma_order)
 print("   K1 support (Pi_2):", sd.k1_support)
 print("   K2 support (gamma(-Pi_1)):", sd.k2_support)
 print("   class residual:", f"{sd.class_residual:.2e}")
+print("   character residual:", f"{sd.character_residual:.2e}")
+sup = verify_factor_supports(sd)
+# log K1 = sum c_i t_i e_{alpha_i}: the multipliers over t are the type's constants
+ratios = np.concatenate([sup.multipliers["k1"], sup.multipliers["k2"]]) / np.array(sd.t)
+print("   multipliers / t in Gamma order:", np.round(ratios.real, 12))

@@ -100,6 +100,15 @@ class ChevalleyTables:
     def root(self, i: int) -> Root:
         return tuple(int(c) for c in self.roots[i])
 
+    def n_float(self, a, b) -> np.ndarray:
+        """N(a, b) as floats at root indices a, b (ints or index arrays).
+
+        Each N is rational or a rational multiple of sqrt(surd), so this is
+        u/D or (v/D) sqrt(surd): the float of its Sq value.
+        """
+        u, v = self.n_rat[a, b], self.n_surd[a, b]
+        return np.where(v == 0, u / self.den, v / self.den * math.sqrt(self.surd))
+
 
 def _root_tables(rs: RootSystem):
     """Root coordinates, negation and root-sum indices, and the scaled form.
@@ -358,6 +367,10 @@ class ChevalleyAlgebra:
     def nval_idx(self, i: int, j: int) -> Sq:
         return self._nvals[i, j]
 
+    def n_float(self, x: Root, y: Root) -> float:
+        """float(nval(x, y)), read from the integer tables without building the Sq table."""
+        return float(self.tables.n_float(self._ridx[x], self._ridx[y]))
+
     # -- elements and brackets ------------------------------------------------
 
     def h(self, coeffs: Sequence) -> Element:
@@ -433,10 +446,8 @@ class ChevalleyAlgebra:
             h = -t.inner[a, self._simple_idx]
             k = np.flatnonzero(h)
             out[l + a, k] = c * (h[k] / t.form_den)
-            u, v = t.n_rat[a], t.n_surd[a]
-            b = np.flatnonzero(u | v)
-            n = np.where(v[b] == 0, u[b] / t.den, v[b] / t.den * math.sqrt(t.surd))
-            out[l + t.sums[a, b], l + b] = c * n
+            b = np.flatnonzero(t.n_rat[a] | t.n_surd[a])
+            out[l + t.sums[a, b], l + b] = c * t.n_float(a, b)
             k = np.flatnonzero(t.roots[a])
             out[k, l + t.neg[a]] = c * t.roots[a, k]
         return out

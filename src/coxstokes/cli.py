@@ -307,11 +307,15 @@ def cmd_stokes(args) -> int:
         _emit(_validate("slack", slack), args.json_out)
         raise InadmissibleError(f"m = {m} is not admissible (see slack report)")
     sd = stokes_from_asymptotics(str(rs.type), pt, rep=rep)
-    supports = verify_factor_supports(sd)
+    supports = verify_factor_supports(sd, rep)
     chk = semisimple_spectrum_check(sd, rep=rep)
-    doc = sd.to_jsonable()
+    doc = sd.to_jsonable(matrices=args.matrices)
     doc["alcove"] = alcove
-    doc["support_residuals"] = supports
+    doc["support_residuals"] = supports.residuals
+    doc["multipliers"] = {
+        name: [[z.real, z.imag] for z in coef.tolist()]
+        for name, coef in supports.multipliers.items()
+    }
     doc["spectrum_check"] = {
         "regular": chk.regular,
         "charpoly_residual": chk.charpoly_residual,
@@ -391,6 +395,8 @@ def build_parser() -> _Parser:
     st.add_argument("--m", default=None, help="comma-separated rationals, H-basis coords")
     st.add_argument("--rep", type=int, default=None,
                     help="index 1..l of the fundamental representation M0 is assembled in")
+    st.add_argument("--matrices", action="store_true",
+                    help="also write the dense m0, k1, k2, a_gamma and p0")
     common(st)
     st.set_defaults(fn=cmd_stokes)
 

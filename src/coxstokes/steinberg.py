@@ -11,22 +11,18 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction as Q
-from functools import lru_cache
 from typing import Dict, Sequence, Tuple
 
 import numpy as np
 
 from .assignment import linear_assignment
-from .characters import WeightPairing, character_value, fundamental_characters
-from .chevalley import build_chevalley
+from .characters import character_value, fundamental_characters
 from .coxeter import Bipartition, bipartition, coxeter_element
 from .rootcore import Root, RootSystem, build_root_system, diagram_involution
 from .weightrep import (
-    NilpotentExp,
     Representation,
     UnsupportedRepresentationError,
     registered_representation,
-    weyl_representative,
 )
 
 FACTOR_TOL = 1e-8
@@ -137,11 +133,12 @@ def _product(mats: Sequence[np.ndarray], n: int) -> np.ndarray:
 
 
 def steinberg_section(
-    rep: Representation | _AdjointSection, bip: Bipartition, t: Sequence[complex]
+    rep: Representation, bip: Bipartition, t: Sequence[complex]
 ) -> CrossSectionFactors:
     """C^Gamma(t) = E_1(t_1) n_1 ... E_l(t_l) n_l in the given representation.
 
-    rep is a Representation or the adjoint _AdjointSection; every
+    rep needs only section_factors(i) and dim, so the tests pass their
+    adjoint stand-in (tests/character_reference.py) as well; every
     cross-section, in every representation, is built here.
 
     Gamma orders Pi_2 ascending then Pi_1 ascending; E_i(t) = exp(t e_{beta_i})
@@ -167,7 +164,7 @@ def steinberg_section(
 
 
 def _section_stack(
-    rep: Representation | _AdjointSection, bip: Bipartition, ts: np.ndarray
+    rep: Representation, bip: Bipartition, ts: np.ndarray
 ) -> np.ndarray:
     """The sections C(t) at a (k, l) stack of t, as a (k, dim, dim) stack.
 
@@ -204,36 +201,36 @@ class StokesData:
     k2_support: Tuple[Root, ...]
     factorization_residual: float
     class_residual: float
+    character_residual: float      # relative, of the fundamental characters at t
 
-    def to_jsonable(self) -> Dict:
-        def mat(a):
-            a = np.asarray(a)
-            return [
-                [[round(x, 15), round(y, 15)] for x, y in zip(re_row, im_row)]
-                for re_row, im_row in zip(a.real.tolist(), a.imag.tolist())
-            ]
-
-        return {
-            "schema_version": 2,
+    def to_jsonable(self, matrices: bool = False) -> Dict:
+        """The stokes document's fields; the dense m0, k1, k2, a_gamma and p0 only with matrices."""
+        doc = {
+            "schema_version": 3,
             "type": self.type_name,
             "rep": self.rep_name,
             "m": [str(c) for c in self.m],
             "y": [str(c) for c in self.y],
             "t": [[z.real, z.imag] for z in self.t],
             "gamma_order": list(self.gamma_order),
-            "m0": mat(self.m0),
-            "k1": mat(self.k1),
-            "k2": mat(self.k2),
-            "a_gamma": mat(self.a_gamma),
-            "p0": mat(self.p0),
             "k1_support": [list(r) for r in self.k1_support],
             "k2_support": [list(r) for r in self.k2_support],
             "factorization_residual": self.factorization_residual,
             "class_residual": self.class_residual,
+            "character_residual": self.character_residual,
         }
+        if matrices:
+            for key in ("m0", "k1", "k2", "a_gamma", "p0"):
+                a = getattr(self, key)
+                doc[key] = [
+                    [[round(x, 15), round(y, 15)] for x, y in zip(re_row, im_row)]
+                    for re_row, im_row in zip(a.real.tolist(), a.imag.tolist())
+                ]
+        return doc
 
 
-def _target_eigenvalues(rep: Representation | _AdjointSection, y) -> np.ndarray:
+def _target_eigenvalues(rep: Representation, y) -> np.ndarray:
+    """e^{2 pi i mu(y)} over the weights mu of rep (anything with weight_values)."""
     return np.exp(2j * np.pi * rep.weight_values(y))
 
 
@@ -357,62 +354,6 @@ def _gauss_newton(
             if best is None or ra < best[0]:
                 best = (ra, ta)
     return best[1], best[0]
-
-
-class _AdjointSection:
-    """The adjoint representation as the cross-section, characters and supports use it.
-
-    It has the section_factors(i), dim and weight_values of a Representation,
-    so steinberg_section and _target_eigenvalues take it in place of one; its
-    weights are the roots in rs.roots order, then l zeros.
-
-    Its sections serve the support check.  Neither its section nor its torus
-    targets enter the class solve: in B, C, D and G2 the adjoint power sums
-    are a plethysm of the registered V's (_ADJOINT_PLETHYSM), and the closed
-    form evaluates no section.
-    """
-
-    def __init__(self, rs: RootSystem):
-        self.rs = rs
-        self.alg = build_chevalley(str(rs.type))
-        self.dim = len(rs.roots) + rs.rank
-        zero = (0,) * rs.rank
-        self.weight_values = WeightPairing(
-            str(rs.type), [rs.to_dyn(r) for r in rs.roots] + [zero] * rs.rank
-        )
-        self._section_factors: Dict[int, Tuple[NilpotentExp, np.ndarray]] = {}
-        self._support_bases: Dict[Tuple[Root, ...], np.ndarray] = {}
-
-    def section_factors(self, i: int) -> Tuple[NilpotentExp, np.ndarray]:
-        """(t -> exp(t ad e_i), n_i), built once per node (0-based i).
-
-        ad e_i = ad e_{alpha_i} / L_i and ad f_i = ad e_{-alpha_i}.
-        """
-        got = self._section_factors.get(i)
-        if got is None:
-            alg = self.alg
-            a = self.rs.simple_roots[i]
-            exp_e = NilpotentExp(alg.ad({a: 1}) / (float(self.rs.inner(a, a)) / 2))
-            exp_f = NilpotentExp(alg.ad({tuple(-c for c in a): 1}))
-            got = (exp_e, weyl_representative(exp_e, exp_f))
-            self._section_factors[i] = got
-        return got
-
-    def support_basis(self, support: Tuple[Root, ...]) -> np.ndarray:
-        """The flattened ad-matrices of the root vectors in support, as columns, built once."""
-        got = self._support_bases.get(support)
-        if got is None:
-            alg = self.alg
-            got = np.stack([alg.ad({r: 1}).reshape(-1) for r in support], axis=1)
-            got.flags.writeable = False
-            self._support_bases[support] = got
-        return got
-
-
-@lru_cache(maxsize=None)
-def _adjoint_section(type_name: str) -> _AdjointSection:
-    """The adjoint cross-section factors, built once per type."""
-    return _AdjointSection(build_root_system(type_name))
 
 
 # -- the class solve in closed form ------------------------------------------------
@@ -580,25 +521,36 @@ def _solve_power_sums(
     return _gauss_newton(_power_sum_residual(rep, bip, reg_eig), t0, 1e-12, 60, 3, seed=1)
 
 
+def _character_residuals(
+    type_name: str, order: Tuple[int, ...], t: Sequence[complex], chi: Sequence[complex]
+) -> Dict[int, float]:
+    """Per node, |chi_i(C(t)) - chi_i| / max(1, |chi_i|), t and chi in Gamma order.
+
+    chi(C(t)) comes from the forward polynomial of character_map, in Python
+    complex arithmetic.
+    """
+    chi_of_t, _ = character_map(type_name)
+    back = _evaluate(chi_of_t, {node: complex(c) for node, c in zip(order, t)})
+    return {node: abs(back[node] - c) / max(1.0, abs(c)) for node, c in zip(order, chi)}
+
+
 def _closed_form(type_name: str, order: Tuple[int, ...], chi: np.ndarray) -> np.ndarray:
     """t with chi(C(t)) = chi, both in Gamma order, read off t(chi) (character_map).
 
     No section is evaluated.  Returns t, after checking the relative character
-    residual max |chi_i(C(t)) - chi_i| / max(1, |chi_i|), with chi(C(t)) from
-    the forward polynomial; above CHAR_TOL ConsistencyError names it, the bound
-    and the worst node.
+    residual max |chi_i(C(t)) - chi_i| / max(1, |chi_i|) (_character_residuals);
+    above CHAR_TOL ConsistencyError names it, the bound and the worst node.
     """
-    chi_of_t, t_of_chi = character_map(type_name)
-    x = dict(zip(order, chi))
-    t = _evaluate(t_of_chi, x)
-    back = _evaluate(chi_of_t, t)
-    res = {node: abs(back[node] - x[node]) / max(1.0, abs(x[node])) for node in order}
+    _, t_of_chi = character_map(type_name)
+    t = _evaluate(t_of_chi, dict(zip(order, chi)))
+    t = np.array([t[node] for node in order])
+    res = _character_residuals(type_name, order, t, chi)
     node = max(order, key=res.get)
     if not res[node] <= CHAR_TOL:
         raise ConsistencyError(
             f"closed form: character residual {res[node]:.3g} (bound {CHAR_TOL:g}) at node {node}"
         )
-    return np.array([t[node] for node in order])
+    return t
 
 
 def _solve_class(
@@ -720,6 +672,8 @@ def stokes_from_asymptotics(
     k2_support = tuple(
         gamma.apply(tuple(-c for c in rs.simple_roots[i - 1])) for i in sorted(bip.i1)
     )
+    chi = torus_character_values(rs, [fundamental_characters(str(rs.type), k) for k in order], y)
+    char_res = max(_character_residuals(str(rs.type), order, t, chi).values())
     return StokesData(
         type_name=str(rs.type),
         rep_name=rep.name,
@@ -736,10 +690,11 @@ def stokes_from_asymptotics(
         k2_support=k2_support,
         factorization_residual=float(resid),
         class_residual=float(class_res),
+        character_residual=float(char_res),
     )
 
 
-# -- support verification in the adjoint representation -------------------------
+# -- supports and multipliers -------------------------------------------------------
 
 
 def _unipotent_log(u: np.ndarray) -> np.ndarray:
@@ -755,29 +710,38 @@ def _unipotent_log(u: np.ndarray) -> np.ndarray:
     return out
 
 
-def verify_factor_supports(sd: StokesData) -> Dict[str, float]:
-    """log K1 / log K2 lie in the claimed root spaces, checked in ad(g).
+@dataclass
+class FactorSupports:
+    residuals: Dict[str, float]          # "k1", "k2": least-squares residual of log K
+    multipliers: Dict[str, np.ndarray]   # "k1", "k2": coefficients of log K, in support order
 
-    Rewrites the adjoint cross-section at sd.t as (K1, K2, A_gamma), as for
-    M0, and expands their logarithms over the cached ad-matrices of the
-    supporting root vectors.
+
+def verify_factor_supports(sd: StokesData, rep: Representation | None = None) -> FactorSupports:
+    """log K1 / log K2 lie in the span of their support root vectors; their coefficients.
+
+    rep (default: the registered representation) must be the one sd was
+    assembled in.  log K is expanded by least squares over rep.root_matrix
+    of the support roots, and its residual must be at most FACTOR_TOL *
+    max(1, max |log K|).  A nontrivial representation of a simple g is
+    faithful, so X lies in span{e_a} in g exactly when rep(X) lies in
+    span{rep(e_a)}: this is the check in ad(g), read off the K1 and K2
+    already assembled.  The coefficients are the Stokes multipliers:
+    c_i t_i, with constants c_i that depend on the type and node only.
     """
-    adj = _adjoint_section(sd.type_name)
-    k1ad, k2ad, _ = steinberg_section(adj, bipartition(adj.rs), sd.t).rewritten()
-
-    out = {}
-    for name, mat, support in (
-        ("k1", k1ad, sd.k1_support),
-        ("k2", k2ad, sd.k2_support),
-    ):
-        x = _unipotent_log(mat)
-        A = adj.support_basis(support)
-        coef, *_ = np.linalg.lstsq(A, x.reshape(-1), rcond=None)
-        res = float(np.max(np.abs(A @ coef - x.reshape(-1))))
+    if rep is None:
+        rep = registered_representation(sd.type_name)
+    if rep.name != sd.rep_name:
+        raise ValueError(f"{sd.rep_name} data checked in {rep.name}")
+    residuals, multipliers = {}, {}
+    for name, mat, support in (("k1", sd.k1, sd.k1_support), ("k2", sd.k2, sd.k2_support)):
+        x = _unipotent_log(mat).reshape(-1)
+        basis = np.stack([rep.root_matrix(r).reshape(-1) for r in support], axis=1)
+        coef, *_ = np.linalg.lstsq(basis, x, rcond=None)
+        res = float(np.max(np.abs(basis @ coef - x)))
         if res > FACTOR_TOL * max(1.0, float(np.max(np.abs(x)))):
             raise ConsistencyError(f"log {name} leaves its root-space span: {res}")
-        out[name] = res
-    return out
+        residuals[name], multipliers[name] = res, coef
+    return FactorSupports(residuals, multipliers)
 
 
 # -- spectrum check --------------------------------------------------------------

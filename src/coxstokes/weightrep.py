@@ -216,7 +216,8 @@ class Representation:
         """Matrix of the normalized root vector e_root (complex entries).
 
         Simple root vectors are L_i e_i / f_i; composite ones are built by
-        bracket chains following the algebra's own structure constants.
+        bracket chains following the algebra's own structure constants, N
+        read as a float from its integer tables (ChevalleyAlgebra.n_float).
         """
         got = self._root_mats.get(root)
         if got is not None:
@@ -237,7 +238,7 @@ class Representation:
                 step = aj if sign > 0 else tuple(-c for c in aj)
                 rest = tuple(r - s_ for r, s_ in zip(root, step))
                 if rs.is_root(rest):
-                    n = alg.nval(step, rest)
+                    n = alg.n_float(step, rest)
                     a, b = self.root_matrix(step), self.root_matrix(rest)
                     out = (a @ b - b @ a) / complex(n)
                     break

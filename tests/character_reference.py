@@ -9,6 +9,11 @@ Steinberg cross-section:
 - exactly, as integer polynomials derived from their values on an integer
   grid (exact_character_map), which the tests compare with character_map.
 
+It also holds the adjoint representation as a section source
+(AdjointSection), which the character sources and the adjoint support check
+of tests/test_supports.py read, and the constants of the Stokes multipliers
+(MULTIPLIER_CONSTANTS).
+
 No module of the package imports this one (tests/test_imports.py).
 """
 
@@ -24,17 +29,77 @@ from typing import Dict, Tuple
 import numpy as np
 
 from coxstokes.chevalley import build_chevalley
-from coxstokes.characters import fundamental_characters
+from coxstokes.characters import WeightPairing, fundamental_characters
 from coxstokes.coxeter import bipartition
 from coxstokes.rootcore import RootSystem, build_root_system
 from coxstokes.scalars import Sq, mat_inv
-from coxstokes.steinberg import (
-    CHAR_TOL,
-    ConsistencyError,
-    _adjoint_section,
-    steinberg_section,
-)
-from coxstokes.weightrep import fundamental_representation
+from coxstokes.steinberg import CHAR_TOL, ConsistencyError, steinberg_section
+from coxstokes.weightrep import NilpotentExp, fundamental_representation, weyl_representative
+
+# log K1 = sum c_i t_i e_{alpha_i} and log K2 = sum c_j t_j e_{gamma(-alpha_j)}: the
+# constants c of the Stokes multipliers c_i t_i, in Gamma order (Pi_2 ascending,
+# then Pi_1 ascending), for every registered type (tests/test_supports.py)
+MULTIPLIER_CONSTANTS = {
+    "A2": (1, 1),
+    "A3": (1, 1, -1),
+    "A4": (1, 1, 1, -1),
+    "A5": (1, 1, 1, -1, -1),
+    "A6": (1, 1, 1, 1, -1, -1),
+    "B2": (2, -2),
+    "B3": (1, 1, -2),
+    "B4": (1, 2, 1, 2),
+    "C3": (2, 2 * math.sqrt(2), 2),
+    "D4": (1, 1, -1, -1),
+    "D5": (1, 1, 1, 1, 1),
+    "G2": (1, 3),
+    "F4": (1, 2, 1, -2 * math.sqrt(2)),
+    "E6": (1, 1, 1, 1, 1, -1),
+}
+
+# -- floats: the adjoint representation as a section source ----------------------------
+
+
+class AdjointSection:
+    """The adjoint representation as the cross-section and the character reference use it.
+
+    It has the section_factors(i), dim and weight_values of a Representation,
+    so steinberg_section and steinberg._target_eigenvalues take it in place
+    of one; its weights are the roots in rs.roots order, then l zeros.  No
+    module of the package builds it: the support check reads the K1 and K2
+    of the representation M0 is assembled in.
+    """
+
+    def __init__(self, rs: RootSystem):
+        self.rs = rs
+        self.alg = build_chevalley(str(rs.type))
+        self.dim = len(rs.roots) + rs.rank
+        zero = (0,) * rs.rank
+        self.weight_values = WeightPairing(
+            str(rs.type), [rs.to_dyn(r) for r in rs.roots] + [zero] * rs.rank
+        )
+        self._section_factors: Dict[int, Tuple[NilpotentExp, np.ndarray]] = {}
+
+    def section_factors(self, i: int) -> Tuple[NilpotentExp, np.ndarray]:
+        """(t -> exp(t ad e_i), n_i), built once per node (0-based i).
+
+        ad e_i = ad e_{alpha_i} / L_i and ad f_i = ad e_{-alpha_i}.
+        """
+        got = self._section_factors.get(i)
+        if got is None:
+            alg = self.alg
+            a = self.rs.simple_roots[i]
+            exp_e = NilpotentExp(alg.ad({a: 1}) / (float(self.rs.inner(a, a)) / 2))
+            exp_f = NilpotentExp(alg.ad({tuple(-c for c in a): 1}))
+            got = (exp_e, weyl_representative(exp_e, exp_f))
+            self._section_factors[i] = got
+        return got
+
+
+@lru_cache(maxsize=None)
+def adjoint_section(type_name: str) -> AdjointSection:
+    """The adjoint cross-section factors, built once per type."""
+    return AdjointSection(build_root_system(type_name))
+
 
 # -- floats: characters read off sections ------------------------------------------
 
@@ -81,7 +146,7 @@ def character_sections(type_name: str):
     sources = {"G2": (1, "ad"), "F4": (4, "ad"), "E6": (1, 6, "ad")}.get(str(rs.type)) or {
         "A": (1,), "B": (1, l), "C": (1,), "D": (1, l - 1, l)}[rs.type.family]
     reps = {
-        key: _adjoint_section(str(rs.type)) if key == "ad"
+        key: adjoint_section(str(rs.type)) if key == "ad"
         else fundamental_representation(str(rs.type), key)
         for key in sources
     }
@@ -204,7 +269,7 @@ def exact_generators(type_name: str, source) -> Tuple[Tuple[Rational, Rational],
 
     source k is V(omega_k), with its exact Shapovalov matrices; "ad" is the
     adjoint representation with e_i = ad e_{alpha_i} / L_i and f_i =
-    ad e_{-alpha_i}, as the package's adjoint section has them, from the
+    ad e_{-alpha_i}, as AdjointSection has them, from the
     exact brackets of the Chevalley tables.  Their entries lie in Q(sqrt d),
     a real extension outside the simply-laced types, so they enter as
     _surd_block matrices.

@@ -213,6 +213,12 @@ CASES = [
     ("slack", ("alcove", "admissible"), True, False),  # const false
     ("slack", ("alcove", "admissible"), 0, False),
     ("slack", ("rep",), "A2-hw10-dim3", True),
+    ("stokes", ("schema_version",), 2, False),       # const 3
+    ("stokes", ("character_residual",), _DROP, False),
+    ("stokes", ("character_residual",), "0", False),
+    ("stokes", ("multipliers", "k2"), _DROP, False),
+    ("stokes", ("multipliers", "k1", 0), [1.0], False),  # minItems 2
+    ("stokes", ("m0",), [], True),                   # the dense matrices are optional
 ]
 
 

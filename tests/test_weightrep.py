@@ -1,12 +1,13 @@
+import dataclasses
 from fractions import Fraction as Q
 
 import numpy as np
 import pytest
 from scipy.linalg import expm
 
+from character_reference import adjoint_section
 from coxstokes.characters import _table_pairing, fundamental_characters, weight_pairing
-from coxstokes.chevalley import InvariantViolation, build_chevalley
-from coxstokes.steinberg import _adjoint_section
+from coxstokes.chevalley import ChevalleyAlgebra, InvariantViolation, build_chevalley
 from coxstokes.weightrep import (
     NilpotentExp,
     Representation,
@@ -79,6 +80,54 @@ def test_rep_is_homomorphism_on_all_roots(name):
             else:
                 want = np.zeros_like(comm)
             assert np.max(np.abs(comm - want)) < 1e-10, (a, b)
+
+
+REGISTERED = ("A2", "A3", "A4", "A5", "A6", "B2", "B3", "B4", "C3", "D4", "D5", "G2", "F4", "E6")
+
+
+def nval_root_matrix(rep, root, memo):
+    """rep.root_matrix as it was built with N read through ChevalleyAlgebra.nval (Sq)."""
+    if root not in memo:
+        rs, alg = rep.rs, rep.algebra()
+        ht = sum(root)
+        if ht == 1 and root in rs.simple_roots:
+            i = rs.simple_roots.index(root)
+            memo[root] = float(rs.inner(root, root) / 2) * rep.e_float(i).astype(np.complex128)
+        elif ht == -1 and tuple(-c for c in root) in rs.simple_roots:
+            memo[root] = rep.f_float(rs.simple_roots.index(tuple(-c for c in root))).astype(
+                np.complex128
+            )
+        else:
+            sign = 1 if ht > 0 else -1
+            for aj in rs.simple_roots:
+                step = aj if sign > 0 else tuple(-c for c in aj)
+                rest = tuple(r - s_ for r, s_ in zip(root, step))
+                if rs.is_root(rest):
+                    a, b = nval_root_matrix(rep, step, memo), nval_root_matrix(rep, rest, memo)
+                    memo[root] = (a @ b - b @ a) / complex(alg.nval(step, rest))
+                    break
+    return memo[root]
+
+
+@pytest.mark.parametrize("name", REGISTERED)
+def test_root_matrices_read_n_from_the_tables_bit_for_bit(name):
+    # the float N of the integer tables is float(nval) for every bracketed pair,
+    # so every root matrix is bitwise the one the Sq path built
+    rep = registered_representation(name)
+    alg, memo = rep.algebra(), {}
+    for root in rep.rs.roots:
+        assert rep.root_matrix(root).tobytes() == nval_root_matrix(rep, root, memo).tobytes(), root
+    t = alg.tables
+    a, b = np.nonzero(t.sums >= 0)
+    assert t.n_float(a, b).tolist() == [float(alg.nval_idx(i, j)) for i, j in zip(a, b)]
+
+
+def test_root_matrices_build_no_sq_table():
+    rep = registered_representation("E6")
+    fresh = dataclasses.replace(rep, _root_mats={}, _alg=ChevalleyAlgebra(rep.rs))
+    for root in rep.rs.roots:
+        fresh.root_matrix(root)
+    assert "_nvals" not in vars(fresh.algebra())
 
 
 @pytest.mark.parametrize("name", ["B3", "D4", "G2", "F4"])
@@ -195,7 +244,7 @@ def test_weight_values_equal_exact_pairing(name):
             want = [float(weight_pairing(rs, w, h)) for w, _ in weights]
             assert _table_pairing(name, k)[0](h).tolist() == want, k
         want = [float(rs.pairing(r, h)) for r in rs.roots] + [0.0] * rs.rank
-        assert _adjoint_section(name).weight_values(h).tolist() == want
+        assert adjoint_section(name).weight_values(h).tolist() == want
 
 
 def test_tampered_representation_raises_invariant_violation():
