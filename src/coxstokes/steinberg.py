@@ -230,7 +230,11 @@ class StokesData:
 
 
 def _target_eigenvalues(rep: Representation, y) -> np.ndarray:
-    """e^{2 pi i mu(y)} over the weights mu of rep (anything with weight_values)."""
+    """e^{2 pi i mu(y)} over the weights mu of rep.
+
+    rep needs only weight_values, so the tests pass their adjoint stand-in
+    (tests/character_reference.py) as well.
+    """
     return np.exp(2j * np.pi * rep.weight_values(y))
 
 

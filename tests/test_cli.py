@@ -98,8 +98,12 @@ def test_stokes_matrices_are_opt_in_and_as_in_v2(point, monkeypatch, capsys):
     type_name, m = point.split("|")
     made = []
     real = cli.stokes_from_asymptotics
-    monkeypatch.setattr(cli, "stokes_from_asymptotics",
-                        lambda *a, **k: made.append(real(*a, **k)) or made[-1])
+
+    def recording(*args, **kwargs):
+        made.append(real(*args, **kwargs))
+        return made[-1]
+
+    monkeypatch.setattr(cli, "stokes_from_asymptotics", recording)
     docs = []
     for extra in ([], ["--matrices"]):
         assert run(["stokes", "--type", type_name, "--m=" + m, *extra]) == EXIT_OK
