@@ -5,17 +5,7 @@ directions, the ad(E_+) spectrum, the Steinberg cross-section pipeline for
 the canonical Stokes element M0, and a numerical monodromy oracle.
 """
 
-from .chevalley import (
-    ChevalleyAlgebra,
-    build_chevalley,
-    involution_rules,
-    principal_element,
-    export_structure_constants,
-    principal_tds,
-    sigma_nu,
-    tau_diagonal,
-    toda_bracket_identity,
-)
+from .chevalley import ChevalleyAlgebra, build_chevalley
 from .coxeter import (
     Bipartition,
     CoxeterPlaneDiagram,

@@ -1,4 +1,4 @@
-"""Concrete Lie-algebra arithmetic over the root-system data.
+"""Chevalley structure constants as integer tables, their exact checks, and ad.
 
 Basis {H_{a_1},..,H_{a_l}} u {e_a : a in Delta}, normalized so that
 B(e_a, e_{-a}) = 1.  Structure constants then satisfy
@@ -25,18 +25,15 @@ tables (``ChevalleyTables``), never on scalar objects:
 The magnitude and Jacobi checks are always on and use integer arithmetic
 only, behind a bound check that raises before any product could overflow.
 Adjoint matrices (``ChevalleyAlgebra.ad``) are scattered from the same
-tables.  ``Sq`` values are made from them only for the public element API
-(``nval``, ``bracket``) and for the JSON export.
+tables, and representation matrices read N from them (``n_float``).
 """
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
-from fractions import Fraction as Q
-from functools import cached_property, lru_cache
-from typing import Dict, Mapping, Sequence, Tuple
+from functools import lru_cache
+from typing import Mapping, Tuple
 
 import numpy as np
 
@@ -46,19 +43,7 @@ from .rootcore import (
     RootSystem,
     build_root_system,
     check_bound,
-    diagram_involution,
 )
-from .scalars import Sq
-
-Element = Dict[int, object]  # basis index -> scalar (Sq/Fraction/complex)
-
-
-def _neg(r: Root) -> Root:
-    return tuple(-c for c in r)
-
-
-def _add(a: Root, b: Root) -> Root:
-    return tuple(x + y for x, y in zip(a, b))
 
 
 def _exact_div(num: int, den: int) -> int:
@@ -104,7 +89,7 @@ class ChevalleyTables:
         """N(a, b) as floats at root indices a, b (ints or index arrays).
 
         Each N is rational or a rational multiple of sqrt(surd), so this is
-        u/D or (v/D) sqrt(surd): the float of its Sq value.
+        u/D or (v/D) sqrt(surd), each quotient rounded once.
         """
         u, v = self.n_rat[a, b], self.n_surd[a, b]
         return np.where(v == 0, u / self.den, v / self.den * math.sqrt(self.surd))
@@ -347,89 +332,12 @@ class ChevalleyAlgebra:
         verify_magnitudes(t)
         verify_jacobi(t)
 
-    @cached_property
-    def _nvals(self) -> np.ndarray:
-        """N(a, b) as Sq objects for the element API, one object per distinct value."""
-        t = self.tables
-        code = t.n_rat * (2 * int(np.abs(t.n_surd).max()) + 1) + t.n_surd
-        _, first, inverse = np.unique(code, return_index=True, return_inverse=True)
-        sq = np.empty(len(first), dtype=object)
-        sq[:] = [
-            Sq(Q(int(t.n_rat.flat[k]), t.den), Q(int(t.n_surd.flat[k]), t.den), t.surd)
-            for k in first
-        ]
-        return sq[inverse.reshape(code.shape)]
-
-    def nval(self, x: Root, y: Root) -> Sq:
-        """N(x,y) for arbitrary roots with x+y a root (0 if x+y not a root)."""
-        return self.nval_idx(self._ridx[x], self._ridx[y])
-
-    def nval_idx(self, i: int, j: int) -> Sq:
-        return self._nvals[i, j]
-
     def n_float(self, x: Root, y: Root) -> float:
-        """float(nval(x, y)), read from the integer tables without building the Sq table."""
+        """N(x, y) for roots x, y as a float, read from the integer tables."""
         return float(self.tables.n_float(self._ridx[x], self._ridx[y]))
-
-    # -- elements and brackets ------------------------------------------------
-
-    def h(self, coeffs: Sequence) -> Element:
-        return {i: c for i, c in enumerate(coeffs) if _nz(c)}
-
-    def e(self, root: Root, coeff=1) -> Element:
-        return {self.root_index[root]: coeff}
-
-    def add(self, *els: Element) -> Element:
-        out: Element = {}
-        for el in els:
-            for k, v in el.items():
-                w = out.get(k, 0) + v
-                if _nz(w):
-                    out[k] = w
-                elif k in out:
-                    del out[k]
-        return out
-
-    def scale(self, el: Element, c) -> Element:
-        return {k: c * v for k, v in el.items()} if _nz(c) else {}
 
     def label(self, idx: int):
         return self.basis_labels[idx]
-
-    def _pair_bracket(self, i: int, j: int) -> Element:
-        """Bracket of basis elements i, j."""
-        rs = self.rs
-        t = self.tables
-        l = rs.rank
-        if i < l and j < l:
-            return {}
-        if i < l:  # [H_i, e_b]
-            c = int(t.inner[j - l, self._simple_idx[i]])
-            return {j: Q(c, t.form_den)} if c else {}
-        if j < l:
-            out = self._pair_bracket(j, i)
-            return {k: -v for k, v in out.items()}
-        ia, ib = i - l, j - l
-        s = int(t.sums[ia, ib])
-        if s == -2:
-            a = rs.roots[ia]
-            return self.h([Q(x) for x in a])
-        if s >= 0:
-            n = self.nval_idx(ia, ib)
-            return {l + s: n} if n else {}
-        return {}
-
-    def bracket(self, x: Element, y: Element) -> Element:
-        out: Element = {}
-        for i, cx in x.items():
-            for j, cy in y.items():
-                for k, v in self._pair_bracket(i, j).items():
-                    w = out.get(k, 0) + cx * cy * v
-                    if _nz(w):
-                        out[k] = w
-                    elif k in out:
-                        del out[k]
-        return out
 
     def ad(self, terms: Mapping[Root, complex]) -> np.ndarray:
         """Adjoint matrix of sum c_a e_a (terms: root a -> c_a) on the full basis.
@@ -437,7 +345,7 @@ class ChevalleyAlgebra:
         Scattered from the tables: column H_k holds -c_a (a, a_k) at e_a,
         column e_b holds c_a N(a, b) at e_{a+b}, and column e_{-a} holds c_a a
         on the Cartan rows.  Each entry comes from one term, so no entry is
-        summed, and N is the float of its Sq value.
+        summed, and N is ``ChevalleyTables.n_float``.
         """
         t, l = self.tables, self.rs.rank
         out = np.zeros((self.dim, self.dim), dtype=np.complex128)
@@ -452,244 +360,14 @@ class ChevalleyAlgebra:
             out[k, l + t.neg[a]] = c * t.roots[a, k]
         return out
 
-    def form(self, x: Element, y: Element):
-        """The normalized invariant form B on elements."""
-        rs = self.rs
-        l = rs.rank
-        tot = 0
-        for i, cx in x.items():
-            for j, cy in y.items():
-                if i < l and j < l:
-                    tot = tot + cx * cy * rs.form[i][j]
-                elif i >= l and j >= l:
-                    a, b = rs.roots[i - l], rs.roots[j - l]
-                    if _add(a, b) == (0,) * l:
-                        tot = tot + cx * cy
-        return tot
-
-    def height_of_index(self, idx: int) -> int:
-        if idx < self.rs.rank:
-            return 0
-        return sum(self.rs.roots[idx - self.rs.rank])
-
-
-def _nz(v) -> bool:
-    if isinstance(v, complex):
-        return v != 0
-    return bool(v)
-
 
 @lru_cache(maxsize=None)
-def _build_chevalley_cached(type_name: str) -> ChevalleyAlgebra:
+def build_chevalley(type_name: str) -> ChevalleyAlgebra:
+    """Build (and exactly verify) the Chevalley algebra of one type, by name.
+
+    One verified instance is cached per name.  A RootSystem is refused, not
+    looked up by its type: a changed copy would get the standard algebra.
+    """
+    if not isinstance(type_name, str):
+        raise TypeError(f"build_chevalley takes a type name, not {type(type_name).__name__}")
     return ChevalleyAlgebra(build_root_system(type_name))
-
-
-def build_chevalley(rs_or_type) -> ChevalleyAlgebra:
-    """Build (and exactly verify) the Chevalley-type algebra for one type.
-
-    Accepts a RootSystem, an AlgebraType or a type string; one verified
-    instance is cached per type.
-    """
-    name = str(getattr(rs_or_type, "type", rs_or_type))
-    return _build_chevalley_cached(name)
-
-
-# -- principal TDS -----------------------------------------------------------
-
-
-@dataclass
-class PrincipalTriple:
-    x0: Element
-    e0: Element
-    f0: Element
-    coefficients: Tuple
-
-
-def principal_tds(alg: ChevalleyAlgebra, a: Sequence | None = None) -> PrincipalTriple:
-    """The sl2-triple (x0, e0, f0) with e0 = sum a_i e_{a_i}, f0 = sum (r_i/a_i) e_{-a_i}."""
-    rs = alg.rs
-    l = rs.rank
-    r = rs.r_coeffs
-    if a is None:
-        a = [float(ri) ** 0.5 for ri in r]
-    a = list(a)
-    if len(a) != l or any(not _nz(c) for c in a):
-        raise ValueError("need l nonzero coefficients")
-    x0 = alg.h(r)
-    e0 = alg.add(*(alg.e(rs.simple_roots[i], a[i]) for i in range(l)))
-    exact = all(isinstance(c, (int, Q, Sq)) for c in a)
-    inv = [Sq(r[i]) / Sq(a[i]) if exact else float(r[i]) / a[i] for i in range(l)]
-    f0 = alg.add(*(alg.e(_neg(rs.simple_roots[i]), inv[i]) for i in range(l)))
-
-    checks = [
-        alg.add(alg.bracket(x0, e0), alg.scale(e0, -1)),
-        alg.add(alg.bracket(x0, f0), f0),
-        alg.add(alg.bracket(e0, f0), alg.scale(x0, -1)),
-    ]
-    for res in checks:
-        if exact:
-            if any(_nz(v) for v in res.values()):
-                raise InvariantViolation(f"TDS relation failed exactly: {res}")
-        else:
-            if any(abs(complex(v)) > 1e-10 for v in res.values()):
-                raise InvariantViolation(f"TDS relation failed numerically: {res}")
-    return PrincipalTriple(x0, e0, f0, tuple(a))
-
-
-def tau_diagonal(alg: ChevalleyAlgebra) -> np.ndarray:
-    """Ad(P0) on the basis: phase e^{2 pi i ht/s} on e_a, 1 on the Cartan part."""
-    s = alg.rs.coxeter_number
-    return np.array(
-        [np.exp(2j * np.pi * alg.height_of_index(i) / s) for i in range(alg.dim)]
-    )
-
-
-@dataclass
-class PrincipalElement:
-    order: int                     # s; tau^s = Ad(P0)^s = identity
-    tau: np.ndarray                # diagonal of Ad(P0) on the algebra basis
-    matrix: np.ndarray | None      # P0 itself in a registered representation
-
-
-def principal_element(alg: ChevalleyAlgebra, rep=None) -> PrincipalElement:
-    """P0 = exp(2 pi i x0/s): its adjoint action, and its matrix in a representation.
-
-    When no representation is passed, the registered one is used where it
-    exists (E7/E8 expose the adjoint phases only).
-    """
-    mat = None
-    if rep is None:
-        from .weightrep import UnsupportedRepresentationError, registered_representation
-
-        try:
-            rep = registered_representation(str(alg.rs.type))
-        except UnsupportedRepresentationError:
-            rep = None
-    if rep is not None:
-        mat = rep.p0_matrix()
-    return PrincipalElement(alg.rs.coxeter_number, tau_diagonal(alg), mat)
-
-
-# -- real-form involutions, generator-level rules only ---------------------------
-
-
-def involution_rules(alg: ChevalleyAlgebra) -> Dict[str, Dict]:
-    """Generator-level actions of rho (compact), theta (split) and chi = sigma rho.
-
-    These are documentation/spot-test surfaces only; no computation consumes
-    them.  Keys map basis labels of the simple/highest root vectors to
-    (image label, sign); conjugate-linearity is recorded per involution.
-    """
-    rs = alg.rs
-    sd = sigma_nu(alg)
-    gens = [rs.psi, _neg(rs.psi)]
-    for a in rs.simple_roots:
-        gens += [a, _neg(a)]
-
-    rho = {("e", r): (("e", _neg(r)), -1) for r in gens}
-    rho.update({("h", i + 1): (("h", i + 1), -1) for i in range(rs.rank)})
-    theta = {("e", r): (("e", r), 1) for r in gens}
-    theta.update({("h", i + 1): (("h", i + 1), 1) for i in range(rs.rank)})
-    chi = {}
-    for r in gens:
-        img, sign = sd.signs[r]
-        chi[("e", r)] = (("e", _neg(img)), -sign)  # chi = sigma o rho on root vectors
-    for i in range(rs.rank):
-        chi[("h", i + 1)] = (("h", sd.nu[i]), -1)
-    return {
-        "rho": {"conjugate_linear": True, "action": rho},
-        "theta": {"conjugate_linear": True, "action": theta},
-        "chi": {"conjugate_linear": True, "action": chi},
-    }
-
-
-# -- sigma / nu ---------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class SigmaData:
-    nu: Tuple[int, ...]                     # 1-based permutation, nu[i-1] = nu(i)
-    sigma_on_h: Tuple[Tuple[Q, ...], ...]   # matrix on H_{a_i} coordinates
-    signs: Dict[Root, Tuple[Root, object]]  # e_root -> (image root, sign)
-
-
-def sigma_nu(alg: ChevalleyAlgebra) -> SigmaData:
-    """sigma on the Cartan subalgebra, simple root vectors, and e_{+-psi}."""
-    rs = alg.rs
-    l = rs.rank
-    nu = diagram_involution(rs)
-    mat = tuple(
-        tuple(Q(int(nu[j] - 1 == i)) for j in range(l)) for i in range(l)
-    )
-    signs: Dict[Root, Tuple[Root, int]] = {}
-    for i in range(l):
-        a = rs.simple_roots[i]
-        img = rs.simple_roots[nu[i] - 1]
-        signs[a] = (img, -1)
-        signs[_neg(a)] = (_neg(img), -1)
-    signs[rs.psi] = (rs.psi, -1)
-    signs[_neg(rs.psi)] = (_neg(rs.psi), -1)
-    if any(nu[nu[i] - 1] != i + 1 for i in range(l)):
-        raise InvariantViolation("nu is not an involution")
-    if any(rs.r_coeffs[i] != rs.r_coeffs[nu[i] - 1] for i in range(l)):
-        raise InvariantViolation("the principal coefficients r_i are not nu-symmetric")
-    return SigmaData(nu, mat, signs)
-
-
-# -- Toda zero-curvature identity ---------------------------------------------
-
-
-def toda_bracket_identity(
-    alg: ChevalleyAlgebra, w: Sequence, c_minus: Sequence, c_plus: Sequence
-) -> float:
-    """Max-norm residual of [Ad(e^w)E_-, Ad(e^{-w})E_+] + sum c-c+ e^{-2a_i(w)} H_{a_i}.
-
-    w is given in H_{a_i} coordinates; the identity is the zero-curvature
-    right-hand side of the Toda system and must vanish.
-    """
-    rs = alg.rs
-    l = rs.rank
-    if len(c_minus) != l + 1 or len(c_plus) != l + 1:
-        raise ValueError("need coefficients for i = 0..l")
-    alphas = [rs.alpha0] + list(rs.simple_roots)
-    em: Element = {}
-    ep: Element = {}
-    hterm: Element = {}
-    for i, a in enumerate(alphas):
-        aw = float(rs.pairing(a, w))
-        em = alg.add(em, alg.e(_neg(a), complex(c_minus[i]) * np.exp(-aw)))
-        ep = alg.add(ep, alg.e(a, complex(c_plus[i]) * np.exp(-aw)))
-        coeff = complex(c_minus[i]) * complex(c_plus[i]) * np.exp(-2 * aw)
-        hterm = alg.add(hterm, {j: coeff * a[j] for j in range(l)})
-    res = alg.add(alg.bracket(em, ep), hterm)
-    return max((abs(complex(v)) for v in res.values()), default=0.0)
-
-
-# -- JSON export ---------------------------------------------------------------
-
-
-def _sq_str(v: Sq) -> str:
-    if isinstance(v, Sq):
-        return repr(v)
-    return str(v)
-
-
-def export_structure_constants(alg: ChevalleyAlgebra) -> str:
-    """JSON table of N(a,b) over all bracketable root pairs, exact string values."""
-    rs = alg.rs
-    entries = []
-    for a in rs.roots:
-        for b in rs.roots:
-            if rs.is_root(_add(a, b)):
-                entries.append(
-                    {"alpha": list(a), "beta": list(b), "n": _sq_str(alg.nval(a, b))}
-                )
-    return json.dumps(
-        {
-            "schema_version": 1,
-            "type": str(rs.type),
-            "normalization": "B(e_a, e_-a) = 1, extraspecial pairs positive",
-            "entries": entries,
-        },
-        indent=1,
-    )

@@ -559,12 +559,13 @@ def _closed_form(type_name: str, order: Tuple[int, ...], chi: np.ndarray) -> np.
 
 def _solve_class(
     rs: RootSystem, bip: Bipartition, order: Tuple[int, ...], y
-) -> Tuple[np.ndarray, float, CrossSectionFactors]:
+) -> Tuple[np.ndarray, float, CrossSectionFactors, np.ndarray]:
     """Section parameters for the class of e^{2 pi i y}, y = (m+x0)/s.
 
     Returns t, the residual r of the registered characteristic polynomial at
-    t, and the registered cross-section at t, whose product is M0 when M0 is
-    assembled in the registered representation.  The class is solved in the
+    t, the registered cross-section at t, whose product is M0 when M0 is
+    assembled in the registered representation, and chi(y) in Gamma order,
+    which every route starts from.  The class is solved in the
     registered representation, whichever representation M0 is then
     assembled in.
 
@@ -606,19 +607,19 @@ def _solve_class(
         inf = np.full(len(poly), np.inf)
         return [np.poly(e) - poly if good else inf for e, good in zip(eig, ok)]
 
-    def solved(t, r=None) -> Tuple[np.ndarray, float, CrossSectionFactors]:
+    def solved(t, r=None) -> Tuple[np.ndarray, float, CrossSectionFactors, np.ndarray]:
         cs = steinberg_section(rep, bip, t)
         if r is None:
             r = np.max(np.abs(np.poly(cs.full()) - poly))
-        return t, float(r), cs
+        return t, float(r), cs, t0
 
     if rs.type.family == "A":
-        t, r, cs = solved(t0)
+        t, r, cs, _ = solved(t0)
         if not r <= CLASS_TOL:
             raise ConsistencyError(
                 f"type-A class: registered residual {r:.3g} (bound {CLASS_TOL:g}) at t = chi(y)"
             )
-        return t, r, cs
+        return t, r, cs, t0
     route1 = ""
     if rs.type.family in _ADJOINT_PLETHYSM and _distinct(reg_eig):
         t_ps, _ = _solve_power_sums(rep, bip, t0, reg_eig)
@@ -661,7 +662,7 @@ def stokes_from_asymptotics(
     y = pt.y
     bip = bipartition(rs)
     order = tuple(sorted(bip.i2)) + tuple(sorted(bip.i1))
-    t, class_res, cs = _solve_class(rs, bip, order, y)
+    t, class_res, cs, chi = _solve_class(rs, bip, order, y)
     if rep is not registered:
         cs = steinberg_section(rep, bip, t)
     m0 = cs.full()
@@ -676,7 +677,6 @@ def stokes_from_asymptotics(
     k2_support = tuple(
         gamma.apply(tuple(-c for c in rs.simple_roots[i - 1])) for i in sorted(bip.i1)
     )
-    chi = torus_character_values(rs, [fundamental_characters(str(rs.type), k) for k in order], y)
     char_res = max(_character_residuals(str(rs.type), order, t, chi).values())
     return StokesData(
         type_name=str(rs.type),

@@ -11,7 +11,8 @@ Steinberg cross-section:
 
 It also holds the adjoint representation as a section source
 (AdjointSection), which the character sources and the adjoint support check
-of tests/test_supports.py read, and the constants of the Stokes multipliers
+of tests/test_supports.py read, its exact matrices read pair by pair from
+the Chevalley tables (exact_ad), and the constants of the Stokes multipliers
 (MULTIPLIER_CONSTANTS).
 
 No module of the package imports this one (tests/test_imports.py).
@@ -32,7 +33,7 @@ from coxstokes.chevalley import build_chevalley
 from coxstokes.characters import WeightPairing, fundamental_characters
 from coxstokes.coxeter import bipartition
 from coxstokes.rootcore import RootSystem, build_root_system
-from coxstokes.scalars import Sq, mat_inv
+from coxstokes.scalars import mat_inv
 from coxstokes.steinberg import CHAR_TOL, ConsistencyError, steinberg_section
 from coxstokes.weightrep import NilpotentExp, fundamental_representation, weyl_representative
 
@@ -247,13 +248,37 @@ def _exp(terms: Tuple[Rational, ...], b: int) -> Rational:
     return out
 
 
-def _surd_block(n: int, entries: Dict[Tuple[int, int], object], d: int) -> Rational:
-    """The n x n matrix with entries a + b sqrt(d) as the block matrix [[A, d B], [B, A]] (A if d = 1).
+def exact_ad(alg, root) -> Dict[Tuple[int, int], Tuple[Q, Q]]:
+    """ad e_root exactly, as {(row, col): (a, b)} for the nonzero entries a + b sqrt(d).
+
+    One bracket [e_root, x_j] per basis element x_j, read pair by pair from
+    the integer tables: [e_a, H_k] = -(a, a_k) e_a, [e_a, e_b] = N(a, b)
+    e_{a+b} with N = (u + v sqrt(d))/D, and [e_a, e_{-a}] = H_a.
+    """
+    t, rs = alg.tables, alg.rs
+    l = rs.rank
+    a = alg.root_index[root] - l
+    out = {}
+    for k, ak in enumerate(rs.simple_roots):
+        h = -int(t.inner[a, alg.root_index[ak] - l])
+        if h:
+            out[l + a, k] = (Q(h, t.form_den), Q(0))
+    for b in range(len(t.neg)):
+        s = int(t.sums[a, b])
+        if s >= 0:
+            out[l + s, l + b] = (Q(int(t.n_rat[a, b]), t.den), Q(int(t.n_surd[a, b]), t.den))
+        elif s == -2:
+            out.update({(k, l + b): (Q(int(c)), Q(0)) for k, c in enumerate(t.roots[a]) if c})
+    return out
+
+
+def _surd_block(n: int, parts: Dict[Tuple[int, int], Tuple[Q, Q]], d: int) -> Rational:
+    """The n x n matrix with entries a + b sqrt(d), given as (a, b), as the block
+    matrix [[A, d B], [B, A]] (A if d = 1).
 
     X -> [[A, d B], [B, A]] is a ring homomorphism from matrices over Q(sqrt d),
     so products stay exact; tr X = (tr of the block)/2 + sqrt(d) (tr of B).
     """
-    parts = {key: (v.a, v.b) if isinstance(v, Sq) else (Q(v), Q(0)) for key, v in entries.items()}
     if d == 1:
         return Rational.of(n, {key: a for key, (a, _) in parts.items()})
     block = {}
@@ -287,11 +312,8 @@ def exact_generators(type_name: str, source) -> Tuple[Tuple[Rational, Rational],
     for a in rs.simple_roots:
         mats = []
         for root, scale in ((a, 1 / (Q(rs.inner(a, a)) / 2)), (tuple(-c for c in a), Q(1))):
-            i = alg.root_index[root]
-            entries = {
-                (k, j): v * scale for j in range(alg.dim) for k, v in alg._pair_bracket(i, j).items()
-            }
-            mats.append(_surd_block(alg.dim, entries, alg.tables.surd))
+            parts = {key: (u * scale, v * scale) for key, (u, v) in exact_ad(alg, root).items()}
+            mats.append(_surd_block(alg.dim, parts, alg.tables.surd))
         out.append(tuple(mats))
     return tuple(out)
 

@@ -60,7 +60,7 @@ def test_rep_brackets_match_abstract_constants():
             comm = mat_of(a) @ mat_of(b) - mat_of(b) @ mat_of(a)
             s = tuple(x + y for x, y in zip(a, b))
             if rs.is_root(s):
-                want = float(alg.nval(a, b)) * mat_of(s)
+                want = alg.n_float(a, b) * mat_of(s)
             elif all(c == 0 for c in s):
                 want = sum(c * rep.h[i + 1] for i, c in enumerate(a))
             else:

@@ -4,6 +4,7 @@ from fractions import Fraction as Q
 
 import pytest
 
+from coxstokes.chevalley import build_chevalley
 from coxstokes.rootcore import (
     AlgebraType,
     UnsupportedTypeError,
@@ -125,8 +126,26 @@ def test_an_r_coefficients():
 def test_nu_symmetry_of_r(name):
     rs = build_root_system(name)
     nu = diagram_involution(rs)
-    assert all(nu[nu[i] - 1] == i + 1 for i in range(rs.rank))
-    assert all(rs.r_coeffs[i] == rs.r_coeffs[nu[i] - 1] for i in range(rs.rank))
+    l = rs.rank
+    assert all(nu[nu[i] - 1] == i + 1 for i in range(l))
+    # nu is an automorphism of the Dynkin diagram
+    assert all(rs.cartan[nu[i] - 1][nu[j] - 1] == rs.cartan[i][j] for i in range(l) for j in range(l))
+    assert all(rs.r_coeffs[i] == rs.r_coeffs[nu[i] - 1] for i in range(l))
+
+
+@pytest.mark.parametrize("name", ALL_TYPES)
+def test_toda_cross_terms_vanish(name):
+    # for the affine simple roots alpha_0 = -psi, alpha_1..alpha_l and i != j,
+    # alpha_j - alpha_i is neither a root nor zero, so [e_{-alpha_i}, e_{alpha_j}] = 0
+    # and [E_-, E_+] is Cartan: -sum_i c_i^- c_i^+ H_{alpha_i}, the Toda identity
+    t = build_chevalley(name).tables
+    rs = build_root_system(name)
+    index = {r: k for k, r in enumerate(rs.roots)}
+    affine = [index[rs.alpha0]] + [index[a] for a in rs.simple_roots]
+    for i in affine:
+        for j in affine:
+            if i != j:
+                assert t.sums[t.neg[i], j] == -1, (t.root(i), t.root(j))
 
 
 def test_diagram_involutions():

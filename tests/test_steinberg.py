@@ -560,8 +560,9 @@ def test_type_a_characters_are_the_section_parameters(name, parts, y):
     order = tuple(sorted(bip.i2)) + tuple(sorted(bip.i1))
     y = y[:l]
     chi = torus_character_values(rs, [fundamental_characters(name, k) for k in order], y)
-    got, r, _ = steinberg._solve_class(rs, bip, order, y)
+    got, r, _, got_chi = steinberg._solve_class(rs, bip, order, y)
     assert np.array_equal(got, chi) and r <= steinberg.CLASS_TOL
+    assert np.array_equal(got_chi, chi)
 
 
 PLETHYSM_TYPES = ("B2", "B3", "B4", "C3", "D4", "D5", "G2")

@@ -1,4 +1,4 @@
-import dataclasses
+import math
 from fractions import Fraction as Q
 
 import numpy as np
@@ -7,7 +7,7 @@ from scipy.linalg import expm
 
 from character_reference import adjoint_section
 from coxstokes.characters import _table_pairing, fundamental_characters, weight_pairing
-from coxstokes.chevalley import ChevalleyAlgebra, InvariantViolation, build_chevalley
+from coxstokes.chevalley import InvariantViolation, build_chevalley
 from coxstokes.weightrep import (
     NilpotentExp,
     Representation,
@@ -73,7 +73,7 @@ def test_rep_is_homomorphism_on_all_roots(name):
             comm = mats[a] @ mats[b] - mats[b] @ mats[a]
             s = tuple(x + y for x, y in zip(a, b))
             if rs.is_root(s):
-                want = complex(alg.nval(a, b)) * mats[s]
+                want = alg.n_float(a, b) * mats[s]
             elif all(x == 0 for x in s):
                 # H_a acts by mu(H_a) on each weight vector
                 want = np.diag(rep.weight_values([Q(c) for c in a])).astype(complex)
@@ -85,8 +85,15 @@ def test_rep_is_homomorphism_on_all_roots(name):
 REGISTERED = ("A2", "A3", "A4", "A5", "A6", "B2", "B3", "B4", "C3", "D4", "D5", "G2", "F4", "E6")
 
 
-def nval_root_matrix(rep, root, memo):
-    """rep.root_matrix as it was built with N read through ChevalleyAlgebra.nval (Sq)."""
+def surd_float(t, i, j):
+    """N(a, b) at root indices i, j as the Fraction/Sq scalars made it a float:
+    float(u/D) + float(v/D) sqrt(d)."""
+    u, v = int(t.n_rat[i, j]), int(t.n_surd[i, j])
+    return float(Q(u, t.den)) + float(Q(v, t.den)) * math.sqrt(t.surd)
+
+
+def reference_root_matrix(rep, root, memo):
+    """rep.root_matrix as it was built with N read as a Q(sqrt d) scalar (surd_float)."""
     if root not in memo:
         rs, alg = rep.rs, rep.algebra()
         ht = sum(root)
@@ -103,31 +110,26 @@ def nval_root_matrix(rep, root, memo):
                 step = aj if sign > 0 else tuple(-c for c in aj)
                 rest = tuple(r - s_ for r, s_ in zip(root, step))
                 if rs.is_root(rest):
-                    a, b = nval_root_matrix(rep, step, memo), nval_root_matrix(rep, rest, memo)
-                    memo[root] = (a @ b - b @ a) / complex(alg.nval(step, rest))
+                    a = reference_root_matrix(rep, step, memo)
+                    b = reference_root_matrix(rep, rest, memo)
+                    i, j = alg.root_index[step] - rs.rank, alg.root_index[rest] - rs.rank
+                    memo[root] = (a @ b - b @ a) / complex(surd_float(alg.tables, i, j))
                     break
     return memo[root]
 
 
 @pytest.mark.parametrize("name", REGISTERED)
 def test_root_matrices_read_n_from_the_tables_bit_for_bit(name):
-    # the float N of the integer tables is float(nval) for every bracketed pair,
-    # so every root matrix is bitwise the one the Sq path built
+    # the float N of the integer tables is float(u/D) + float(v/D) sqrt(d) for
+    # every bracketed pair, so every root matrix is bitwise the one the Sq path built
     rep = registered_representation(name)
     alg, memo = rep.algebra(), {}
     for root in rep.rs.roots:
-        assert rep.root_matrix(root).tobytes() == nval_root_matrix(rep, root, memo).tobytes(), root
+        want = reference_root_matrix(rep, root, memo)
+        assert rep.root_matrix(root).tobytes() == want.tobytes(), root
     t = alg.tables
     a, b = np.nonzero(t.sums >= 0)
-    assert t.n_float(a, b).tolist() == [float(alg.nval_idx(i, j)) for i, j in zip(a, b)]
-
-
-def test_root_matrices_build_no_sq_table():
-    rep = registered_representation("E6")
-    fresh = dataclasses.replace(rep, _root_mats={}, _alg=ChevalleyAlgebra(rep.rs))
-    for root in rep.rs.roots:
-        fresh.root_matrix(root)
-    assert "_nvals" not in vars(fresh.algebra())
+    assert t.n_float(a, b).tolist() == [surd_float(t, i, j) for i, j in zip(a, b)]
 
 
 @pytest.mark.parametrize("name", ["B3", "D4", "G2", "F4"])
