@@ -3,6 +3,7 @@ import hashlib
 import json
 import math
 import os
+import random
 import subprocess
 import sys
 from fractions import Fraction as Q
@@ -138,6 +139,88 @@ def test_build_chevalley_takes_a_type_name_only():
             build_chevalley(arg)
     assert build_chevalley("A2") is build_chevalley("A2")
     assert build_chevalley("A2").rs is rs
+
+
+# -- sigma = -(diagram automorphism nu) and the Toda identity --------------------
+
+def test_sigma_nu_examples():
+    assert rootcore.diagram_involution(build_root_system("A4")) == (4, 3, 2, 1)
+    assert rootcore.diagram_involution(build_root_system("B3")) == (1, 2, 3)
+    assert rootcore.diagram_involution(build_root_system("D5")) == (1, 2, 3, 5, 4)
+
+
+@pytest.mark.parametrize("name", TYPES)
+def test_sigma_properties(name):
+    # sigma(e_a) = -e_{nu a} on simple and highest root vectors extends to an
+    # automorphism: nu is an involution that permutes the roots, fixes psi and
+    # keeps |N(a, b)|, and sigma(E_+) = -E_+ for the nu-symmetric coefficients
+    alg = build_chevalley(name)
+    rs, t = alg.rs, alg.tables
+    nu = rootcore.diagram_involution(rs)
+    l = rs.rank
+    assert all(nu[nu[i] - 1] == i + 1 for i in range(l))
+
+    def act(r):
+        return tuple(r[nu.index(i + 1)] for i in range(l))
+
+    assert all(act(a) == rs.simple_roots[nu[i] - 1] for i, a in enumerate(rs.simple_roots))
+    assert act(rs.psi) == rs.psi
+    assert set(map(act, rs.roots)) == set(rs.roots)
+    perm = np.array([alg.root_index[act(r)] - l for r in rs.roots])
+    bracketable = t.sums >= 0
+    assert (bracketable[np.ix_(perm, perm)] == bracketable).all()
+    assert (perm[t.sums[bracketable]] == t.sums[np.ix_(perm, perm)][bracketable]).all()
+    for n in (t.n_rat, t.n_surd):
+        assert (np.abs(n[np.ix_(perm, perm)]) == np.abs(n)).all()
+    coeffs = default_coefficients(alg)
+    assert all(coeffs[i] == coeffs[nu[i - 1]] for i in range(1, l + 1))
+    assert all(rs.r_coeffs[i] == rs.r_coeffs[nu[i] - 1] for i in range(l))
+
+
+def toda_bracket_identity(alg, w, c_minus, c_plus):
+    """Max-norm residual of [Ad(e^w)E_-, Ad(e^{-w})E_+] + sum c-c+ e^{-2a_i(w)} H_{a_i}.
+
+    w is given in H_{a_i} coordinates; the bracket is ad(E_-) applied to the
+    coordinate vector of E_+, so the residual vanishes exactly when the Toda
+    zero-curvature right-hand side does.
+    """
+    rs = alg.rs
+    l = rs.rank
+    em = {}
+    ep = np.zeros(alg.dim, dtype=np.complex128)
+    hterm = np.zeros(alg.dim, dtype=np.complex128)
+    for i, a in enumerate((rs.alpha0,) + rs.simple_roots):
+        aw = float(rs.pairing(a, w))
+        em[neg(a)] = complex(c_minus[i]) * np.exp(-aw)
+        ep[alg.root_index[a]] = complex(c_plus[i]) * np.exp(-aw)
+        hterm[:l] += complex(c_minus[i]) * complex(c_plus[i]) * np.exp(-2 * aw) * np.array(a)
+    return float(np.abs(alg.ad(em) @ ep + hterm).max())
+
+
+def test_toda_bracket_identity_at_zero():
+    alg = build_chevalley("A2")
+    # w = 0, all c = 1: [E-, E+] = -sum H_{alpha_i} over i = 0..l
+    assert toda_bracket_identity(alg, [Q(0), Q(0)], [1, 1, 1], [1, 1, 1]) < 1e-12
+    rs = alg.rs
+    em = {rs.psi: 1, neg(rs.simple_roots[0]): 1, neg(rs.simple_roots[1]): 1}
+    ep = np.zeros(alg.dim)
+    for a in (neg(rs.psi),) + rs.simple_roots:
+        ep[alg.root_index[a]] = 1
+    out = alg.ad(em) @ ep
+    want = np.zeros(alg.dim)
+    want[:2] = [-1 + rs.psi[0], -1 + rs.psi[1]]  # -(H_1 + H_2 + H_0), H_0 = -H_psi
+    assert (out == want).all()
+
+
+@pytest.mark.parametrize("name", ["A2", "A3", "G2", "B3"])
+def test_toda_bracket_identity_random(name):
+    alg = build_chevalley(name)
+    l = alg.rs.rank
+    rng = random.Random(42)
+    for _ in range(3):
+        w = [Q(rng.randint(-3, 3), rng.randint(2, 5)) for _ in range(l)]
+        c = [1.0 + 0.25 * rng.random() for _ in range(l + 1)]
+        assert toda_bracket_identity(alg, w, c, c) < 1e-10
 
 
 def _ad_reference(alg, terms):
