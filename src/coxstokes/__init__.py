@@ -23,7 +23,6 @@ from .oracle import (
     build_system,
     formal_solution,
     numerical_monodromy,
-    standard_rep_sl,
 )
 from .rootcore import (
     AlgebraType,

@@ -113,8 +113,12 @@ def _emit(doc: dict, path: str | None):
         print(text)
 
 
-def _parse_fractions(text: str) -> List[Q]:
-    return [Q(part.strip()) for part in text.split(",") if part.strip()]
+def _fractions(text: str) -> List[Q]:
+    """Comma-separated rationals: the argparse type of --m, --k and --c."""
+    try:
+        return [Q(part.strip()) for part in text.split(",") if part.strip()]
+    except (ValueError, ZeroDivisionError) as exc:
+        raise argparse.ArgumentTypeError(f"not comma-separated rationals: {text!r}") from exc
 
 
 # -- SVG rendering ---------------------------------------------------------------
@@ -283,7 +287,7 @@ def cmd_verify(args) -> int:
 
 def cmd_stokes(args) -> int:
     rs = build_root_system(args.type)
-    m = _parse_fractions(args.m) if args.m else [Q(0)] * rs.rank
+    m = args.m or [Q(0)] * rs.rank
     if len(m) != rs.rank:
         raise UnsupportedTypeError(f"m must have {rs.rank} components")
     # the class is solved in the registered representation, so a type without
@@ -327,10 +331,10 @@ def cmd_stokes(args) -> int:
 
 
 def cmd_monodromy(args) -> int:
-    k = _parse_fractions(args.k) if args.k else [Q(0)] * (args.rank + 1)
+    k = args.k or [Q(0)] * (args.rank + 1)
     if len(k) == 1:
         k = k * (args.rank + 1)
-    c = _parse_fractions(args.c) if args.c else [Q(1)] * (args.rank + 1)
+    c = args.c or [Q(1)] * (args.rank + 1)
     sys_ = build_system(args.rank, [float(x) for x in c], k, args.z)
     fs = formal_solution(sys_, FORMAL_ORDER)
     rep = numerical_monodromy(sys_, radius=args.radius)
@@ -392,7 +396,7 @@ def build_parser() -> _Parser:
 
     st = sub.add_parser("stokes", help="Stokes data M0 = K1 K2 P0 from asymptotics m")
     st.add_argument("--type", required=True)
-    st.add_argument("--m", default=None, help="comma-separated rationals, H-basis coords")
+    st.add_argument("--m", type=_fractions, help="comma-separated rationals, H-basis coords")
     st.add_argument("--rep", type=int, default=None,
                     help="index 1..l of the fundamental representation M0 is assembled in")
     st.add_argument("--matrices", action="store_true",
@@ -402,8 +406,8 @@ def build_parser() -> _Parser:
 
     mo = sub.add_parser("monodromy", help="numerical monodromy vs Stokes prediction")
     mo.add_argument("--rank", type=int, required=True, help="n for sl_{n+1}")
-    mo.add_argument("--k", default=None, help="comma-separated k_0..k_n (or one value)")
-    mo.add_argument("--c", default=None, help="comma-separated c_0..c_n")
+    mo.add_argument("--k", type=_fractions, help="comma-separated k_0..k_n (or one value)")
+    mo.add_argument("--c", type=_fractions, help="comma-separated c_0..c_n")
     mo.add_argument("--z", type=float, default=1.0)
     mo.add_argument("--radius", type=float, default=1.0)
     common(mo)

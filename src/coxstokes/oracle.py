@@ -1,9 +1,10 @@
-"""Independent numerical verification on the type-A matrix model.
+"""Independent numerical verification of the type-A Stokes data.
 
-Builds the lambda-plane meromorphic system with a double pole at 0 and a
-simple pole at infinity, solves the formal-series recursion at the irregular
-pole, integrates the monodromy numerically, and compares its characteristic
-polynomial against the prediction generated by the Stokes pipeline.
+Builds the lambda-plane meromorphic system of A_n, with a double pole at 0
+and a simple pole at infinity, in the registered representation and root
+system; solves the formal-series recursion at the irregular pole, integrates
+the monodromy numerically, and compares its characteristic polynomial against
+the prediction generated by the Stokes pipeline.
 
 On the circle lambda = r e^{i theta} the system reads
 
@@ -16,9 +17,10 @@ tt* equations of Cecotti and Vafa I", Comm. Math. Phys. 2015)
     A(theta + 2 pi/s) = Omega A(theta) Omega^{-1},
     Omega = diag(omega^j) (j = 0..n),   omega = e^{2 pi i/s}:
 
-M is diagonal, and the entries of eta_+ sit at (j - 1, j) and (n, 0), which
-conjugation by Omega multiplies by omega^{-1}, as the turn by 2 pi/s multiplies
-e^{-i theta}.  Hence, with Phi(0) = I and U_1 = Phi(2 pi/s),
+M is diagonal, and eta_+ = sum_j p_j e_{alpha_j} over the affine simple roots.
+The registered basis of A_n is the matrix units, so e_{alpha_j} = E_{j-1,j} and
+e_{alpha_0} = e_{-theta} = E_{n,0}, which conjugation by Omega multiplies by
+omega^{-1}, as the turn by 2 pi/s multiplies e^{-i theta}.  Hence, with Phi(0) = I and U_1 = Phi(2 pi/s),
 Phi(theta + 2 pi/s) = Omega Phi(theta) Omega^{-1} U_1, and as Omega^s = I,
 
     Phi(2 pi) = (Omega^{-1} U_1)^s.
@@ -36,9 +38,10 @@ step rule
     N = max(128, 2^ceil(log2(2 pi rho / 0.2))),   rho = ||M||_2 + ||K||_2,
 
 so the circle is cut into s per >= N steps and h ||A(theta)|| <= 0.2 on every
-step.  All step generators of the sector are formed in one batched
-expression and exponentiated together by their Taylor polynomial of degree 16,
-evaluated in Paterson-Stockmeyer form in six batched matrix products.  M is
+step; a count above MAX_STEPS is refused (SystemError_) before any allocation.
+All step generators of the sector are formed in one batched expression and
+exponentiated together by their Taylor polynomial of degree 16, evaluated in
+Paterson-Stockmeyer form in six batched matrix products.  M is
 diagonal and K has one entry per row and column, so ||h A||_1 = ||h A||_2 <= 0.2
 (0.4 for the per/2 steps below), and at a generator 1-norm <= 0.5 the remainder
 is below 1e-19 (scipy's expm would loop over the stack and wake a BLAS worker
@@ -92,10 +95,10 @@ from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .rootcore import build_root_system
+from .rootcore import diagram_involution
 from .scalars import mat_vec
 from .steinberg import ConsistencyError, stokes_from_asymptotics
-from .weightrep import registered_representation
+from .weightrep import Representation, registered_representation
 
 
 class SystemError_(ValueError):
@@ -104,35 +107,6 @@ class SystemError_(ValueError):
 
 class IntegratorError(ArithmeticError):
     """The monodromy integration cannot reach its accuracy target."""
-
-
-@dataclass
-class SlRep:
-    """The standard representation of sl_{n+1}, built directly from matrix units."""
-
-    n: int
-    h: Dict[int, np.ndarray]           # H_{alpha_i}, 1-based
-    e_pos: Dict[Tuple[int, int], np.ndarray]   # e_{x_i - x_j) = E_{i,j}, i < j
-
-    @property
-    def size(self) -> int:
-        return self.n + 1
-
-
-def standard_rep_sl(n: int) -> SlRep:
-    """Matrix tables for sl_{n+1}: H_{x_i-x_j} = E_ii - E_jj, e_{x_i-x_j} = E_ij."""
-    if n < 2:
-        raise ValueError("rank must be >= 2")
-    N = n + 1
-
-    def E(i, j):
-        out = np.zeros((N, N))
-        out[i, j] = 1.0
-        return out
-
-    h = {i: E(i - 1, i - 1) - E(i, i) for i in range(1, n + 1)}
-    e_pos = {(i, j): E(i, j) for i in range(N) for j in range(N) if i != j}
-    return SlRep(n, h, e_pos)
 
 
 @dataclass
@@ -146,7 +120,7 @@ class MeromorphicSystem:
     m_entries: Tuple[Q, ...]          # m_0 .. m_n, the exact diagonal of m
     m_diag: np.ndarray
     eta_plus: np.ndarray
-    rep: SlRep
+    rep: Representation               # the registered representation of A_n
 
     @property
     def s(self) -> int:
@@ -154,14 +128,36 @@ class MeromorphicSystem:
 
     def m_coords(self) -> Tuple[Q, ...]:
         """m in H_{alpha_i} coordinates of the abstract root system."""
-        eps = build_root_system(f"A{self.n}").epsilon_basis  # eps[j][i] = G^{-1}[i][j]
+        eps = self.rep.rs.epsilon_basis  # eps[j][i] = G^{-1}[i][j]
         return mat_vec(tuple(zip(*eps)), self.m_values)
 
 
+def _affine_root_matrices(rep: Representation) -> Tuple[np.ndarray, ...]:
+    """e_{alpha_i} in rep over the affine simple roots alpha_0 = -theta, alpha_1, .., alpha_n."""
+    rs = rep.rs
+    return tuple(rep.root_matrix(a) for a in (rs.alpha0,) + tuple(rs.simple_roots))
+
+
+def _trace_free_diagonal(steps: Sequence) -> list:
+    """d_0 .. d_n with d_{i-1} - d_i = steps[i - 1] and sum zero: exact on Fractions."""
+    part = [0]
+    for a in steps:
+        part.append(part[-1] - a)
+    shift = -sum(part) / len(part)
+    return [p + shift for p in part]
+
+
 def build_system(n: int, c: Sequence, k: Sequence, z: float) -> MeromorphicSystem:
-    """The lambda-plane system for sl_{n+1} with monomial data p_i = c_i z^{k_i}."""
-    rep = standard_rep_sl(n)
-    s = n + 1
+    """The lambda-plane system of A_n with monomial data p_i = c_i z^{k_i}.
+
+    Built in the registered representation: eta_+ = sum_i p_i e_{alpha_i} over
+    the affine simple roots, and m = diag(m_0 .. m_n) with m_{i-1} - m_i =
+    alpha_i(m) = (s/N)(k_i + 1) - 1 and trace zero.  The eigenvalues of eta_+
+    are the s distinct s-th roots of prod_i p_i > 0, so eta_+ is regular
+    whenever every p_i is a positive normal float.
+    """
+    rep = registered_representation(f"A{n}")
+    s = rep.rs.coxeter_number
     c = tuple(float(x) for x in c)
     k = tuple(Q(x) for x in k)
     if len(c) != n + 1 or len(k) != n + 1:
@@ -170,35 +166,31 @@ def build_system(n: int, c: Sequence, k: Sequence, z: float) -> MeromorphicSyste
         raise SystemError_("c_i must be positive")
     if any(x < -1 for x in k):
         raise SystemError_("k_i must be >= -1")
+    nu = (0,) + diagram_involution(rep.rs)  # node 0 is fixed
     for i in range(n + 1):
-        nu = 0 if i == 0 else n + 1 - i
-        if k[i] != k[nu]:
-            raise SystemError_(f"k_{i} != k_{nu} violates the diagram symmetry")
-    if float(z) <= 0:
-        raise SystemError_("z must be positive")
+        if k[i] != k[nu[i]]:
+            raise SystemError_(f"k_{i} != k_{nu[i]} violates the diagram symmetry")
+    z = float(z)
+    if not 0 < z < math.inf:
+        raise SystemError_(f"z must be finite and positive, not {z}")
     bigN = s + sum(k)  # all marks q_i = 1 in type A
     if bigN <= 0:
         raise SystemError_(f"N = {bigN} must be positive")
+    p = []
+    for i in range(n + 1):
+        try:
+            p.append(c[i] * z ** float(k[i]))
+        except OverflowError:
+            p.append(math.inf)
+        if not np.finfo(float).tiny <= p[i] < math.inf:
+            raise SystemError_(f"the entry p_{i} = c_{i} z^k_{i} = {p[i]:.3g} of eta_+ "
+                               "is not a positive normal float")
 
     a = [Q(s) / bigN * (k[i] + 1) - 1 for i in range(1, n + 1)]
-    # m = diag(m_0..m_n), m_{i-1} - m_i = a_i, trace zero
-    partial = [Q(0)]
-    for ai in a:
-        partial.append(partial[-1] - ai)
-    shift = -sum(partial) / (n + 1)
-    mdiag = [p + shift for p in partial]
+    mdiag = _trace_free_diagonal(a)
     m_diag = np.diag([float(x) for x in mdiag]).astype(complex)
-
-    eta = np.zeros((n + 1, n + 1), dtype=complex)
-    for i in range(1, n + 1):
-        eta += c[i] * float(z) ** float(k[i]) * rep.e_pos[(i - 1, i)]
-    eta += c[0] * float(z) ** float(k[0]) * rep.e_pos[(n, 0)]
-
-    eig = np.linalg.eigvals(eta)
-    if np.min(np.abs(eig[:, None] - eig[None, :]) + np.eye(n + 1)) < 1e-8:
-        raise SystemError_("leading coefficient is not regular")
-
-    return MeromorphicSystem(n, c, k, float(z), bigN, tuple(a), tuple(mdiag), m_diag, eta, rep)
+    eta = sum(pi * e for pi, e in zip(p, _affine_root_matrices(rep)))
+    return MeromorphicSystem(n, c, k, z, bigN, tuple(a), tuple(mdiag), m_diag, eta, rep)
 
 
 # -- formal solution at the irregular pole --------------------------------------
@@ -239,15 +231,8 @@ def formal_solution(sys: MeromorphicSystem, order: int) -> FormalSolution:
     r_vals = [float(sys.k[i]) + 1 - bigN / s for i in range(1, n + 1)]
     d_vals = [np.log(sys.c[i]) - np.log(cprod) / s for i in range(1, n + 1)]
 
-    def diag_from_steps(steps):
-        part = [0.0]
-        for a in steps:
-            part.append(part[-1] - a)
-        sh = -sum(part) / (n + 1)
-        return np.array([p + sh for p in part])
-
-    rdiag = diag_from_steps(r_vals)
-    ddiag = diag_from_steps(d_vals)
+    rdiag = np.array(_trace_free_diagonal(r_vals))
+    ddiag = np.array(_trace_free_diagonal(d_vals))
     P = np.diag(np.exp(ddiag + rdiag * np.log(z))).astype(complex)
     Pinv = np.linalg.inv(P)
 
@@ -257,7 +242,7 @@ def formal_solution(sys: MeromorphicSystem, order: int) -> FormalSolution:
     lam_m1 = Pinv @ A_m1 @ P
     # internal anchor: Lambda_{-1} = -t E_+ with unit coefficients
     t_scale = (s / bigN) * cprod ** (1.0 / s) * z ** (bigN / s)
-    e_plus = sum(sys.rep.e_pos[(i - 1, i)] for i in range(1, n + 1)) + sys.rep.e_pos[(n, 0)]
+    e_plus = sum(_affine_root_matrices(sys.rep))
     if np.max(np.abs(lam_m1 + t_scale * e_plus)) > 1e-10 * max(1.0, t_scale):
         raise ArithmeticError("prefactor does not conjugate the leading term to -t E_+")
 
@@ -329,6 +314,7 @@ def formal_solution(sys: MeromorphicSystem, order: int) -> FormalSolution:
 # Gauss-Legendre nodes on [0, 1] of the sixth-order Magnus step
 _GL_NODES = 0.5 + np.array([-1.0, 0.0, 1.0]) * math.sqrt(15.0) / 10
 MIN_STEPS = 128
+MAX_STEPS = 2 ** 16      # most Magnus steps of one circle; more are refused before any allocation
 STEP_NORM = 0.2          # h * rho on every step
 ERROR_TOL = 1e-9         # largest accepted Richardson estimate
 EXP_DEGREE = 16          # Taylor degree of the step exponential (a multiple of 4)
@@ -461,12 +447,22 @@ def circle_coefficients(sys: MeromorphicSystem, radius: float) -> Tuple[np.ndarr
 
 def integrate_monodromy(sys: MeromorphicSystem, radius: float = 1.0) -> Integration:
     """Fundamental solution continued counterclockwise around |lambda| = radius."""
+    if not 0 < radius < math.inf:
+        raise SystemError_(f"radius must be finite and positive, not {radius}")
     im, k = circle_coefficients(sys, radius)
     s = sys.s
-    rho = np.linalg.norm(im, 2) + np.linalg.norm(k, 2)
-    full = max(MIN_STEPS, 2 ** math.ceil(math.log2(2 * np.pi * rho / STEP_NORM)))
+    # rho is 0 where K underflows at M = 0, and infinite where K overflows
+    rho = np.linalg.norm(im, 2) + np.linalg.norm(k, 2) if np.isfinite(k).all() else math.inf
+    need = 2 * np.pi * rho / STEP_NORM
+    if not 0 < need < math.inf:
+        raise SystemError_(f"coefficient norm rho = {rho:.3g} on |lambda| = {radius:g}"
+                           " is not finite and positive")
+    full = max(MIN_STEPS, 2 ** math.ceil(math.log2(need)))
     per = 2 * math.ceil(full / (2 * s))  # even, so the Richardson run has per/2 steps a sector
     steps = s * per
+    if steps > MAX_STEPS:
+        raise SystemError_(f"|lambda| = {radius:g} needs {steps} Magnus steps,"
+                           f" above the cap MAX_STEPS = {MAX_STEPS}")
     phases = sector_phases(s)[:, None]
     props = magnus_propagators(im, k, steps, per)
     sector = phases * tree_product(props.astype(np.clongdouble))
@@ -515,10 +511,9 @@ def numerical_monodromy(sys: MeromorphicSystem, radius: float = 1.0) -> Monodrom
     integ = integrate_monodromy(sys, radius)
 
     sd = stokes_from_asymptotics(f"A{sys.n}", sys.m_coords())
-    rep = registered_representation(f"A{sys.n}")
     s = sys.s
     m0s = np.linalg.matrix_power(sd.m0, s)
-    p0_inv_s = np.linalg.matrix_power(np.linalg.inv(rep.p0_matrix()), s)
+    p0_inv_s = np.linalg.matrix_power(np.linalg.inv(sys.rep.p0_matrix()), s)
     central = _central_factor(p0_inv_s)
     pred = p0_inv_s @ m0s
 

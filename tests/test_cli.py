@@ -237,6 +237,29 @@ def test_no_option_moves_a_verdict_bound(argv):
     assert exc.value.code == EXIT_USAGE
 
 
+@pytest.mark.parametrize("argv", [
+    ["stokes", "--type", "A2", "--m", "1/0,0"],
+    ["stokes", "--type", "A2", "--m", "nan,0"],
+    ["monodromy", "--rank", "2", "--c", "x"],
+    ["monodromy", "--rank", "2", "--k", "1/0"],
+])
+def test_bad_rationals_are_usage_errors(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        run(argv)
+    assert exc.value.code == EXIT_USAGE
+    assert f"error: argument {argv[3]}: not comma-separated rationals" in capsys.readouterr().err
+
+
+def test_bad_rational_exits_without_traceback():
+    src = str(Path(coxstokes.__file__).resolve().parents[1])
+    out = subprocess.run(
+        [sys.executable, "-m", "coxstokes.cli", "stokes", "--type", "A2", "--m", "1/0,0"],
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src}, timeout=120,
+    )
+    assert out.returncode == EXIT_USAGE and out.stdout == ""
+    assert "error: argument --m" in out.stderr and "Traceback" not in out.stderr
+
+
 def test_monodromy_domain_error():
     assert run(["monodromy", "--rank", "2", "--k", "0,1,2"]) == EXIT_DOMAIN
 

@@ -8,8 +8,7 @@ from scipy.integrate import solve_ivp
 from scipy.linalg import expm
 
 from coxstokes import oracle
-from coxstokes.chevalley import build_chevalley
-from coxstokes.cli import EXIT_OK, main
+from coxstokes.cli import EXIT_DOMAIN, EXIT_OK, main
 from coxstokes.rootcore import build_root_system
 from coxstokes.scalars import mat_inv, mat_vec
 from coxstokes.oracle import (
@@ -23,49 +22,8 @@ from coxstokes.oracle import (
     magnus_propagators,
     numerical_monodromy,
     sequential_product,
-    standard_rep_sl,
 )
 from coxstokes.weightrep import registered_representation
-
-
-def test_standard_rep_tables():
-    rep = standard_rep_sl(2)
-    assert np.array_equal(rep.e_pos[(0, 1)], [[0, 1, 0], [0, 0, 0], [0, 0, 0]])
-    for i in range(1, 3):
-        assert abs(np.trace(rep.h[i])) == 0
-    # the P0 that numerical_monodromy predicts with, in the same basis order
-    want_p0 = np.diag([np.exp(2j * np.pi / 3), 1, np.exp(-2j * np.pi / 3)])
-    assert np.max(np.abs(registered_representation("A2").p0_matrix() - want_p0)) < 1e-12
-    with pytest.raises(ValueError):
-        standard_rep_sl(1)
-
-
-def test_rep_brackets_match_abstract_constants():
-    # the matrix-unit model satisfies the same bracket table as the abstract
-    # algebra (exhaustive over all root pairs of sl_3)
-    alg = build_chevalley("A2")
-    rs = alg.rs
-    rep = standard_rep_sl(2)
-
-    def mat_of(root):
-        pairs = {(1, 0): (0, 1), (0, 1): (1, 2), (1, 1): (0, 2)}
-        if sum(root) > 0:
-            i, j = pairs[root]
-        else:
-            j, i = pairs[tuple(-c for c in root)]
-        return rep.e_pos[(i, j)]
-
-    for a in rs.roots:
-        for b in rs.roots:
-            comm = mat_of(a) @ mat_of(b) - mat_of(b) @ mat_of(a)
-            s = tuple(x + y for x, y in zip(a, b))
-            if rs.is_root(s):
-                want = alg.n_float(a, b) * mat_of(s)
-            elif all(c == 0 for c in s):
-                want = sum(c * rep.h[i + 1] for i, c in enumerate(a))
-            else:
-                want = np.zeros((3, 3))
-            assert np.max(np.abs(comm - want)) < 1e-12, (a, b)
 
 
 def test_build_system_examples():
@@ -164,9 +122,76 @@ def test_m_coords_is_the_exact_cartan_solve():
             assert sys_.m_coords() == tuple(mat_vec(mat_inv(rs.form), list(sys_.m_values)))
 
 
+def test_build_system_matches_the_matrix_unit_formulas():
+    # eta_+ and m, built in the registered representation, are bitwise the matrix-unit
+    # formulas: p_i = c_i z^{k_i} at (i - 1, i), p_0 at (n, 0), and m from exact partial sums
+    rng = np.random.default_rng(19)
+    for n in range(2, 7):
+        for _ in range(4):
+            sys_ = _seeded_system(rng, n)
+            p = [c * sys_.z ** float(k) for c, k in zip(sys_.c, sys_.k)]
+            eta = np.zeros((n + 1, n + 1), dtype=complex)
+            for i in range(1, n + 1):
+                eta[i - 1, i] += p[i]
+            eta[n, 0] += p[0]
+            assert eta.tobytes() == sys_.eta_plus.tobytes(), n
+            a = tuple(Q(n + 1) / sys_.bigN * (k + 1) - 1 for k in sys_.k[1:])
+            partial = [Q(0)]
+            for ai in a:
+                partial.append(partial[-1] - ai)
+            shift = -sum(partial) / (n + 1)
+            m = tuple(x + shift for x in partial)
+            assert sys_.m_values == a and sys_.m_entries == m
+            want = np.diag([float(x) for x in m]).astype(complex)
+            assert want.tobytes() == sys_.m_diag.tobytes(), n
+
+
+def test_small_leading_entries_are_regular(capsys):
+    # eta_+ has the s distinct s-th roots of prod_i p_i > 0 as eigenvalues at any scale
+    assert main(["monodromy", "--rank", "2", "--k", "4", "--z", "0.001"]) == EXIT_OK
+    assert json.loads(capsys.readouterr().out)["passed"]
+    # an entry that leaves the normal floats is refused by name
+    with pytest.raises(SystemError_, match="entry p_0"):
+        build_system(2, [1, 1, 1], [4, 4, 4], 1e-80)  # subnormal 1e-320
+    with pytest.raises(SystemError_, match="entry p_1"):
+        build_system(2, [1, 1, 1], [0, 4, 4], 1e100)  # z^4 overflows
+    assert main(["monodromy", "--rank", "2", "--k", "4", "--z", "1e-80"]) == EXIT_DOMAIN
+
+
+def test_rank_one_is_a_domain_error(capsys):
+    assert main(["monodromy", "--rank", "1"]) == EXIT_DOMAIN
+    assert "unsupported type: A1" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("option, value", [
+    ("--radius", "0"), ("--radius", "-1"), ("--radius", "nan"), ("--radius", "inf"),
+    ("--z", "inf"), ("--z", "nan"),
+])
+def test_radius_and_z_must_be_finite_and_positive(option, value, capsys):
+    assert main(["monodromy", "--rank", "2", option, value]) == EXIT_DOMAIN
+    assert f"{option[2:]} must be finite and positive" in capsys.readouterr().err
+
+
+def test_step_cap_refuses_before_any_propagator(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("magnus_propagators called past the step cap")
+
+    monkeypatch.setattr(oracle, "magnus_propagators", refuse)
+    sys3 = build_system(2, [1, 1, 1], [0, 1, 1], 1.0)
+    for radius in (1e-6, 1e-300):
+        with pytest.raises(SystemError_, match=f"above the cap MAX_STEPS = {oracle.MAX_STEPS}"):
+            integrate_monodromy(sys3, radius)
+    monkeypatch.setattr(oracle, "MAX_STEPS", 131)
+    with pytest.raises(SystemError_, match="needs 132 Magnus steps"):
+        integrate_monodromy(sys3, 1.0)
+    # at M = 0 a K that underflows to 0 leaves rho = 0, which no step count covers
+    with pytest.raises(SystemError_, match="rho = 0 "):
+        integrate_monodromy(build_system(2, [1, 1, 1], [4, 4, 4], 1e-70), 1.0)
+
+
 def _loop_recursion(sys_: MeromorphicSystem, fs):
     """Lambda_k and Y_k of formal_solution, with ad(Lambda_{-1}) inverted entry by entry."""
-    size = sys_.rep.size
+    size = sys_.rep.dim
     P = fs.prefactor
     Pinv = np.linalg.inv(P)
     d, V = np.linalg.eig(fs.lambda_minus1)
@@ -208,7 +233,7 @@ def test_formal_solution_division_is_bit_identical_to_the_entrywise_loop():
 
 def _dop853_reference(sys_: MeromorphicSystem, radius: float) -> np.ndarray:
     """The monodromy by scipy's DOP853 on the lambda-plane coefficient (rtol 1e-12)."""
-    size = sys_.rep.size
+    size = sys_.rep.dim
     scale = sys_.s / float(sys_.bigN)
 
     def rhs(theta, y):
