@@ -23,6 +23,8 @@ from .rootcore import InvariantViolation, Root, RootSystem, build_root_system
 Weight = Tuple[int, ...]
 
 DEFAULT_DIM_CAP = 10**6
+# integers below 2^53 are exact as floats
+_EXACT = 2**53
 
 
 class CharacterScaleError(ValueError):
@@ -184,19 +186,28 @@ class WeightPairing:
     (mu, alpha_j) = w_j (alpha_j, alpha_j)/2 for w the Dynkin labels of mu, so
     row k is w times the root system's simple_lengths, over 2 length_den:
     integers, with no Cartan inverse.  Calling it computes mu(h) exactly (a float
-    coordinate at its exact binary value) and rounds once.
+    coordinate at its exact binary value) and rounds once: in one int64
+    product while every numerator and the denominator stay below 2^53, in
+    Python ints otherwise.
     """
 
     def __init__(self, type_name: str, weights: Sequence[Weight]):
         rs = build_root_system(type_name)
-        self.rows = tuple(tuple(c * n for c, n in zip(w, rs.simple_lengths)) for w in weights)
+        lengths = np.array(rs.simple_lengths, dtype=np.int64)
+        self._matrix = np.array(weights, dtype=np.int64).reshape(len(weights), rs.rank) * lengths
+        self.rows = tuple(map(tuple, self._matrix.tolist()))
         self.den = 2 * rs.length_den
+        self._norm = int(np.abs(self._matrix).sum(axis=1).max(initial=0))
 
     def __call__(self, h_coords) -> np.ndarray:
-        h = [Q(c) for c in h_coords]
+        h = [c if isinstance(c, Q) else Q(c) for c in h_coords]
         h_den = math.lcm(*(c.denominator for c in h))
-        h_int = [int(c * h_den) for c in h]
+        h_int = [c.numerator * (h_den // c.denominator) for c in h]
         den = self.den * h_den
+        if den < _EXACT and self._norm * max(map(abs, h_int), default=0) < _EXACT:
+            # every numerator and den below 2^53: exact in int64 and as floats, so
+            # the float quotient is the correctly rounded int / int
+            return (self._matrix @ np.array(h_int, dtype=np.int64)) / den
         # int / int true division rounds correctly, as float(Fraction) does
         return np.array([sum(t * c for t, c in zip(row, h_int)) / den for row in self.rows])
 

@@ -38,12 +38,17 @@ from typing import Mapping, Tuple
 import numpy as np
 
 from .rootcore import (
+    INT_LIMIT,
     InvariantViolation,
     Root,
     RootSystem,
     build_root_system,
     check_bound,
 )
+
+
+class RootKeyScaleError(ValueError):
+    """The type has too many simple roots for the int64 root keys (A_l from l = 27)."""
 
 
 def _exact_div(num: int, den: int) -> int:
@@ -100,13 +105,18 @@ def _root_tables(rs: RootSystem):
 
     A root's key is its coordinates shifted by off, read as base-(2 off + 1)
     digits.  Keys are linear: key(a + b) = key(a) + key(b) - key(0), with no
-    carry, since every |a + b| coordinate is at most off.
+    carry, since every |a + b| coordinate is at most off.  The keys reach
+    2 base^l, which depends on the type alone: above INT_LIMIT the type is
+    refused as out of scale (RootKeyScaleError), not as a broken invariant.
     """
     R = np.array(rs.roots, dtype=np.int64)
     n, l = R.shape
     off = 2 * int(np.abs(R).max())
     base = 2 * off + 1
-    check_bound(2 * base**l, "root keys")
+    if 2 * base**l >= INT_LIMIT:
+        raise RootKeyScaleError(
+            f"root keys for {rs.type} reach {2 * base**l}, out of int64 scale (limit 2^62)"
+        )
     place = base ** np.arange(l, dtype=np.int64)
     keys = (R + off) @ place
     zero = off * int(place.sum())

@@ -19,7 +19,7 @@ import numpy as np
 
 from . import oracle
 from .characters import CharacterScaleError
-from .chevalley import InvariantViolation, build_chevalley
+from .chevalley import InvariantViolation, RootKeyScaleError, build_chevalley
 from .coxeter import (
     TheoremCheckError,
     bipartition,
@@ -70,6 +70,7 @@ DOMAIN_ERRORS = (
     InadmissibleError,
     SystemError_,
     CharacterScaleError,
+    RootKeyScaleError,
     UnsupportedRepresentationError,
 )
 VERIFY_ERRORS = (

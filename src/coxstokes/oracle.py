@@ -39,8 +39,9 @@ step rule
 
 so the circle is cut into s per >= N steps and h ||A(theta)|| <= 0.2 on every
 step; a count above MAX_STEPS is refused (SystemError_) before any allocation.
-All step generators of the sector are formed in one batched expression and
-exponentiated together by their Taylor polynomial of degree 16, evaluated in
+All step generators of the sector, and those of the per/2-step run below,
+are formed in one batched expression (h set per row) and exponentiated
+together by their Taylor polynomial of degree 16, evaluated in
 Paterson-Stockmeyer form in six batched matrix products.  M is
 diagonal and K has one entry per row and column, so ||h A||_1 = ||h A||_2 <= 0.2
 (0.4 for the per/2 steps below), and at a generator 1-norm <= 0.5 the remainder
@@ -91,7 +92,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction as Q
-from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
+from functools import lru_cache
+from typing import Dict, List, NamedTuple, Sequence, Tuple
 
 import numpy as np
 
@@ -196,6 +198,7 @@ def build_system(n: int, c: Sequence, k: Sequence, z: float) -> MeromorphicSyste
 # -- formal solution at the irregular pole --------------------------------------
 
 FORMAL_ORDER = 5         # order of the formal solution the CLI reports
+_TINY = np.finfo(float).tiny   # the smallest positive normal float
 
 
 @dataclass
@@ -226,14 +229,35 @@ def formal_solution(sys: MeromorphicSystem, order: int) -> FormalSolution:
     n = sys.n
     s, bigN, z = sys.s, float(sys.bigN), sys.z
 
+    # The leading term is Lambda_{-1} = -t E_+ with t = (s/N) c^{1/s} z^{N/s},
+    # c = prod c_i; t and every entry of h(z) and h(z)^{-1} must be normal
+    # floats, checked before anything overflows or divides by zero.
+    with np.errstate(over="ignore"):
+        cprod = float(np.prod(sys.c))
+    try:
+        t_scale = (s / bigN) * cprod ** (1.0 / s) * z ** (bigN / s)
+    except OverflowError:
+        t_scale = math.inf
+    if not _TINY <= t_scale < math.inf:
+        raise SystemError_(f"the leading coefficient t = (s/N) c^(1/s) z^(N/s) = {t_scale:.3g}"
+                           " of the formal solution is not a positive normal float")
+    with np.errstate(over="ignore"):
+        lead = (s / bigN) * z * np.abs(sys.eta_plus[sys.eta_plus != 0])
+    if not (_TINY <= lead.min() and lead.max() < math.inf):
+        raise SystemError_(f"the leading term (s/N) z eta_+ has entries {lead.min():.3g}"
+                           f" .. {lead.max():.3g}, outside the normal floats")
+
     # h(z) = e^D z^r: alpha_i(r) = k_i + 1 - N/s, alpha_i(D) = log c_i - (1/s) log c
-    cprod = float(np.prod(sys.c))
     r_vals = [float(sys.k[i]) + 1 - bigN / s for i in range(1, n + 1)]
     d_vals = [np.log(sys.c[i]) - np.log(cprod) / s for i in range(1, n + 1)]
 
     rdiag = np.array(_trace_free_diagonal(r_vals))
     ddiag = np.array(_trace_free_diagonal(d_vals))
-    P = np.diag(np.exp(ddiag + rdiag * np.log(z))).astype(complex)
+    log_h = ddiag + rdiag * np.log(z)
+    if not np.max(np.abs(log_h)) < -math.log(_TINY):
+        raise SystemError_(f"the prefactor h(z) = e^D z^r has an entry e^{np.max(np.abs(log_h)):.4g}"
+                           " or its inverse outside the normal floats")
+    P = np.diag(np.exp(log_h)).astype(complex)
     Pinv = np.linalg.inv(P)
 
     A_m1 = -(s / bigN) * z * sys.eta_plus
@@ -241,7 +265,6 @@ def formal_solution(sys: MeromorphicSystem, order: int) -> FormalSolution:
 
     lam_m1 = Pinv @ A_m1 @ P
     # internal anchor: Lambda_{-1} = -t E_+ with unit coefficients
-    t_scale = (s / bigN) * cprod ** (1.0 / s) * z ** (bigN / s)
     e_plus = sum(_affine_root_matrices(sys.rep))
     if np.max(np.abs(lam_m1 + t_scale * e_plus)) > 1e-10 * max(1.0, t_scale):
         raise ArithmeticError("prefactor does not conjugate the leading term to -t E_+")
@@ -275,25 +298,27 @@ def formal_solution(sys: MeromorphicSystem, order: int) -> FormalSolution:
         lambdas.append(lam_k)
         ys.append(y_k)
 
-    # substitute the truncation into the ODE and collect remainder coefficients
-    # S(xi) = P (Y'(xi) + Y(xi) Ups'(xi)) - A(xi) P Y(xi)
+    # substitute the truncation into the ODE and collect the remainder
+    # coefficients of xi^-2 .. xi^(K-2), the reported ones:
+    # S(xi) = P (Y'(xi) + Y(xi) Ups'(xi)) - A(xi) P Y(xi).  The products are
+    # batched, and each coefficient sums its terms in the order
+    #   k P Y_k;  (P Y_k) U_j by k, then j = -2, -1, 0, ..;  -(A_0 P) Y_k, -(A_m1 P) Y_k by k.
     K = order
+    top = K - 2
+    ystack = np.stack(ys)
+    py = P @ ystack
+    terms = [(kk - 1, kk * py[kk]) for kk in range(1, K + 1)]
+    ups = [(-2, lam_m1), (-1, lambdas[0])] + [(j - 1, lambdas[j]) for j in range(1, K)]
+    pairs = [(kk, jp, U) for kk in range(K + 1) for jp, U in ups if kk + jp <= top]
+    prods = py[[kk for kk, _, _ in pairs]] @ np.stack([U for _, _, U in pairs])
+    terms += [(kk + jp, prod) for (kk, jp, _), prod in zip(pairs, prods)]
+    am, a0 = (A_m1 @ P) @ ystack, (A_0 @ P) @ ystack
+    for kk in range(K + 1):
+        terms += [(kk - 2, -am[kk]), (kk - 1, -a0[kk])]
     coeffs: Dict[int, np.ndarray] = {}
-
-    def addc(mpow, mat):
-        coeffs[mpow] = coeffs.get(mpow, 0) + mat
-
-    for kk in range(1, K + 1):
-        addc(kk - 1, kk * (P @ ys[kk]))
-    ups = {-2: lam_m1, -1: lambdas[0]}
-    for j in range(1, K):
-        ups[j - 1] = ups.get(j - 1, 0) + lambdas[j]
-    for kk in range(0, K + 1):
-        for jp, U in ups.items():
-            addc(kk + jp, P @ ys[kk] @ U)
-    for kk in range(0, K + 1):
-        addc(kk - 2, -(A_m1 @ P @ ys[kk]))
-        addc(kk - 1, -(A_0 @ P @ ys[kk]))
+    for mpow, mat in terms:
+        if mpow <= top:
+            coeffs[mpow] = coeffs[mpow] + mat if mpow in coeffs else mat
 
     res = tuple(
         float(np.max(np.abs(coeffs.get(mp, np.zeros(1))))) for mp in range(-2, K - 1)
@@ -359,11 +384,10 @@ def _commutator(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return a @ b - b @ a
 
 
-def _magnus_generators(im: np.ndarray, k: np.ndarray, steps: int, count: int) -> np.ndarray:
-    """The first count of the steps sixth-order Magnus step generators over [0, 2 pi]."""
-    h = 2 * np.pi / steps
-    theta = h * (np.arange(count)[:, None] + _GL_NODES)          # (count, 3)
-    a = h * (im + np.exp(-1j * theta)[..., None, None] * k)      # (count, 3, n, n)
+def _magnus_generators(im: np.ndarray, k: np.ndarray, h: np.ndarray, index: np.ndarray) -> np.ndarray:
+    """The sixth-order Magnus step generators of the steps [h_j i_j, h_j (i_j + 1)], one per row j."""
+    theta = h[:, None] * (index[:, None] + _GL_NODES)                 # (rows, 3)
+    a = h[:, None, None, None] * (im + np.exp(-1j * theta)[..., None, None] * k)  # (rows, 3, n, n)
     alpha1 = a[:, 1]
     alpha2 = math.sqrt(15.0) / 3 * (a[:, 2] - a[:, 0])
     alpha3 = 10.0 / 3 * (a[:, 2] - 2 * a[:, 1] + a[:, 0])
@@ -372,12 +396,18 @@ def _magnus_generators(im: np.ndarray, k: np.ndarray, steps: int, count: int) ->
     return alpha1 + alpha3 / 12 + _commutator(-20 * alpha1 - alpha3 + c1, alpha2 + c2) / 240
 
 
-def magnus_propagators(
-    im: np.ndarray, k: np.ndarray, steps: int, count: Optional[int] = None
-) -> np.ndarray:
-    """The first count (default all) of the steps sixth-order Magnus propagators over [0, 2 pi]."""
+def magnus_propagators(im: np.ndarray, k: np.ndarray, steps, count=None) -> np.ndarray:
+    """The first count (default all) of the steps sixth-order Magnus propagators over [0, 2 pi].
+
+    steps and count may also be sequences: the propagators of each (steps,
+    count) pair, stacked in that order, are exponentiated together.
+    """
+    steps = np.atleast_1d(steps)
+    count = steps if count is None else np.atleast_1d(count)
+    h = np.repeat(2 * np.pi / steps, count)
+    index = np.concatenate([np.arange(c) for c in count])
     # the generators' intermediate stacks are freed before the exponential allocates its powers
-    return _exp_taylor(_magnus_generators(im, k, steps, steps if count is None else count))
+    return _exp_taylor(_magnus_generators(im, k, h, index))
 
 
 _EXP_COEFFS = tuple(1 / math.factorial(j) for j in range(EXP_DEGREE + 1))
@@ -464,11 +494,12 @@ def integrate_monodromy(sys: MeromorphicSystem, radius: float = 1.0) -> Integrat
         raise SystemError_(f"|lambda| = {radius:g} needs {steps} Magnus steps,"
                            f" above the cap MAX_STEPS = {MAX_STEPS}")
     phases = sector_phases(s)[:, None]
-    props = magnus_propagators(im, k, steps, per)
+    # one exponential for the sector's steps and the Richardson run's per/2 steps
+    both = magnus_propagators(im, k, (steps, steps // 2), (per, per // 2))
+    props = both[:per]
     sector = phases * tree_product(props.astype(np.clongdouble))
     mono = np.linalg.matrix_power(sector, s)
-    half_props = magnus_propagators(im, k, steps // 2, per // 2).astype(np.clongdouble)
-    half = np.linalg.matrix_power(phases * tree_product(half_props), s)
+    half = np.linalg.matrix_power(phases * tree_product(both[per:].astype(np.clongdouble)), s)
     scale = np.linalg.norm(mono)
     estimate = float(np.linalg.norm(mono - half) / (63 * scale))
     # the same propagators multiplied and powered in double precision
@@ -485,6 +516,20 @@ def integrate_monodromy(sys: MeromorphicSystem, radius: float = 1.0) -> Integrat
     return Integration(
         mono.astype(complex), sector.astype(complex), nfev, steps, estimate, rounding
     )
+
+
+@lru_cache(maxsize=None)
+def _p0_inverse_power(type_name: str) -> Tuple[np.ndarray, complex]:
+    """P0^{-s} in the registered representation and its central scalar, formed and checked once."""
+    rep = registered_representation(type_name)
+    out = _p0_power(rep)
+    out[0].flags.writeable = False
+    return out
+
+
+def _p0_power(rep: Representation) -> Tuple[np.ndarray, complex]:
+    p0_inv_s = np.linalg.matrix_power(np.linalg.inv(rep.p0_matrix()), rep.rs.coxeter_number)
+    return p0_inv_s, _central_factor(p0_inv_s)
 
 
 def _central_factor(m: np.ndarray) -> complex:
@@ -513,8 +558,11 @@ def numerical_monodromy(sys: MeromorphicSystem, radius: float = 1.0) -> Monodrom
     sd = stokes_from_asymptotics(f"A{sys.n}", sys.m_coords())
     s = sys.s
     m0s = np.linalg.matrix_power(sd.m0, s)
-    p0_inv_s = np.linalg.matrix_power(np.linalg.inv(sys.rep.p0_matrix()), s)
-    central = _central_factor(p0_inv_s)
+    name = str(sys.rep.rs.type)
+    if sys.rep is registered_representation(name):
+        p0_inv_s, central = _p0_inverse_power(name)
+    else:
+        p0_inv_s, central = _p0_power(sys.rep)
     pred = p0_inv_s @ m0s
 
     # eig(Phi(2 pi)) = eig(sector)^s, and the sector factor's spectrum is the better conditioned

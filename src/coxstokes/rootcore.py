@@ -197,6 +197,19 @@ class RootSystem:
         G.flags.writeable = False
         return G, den
 
+    @cached_property
+    def affine_rows(self) -> Tuple[Tuple[Tuple[int, ...], ...], int]:
+        """The pairing rows of alpha_1, .., alpha_l and psi as Python ints, and F.
+
+        alpha(h) = (row . h) / F, with F and the rows those of integer_form:
+        exact in integers for h given as integer numerators over one
+        denominator.  Built once per root system.
+        """
+        G, den = self.integer_form
+        rows = G.tolist()
+        psi = [sum(c * row[j] for c, row in zip(self.psi, rows)) for j in range(self.rank)]
+        return tuple(map(tuple, rows + [psi])), den
+
     def to_dyn(self, root) -> Tuple[int, ...]:
         """Dynkin labels <root, alpha_i^vee> of a vector in simple-root coordinates."""
         n = self.rank

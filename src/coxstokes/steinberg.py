@@ -11,7 +11,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction as Q
-from typing import Dict, Sequence, Tuple
+from functools import lru_cache
+from typing import Dict, NamedTuple, Sequence, Tuple
 
 import numpy as np
 
@@ -49,11 +50,27 @@ class AlcovePoint:
     sigma_fixed: bool
 
 
+def _integers(v: Sequence[Q]) -> Tuple[list, int]:
+    """Fractions as integer numerators over their least common denominator."""
+    den = math.lcm(*(c.denominator for c in v))
+    return [c.numerator * (den // c.denominator) for c in v], den
+
+
+def _dot(row: Sequence[int], v: Sequence[int]) -> int:
+    return sum(a * b for a, b in zip(row, v))
+
+
 def admissible_m(rs: RootSystem, m: Sequence) -> bool:
-    """alpha_i(m) >= -1 for i = 0..l, with alpha_0 = -psi."""
-    if any(rs.pairing(a, m) < -1 for a in rs.simple_roots):
+    """alpha_i(m) >= -1 for i = 0..l, with alpha_0 = -psi.
+
+    Exact, in integers: with m = num/den and alpha(h) = (row . h)/F over
+    rs.affine_rows, alpha(m) >= -1 reads row . num >= -F den.
+    """
+    rows, F = rs.affine_rows
+    num, den = _integers([c if isinstance(c, Q) else Q(c) for c in m])
+    if any(_dot(row, num) < -F * den for row in rows[:-1]):
         return False
-    return rs.pairing(rs.psi, m) <= 1
+    return _dot(rows[-1], num) <= F * den
 
 
 def alcove_map(rs: RootSystem, m: Sequence) -> AlcovePoint:
@@ -61,22 +78,34 @@ def alcove_map(rs: RootSystem, m: Sequence) -> AlcovePoint:
 
     The admissibility verdict is computed both from alpha_i(m) >= -1 and from
     the alcove inequalities at y; the two must agree (that equivalence is the
-    content of the proposition, so it is asserted here).
+    content of the proposition, so it is asserted here).  y and the slacks
+    are the exact Fractions, formed from integer numerators over one
+    denominator (rs.affine_rows).
     """
     s = rs.coxeter_number
     m = tuple(Q(c) if isinstance(c, int) else c for c in m)
     exact = all(isinstance(c, Q) for c in m)
     if not exact:
         m = tuple(Q(float(c)).limit_denominator(10**12) for c in m)
-    y = tuple((mi + x0i) / s for mi, x0i in zip(m, rs.x0_coords))
-    slacks = tuple(rs.pairing(a, y) for a in rs.simple_roots)
-    slack_psi = 1 - rs.pairing(rs.psi, y)
-    alcove_ok = all(sl >= 0 for sl in slacks) and slack_psi >= 0
+    l = rs.rank
+    if len(m) != l:
+        raise ValueError(f"m must have {l} components, not {len(m)}")
+    # y = num / (s den)
+    num, den = _integers(m + rs.x0_coords)
+    num = [a + b for a, b in zip(num[:l], num[l:])]
+    rows, F = rs.affine_rows
+    y_den = s * den
+    y = tuple(Q(c, y_den) for c in num)
+    slack_den = F * y_den
+    simple = [_dot(row, num) for row in rows[:-1]]
+    psi_slack = slack_den - _dot(rows[-1], num)
+    slacks = tuple(Q(c, slack_den) for c in simple)
+    alcove_ok = all(c >= 0 for c in simple) and psi_slack >= 0
     if alcove_ok != admissible_m(rs, m):
         raise ConsistencyError("alcove inequalities disagree with admissibility")
     nu = diagram_involution(rs)
-    fixed = all(y[i] == y[nu[i] - 1] for i in range(rs.rank))
-    return AlcovePoint(m, y, slacks, slack_psi, alcove_ok, fixed)
+    fixed = all(num[i] == num[nu[i] - 1] for i in range(l))
+    return AlcovePoint(m, y, slacks, Q(psi_slack, slack_den), alcove_ok, fixed)
 
 
 # -- torus character values ----------------------------------------------------
@@ -103,10 +132,11 @@ class CrossSectionFactors:
         return self.e_parts[0].shape[0]
 
     def full(self) -> np.ndarray:
-        """C = E_1 n_1 ... E_l n_l, multiplied out once."""
+        """C = E_1 n_1 ... E_l n_l, multiplied out once (read-only, since a Spectrum may hold it)."""
         if self._full is None:
             pairs = zip(self.e_parts, self.n_parts)
             self._full = _product([f for pair in pairs for f in pair], self.dim)
+            self._full.flags.writeable = False
         return self._full
 
     def a_gamma(self) -> np.ndarray:
@@ -184,8 +214,46 @@ def _section_stack(
 # -- Stokes data ----------------------------------------------------------------
 
 
+@dataclass(frozen=True, eq=False)
+class Spectrum:
+    """M0's eigenvalues and charpoly and their targets in one representation, formed once per op.
+
+    targets are e^{2 pi i mu(y)} over rep's weights and target_poly is
+    np.poly(np.diag(targets)); eigenvalues are np.linalg.eigvals(m0) and
+    charpoly np.poly(eigenvalues), which is bitwise np.poly(m0).  rep, y and
+    m0 are what they were formed from: semisimple_spectrum_check reuses them
+    only for that representation object, an equal y and that m0 array.
+    """
+
+    rep: Representation
+    y: Tuple
+    m0: np.ndarray
+    targets: np.ndarray
+    target_poly: np.ndarray
+    eigenvalues: np.ndarray
+    charpoly: np.ndarray
+
+
+def _spectrum(rep: Representation, y, m0: np.ndarray, targets=None, target_poly=None) -> Spectrum:
+    """The Spectrum of m0 in rep at y; the targets are formed here unless given."""
+    if targets is None:
+        targets = _target_eigenvalues(rep, y)
+        target_poly = np.poly(np.diag(targets))
+    eig = np.linalg.eigvals(m0)
+    return Spectrum(rep, y, m0, targets, target_poly, eig, np.poly(eig))
+
+
 @dataclass
 class StokesData:
+    """The Stokes data of one point, in the representation M0 is assembled in.
+
+    spectrum carries M0's eigenvalues and charpoly and the targets at y in
+    that representation, formed once: in the registered representation they
+    are the class solve's; under another rep they are formed for its M0.
+    dataclasses.replace keeps it, and semisimple_spectrum_check recomputes
+    whenever the representation object, y or the m0 array differ from it.
+    """
+
     type_name: str
     rep_name: str
     m: Tuple[Q, ...]
@@ -202,6 +270,8 @@ class StokesData:
     factorization_residual: float
     class_residual: float
     character_residual: float      # relative, of the fundamental characters at t
+    # M0's spectrum and its targets, not serialized (see Spectrum)
+    spectrum: Spectrum | None = field(default=None, repr=False, compare=False)
 
     def to_jsonable(self, matrices: bool = False) -> Dict:
         """The stokes document's fields; the dense m0, k1, k2, a_gamma and p0 only with matrices."""
@@ -557,17 +627,24 @@ def _closed_form(type_name: str, order: Tuple[int, ...], chi: np.ndarray) -> np.
     return t
 
 
-def _solve_class(
-    rs: RootSystem, bip: Bipartition, order: Tuple[int, ...], y
-) -> Tuple[np.ndarray, float, CrossSectionFactors, np.ndarray]:
+class ClassSolve(NamedTuple):
+    t: np.ndarray
+    residual: float                # of the registered characteristic polynomial at t
+    section: CrossSectionFactors   # registered, at t
+    chi: np.ndarray                # chi(y) in Gamma order
+    spectrum: Spectrum             # of section.full() in the registered representation
+
+
+def _solve_class(rs: RootSystem, bip: Bipartition, order: Tuple[int, ...], y) -> ClassSolve:
     """Section parameters for the class of e^{2 pi i y}, y = (m+x0)/s.
 
     Returns t, the residual r of the registered characteristic polynomial at
     t, the registered cross-section at t, whose product is M0 when M0 is
-    assembled in the registered representation, and chi(y) in Gamma order,
-    which every route starts from.  The class is solved in the
-    registered representation, whichever representation M0 is then
-    assembled in.
+    assembled in the registered representation, chi(y) in Gamma order,
+    which every route starts from, and the Spectrum of that product: the
+    registered targets and their charpoly, formed once, and the eigenvalues
+    whose charpoly gives r.  The class is solved in the registered
+    representation, whichever representation M0 is then assembled in.
 
     - Type A: chi(C(t)) = t, so t = chi(y) (in Gamma order), accepted when
       r <= CLASS_TOL.
@@ -607,19 +684,21 @@ def _solve_class(
         inf = np.full(len(poly), np.inf)
         return [np.poly(e) - poly if good else inf for e, good in zip(eig, ok)]
 
-    def solved(t, r=None) -> Tuple[np.ndarray, float, CrossSectionFactors, np.ndarray]:
+    def solved(t, r=None) -> ClassSolve:
         cs = steinberg_section(rep, bip, t)
+        spec = _spectrum(rep, y, cs.full(), reg_eig, poly)
         if r is None:
-            r = np.max(np.abs(np.poly(cs.full()) - poly))
-        return t, float(r), cs, t0
+            r = np.max(np.abs(spec.charpoly - poly))
+        return ClassSolve(t, float(r), cs, t0, spec)
 
     if rs.type.family == "A":
-        t, r, cs, _ = solved(t0)
-        if not r <= CLASS_TOL:
+        solve = solved(t0)
+        if not solve.residual <= CLASS_TOL:
             raise ConsistencyError(
-                f"type-A class: registered residual {r:.3g} (bound {CLASS_TOL:g}) at t = chi(y)"
+                f"type-A class: registered residual {solve.residual:.3g} (bound {CLASS_TOL:g})"
+                " at t = chi(y)"
             )
-        return t, r, cs, t0
+        return solve
     route1 = ""
     if rs.type.family in _ADJOINT_PLETHYSM and _distinct(reg_eig):
         t_ps, _ = _solve_power_sums(rep, bip, t0, reg_eig)
@@ -632,6 +711,52 @@ def _solve_class(
     except ConsistencyError as exc:
         raise ConsistencyError(f"class solve failed, {exc}{route1}") from None
     return solved(t)
+
+
+@dataclass(frozen=True)
+class _TypeConstants:
+    bip: Bipartition
+    order: Tuple[int, ...]           # Gamma: Pi_2 block then Pi_1 block (1-based)
+    k1_support: Tuple[Root, ...]
+    k2_support: Tuple[Root, ...]
+
+
+@lru_cache(maxsize=None)
+def _type_constants(type_name: str) -> _TypeConstants:
+    """The bipartition, Gamma order and K1, K2 supports of one type, built once per process.
+
+    Keyed by the type's name, as build_chevalley is, never by a RootSystem.
+    The Coxeter element, with its gamma^s check, is formed here once.
+    """
+    rs = build_root_system(type_name)
+    bip = bipartition(rs)
+    gamma = coxeter_element(rs, bip)
+    k1_support = tuple(rs.simple_roots[i - 1] for i in sorted(bip.i2))
+    k2_support = tuple(
+        gamma.apply(tuple(-c for c in rs.simple_roots[i - 1])) for i in sorted(bip.i1)
+    )
+    order = tuple(sorted(bip.i2)) + tuple(sorted(bip.i1))
+    return _TypeConstants(bip, order, k1_support, k2_support)
+
+
+@lru_cache(maxsize=None)
+def _support_bases(type_name: str) -> Dict[str, np.ndarray]:
+    """The least-squares bases of log K1 and log K2 in the registered representation.
+
+    Each column is rep.root_matrix of one support root, flattened; built once
+    per process, read-only.
+    """
+    rep = registered_representation(type_name)
+    consts = _type_constants(type_name)
+    bases = {}
+    for name, support in (("k1", consts.k1_support), ("k2", consts.k2_support)):
+        bases[name] = _basis(rep, support)
+        bases[name].flags.writeable = False
+    return bases
+
+
+def _basis(rep: Representation, support: Sequence[Root]) -> np.ndarray:
+    return np.stack([rep.root_matrix(r).reshape(-1) for r in support], axis=1)
 
 
 def stokes_from_asymptotics(
@@ -648,7 +773,8 @@ def stokes_from_asymptotics(
     each Gamma entry), corrected by the class solve (_solve_class) so that M0
     lies in the conjugacy class of e^{2 pi i y}.  rep (default: the
     registered representation) is the one M0, K1 and K2 are assembled in; it
-    does not change t.
+    does not change t.  The bipartition, Gamma order and supports are the
+    type's constants (_type_constants).
     """
     rs = build_root_system(type_name)
     registered = registered_representation(str(rs.type))
@@ -660,11 +786,12 @@ def stokes_from_asymptotics(
             f"m inadmissible: simple slacks {pt.slacks_simple}, psi slack {pt.slack_psi}"
         )
     y = pt.y
-    bip = bipartition(rs)
-    order = tuple(sorted(bip.i2)) + tuple(sorted(bip.i1))
-    t, class_res, cs, chi = _solve_class(rs, bip, order, y)
+    consts = _type_constants(str(rs.type))
+    order = consts.order
+    t, class_res, cs, chi, spectrum = _solve_class(rs, consts.bip, order, y)
     if rep is not registered:
-        cs = steinberg_section(rep, bip, t)
+        cs = steinberg_section(rep, consts.bip, t)
+        spectrum = _spectrum(rep, y, cs.full())
     m0 = cs.full()
     k1, k2, a_gamma = cs.rewritten()
     resid = np.max(np.abs(m0 - k1 @ k2 @ a_gamma))
@@ -672,11 +799,6 @@ def stokes_from_asymptotics(
     if resid > FACTOR_TOL * scale:
         raise ConsistencyError(f"M0 != K1 K2 A_gamma: residual {resid}")
 
-    gamma = coxeter_element(rs, bip)
-    k1_support = tuple(rs.simple_roots[i - 1] for i in sorted(bip.i2))
-    k2_support = tuple(
-        gamma.apply(tuple(-c for c in rs.simple_roots[i - 1])) for i in sorted(bip.i1)
-    )
     char_res = max(_character_residuals(str(rs.type), order, t, chi).values())
     return StokesData(
         type_name=str(rs.type),
@@ -690,11 +812,12 @@ def stokes_from_asymptotics(
         k2=k2,
         a_gamma=a_gamma,
         p0=rep.p0_matrix(),
-        k1_support=k1_support,
-        k2_support=k2_support,
+        k1_support=consts.k1_support,
+        k2_support=consts.k2_support,
         factorization_residual=float(resid),
         class_residual=float(class_res),
         character_residual=float(char_res),
+        spectrum=spectrum,
     )
 
 
@@ -732,14 +855,19 @@ def verify_factor_supports(sd: StokesData, rep: Representation | None = None) ->
     already assembled.  The coefficients are the Stokes multipliers:
     c_i t_i, with constants c_i that depend on the type and node only.
     """
+    registered = registered_representation(sd.type_name)
     if rep is None:
-        rep = registered_representation(sd.type_name)
+        rep = registered
     if rep.name != sd.rep_name:
         raise ValueError(f"{sd.rep_name} data checked in {rep.name}")
+    consts = _type_constants(sd.type_name)
+    # the type's bases serve its own supports in the registered representation
+    cached = rep is registered and (sd.k1_support, sd.k2_support) == (
+        consts.k1_support, consts.k2_support)
     residuals, multipliers = {}, {}
     for name, mat, support in (("k1", sd.k1, sd.k1_support), ("k2", sd.k2, sd.k2_support)):
         x = _unipotent_log(mat).reshape(-1)
-        basis = np.stack([rep.root_matrix(r).reshape(-1) for r in support], axis=1)
+        basis = _support_bases(sd.type_name)[name] if cached else _basis(rep, support)
         coef, *_ = np.linalg.lstsq(basis, x, rcond=None)
         res = float(np.max(np.abs(basis @ coef - x)))
         if res > FACTOR_TOL * max(1.0, float(np.max(np.abs(x)))):
@@ -771,18 +899,23 @@ def semisimple_spectrum_check(
     At regular y the eigenvalues must match pointwise; at resonant y (colliding
     predicted eigenvalues) only characteristic polynomials are compared, since
     a unipotent factor is invisible to the spectrum.
+
+    The eigenvalues, charpolys and targets are sd.spectrum's when it was
+    formed in this representation object, at an equal y and from this very
+    m0 array (so dataclasses.replace(sd, m0=...) is checked afresh); else
+    they are formed here, with the same bits.
     """
     if rep is None:
         rep = registered_representation(sd.type_name)
-    pred = _target_eigenvalues(rep, sd.y)
-    got_poly = np.poly(sd.m0)
-    want_poly = np.poly(np.diag(pred))
-    poly_res = float(np.max(np.abs(got_poly - want_poly)))
+    spec = sd.spectrum
+    if spec is None or spec.rep is not rep or spec.m0 is not sd.m0 or spec.y != sd.y:
+        spec = _spectrum(rep, sd.y, sd.m0)
+    pred = spec.targets
+    poly_res = float(np.max(np.abs(spec.charpoly - spec.target_poly)))
     regular = _distinct(pred)
     eig_res = None
     if regular:
-        got = np.linalg.eigvals(sd.m0)
-        cost = np.abs(pred[:, None] - got[None, :])
+        cost = np.abs(pred[:, None] - spec.eigenvalues[None, :])
         ri, ci = linear_assignment(cost)
         eig_res = float(cost[ri, ci].max())
     ok = poly_res <= POLY_TOL and (eig_res is None or eig_res <= EIG_TOL)

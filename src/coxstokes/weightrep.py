@@ -185,7 +185,8 @@ class Representation:
         got = self._float_mats.get((kind, i))
         if got is None:
             exact = self.e_chev[i] if kind == "e" else self.f_chev[i]
-            got = np.array([[float(x) for x in row] for row in exact])
+            # int / int rounds correctly, as float(Fraction) does
+            got = np.array([[x.numerator / x.denominator for x in row] for row in exact.tolist()])
             got.flags.writeable = False
             self._float_mats[(kind, i)] = got
         return got
@@ -227,7 +228,7 @@ class Representation:
         ht = sum(root)
         if ht == 1 and root in rs.simple_roots:
             i = rs.simple_roots.index(root)
-            li = rs.inner(root, root) / 2
+            li = rs.form[i][i] / 2
             out = float(li) * self.e_float(i).astype(np.complex128)
         elif ht == -1 and tuple(-c for c in root) in rs.simple_roots:
             i = rs.simple_roots.index(tuple(-c for c in root))

@@ -1,16 +1,19 @@
 import dataclasses
 import json
 import os
+import re
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import pytest
 
 import coxstokes
 from character_reference import MULTIPLIER_CONSTANTS
-from coxstokes import cli, oracle
+from coxstokes import characters, cli, oracle
 from coxstokes.chevalley import InvariantViolation
+from coxstokes.rootcore import INT_LIMIT, check_bound
 from coxstokes.cli import EXIT_DOMAIN, EXIT_OK, EXIT_USAGE, EXIT_VERIFY, main
 
 
@@ -262,6 +265,39 @@ def test_bad_rational_exits_without_traceback():
 
 def test_monodromy_domain_error():
     assert run(["monodromy", "--rank", "2", "--k", "0,1,2"]) == EXIT_DOMAIN
+
+
+@pytest.mark.parametrize("argv, reason", [
+    (["--z", "1e307", "--k", "0,1,1"], r"leading coefficient t = \(s/N\) c\^\(1/s\) z\^\(N/s\) = inf "),
+    (["--k", "4", "--z", "1e-70"], r"leading coefficient t = \(s/N\) c\^\(1/s\) z\^\(N/s\) = 0 "),
+    (["--k=4,-1,-1", "--z", "1e-70"], r"leading term \(s/N\) z eta_\+ has entries 0 "),
+])
+def test_extreme_z_is_refused_before_anything_overflows(argv, reason, capsys):
+    # before: an OverflowError traceback (exit 1), numpy's "invalid value
+    # encountered in divide" before exit 2, and a LinAlgError traceback
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert run(["monodromy", "--rank", "2", *argv]) == EXIT_DOMAIN
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+    err = capsys.readouterr().err
+    assert err.startswith("domain error: ") and re.search(reason, err)
+
+
+def test_out_of_scale_rank_is_a_domain_error(monkeypatch, capsys):
+    # the int64 root keys of A_l fit up to l = 26 (2 * 5^l < 2^62); from l = 27
+    # the type is refused as out of scale, as a too-large character table is
+    assert run(["monodromy", "--rank", "27", "--k", "0"]) == EXIT_DOMAIN
+    assert "domain error: root keys for A27 reach 14901161193847656250, out of int64 scale" in (
+        capsys.readouterr().err)
+    # A26 builds its tables and stops at the character-table cap, lowered here
+    # from 10^6 (hit at omega_8 after 30 s) to 1000 (hit at omega_4)
+    monkeypatch.setattr(characters, "DEFAULT_DIM_CAP", 1000)
+    assert run(["monodromy", "--rank", "26", "--k", "0"]) == EXIT_DOMAIN
+    assert "domain error: character table for A26 omega_4 has dimension 17550" in (
+        capsys.readouterr().err)
+    # elsewhere an int64 bound stays a broken invariant
+    with pytest.raises(InvariantViolation, match="could overflow int64"):
+        check_bound(INT_LIMIT, "a product")
 
 
 def test_monodromy_integrator_failure_is_a_verification_failure(monkeypatch, capsys):

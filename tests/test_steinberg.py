@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import random
 import re
@@ -79,10 +80,19 @@ def test_alcove_equivalence_random(name):
     # admissibility alpha_i(m) >= -1 agrees with the alcove inequalities, exactly
     rs = build_root_system(name)
     rng = random.Random(name)
+    s = rs.coxeter_number
     for _ in range(100):
         m = rand_rational_vec(rng, rs.rank)
         pt = alcove_map(rs, m)   # asserts agreement internally
         assert pt.admissible == admissible_m(rs, m)
+        # the integer rows give the Fractions of the form itself
+        y = tuple((mi + x0i) / s for mi, x0i in zip(m, rs.x0_coords))
+        assert pt.y == y
+        assert pt.slacks_simple == tuple(rs.pairing(a, y) for a in rs.simple_roots)
+        assert pt.slack_psi == 1 - rs.pairing(rs.psi, y)
+        assert admissible_m(rs, m) == (
+            all(rs.pairing(a, m) >= -1 for a in rs.simple_roots) and rs.pairing(rs.psi, m) <= 1
+        )
 
 
 @pytest.mark.parametrize("name,needs_sigma", [("A3", True), ("D5", True), ("E6", True), ("B3", False)])
@@ -234,6 +244,74 @@ def test_alcove_disagreement_is_consistency_error(monkeypatch):
     with pytest.raises(ConsistencyError, match="disagree"):
         alcove_map(build_root_system("A2"), [Q(0), Q(0)])
     assert main(["stokes", "--type", "A2", "--m=0,0"]) == EXIT_VERIFY
+
+
+# -- the spectrum carried in StokesData --------------------------------------------------
+
+# the 22 stokes points of the benchmark: its interior points, every vertex of
+# B3, C3 and G2, and vertex 0 of D4
+BENCH_POINTS = [
+    ("B3", "-1/8,-5/4,-15/8"), ("B3", "0,-7/4,-21/8"), ("C3", "1/2,7/4,11/8"),
+    ("C3", "-7/4,-13/4,-13/8"), ("G2", "-45/8,-13/4"), ("G2", "-13/8,-1"),
+    ("D4", "-7/8,-1,-1/2,-3/4"), ("D4", "-3/2,-11/4,-7/4,-3/2"), ("B4", "2/3,0,1/6,1/6"),
+    ("B4", "7/6,2/3,1/3,-1/2"), ("B3", "-3,-5,-6"), ("B3", "3,1,0"), ("B3", "0,1,0"),
+    ("B3", "0,1,3"), ("C3", "-5,-8,-9/2"), ("C3", "1,-2,-3/2"), ("C3", "1,4,3/2"),
+    ("C3", "1,4,9/2"), ("G2", "-9,-5"), ("G2", "3,1"), ("G2", "0,1"), ("D4", "-3,-5,-3,-3"),
+]
+
+
+def test_carried_spectrum_report_is_the_fresh_check(monkeypatch):
+    # the report that reads sd.spectrum equals, bit for bit, the check formed
+    # from scratch, which never sees the class solve's eigenvalues
+    fresh = {}
+    for name, m_text in BENCH_POINTS:
+        sd = stokes_from_asymptotics(name, [Q(c) for c in m_text.split(",")])
+        assert sd.spectrum.m0 is sd.m0
+        fresh[name, m_text] = (sd, semisimple_spectrum_check(dataclasses.replace(sd, spectrum=None)))
+
+    def forbidden(*args):
+        raise AssertionError("carried spectrum formed again")
+
+    monkeypatch.setattr(steinberg, "_spectrum", forbidden)
+    for sd, want in fresh.values():
+        got = semisimple_spectrum_check(sd)
+        assert (got.regular, got.ok) == (want.regular, want.ok)
+        assert np.array_equal([got.charpoly_residual], [want.charpoly_residual])
+        assert got.eigenvalue_residual == want.eigenvalue_residual
+
+
+def test_tampered_m0_is_checked_afresh():
+    sd = stokes_from_asymptotics("B3", [Q(0), Q(1), Q(3)])
+    assert semisimple_spectrum_check(sd).ok
+    with pytest.raises(ValueError, match="read-only"):
+        sd.m0[0, 0] += 1
+    tampered = sd.m0.copy()
+    tampered[0, 0] += 1e-3
+    chk = semisimple_spectrum_check(dataclasses.replace(sd, m0=tampered))
+    assert not chk.ok and chk.charpoly_residual > 1e-4
+    # a changed y is checked against its own targets too
+    moved = dataclasses.replace(sd, y=alcove_map(build_root_system("B3"), [Q(0)] * 3).y)
+    assert not semisimple_spectrum_check(moved).ok
+
+
+@pytest.mark.parametrize("name,index", [("B3", 3), ("D4", 4), ("G2", 2)])
+def test_rep_stokes_data_carries_the_targets_of_its_representation(name, index):
+    rs = build_root_system(name)
+    rep = fundamental_representation(name, index)
+    m = [Q(1, 7)] * rs.rank
+    sd = stokes_from_asymptotics(name, m, rep=rep)
+    spec = sd.spectrum
+    assert spec.rep is rep and spec.m0 is sd.m0 and spec.y == sd.y
+    want = np.exp(2j * np.pi * rep.weight_values(sd.y))
+    assert np.array_equal(spec.targets, want)
+    assert np.array_equal(spec.target_poly, np.poly(np.diag(want)))
+    assert np.array_equal(spec.charpoly, np.poly(sd.m0))
+    got = semisimple_spectrum_check(sd, rep)
+    fresh = semisimple_spectrum_check(dataclasses.replace(sd, spectrum=None), rep)
+    assert got == fresh and got.ok
+    # the class solve's registered spectrum is not the one carried
+    reg = stokes_from_asymptotics(name, m).spectrum
+    assert reg.rep is registered_representation(name) and reg.rep is not rep
 
 
 # -- cached cross-section factors ------------------------------------------------------
@@ -560,7 +638,7 @@ def test_type_a_characters_are_the_section_parameters(name, parts, y):
     order = tuple(sorted(bip.i2)) + tuple(sorted(bip.i1))
     y = y[:l]
     chi = torus_character_values(rs, [fundamental_characters(name, k) for k in order], y)
-    got, r, _, got_chi = steinberg._solve_class(rs, bip, order, y)
+    got, r, _, got_chi, _ = steinberg._solve_class(rs, bip, order, y)
     assert np.array_equal(got, chi) and r <= steinberg.CLASS_TOL
     assert np.array_equal(got_chi, chi)
 

@@ -237,6 +237,9 @@ def test_weight_values_equal_exact_pairing(name):
                                                  rng.integers(1, 25, rs.rank)))
         for _ in range(3)
     ]
+    # denominators past 2^53 take the Python-int path: floats at their binary
+    # value, and 3^40
+    points += [tuple(float(c) for c in points[1]), tuple(c + Q(1, 3**40) for c in points[2])]
     tables = [k for k in range(1, rs.rank + 1) if fundamental_characters(name, k).dim <= 300]
     for h in points:
         want = [float(weight_pairing(rs, w, h)) for w in rep.basis_weights]
