@@ -214,8 +214,7 @@ def _section_stack(
 # -- Stokes data ----------------------------------------------------------------
 
 
-@dataclass(frozen=True, eq=False)
-class Spectrum:
+class Spectrum(NamedTuple):
     """M0's eigenvalues and charpoly and their targets in one representation, formed once per op.
 
     targets are e^{2 pi i mu(y)} over rep's weights and target_poly is
@@ -713,8 +712,7 @@ def _solve_class(rs: RootSystem, bip: Bipartition, order: Tuple[int, ...], y) ->
     return solved(t)
 
 
-@dataclass(frozen=True)
-class _TypeConstants:
+class _TypeConstants(NamedTuple):
     bip: Bipartition
     order: Tuple[int, ...]           # Gamma: Pi_2 block then Pi_1 block (1-based)
     k1_support: Tuple[Root, ...]
