@@ -48,7 +48,7 @@ from .rootcore import (
 
 
 class RootKeyScaleError(ValueError):
-    """The type has too many simple roots for the int64 root keys (A_l from l = 27)."""
+    """The type is too large for the int64 root keys (A_l from l = 27; B_l, C_l, D_l from 20)."""
 
 
 def _exact_div(num: int, den: int) -> int:

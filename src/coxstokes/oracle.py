@@ -230,8 +230,9 @@ def formal_solution(sys: MeromorphicSystem, order: int) -> FormalSolution:
     s, bigN, z = sys.s, float(sys.bigN), sys.z
 
     # The leading term is Lambda_{-1} = -t E_+ with t = (s/N) c^{1/s} z^{N/s},
-    # c = prod c_i; t and every entry of h(z) and h(z)^{-1} must be normal
-    # floats, checked before anything overflows or divides by zero.
+    # c = prod c_i; t, the entries (s/N) z p_i of A_{-1} and every entry of
+    # h(z) and h(z)^{-1} must be normal floats, checked before anything
+    # overflows or divides by zero.
     with np.errstate(over="ignore"):
         cprod = float(np.prod(sys.c))
     try:
@@ -254,8 +255,9 @@ def formal_solution(sys: MeromorphicSystem, order: int) -> FormalSolution:
     rdiag = np.array(_trace_free_diagonal(r_vals))
     ddiag = np.array(_trace_free_diagonal(d_vals))
     log_h = ddiag + rdiag * np.log(z)
-    if not np.max(np.abs(log_h)) < -math.log(_TINY):
-        raise SystemError_(f"the prefactor h(z) = e^D z^r has an entry e^{np.max(np.abs(log_h)):.4g}"
+    top = np.max(np.abs(log_h))
+    if not top < -math.log(_TINY):
+        raise SystemError_(f"the prefactor h(z) = e^D z^r has an entry e^{top:.4g}"
                            " or its inverse outside the normal floats")
     P = np.diag(np.exp(log_h)).astype(complex)
     Pinv = np.linalg.inv(P)
@@ -384,8 +386,10 @@ def _commutator(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return a @ b - b @ a
 
 
-def _magnus_generators(im: np.ndarray, k: np.ndarray, h: np.ndarray, index: np.ndarray) -> np.ndarray:
-    """The sixth-order Magnus step generators of the steps [h_j i_j, h_j (i_j + 1)], one per row j."""
+def _magnus_generators(
+    im: np.ndarray, k: np.ndarray, h: np.ndarray, index: np.ndarray
+) -> np.ndarray:
+    """The sixth-order Magnus generators of the steps [h_j i_j, h_j (i_j + 1)], one per row j."""
     theta = h[:, None] * (index[:, None] + _GL_NODES)                 # (rows, 3)
     a = h[:, None, None, None] * (im + np.exp(-1j * theta)[..., None, None] * k)  # (rows, 3, n, n)
     alpha1 = a[:, 1]

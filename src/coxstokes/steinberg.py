@@ -132,7 +132,7 @@ class CrossSectionFactors:
         return self.e_parts[0].shape[0]
 
     def full(self) -> np.ndarray:
-        """C = E_1 n_1 ... E_l n_l, multiplied out once (read-only, since a Spectrum may hold it)."""
+        """C = E_1 n_1 ... E_l n_l, multiplied out once (read-only: a Spectrum may hold it)."""
         if self._full is None:
             pairs = zip(self.e_parts, self.n_parts)
             self._full = _product([f for pair in pairs for f in pair], self.dim)
