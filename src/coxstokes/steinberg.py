@@ -217,11 +217,12 @@ def _section_stack(
 class Spectrum(NamedTuple):
     """M0's eigenvalues and charpoly and their targets in one representation, formed once per op.
 
-    targets are e^{2 pi i mu(y)} over rep's weights and target_poly is
-    np.poly(np.diag(targets)); eigenvalues are np.linalg.eigvals(m0) and
-    charpoly np.poly(eigenvalues), which is bitwise np.poly(m0).  rep, y and
-    m0 are what they were formed from: semisimple_spectrum_check reuses them
-    only for that representation object, an equal y and that m0 array.
+    targets are e^{2 pi i mu(y)} over rep's weights, target_poly is
+    np.poly(np.diag(targets)) and regular says that no two targets collide
+    (_distinct); eigenvalues are np.linalg.eigvals(m0) and charpoly
+    np.poly(eigenvalues), which is bitwise np.poly(m0).  rep, y and m0 are
+    what they were formed from: semisimple_spectrum_check reuses them only
+    for that representation object, an equal y and that m0 array.
     """
 
     rep: Representation
@@ -229,17 +230,23 @@ class Spectrum(NamedTuple):
     m0: np.ndarray
     targets: np.ndarray
     target_poly: np.ndarray
+    regular: bool
     eigenvalues: np.ndarray
     charpoly: np.ndarray
 
 
-def _spectrum(rep: Representation, y, m0: np.ndarray, targets=None, target_poly=None) -> Spectrum:
-    """The Spectrum of m0 in rep at y; the targets are formed here unless given."""
+def _targets(rep: Representation, y) -> Tuple[np.ndarray, np.ndarray, bool]:
+    """The targets at y in rep, their charpoly and whether they are distinct (see Spectrum)."""
+    targets = _target_eigenvalues(rep, y)
+    return targets, np.poly(np.diag(targets)), _distinct(targets)
+
+
+def _spectrum(rep: Representation, y, m0: np.ndarray, targets=None) -> Spectrum:
+    """The Spectrum of m0 in rep at y; the _targets triple is formed here unless given."""
     if targets is None:
-        targets = _target_eigenvalues(rep, y)
-        target_poly = np.poly(np.diag(targets))
+        targets = _targets(rep, y)
     eig = np.linalg.eigvals(m0)
-    return Spectrum(rep, y, m0, targets, target_poly, eig, np.poly(eig))
+    return Spectrum(rep, y, m0, *targets, eig, np.poly(eig))
 
 
 @dataclass
@@ -610,20 +617,13 @@ def _character_residuals(
 def _closed_form(type_name: str, order: Tuple[int, ...], chi: np.ndarray) -> np.ndarray:
     """t with chi(C(t)) = chi, both in Gamma order, read off t(chi) (character_map).
 
-    No section is evaluated.  Returns t, after checking the relative character
-    residual max |chi_i(C(t)) - chi_i| / max(1, |chi_i|) (_character_residuals);
-    above CHAR_TOL ConsistencyError names it, the bound and the worst node.
+    No section is evaluated, and nothing is checked: _solve_class checks the
+    relative character residual max |chi_i(C(t)) - chi_i| / max(1, |chi_i|)
+    of the returned t (_character_residuals) against CHAR_TOL.
     """
     _, t_of_chi = character_map(type_name)
     t = _evaluate(t_of_chi, dict(zip(order, chi)))
-    t = np.array([t[node] for node in order])
-    res = _character_residuals(type_name, order, t, chi)
-    node = max(order, key=res.get)
-    if not res[node] <= CHAR_TOL:
-        raise ConsistencyError(
-            f"closed form: character residual {res[node]:.3g} (bound {CHAR_TOL:g}) at node {node}"
-        )
-    return t
+    return np.array([t[node] for node in order])
 
 
 class ClassSolve(NamedTuple):
@@ -632,6 +632,7 @@ class ClassSolve(NamedTuple):
     section: CrossSectionFactors   # registered, at t
     chi: np.ndarray                # chi(y) in Gamma order
     spectrum: Spectrum             # of section.full() in the registered representation
+    character_residual: float      # relative, of the fundamental characters at t
 
 
 def _solve_class(rs: RootSystem, bip: Bipartition, order: Tuple[int, ...], y) -> ClassSolve:
@@ -640,10 +641,12 @@ def _solve_class(rs: RootSystem, bip: Bipartition, order: Tuple[int, ...], y) ->
     Returns t, the residual r of the registered characteristic polynomial at
     t, the registered cross-section at t, whose product is M0 when M0 is
     assembled in the registered representation, chi(y) in Gamma order,
-    which every route starts from, and the Spectrum of that product: the
-    registered targets and their charpoly, formed once, and the eigenvalues
-    whose charpoly gives r.  The class is solved in the registered
-    representation, whichever representation M0 is then assembled in.
+    which every route starts from, the Spectrum of that product (the
+    registered targets, their charpoly and distinctness, formed once, and
+    the eigenvalues whose charpoly gives r) and the relative character
+    residual at t (_character_residuals), formed once.  The class is solved
+    in the registered representation, whichever representation M0 is then
+    assembled in.
 
     - Type A: chi(C(t)) = t, so t = chi(y) (in Gamma order), accepted when
       r <= CLASS_TOL.
@@ -673,22 +676,25 @@ def _solve_class(rs: RootSystem, bip: Bipartition, order: Tuple[int, ...], y) ->
     and 22.  Every stacked row is bitwise its single evaluation, so t and r
     are bitwise those of evaluating one t at a time.
     """
-    rep = registered_representation(str(rs.type))
-    t0 = torus_character_values(rs, [fundamental_characters(str(rs.type), k) for k in order], y)
-    reg_eig = _target_eigenvalues(rep, y)
-    poly = np.poly(np.diag(reg_eig))
+    name = str(rs.type)
+    rep = registered_representation(name)
+    t0 = torus_character_values(rs, [fundamental_characters(name, k) for k in order], y)
+    targets = _targets(rep, y)
+    reg_eig, poly, distinct = targets
 
     def registered_residual(ts) -> list:
         eig, ok = _section_spectra(rep, bip, ts)
         inf = np.full(len(poly), np.inf)
         return [np.poly(e) - poly if good else inf for e, good in zip(eig, ok)]
 
-    def solved(t, r=None) -> ClassSolve:
+    def solved(t, r=None, char=None) -> ClassSolve:
         cs = steinberg_section(rep, bip, t)
-        spec = _spectrum(rep, y, cs.full(), reg_eig, poly)
+        spec = _spectrum(rep, y, cs.full(), targets)
         if r is None:
             r = np.max(np.abs(spec.charpoly - poly))
-        return ClassSolve(t, float(r), cs, t0, spec)
+        if char is None:
+            char = _character_residuals(name, order, t, t0)
+        return ClassSolve(t, float(r), cs, t0, spec, max(char.values()))
 
     if rs.type.family == "A":
         solve = solved(t0)
@@ -699,17 +705,21 @@ def _solve_class(rs: RootSystem, bip: Bipartition, order: Tuple[int, ...], y) ->
             )
         return solve
     route1 = ""
-    if rs.type.family in _ADJOINT_PLETHYSM and _distinct(reg_eig):
+    if rs.type.family in _ADJOINT_PLETHYSM and distinct:
         t_ps, _ = _solve_power_sums(rep, bip, t0, reg_eig)
         t, r = _gauss_newton(registered_residual, t_ps, SOLVE_TOL, 60, 1, seed=0)
         if r <= CLASS_TOL:
             return solved(t, r)
         route1 = f"; power-sum route: registered residual {r:.3g} (bound {CLASS_TOL:g})"
-    try:
-        t = _closed_form(str(rs.type), order, t0)
-    except ConsistencyError as exc:
-        raise ConsistencyError(f"class solve failed, {exc}{route1}") from None
-    return solved(t)
+    t = _closed_form(name, order, t0)
+    char = _character_residuals(name, order, t, t0)
+    node = max(order, key=char.get)
+    if not char[node] <= CHAR_TOL:
+        raise ConsistencyError(
+            f"class solve failed, closed form: character residual {char[node]:.3g}"
+            f" (bound {CHAR_TOL:g}) at node {node}{route1}"
+        )
+    return solved(t, char=char)
 
 
 class _TypeConstants(NamedTuple):
@@ -786,7 +796,7 @@ def stokes_from_asymptotics(
     y = pt.y
     consts = _type_constants(str(rs.type))
     order = consts.order
-    t, class_res, cs, chi, spectrum = _solve_class(rs, consts.bip, order, y)
+    t, class_res, cs, _, spectrum, char_res = _solve_class(rs, consts.bip, order, y)
     if rep is not registered:
         cs = steinberg_section(rep, consts.bip, t)
         spectrum = _spectrum(rep, y, cs.full())
@@ -796,8 +806,6 @@ def stokes_from_asymptotics(
     scale = max(1.0, np.max(np.abs(m0)))
     if resid > FACTOR_TOL * scale:
         raise ConsistencyError(f"M0 != K1 K2 A_gamma: residual {resid}")
-
-    char_res = max(_character_residuals(str(rs.type), order, t, chi).values())
     return StokesData(
         type_name=str(rs.type),
         rep_name=rep.name,
@@ -910,7 +918,7 @@ def semisimple_spectrum_check(
         spec = _spectrum(rep, sd.y, sd.m0)
     pred = spec.targets
     poly_res = float(np.max(np.abs(spec.charpoly - spec.target_poly)))
-    regular = _distinct(pred)
+    regular = spec.regular
     eig_res = None
     if regular:
         cost = np.abs(pred[:, None] - spec.eigenvalues[None, :])

@@ -210,7 +210,7 @@ def test_route1_is_bitwise_the_sequential_solve(name, m_text):
     (rs, bip, order, y, rep, t0, reg_eig), (t_ps, r_ps), (t, r) = _sequential_route1(name, m_text)
     got_ps = steinberg._solve_power_sums(rep, bip, t0, reg_eig)
     assert same_bits(got_ps[0], t_ps) and same_bits(got_ps[1], r_ps)
-    got_t, got_r, cs, chi, _ = steinberg._solve_class(rs, bip, order, y)
+    got_t, got_r, cs, chi, _, _ = steinberg._solve_class(rs, bip, order, y)
     assert r <= steinberg.CLASS_TOL
     assert same_bits(got_t, t) and same_bits(got_r, r)
     assert same_bits(cs.full(), steinberg_section(rep, bip, t).full())
