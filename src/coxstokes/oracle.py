@@ -93,7 +93,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction as Q
 from functools import lru_cache
-from typing import Dict, List, NamedTuple, Sequence, Tuple
+from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -400,18 +400,14 @@ def _magnus_generators(
     return alpha1 + alpha3 / 12 + _commutator(-20 * alpha1 - alpha3 + c1, alpha2 + c2) / 240
 
 
-def magnus_propagators(im: np.ndarray, k: np.ndarray, steps, count=None) -> np.ndarray:
-    """The first count (default all) of the steps sixth-order Magnus propagators over [0, 2 pi].
-
-    steps and count may also be sequences: the propagators of each (steps,
-    count) pair, stacked in that order, are exponentiated together.
-    """
-    steps = np.atleast_1d(steps)
-    count = steps if count is None else np.atleast_1d(count)
-    h = np.repeat(2 * np.pi / steps, count)
-    index = np.concatenate([np.arange(c) for c in count])
+def magnus_propagators(
+    im: np.ndarray, k: np.ndarray, steps: int, count: Optional[int] = None
+) -> np.ndarray:
+    """The first count (default all) of the steps sixth-order Magnus propagators over [0, 2 pi]."""
+    count = steps if count is None else count
+    h = np.full(count, 2 * np.pi / steps)
     # the generators' intermediate stacks are freed before the exponential allocates its powers
-    return _exp_taylor(_magnus_generators(im, k, h, index))
+    return _exp_taylor(_magnus_generators(im, k, h, np.arange(count)))
 
 
 _EXP_COEFFS = tuple(1 / math.factorial(j) for j in range(EXP_DEGREE + 1))
@@ -499,7 +495,9 @@ def integrate_monodromy(sys: MeromorphicSystem, radius: float = 1.0) -> Integrat
                            f" above the cap MAX_STEPS = {MAX_STEPS}")
     phases = sector_phases(s)[:, None]
     # one exponential for the sector's steps and the Richardson run's per/2 steps
-    both = magnus_propagators(im, k, (steps, steps // 2), (per, per // 2))
+    h = np.repeat(2 * np.pi / np.array([steps, steps // 2]), (per, per // 2))
+    index = np.concatenate((np.arange(per), np.arange(per // 2)))
+    both = _exp_taylor(_magnus_generators(im, k, h, index))
     props = both[:per]
     sector = phases * tree_product(props.astype(np.clongdouble))
     mono = np.linalg.matrix_power(sector, s)
@@ -526,14 +524,10 @@ def integrate_monodromy(sys: MeromorphicSystem, radius: float = 1.0) -> Integrat
 def _p0_inverse_power(type_name: str) -> Tuple[np.ndarray, complex]:
     """P0^{-s} in the registered representation and its central scalar, formed and checked once."""
     rep = registered_representation(type_name)
-    out = _p0_power(rep)
-    out[0].flags.writeable = False
-    return out
-
-
-def _p0_power(rep: Representation) -> Tuple[np.ndarray, complex]:
     p0_inv_s = np.linalg.matrix_power(np.linalg.inv(rep.p0_matrix()), rep.rs.coxeter_number)
-    return p0_inv_s, _central_factor(p0_inv_s)
+    central = _central_factor(p0_inv_s)
+    p0_inv_s.flags.writeable = False
+    return p0_inv_s, central
 
 
 def _central_factor(m: np.ndarray) -> complex:
@@ -562,11 +556,7 @@ def numerical_monodromy(sys: MeromorphicSystem, radius: float = 1.0) -> Monodrom
     sd = stokes_from_asymptotics(f"A{sys.n}", sys.m_coords())
     s = sys.s
     m0s = np.linalg.matrix_power(sd.m0, s)
-    name = str(sys.rep.rs.type)
-    if sys.rep is registered_representation(name):
-        p0_inv_s, central = _p0_inverse_power(name)
-    else:
-        p0_inv_s, central = _p0_power(sys.rep)
+    p0_inv_s, central = _p0_inverse_power(str(sys.rep.rs.type))
     pred = p0_inv_s @ m0s
 
     # eig(Phi(2 pi)) = eig(sector)^s, and the sector factor's spectrum is the better conditioned

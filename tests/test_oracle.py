@@ -174,9 +174,9 @@ def test_radius_and_z_must_be_finite_and_positive(option, value, capsys):
 
 def test_step_cap_refuses_before_any_propagator(monkeypatch):
     def refuse(*args, **kwargs):
-        raise AssertionError("magnus_propagators called past the step cap")
+        raise AssertionError("Magnus generators formed past the step cap")
 
-    monkeypatch.setattr(oracle, "magnus_propagators", refuse)
+    monkeypatch.setattr(oracle, "_magnus_generators", refuse)
     sys3 = build_system(2, [1, 1, 1], [0, 1, 1], 1.0)
     for radius in (1e-6, 1e-300):
         with pytest.raises(SystemError_, match=f"above the cap MAX_STEPS = {oracle.MAX_STEPS}"):
