@@ -136,23 +136,40 @@ def _freudenthal(rs: RootSystem, lam: Weight) -> Dict[Weight, int]:
 
 
 @lru_cache(maxsize=None)
-def fundamental_characters(type_name: str, index: int) -> CharacterTable:
-    """Weight/multiplicity table of the fundamental representation V(omega_index).
-
-    index is 1-based.  Raises CharacterScaleError when the Weyl dimension
-    exceeds DEFAULT_DIM_CAP ("out of desk scale").
-    """
+def fundamental_dims(type_name: str) -> Tuple[int, ...]:
+    """The Weyl dimensions of V(omega_1), .., V(omega_l), formed once per type."""
     rs = build_root_system(type_name)
-    if not 1 <= index <= rs.rank:
-        raise ValueError(f"fundamental index must be 1..{rs.rank}")
-    lam = tuple(int(i == index - 1) for i in range(rs.rank))
-    dim = weyl_dim(rs, lam)
+    return tuple(weyl_dim(rs, tuple(int(i == j) for i in range(rs.rank))) for j in range(rs.rank))
+
+
+def fundamental_dim(type_name: str, index: int) -> int:
+    """The Weyl dimension of V(omega_index), index 1-based.
+
+    Raises CharacterScaleError when it exceeds DEFAULT_DIM_CAP ("out of desk
+    scale"), before anything of that size is built.
+    """
+    dims = fundamental_dims(type_name)
+    if not 1 <= index <= len(dims):
+        raise ValueError(f"fundamental index must be 1..{len(dims)}")
+    dim = dims[index - 1]
     if dim > DEFAULT_DIM_CAP:
         raise CharacterScaleError(
             f"character table for {type_name} omega_{index} has dimension {dim}, "
             f"out of desk scale (cap {DEFAULT_DIM_CAP})"
         )
+    return dim
 
+
+@lru_cache(maxsize=None)
+def fundamental_characters(type_name: str, index: int) -> CharacterTable:
+    """Weight/multiplicity table of the fundamental representation V(omega_index).
+
+    index is 1-based.  Raises CharacterScaleError when the Weyl dimension
+    exceeds DEFAULT_DIM_CAP (fundamental_dim).
+    """
+    dim = fundamental_dim(type_name, index)
+    rs = build_root_system(type_name)
+    lam = tuple(int(i == index - 1) for i in range(rs.rank))
     mult = _freudenthal(rs, lam)
     weights: List[Tuple[Weight, int]] = []
     for mu, m in mult.items():

@@ -312,8 +312,8 @@ def cmd_stokes(args) -> int:
         _emit(_validate("slack", slack), args.json_out)
         raise InadmissibleError(f"m = {m} is not admissible (see slack report)")
     sd = stokes_from_asymptotics(str(rs.type), pt, rep=rep)
-    supports = verify_factor_supports(sd, rep)
-    chk = semisimple_spectrum_check(sd, rep=rep)
+    supports = verify_factor_supports(sd)
+    chk = semisimple_spectrum_check(sd)
     doc = sd.to_jsonable(matrices=args.matrices)
     doc["alcove"] = alcove
     doc["support_residuals"] = supports.residuals

@@ -222,7 +222,8 @@ def formal_solution(sys: MeromorphicSystem, order: int) -> FormalSolution:
     Torus components project onto the centralizer of the leading term; the
     off-torus parts invert ad(Lambda_{-1}).  The truncated series is then
     substituted back into the ODE and the low-order remainder coefficients
-    are returned (they must vanish).
+    are returned (they must vanish).  A system whose coefficients or
+    remainder leave the finite floats is refused (SystemError_).
     """
     if not 1 <= order <= 30:
         raise ValueError("order must be 1..30")
@@ -286,45 +287,51 @@ def formal_solution(sys: MeromorphicSystem, order: int) -> FormalSolution:
         Yp = np.divide(off, gaps, out=np.zeros_like(off), where=off_diag)
         return lam_part, V @ Yp @ Vinv
 
-    F0 = Pinv @ A_0 @ P
-    lambdas: List[np.ndarray] = []
-    ys: List[np.ndarray] = [np.eye(n + 1, dtype=complex)]  # Y_0 = I
-    lam0, y1 = proj_parts(F0)
-    lambdas.append(lam0)
-    ys.append(y1)
-    for kk in range(2, order + 1):
-        F = F0 @ ys[kk - 1] - (kk - 1) * ys[kk - 1]
-        for nn in range(1, kk):
-            F = F - ys[nn] @ lambdas[kk - 1 - nn]
-        lam_k, y_k = proj_parts(F)
-        lambdas.append(lam_k)
-        ys.append(y_k)
+    # without numpy's warnings: terms that leave the finite floats are refused
+    # below, so stderr holds only the domain error
+    with np.errstate(all="ignore"):
+        F0 = Pinv @ A_0 @ P
+        lambdas: List[np.ndarray] = []
+        ys: List[np.ndarray] = [np.eye(n + 1, dtype=complex)]  # Y_0 = I
+        lam0, y1 = proj_parts(F0)
+        lambdas.append(lam0)
+        ys.append(y1)
+        for kk in range(2, order + 1):
+            F = F0 @ ys[kk - 1] - (kk - 1) * ys[kk - 1]
+            for nn in range(1, kk):
+                F = F - ys[nn] @ lambdas[kk - 1 - nn]
+            lam_k, y_k = proj_parts(F)
+            lambdas.append(lam_k)
+            ys.append(y_k)
 
-    # substitute the truncation into the ODE and collect the remainder
-    # coefficients of xi^-2 .. xi^(K-2), the reported ones:
-    # S(xi) = P (Y'(xi) + Y(xi) Ups'(xi)) - A(xi) P Y(xi).  The products are
-    # batched, and each coefficient sums its terms in the order
-    #   k P Y_k;  (P Y_k) U_j by k, then j = -2, -1, 0, ..;  -(A_0 P) Y_k, -(A_m1 P) Y_k by k.
-    K = order
-    top = K - 2
-    ystack = np.stack(ys)
-    py = P @ ystack
-    terms = [(kk - 1, kk * py[kk]) for kk in range(1, K + 1)]
-    ups = [(-2, lam_m1), (-1, lambdas[0])] + [(j - 1, lambdas[j]) for j in range(1, K)]
-    pairs = [(kk, jp, U) for kk in range(K + 1) for jp, U in ups if kk + jp <= top]
-    prods = py[[kk for kk, _, _ in pairs]] @ np.stack([U for _, _, U in pairs])
-    terms += [(kk + jp, prod) for (kk, jp, _), prod in zip(pairs, prods)]
-    am, a0 = (A_m1 @ P) @ ystack, (A_0 @ P) @ ystack
-    for kk in range(K + 1):
-        terms += [(kk - 2, -am[kk]), (kk - 1, -a0[kk])]
-    coeffs: Dict[int, np.ndarray] = {}
-    for mpow, mat in terms:
-        if mpow <= top:
-            coeffs[mpow] = coeffs[mpow] + mat if mpow in coeffs else mat
+        # substitute the truncation into the ODE and collect the remainder
+        # coefficients of xi^-2 .. xi^(K-2), the reported ones:
+        # S(xi) = P (Y'(xi) + Y(xi) Ups'(xi)) - A(xi) P Y(xi).  The products are
+        # batched, and each coefficient sums its terms in the order
+        #   k P Y_k;  (P Y_k) U_j by k, then j = -2, -1, 0, ..;  -(A_0 P) Y_k, -(A_m1 P) Y_k by k.
+        K = order
+        top = K - 2
+        ystack = np.stack(ys)
+        py = P @ ystack
+        terms = [(kk - 1, kk * py[kk]) for kk in range(1, K + 1)]
+        ups = [(-2, lam_m1), (-1, lambdas[0])] + [(j - 1, lambdas[j]) for j in range(1, K)]
+        pairs = [(kk, jp, U) for kk in range(K + 1) for jp, U in ups if kk + jp <= top]
+        prods = py[[kk for kk, _, _ in pairs]] @ np.stack([U for _, _, U in pairs])
+        terms += [(kk + jp, prod) for (kk, jp, _), prod in zip(pairs, prods)]
+        am, a0 = (A_m1 @ P) @ ystack, (A_0 @ P) @ ystack
+        for kk in range(K + 1):
+            terms += [(kk - 2, -am[kk]), (kk - 1, -a0[kk])]
+        coeffs: Dict[int, np.ndarray] = {}
+        for mpow, mat in terms:
+            if mpow <= top:
+                coeffs[mpow] = coeffs[mpow] + mat if mpow in coeffs else mat
 
-    res = tuple(
-        float(np.max(np.abs(coeffs.get(mp, np.zeros(1))))) for mp in range(-2, K - 1)
-    )
+        res = tuple(
+            float(np.max(np.abs(coeffs.get(mp, np.zeros(1))))) for mp in range(-2, K - 1)
+        )
+    if not all(np.isfinite(a).all() for a in (*lambdas, *ys, res)):
+        raise SystemError_(f"the formal recursion to order {K} leaves the finite floats"
+                           f" (leading coefficient t = {t_scale:.3g})")
     return FormalSolution(
         order=K,
         prefactor=P,

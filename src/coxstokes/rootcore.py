@@ -149,11 +149,6 @@ class RootSystem:
     simple_lengths: Tuple[int, ...]              # (a_j, a_j) * length_den
     length_den: int                              # lcm of the (a_j, a_j) denominators
     _root_set: frozenset = field(repr=False, default=frozenset())
-    # alpha -> the row sum_i alpha_i G_ij, filled on first use by pairing(); not an
-    # init field, so dataclasses.replace (a changed form) starts an empty one
-    _form_rows: Dict[tuple, Tuple[Q, ...]] = field(
-        init=False, repr=False, compare=False, default_factory=dict
-    )
 
     @property
     def rank(self) -> int:
@@ -173,18 +168,14 @@ class RootSystem:
     def pairing(self, root, h_coords) -> Q:
         """alpha(h) for h = sum h_j H_{alpha_j}; alpha may be any weight vector.
 
-        The exact sum_ij alpha_i G_ij h_j, taken as l products of h with the
-        row sum_i alpha_i G_ij, which is computed once per alpha and cached.
+        The exact sum_ij alpha_i G_ij h_j, in Fractions (a float coordinate at
+        its exact binary value).
         """
         n = self.rank
-        key = tuple(root)
-        row = self._form_rows.get(key)
-        if row is None:
-            G = self.form
-            row = tuple(sum(Q(key[i]) * G[i][j] for i in range(n)) for j in range(n))
-            self._form_rows[key] = row
-        h = [Q(h_coords[j]) for j in range(n)]
-        return sum((r * hj for r, hj in zip(row, h) if r), Q(0))
+        G = self.form
+        return sum(
+            (Q(root[i]) * G[i][j] * Q(h_coords[j]) for i in range(n) for j in range(n)), Q(0)
+        )
 
     @cached_property
     def integer_form(self) -> Tuple[np.ndarray, int]:

@@ -17,7 +17,7 @@ from typing import Dict, NamedTuple, Sequence, Tuple
 import numpy as np
 
 from .assignment import linear_assignment
-from .characters import character_value, fundamental_characters
+from .characters import character_value, fundamental_characters, fundamental_dim
 from .coxeter import Bipartition, bipartition, coxeter_element
 from .rootcore import Root, RootSystem, build_root_system, diagram_involution
 from .weightrep import (
@@ -217,15 +217,14 @@ def _section_stack(
 class Spectrum(NamedTuple):
     """M0's eigenvalues and charpoly and their targets in one representation, formed once per op.
 
-    targets are e^{2 pi i mu(y)} over rep's weights, target_poly is
-    np.poly(np.diag(targets)) and regular says that no two targets collide
-    (_distinct); eigenvalues are np.linalg.eigvals(m0) and charpoly
-    np.poly(eigenvalues), which is bitwise np.poly(m0).  rep, y and m0 are
-    what they were formed from: semisimple_spectrum_check reuses them only
-    for that representation object, an equal y and that m0 array.
+    targets are e^{2 pi i mu(y)} over the representation's weights,
+    target_poly is np.poly(np.diag(targets)) and regular says that no two
+    targets collide (_distinct); eigenvalues are np.linalg.eigvals(m0) and
+    charpoly np.poly(eigenvalues), which is bitwise np.poly(m0).  y and m0
+    are what they were formed from: semisimple_spectrum_check reuses them
+    only for an equal y and that m0 array.
     """
 
-    rep: Representation
     y: Tuple
     m0: np.ndarray
     targets: np.ndarray
@@ -246,22 +245,24 @@ def _spectrum(rep: Representation, y, m0: np.ndarray, targets=None) -> Spectrum:
     if targets is None:
         targets = _targets(rep, y)
     eig = np.linalg.eigvals(m0)
-    return Spectrum(rep, y, m0, *targets, eig, np.poly(eig))
+    return Spectrum(y, m0, *targets, eig, np.poly(eig))
 
 
 @dataclass
 class StokesData:
-    """The Stokes data of one point, in the representation M0 is assembled in.
+    """The Stokes data of one point, with the representation M0 is assembled in.
 
-    spectrum carries M0's eigenvalues and charpoly and the targets at y in
-    that representation, formed once: in the registered representation they
-    are the class solve's; under another rep they are formed for its M0.
-    dataclasses.replace keeps it, and semisimple_spectrum_check recomputes
-    whenever the representation object, y or the m0 array differ from it.
+    rep is that representation: M0, K1 and K2 are its matrices, rep_name and
+    p0 are read from it, and the support and spectrum checks take it from
+    here.  spectrum carries M0's eigenvalues and charpoly and the targets at
+    y in rep, formed once: in the registered representation they are the
+    class solve's; under another rep they are formed for its M0.
+    dataclasses.replace keeps both, and semisimple_spectrum_check recomputes
+    whenever y or the m0 array differ from the spectrum's.
     """
 
     type_name: str
-    rep_name: str
+    rep: Representation = field(repr=False, compare=False)
     m: Tuple[Q, ...]
     y: Tuple[Q, ...]
     t: Tuple[complex, ...]
@@ -270,7 +271,6 @@ class StokesData:
     k1: np.ndarray
     k2: np.ndarray
     a_gamma: np.ndarray            # Coxeter representative used as torus anchor
-    p0: np.ndarray                 # principal element exp(2 pi i x0 / s)
     k1_support: Tuple[Root, ...]
     k2_support: Tuple[Root, ...]
     factorization_residual: float
@@ -278,6 +278,15 @@ class StokesData:
     character_residual: float      # relative, of the fundamental characters at t
     # M0's spectrum and its targets, not serialized (see Spectrum)
     spectrum: Spectrum | None = field(default=None, repr=False, compare=False)
+
+    @property
+    def rep_name(self) -> str:
+        return self.rep.name
+
+    @property
+    def p0(self) -> np.ndarray:
+        """The principal element exp(2 pi i x0 / s) in rep (read-only)."""
+        return self.rep.p0_matrix()
 
     def to_jsonable(self, matrices: bool = False) -> Dict:
         """The stokes document's fields; the dense m0, k1, k2, a_gamma and p0 only with matrices."""
@@ -678,6 +687,8 @@ def _solve_class(rs: RootSystem, bip: Bipartition, order: Tuple[int, ...], y) ->
     """
     name = str(rs.type)
     rep = registered_representation(name)
+    for k in order:  # refuse an over-cap node before any table is built
+        fundamental_dim(name, k)
     t0 = torus_character_values(rs, [fundamental_characters(name, k) for k in order], y)
     targets = _targets(rep, y)
     reg_eig, poly, distinct = targets
@@ -747,26 +758,6 @@ def _type_constants(type_name: str) -> _TypeConstants:
     return _TypeConstants(bip, order, k1_support, k2_support)
 
 
-@lru_cache(maxsize=None)
-def _support_bases(type_name: str) -> Dict[str, np.ndarray]:
-    """The least-squares bases of log K1 and log K2 in the registered representation.
-
-    Each column is rep.root_matrix of one support root, flattened; built once
-    per process, read-only.
-    """
-    rep = registered_representation(type_name)
-    consts = _type_constants(type_name)
-    bases = {}
-    for name, support in (("k1", consts.k1_support), ("k2", consts.k2_support)):
-        bases[name] = _basis(rep, support)
-        bases[name].flags.writeable = False
-    return bases
-
-
-def _basis(rep: Representation, support: Sequence[Root]) -> np.ndarray:
-    return np.stack([rep.root_matrix(r).reshape(-1) for r in support], axis=1)
-
-
 def stokes_from_asymptotics(
     type_name: str,
     m: Sequence | AlcovePoint,
@@ -808,7 +799,7 @@ def stokes_from_asymptotics(
         raise ConsistencyError(f"M0 != K1 K2 A_gamma: residual {resid}")
     return StokesData(
         type_name=str(rs.type),
-        rep_name=rep.name,
+        rep=rep,
         m=pt.m,
         y=y,
         t=tuple(complex(c) for c in t),
@@ -817,7 +808,6 @@ def stokes_from_asymptotics(
         k1=k1,
         k2=k2,
         a_gamma=a_gamma,
-        p0=rep.p0_matrix(),
         k1_support=consts.k1_support,
         k2_support=consts.k2_support,
         factorization_residual=float(resid),
@@ -849,31 +839,22 @@ class FactorSupports:
     multipliers: Dict[str, np.ndarray]   # "k1", "k2": coefficients of log K, in support order
 
 
-def verify_factor_supports(sd: StokesData, rep: Representation | None = None) -> FactorSupports:
+def verify_factor_supports(sd: StokesData) -> FactorSupports:
     """log K1 / log K2 lie in the span of their support root vectors; their coefficients.
 
-    rep (default: the registered representation) must be the one sd was
-    assembled in.  log K is expanded by least squares over rep.root_matrix
-    of the support roots, and its residual must be at most FACTOR_TOL *
-    max(1, max |log K|).  A nontrivial representation of a simple g is
-    faithful, so X lies in span{e_a} in g exactly when rep(X) lies in
-    span{rep(e_a)}: this is the check in ad(g), read off the K1 and K2
-    already assembled.  The coefficients are the Stokes multipliers:
-    c_i t_i, with constants c_i that depend on the type and node only.
+    log K is expanded by least squares over sd.rep.root_matrix of the
+    support roots, in the representation sd was assembled in, and its
+    residual must be at most FACTOR_TOL * max(1, max |log K|).  A nontrivial
+    representation of a simple g is faithful, so X lies in span{e_a} in g
+    exactly when rep(X) lies in span{rep(e_a)}: this is the check in ad(g),
+    read off the K1 and K2 already assembled.  The coefficients are the
+    Stokes multipliers: c_i t_i, with constants c_i that depend on the type
+    and node only.
     """
-    registered = registered_representation(sd.type_name)
-    if rep is None:
-        rep = registered
-    if rep.name != sd.rep_name:
-        raise ValueError(f"{sd.rep_name} data checked in {rep.name}")
-    consts = _type_constants(sd.type_name)
-    # the type's bases serve its own supports in the registered representation
-    cached = rep is registered and (sd.k1_support, sd.k2_support) == (
-        consts.k1_support, consts.k2_support)
     residuals, multipliers = {}, {}
     for name, mat, support in (("k1", sd.k1, sd.k1_support), ("k2", sd.k2, sd.k2_support)):
         x = _unipotent_log(mat).reshape(-1)
-        basis = _support_bases(sd.type_name)[name] if cached else _basis(rep, support)
+        basis = np.stack([sd.rep.root_matrix(r).reshape(-1) for r in support], axis=1)
         coef, *_ = np.linalg.lstsq(basis, x, rcond=None)
         res = float(np.max(np.abs(basis @ coef - x)))
         if res > FACTOR_TOL * max(1.0, float(np.max(np.abs(x)))):
@@ -896,26 +877,21 @@ class SemisimpleSpectrumReport:
     ok: bool
 
 
-def semisimple_spectrum_check(
-    sd: StokesData,
-    rep: Representation | None = None,
-) -> SemisimpleSpectrumReport:
-    """Spectrum of M0 against {e^{2 pi i mu(y)} : mu weight of the rep}.
+def semisimple_spectrum_check(sd: StokesData) -> SemisimpleSpectrumReport:
+    """Spectrum of M0 against {e^{2 pi i mu(y)} : mu weight of sd.rep}.
 
     At regular y the eigenvalues must match pointwise; at resonant y (colliding
     predicted eigenvalues) only characteristic polynomials are compared, since
     a unipotent factor is invisible to the spectrum.
 
     The eigenvalues, charpolys and targets are sd.spectrum's when it was
-    formed in this representation object, at an equal y and from this very
-    m0 array (so dataclasses.replace(sd, m0=...) is checked afresh); else
-    they are formed here, with the same bits.
+    formed at an equal y and from this very m0 array (so
+    dataclasses.replace(sd, m0=...) is checked afresh); else they are formed
+    here in sd.rep, with the same bits.
     """
-    if rep is None:
-        rep = registered_representation(sd.type_name)
     spec = sd.spectrum
-    if spec is None or spec.rep is not rep or spec.m0 is not sd.m0 or spec.y != sd.y:
-        spec = _spectrum(rep, sd.y, sd.m0)
+    if spec is None or spec.m0 is not sd.m0 or spec.y != sd.y:
+        spec = _spectrum(sd.rep, sd.y, sd.m0)
     pred = spec.targets
     poly_res = float(np.max(np.abs(spec.charpoly - spec.target_poly)))
     regular = spec.regular

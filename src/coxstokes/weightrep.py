@@ -18,7 +18,7 @@ from typing import Dict, List, Tuple
 
 import numpy as np
 
-from .characters import WeightPairing, fundamental_characters, weyl_dim
+from .characters import WeightPairing, fundamental_dim, fundamental_dims
 from .chevalley import ChevalleyAlgebra, build_chevalley
 from .rootcore import InvariantViolation, Root, RootSystem, build_root_system, check_bound
 
@@ -370,14 +370,18 @@ def _verify_representation(rep: Representation):
 
 @lru_cache(maxsize=None)
 def fundamental_representation(type_name: str, index: int) -> Representation:
-    """V(omega_index) as explicit matrices (index 1-based)."""
+    """V(omega_index) as explicit matrices (index 1-based), checked against its Weyl dimension.
+
+    An index whose dimension exceeds the character cap is refused before
+    anything is built (characters.fundamental_dim).
+    """
+    expected = fundamental_dim(type_name, index)
     rs = build_root_system(type_name)
     lam = tuple(int(i == index - 1) for i in range(rs.rank))
-    expected = fundamental_characters(type_name, index).dim
     rep = _build_representation(rs, lam)
     if rep.dim != expected:
         raise InvariantViolation(
-            f"constructed dimension {rep.dim} != character dimension {expected}"
+            f"constructed dimension {rep.dim} != Weyl dimension {expected}"
         )
     return rep
 
@@ -398,6 +402,5 @@ def registered_representation(type_name: str) -> Representation:
     if rs.type.family in "ABCD":
         idx = 1
     else:
-        dims = [weyl_dim(rs, tuple(int(j == i) for j in range(rs.rank))) for i in range(rs.rank)]
-        idx = int(np.argmin(dims)) + 1
+        idx = int(np.argmin(fundamental_dims(type_name))) + 1
     return fundamental_representation(type_name, idx)

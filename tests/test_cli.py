@@ -271,10 +271,14 @@ def test_monodromy_domain_error():
     (["--z", "1e307", "--k", "0,1,1"], r"leading coefficient t = \(s/N\) c\^\(1/s\) z\^\(N/s\) = inf "),
     (["--k", "4", "--z", "1e-70"], r"leading coefficient t = \(s/N\) c\^\(1/s\) z\^\(N/s\) = 0 "),
     (["--k=4,-1,-1", "--z", "1e-70"], r"leading term \(s/N\) z eta_\+ has entries 0 "),
+    (["--k=0,1,1", "--z", "1e-70"], r"formal recursion to order 5 leaves the finite floats"),
+    (["--k=0,1,1", "--z", "1e-150"], r"formal recursion to order 5 leaves the finite floats"),
+    (["--k=2,0,0", "--z", "1e-70"], r"formal recursion to order 5 leaves the finite floats"),
 ])
 def test_extreme_z_is_refused_before_anything_overflows(argv, reason, capsys):
     # before: an OverflowError traceback (exit 1), numpy's "invalid value
-    # encountered in divide" before exit 2, and a LinAlgError traceback
+    # encountered in divide" before exit 2, a LinAlgError traceback, and for
+    # the last three exit 0 after overflow warnings, with NaN in the document
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         assert run(["monodromy", "--rank", "2", *argv]) == EXIT_DOMAIN
@@ -289,12 +293,23 @@ def test_out_of_scale_rank_is_a_domain_error(monkeypatch, capsys):
     assert run(["monodromy", "--rank", "27", "--k", "0"]) == EXIT_DOMAIN
     assert "domain error: root keys for A27 reach 14901161193847656250, out of int64 scale" in (
         capsys.readouterr().err)
-    # A26 builds its tables and stops at the character-table cap, lowered here
-    # from 10^6 (hit at omega_8 after 30 s) to 1000 (hit at omega_4)
+    # A26 stops at the character-table cap, at the first node over it in Gamma
+    # order, before any table of the type is built (omega_2, _4 and _6 took 30 s)
+    built = []
+    freudenthal = characters._freudenthal
+    monkeypatch.setattr(characters, "_freudenthal",
+                        lambda rs, lam: built.append(str(rs.type)) or freudenthal(rs, lam))
+    for argv in (["monodromy", "--rank", "26", "--k", "0"], ["stokes", "--type", "A26"]):
+        assert run(argv) == EXIT_DOMAIN
+        assert capsys.readouterr().err == (
+            "domain error: character table for A26 omega_8 has dimension 2220075,"
+            " out of desk scale (cap 1000000)\n")
+    # lowered from 10^6 to 1000, the cap is hit at omega_4
     monkeypatch.setattr(characters, "DEFAULT_DIM_CAP", 1000)
     assert run(["monodromy", "--rank", "26", "--k", "0"]) == EXIT_DOMAIN
     assert "domain error: character table for A26 omega_4 has dimension 17550" in (
         capsys.readouterr().err)
+    assert "A26" not in built
     # elsewhere an int64 bound stays a broken invariant
     with pytest.raises(InvariantViolation, match="could overflow int64"):
         check_bound(INT_LIMIT, "a product")
@@ -345,9 +360,11 @@ def test_slack_report_and_results_wrapper_are_checked(tmp_path, monkeypatch, cap
 
 
 _UNDER_O = """
+import contextlib
 import dataclasses
+import io
 import numpy as np
-from coxstokes import cli, coxeter, spectrum, steinberg
+from coxstokes import characters, cli, coxeter, spectrum, steinberg
 from coxstokes.characters import _freudenthal
 from coxstokes.chevalley import build_chevalley
 from coxstokes.oracle import _central_factor
@@ -391,6 +408,13 @@ moved = spectrum.build_e_plus(a2).ad.copy()
 i = a2.root_index[a2.rs.simple_roots[0]]
 moved[0, 0], moved[i, 0] = moved[i, 0], 0.0  # H_1 -> H_1 has degree 0, not 1
 fires("grading", lambda: spectrum.graded_singular_values(a2, moved), spectrum.RegularityError)
+with contextlib.redirect_stderr(io.StringIO()) as err:
+    print("finite", cli.main(["monodromy", "--rank", "2", "--k=0,1,1", "--z", "1e-70"]))
+    cap = characters.DEFAULT_DIM_CAP
+    characters.DEFAULT_DIM_CAP, characters._freudenthal = 30, None  # omega_2 (21) is under it
+    print("cap", cli.main(["stokes", "--type", "A6"]))
+    characters.DEFAULT_DIM_CAP, characters._freudenthal = cap, _freudenthal
+print(err.getvalue().count("domain error: "))
 steinberg.CLASS_TOL = 0.0
 steinberg.CHAR_TOL = 0.0
 print("stokes", cli.main(["stokes", "--type", "B3", "--m=-1/8,-5/4,-15/8"]))
@@ -406,9 +430,10 @@ def test_invariant_checks_fire_under_python_O():
         capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src}, timeout=120,
     )
     assert out.returncode == 0, out.stderr
-    assert out.stdout.split("\n")[:11] == [
+    assert out.stdout.split("\n")[:14] == [
         "disconnected", "odd cycle", "gamma^s", "orbits", "freudenthal", "central", "schema",
-        "off ray", "grading", f"stokes {EXIT_VERIFY}", f"exit {EXIT_VERIFY}",
+        "off ray", "grading", f"finite {EXIT_DOMAIN}", f"cap {EXIT_DOMAIN}", "2",
+        f"stokes {EXIT_VERIFY}", f"exit {EXIT_VERIFY}",
     ]
 
 

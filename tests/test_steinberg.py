@@ -301,16 +301,17 @@ def test_rep_stokes_data_carries_the_targets_of_its_representation(name, index):
     m = [Q(1, 7)] * rs.rank
     sd = stokes_from_asymptotics(name, m, rep=rep)
     spec = sd.spectrum
-    assert spec.rep is rep and spec.m0 is sd.m0 and spec.y == sd.y
+    assert sd.rep is rep and spec.m0 is sd.m0 and spec.y == sd.y
+    assert sd.rep_name == rep.name and sd.p0 is rep.p0_matrix()
     want = np.exp(2j * np.pi * rep.weight_values(sd.y))
     assert np.array_equal(spec.targets, want)
     assert np.array_equal(spec.target_poly, np.poly(np.diag(want)))
     assert np.array_equal(spec.charpoly, np.poly(sd.m0))
-    got = semisimple_spectrum_check(sd, rep)
-    fresh = semisimple_spectrum_check(dataclasses.replace(sd, spectrum=None), rep)
+    got = semisimple_spectrum_check(sd)
+    fresh = semisimple_spectrum_check(dataclasses.replace(sd, spectrum=None))
     assert got == fresh and got.ok
     # the class solve's registered spectrum is not the one carried
-    reg = stokes_from_asymptotics(name, m).spectrum
+    reg = stokes_from_asymptotics(name, m)
     assert reg.rep is registered_representation(name) and reg.rep is not rep
 
 

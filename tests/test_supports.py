@@ -14,12 +14,15 @@ import numpy as np
 import pytest
 
 import character_reference as ref
+from coxstokes.assignment import linear_assignment
 from coxstokes.coxeter import bipartition, coxeter_element
 from coxstokes.rootcore import build_root_system
 from coxstokes.steinberg import (
     FACTOR_TOL,
     ConsistencyError,
+    _distinct,
     _unipotent_log,
+    semisimple_spectrum_check,
     steinberg_section,
     stokes_from_asymptotics,
     verify_factor_supports,
@@ -72,15 +75,37 @@ def test_multipliers_do_not_depend_on_the_representation(name, index):
     t = seeded_t(name, 7)
     want = verify_factor_supports(stokes_at(name, t)).multipliers
     rep = fundamental_representation(name, index)
-    got = verify_factor_supports(stokes_at(name, t, rep), rep).multipliers
+    got = verify_factor_supports(stokes_at(name, t, rep)).multipliers
     for key in ("k1", "k2"):
         assert np.max(np.abs(got[key] - want[key])) <= 1e-12 * np.max(np.abs(t))
 
 
-def test_the_check_runs_in_the_representation_of_the_data():
-    sd = stokes_from_asymptotics("B3", [Q(0)] * 3, rep=fundamental_representation("B3", 2))
-    with pytest.raises(ValueError, match="B3-hw010-dim21 data checked in B3-hw100-dim7"):
-        verify_factor_supports(sd)
+@pytest.mark.parametrize("name,index", [("B3", 3), ("D4", 4), ("G2", 2)])
+def test_rep_data_is_checked_in_its_own_representation(name, index):
+    # both checks read the representation off sd; their results are bit for
+    # bit those of the same computations in a rep passed beside the data
+    rep = fundamental_representation(name, index)
+    sd = stokes_from_asymptotics(name, [Q(1, 7)] * build_root_system(name).rank, rep=rep)
+    assert sd.rep is rep
+    sup = verify_factor_supports(sd)
+    for key, mat, support in (("k1", sd.k1, sd.k1_support), ("k2", sd.k2, sd.k2_support)):
+        x = _unipotent_log(mat).reshape(-1)
+        basis = np.stack([rep.root_matrix(r).reshape(-1) for r in support], axis=1)
+        coef, *_ = np.linalg.lstsq(basis, x, rcond=None)
+        assert sup.multipliers[key].tobytes() == coef.tobytes(), key
+        assert sup.residuals[key] == float(np.max(np.abs(basis @ coef - x))), key
+    chk = semisimple_spectrum_check(sd)
+    targets = np.exp(2j * np.pi * rep.weight_values(sd.y))
+    eig = np.linalg.eigvals(sd.m0)
+    poly_res = float(np.max(np.abs(np.poly(eig) - np.poly(np.diag(targets)))))
+    assert chk.ok and chk.regular == _distinct(targets)
+    assert chk.charpoly_residual == poly_res
+    eig_res = None
+    if chk.regular:  # the half-spin targets of D4 collide at this point
+        cost = np.abs(targets[:, None] - eig[None, :])
+        ri, ci = linear_assignment(cost)
+        eig_res = float(cost[ri, ci].max())
+    assert chk.eigenvalue_residual == eig_res
 
 
 @pytest.mark.parametrize("name", REGISTERED)
