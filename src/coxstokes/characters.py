@@ -10,7 +10,6 @@ lengths, so the recursion runs in integers.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction as Q
 from functools import lru_cache
@@ -19,6 +18,7 @@ from typing import Dict, List, Sequence, Tuple
 import numpy as np
 
 from .rootcore import InvariantViolation, Root, RootSystem, build_root_system
+from .scalars import integers
 
 Weight = Tuple[int, ...]
 
@@ -217,9 +217,7 @@ class WeightPairing:
         self._norm = int(np.abs(self._matrix).sum(axis=1).max(initial=0))
 
     def __call__(self, h_coords) -> np.ndarray:
-        h = [c if isinstance(c, Q) else Q(c) for c in h_coords]
-        h_den = math.lcm(*(c.denominator for c in h))
-        h_int = [c.numerator * (h_den // c.denominator) for c in h]
+        h_int, h_den = integers([c if isinstance(c, Q) else Q(c) for c in h_coords])
         den = self.den * h_den
         if den < _EXACT and self._norm * max(map(abs, h_int), default=0) < _EXACT:
             # every numerator and den below 2^53: exact in int64 and as floats, so

@@ -16,7 +16,7 @@ from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
 
-from .scalars import Vector, mat_inv, mat_vec, qvec
+from .scalars import Vector, integers, mat_inv, mat_vec, qvec
 
 Root = Tuple[int, ...]
 
@@ -168,14 +168,14 @@ class RootSystem:
     def pairing(self, root, h_coords) -> Q:
         """alpha(h) for h = sum h_j H_{alpha_j}; alpha may be any weight vector.
 
-        The exact sum_ij alpha_i G_ij h_j, in Fractions (a float coordinate at
-        its exact binary value).
+        The exact sum_ij alpha_i G_ij h_j (a float coordinate at its exact
+        binary value), summed in Python ints over the rows of integer_form.
         """
-        n = self.rank
-        G = self.form
-        return sum(
-            (Q(root[i]) * G[i][j] * Q(h_coords[j]) for i in range(n) for j in range(n)), Q(0)
-        )
+        rows, den = self.affine_rows
+        a, a_den = integers([Q(c) for c in root])
+        h, h_den = integers([Q(h_coords[j]) for j in range(self.rank)])
+        num = sum(x * g * y for x, row in zip(a, rows) for g, y in zip(row, h))
+        return Q(num, a_den * h_den * den)
 
     @cached_property
     def integer_form(self) -> Tuple[np.ndarray, int]:

@@ -6,6 +6,7 @@ Q(sqrt d), are integer tables in ``chevalley``.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction as Q
 from typing import List, Sequence, Tuple
 
@@ -15,6 +16,12 @@ Matrix = List[List[Q]]
 
 def qvec(xs: Sequence) -> Vector:
     return tuple(Q(x) for x in xs)
+
+
+def integers(v: Sequence[Q]) -> Tuple[list, int]:
+    """Fractions as integer numerators over their least common denominator."""
+    den = math.lcm(*(c.denominator for c in v))
+    return [c.numerator * (den // c.denominator) for c in v], den
 
 
 def mat_vec(A: Sequence[Sequence[Q]], v: Sequence[Q]) -> Vector:

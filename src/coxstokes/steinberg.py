@@ -20,6 +20,7 @@ from .assignment import linear_assignment
 from .characters import character_value, fundamental_characters, fundamental_dim
 from .coxeter import Bipartition, bipartition, coxeter_element
 from .rootcore import Root, RootSystem, build_root_system, diagram_involution
+from .scalars import integers
 from .weightrep import (
     Representation,
     UnsupportedRepresentationError,
@@ -50,12 +51,6 @@ class AlcovePoint:
     sigma_fixed: bool
 
 
-def _integers(v: Sequence[Q]) -> Tuple[list, int]:
-    """Fractions as integer numerators over their least common denominator."""
-    den = math.lcm(*(c.denominator for c in v))
-    return [c.numerator * (den // c.denominator) for c in v], den
-
-
 def _dot(row: Sequence[int], v: Sequence[int]) -> int:
     return sum(a * b for a, b in zip(row, v))
 
@@ -67,7 +62,7 @@ def admissible_m(rs: RootSystem, m: Sequence) -> bool:
     rs.affine_rows, alpha(m) >= -1 reads row . num >= -F den.
     """
     rows, F = rs.affine_rows
-    num, den = _integers([c if isinstance(c, Q) else Q(c) for c in m])
+    num, den = integers([c if isinstance(c, Q) else Q(c) for c in m])
     if any(_dot(row, num) < -F * den for row in rows[:-1]):
         return False
     return _dot(rows[-1], num) <= F * den
@@ -91,7 +86,7 @@ def alcove_map(rs: RootSystem, m: Sequence) -> AlcovePoint:
     if len(m) != l:
         raise ValueError(f"m must have {l} components, not {len(m)}")
     # y = num / (s den)
-    num, den = _integers(m + rs.x0_coords)
+    num, den = integers(m + rs.x0_coords)
     num = [a + b for a, b in zip(num[:l], num[l:])]
     rows, F = rs.affine_rows
     y_den = s * den

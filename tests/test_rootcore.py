@@ -159,8 +159,8 @@ def test_diagram_involutions():
 
 @pytest.mark.parametrize("name", ALL_TYPES)
 def test_pairing_matches_the_double_sum(name):
-    # pairing takes l products with a cached form row; the definition is the
-    # double sum over the Gram matrix, and the two must agree as Fractions
+    # pairing sums in integers over the cached integer form; the definition is
+    # the double sum over the Gram matrix, and the two must agree as Fractions
     rs = build_root_system(name)
     l, G = rs.rank, rs.form
     rng = random.Random(f"pairing:{name}")
