@@ -294,7 +294,7 @@ def test_out_of_scale_rank_is_a_domain_error(monkeypatch, capsys):
     assert "domain error: root keys for A27 reach 14901161193847656250, out of int64 scale" in (
         capsys.readouterr().err)
     # A26 stops at the character-table cap, at the first node over it in Gamma
-    # order, before any table of the type is built (omega_2, _4 and _6 took 30 s)
+    # order, before any table of the type is built
     built = []
     freudenthal = characters._freudenthal
     monkeypatch.setattr(characters, "_freudenthal",

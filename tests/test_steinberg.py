@@ -310,7 +310,7 @@ def test_rep_stokes_data_carries_the_targets_of_its_representation(name, index):
     got = semisimple_spectrum_check(sd)
     fresh = semisimple_spectrum_check(dataclasses.replace(sd, spectrum=None))
     assert got == fresh and got.ok
-    # the class solve's registered spectrum is not the one carried
+    # without rep, the data carries the registered representation
     reg = stokes_from_asymptotics(name, m)
     assert reg.rep is registered_representation(name) and reg.rep is not rep
 
