@@ -1,6 +1,7 @@
 """Command-line front end: describe, plane (SVG), verify, stokes, monodromy.
 
-Exit codes: 0 pass, 1 usage error, 2 domain error, 3 verification failure.
+Exit codes: 0 pass, 1 usage error (also an unwritable --json-out or --svg-out
+path), 2 domain error, 3 verification failure.
 Every JSON document is validated against the versioned schema shipped with
 the package before it is written.
 """
@@ -36,7 +37,7 @@ from .oracle import (
     formal_solution,
     numerical_monodromy,
 )
-from .rootcore import AlgebraType, UnsupportedTypeError, build_root_system
+from .rootcore import AlgebraType, RankScaleError, UnsupportedTypeError, build_root_system
 from .spectrum import SpectrumMismatch, ad_spectrum, build_e_plus, match_plane
 from .steinberg import (
     ConsistencyError,
@@ -70,6 +71,7 @@ DOMAIN_ERRORS = (
     InadmissibleError,
     SystemError_,
     CharacterScaleError,
+    RankScaleError,
     RootKeyScaleError,
     UnsupportedRepresentationError,
 )
@@ -81,6 +83,10 @@ VERIFY_ERRORS = (
     IntegratorError,
     SchemaViolation,
 )
+
+
+class OutputPathError(Exception):
+    """An output path cannot be written: a usage error."""
 
 
 class _Parser(argparse.ArgumentParser):
@@ -105,11 +111,18 @@ def _validate(kind: str, doc: dict) -> dict:
     return doc
 
 
+def _write(path: str, text: str):
+    try:
+        with open(path, "w") as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise OutputPathError(f"cannot write {path}: {exc.strerror or exc}") from exc
+
+
 def _emit(doc: dict, path: str | None):
     text = json.dumps(doc, indent=1, sort_keys=True)
     if path:
-        with open(path, "w") as fh:
-            fh.write(text + "\n")
+        _write(path, text + "\n")
     else:
         print(text)
 
@@ -224,8 +237,7 @@ def cmd_plane(args) -> int:
     doc = _validate("plane", _plane_doc(rs, plane))
     _emit(doc, args.json_out)
     if args.svg_out:
-        with open(args.svg_out, "w") as fh:
-            fh.write(render_plane_svg(rs, plane))
+        _write(args.svg_out, render_plane_svg(rs, plane))
     return EXIT_OK
 
 
@@ -310,7 +322,9 @@ def cmd_stokes(args) -> int:
     if not pt.admissible:
         slack = {"schema_version": 1, "type": str(rs.type), "alcove": alcove}
         _emit(_validate("slack", slack), args.json_out)
-        raise InadmissibleError(f"m = {m} is not admissible (see slack report)")
+        raise InadmissibleError(
+            f"m = {','.join(map(str, m))} is not admissible (see slack report)"
+        )
     sd = stokes_from_asymptotics(str(rs.type), pt, rep=rep)
     supports = verify_factor_supports(sd)
     chk = semisimple_spectrum_check(sd)
@@ -426,6 +440,9 @@ def main(argv: Sequence[str] | None = None) -> int:
     except VERIFY_ERRORS as exc:
         print(f"verification failure: {exc}", file=sys.stderr)
         return EXIT_VERIFY
+    except OutputPathError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
 
 
 if __name__ == "__main__":

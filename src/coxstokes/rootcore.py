@@ -33,6 +33,15 @@ class InvariantViolation(AssertionError):
     """
 
 
+class RankScaleError(ValueError):
+    """Requested type exceeds the rank cap RANK_CAP."""
+
+
+# Largest rank build_root_system builds: its exact Fraction Gram matrix and
+# inverse grow as l^3: a whole describe process took 0.9 s at A42 and 1.1-1.7 s
+# at A44-A50 on a shared 2-vCPU host, and A300 ran past 3 minutes and 1 GB
+RANK_CAP = 50
+
 # Largest magnitude an integer check may reach; check_bound raises above it,
 # so int64 arithmetic (limit 2^63) can never wrap.
 INT_LIMIT = 2**62
@@ -267,6 +276,8 @@ def build_root_system(type_name) -> RootSystem:
     """Construct the full root system with exact Cartan data for one type."""
     t = AlgebraType.parse(type_name)
     l = t.rank
+    if l > RANK_CAP:
+        raise RankScaleError(f"root system {t} has rank {l}, out of desk scale (cap {RANK_CAP})")
     vecs = _simple_root_vectors(t)
 
     def dot(x, y):

@@ -335,9 +335,48 @@ def _max_abs(rows) -> np.ndarray:
     return np.array([np.max(np.abs(f)) for f in rows])
 
 
-def _gauss_newton(
-    resid, t0, tol: float, iters: int, restarts: int, seed: int
-) -> Tuple[np.ndarray, float]:
+# The restart offsets of _gauss_newton: the first 44 standard normals of
+# np.random.default_rng(1), as exact float literals, so that no process imports
+# numpy.random.  44 = 4 l for three attempts at l <= 11, the largest B/C/D rank
+# the character cap admits (B10, C11, D11); G2 has l = 2.  Tier-1 checks both.
+_RESTART_NORMALS = (
+    0.345584192064786, 0.8216181435011584, 0.33043707618338714, -1.303157231604361,
+    0.9053558666731177, 0.4463745723640113, -0.5369532353602852, 0.5811181041963531,
+    0.36457239618607573, 0.294132496655526, 0.02842224131579679, 0.5467129866124469,
+    -0.7364540870016669, -0.16290994799305278, -0.48211931267997826, 0.5988462126346276,
+    0.03972210748165899, -0.2924567509650886, -0.7819084623568421, -0.2571922406188707,
+    0.008142180518343508, -0.2756029052993704, 1.2940638143982073, 1.0067243153057943,
+    -2.7111624789659685, -1.8890132459676727, -0.17477209205516195, -0.42219041157635356,
+    0.2136429974986111, 0.21732193102256359, 2.1178387550510482, -1.1120207626922813,
+    -0.37760500712699807, 2.0427716074923303, 0.6467029962018469, 0.6630633723762617,
+    -0.5140063716874629, -1.6480751708556527, 0.16746474422274113, 0.10901408782154753,
+    -1.2273520542445742, -0.6832266617805622, -0.07204367972722743, -0.9447516230607774,
+)
+
+
+class RestartTableError(ValueError):
+    """A Gauss-Newton start needs more normals than _RESTART_NORMALS holds."""
+
+
+def _restart_starts(t0, restarts: int) -> list:
+    """t0, then t0 + 0.3 k (N + iN') for k = 1 .. restarts - 1.
+
+    Attempt k + 1 reads N and N' from _RESTART_NORMALS where default_rng(1)
+    drew them: the l normals from 2 l (k - 1), then the next l.
+    """
+    l = len(t0)
+    need = 2 * l * (restarts - 1)
+    if need > len(_RESTART_NORMALS):
+        raise RestartTableError(
+            f"{restarts} starts at l = {l} need {need} normals;"
+            f" _RESTART_NORMALS holds {len(_RESTART_NORMALS)}"
+        )
+    normals = np.array(_RESTART_NORMALS[:need]).reshape(-1, 2, l)
+    t = np.array(t0, dtype=complex)
+    return [t] + [t + 0.3 * k * (re + 1j * im) for k, (re, im) in enumerate(normals, 1)]
+
+
+def _gauss_newton(resid, t0, tol: float, iters: int, restarts: int) -> Tuple[np.ndarray, float]:
     """Damped Gauss-Newton on r(t) = max |resid(t)|, restarted around t0.
 
     resid maps a (k, l) stack of t to their k residual rows: a (k, m) array,
@@ -349,8 +388,9 @@ def _gauss_newton(
     by least squares, then tries the step lengths 2^-i, i = 0..29, in order
     until the trial residual is finite and below r; an attempt ends when none
     is, or after `iters` steps.  Attempt k + 1 starts from
-    t0 + 0.3 k (N + iN), N standard normal from default_rng(seed), drawn up
-    front in attempt order.  Returns the first iterate with r < tol of the
+    t0 + 0.3 k (N + iN'), N and N' fixed standard normals read from
+    _RESTART_NORMALS (_restart_starts), so the starts are fixed data for
+    each t0.  Returns the first iterate with r < tol of the
     first attempt that has one, else the first iterate of least r in
     attempt order; with its r.
 
@@ -366,12 +406,7 @@ def _gauss_newton(
     earlier attempt reaches tol.
     """
     l = len(t0)
-    rng = np.random.default_rng(seed)
-    t = [np.array(t0, dtype=complex)]
-    for k in range(1, restarts):
-        t.append(
-            np.array(t0, dtype=complex) + 0.3 * k * (rng.normal(size=l) + 1j * rng.normal(size=l))
-        )
+    t = _restart_starts(t0, restarts)
     F = list(resid(np.stack(t)))
     r = [0.0] * restarts
     seen = [[] for _ in t]          # (r, t) at each iterate, per attempt
@@ -602,7 +637,7 @@ def _solve_power_sums(
     diagonalized; those adjoint equations repeat registered information and
     pin no more than the registered power sums do.
     """
-    return _gauss_newton(_power_sum_residual(rep, bip, reg_eig), t0, 1e-12, 60, 3, seed=1)
+    return _gauss_newton(_power_sum_residual(rep, bip, reg_eig), t0, 1e-12, 60, 3)
 
 
 def _character_residuals(
@@ -713,7 +748,7 @@ def _solve_class(rs: RootSystem, bip: Bipartition, order: Tuple[int, ...], y) ->
     route1 = ""
     if rs.type.family in _ADJOINT_PLETHYSM and distinct:
         t_ps, _ = _solve_power_sums(rep, bip, t0, reg_eig)
-        t, r = _gauss_newton(registered_residual, t_ps, SOLVE_TOL, 60, 1, seed=0)
+        t, r = _gauss_newton(registered_residual, t_ps, SOLVE_TOL, 60, 1)
         if r <= CLASS_TOL:
             return solved(t, r)
         route1 = f"; power-sum route: registered residual {r:.3g} (bound {CLASS_TOL:g})"

@@ -4,6 +4,7 @@ import os
 import re
 import subprocess
 import sys
+import time
 import warnings
 from pathlib import Path
 
@@ -13,7 +14,7 @@ import coxstokes
 from character_reference import MULTIPLIER_CONSTANTS
 from coxstokes import characters, cli, oracle
 from coxstokes.chevalley import InvariantViolation
-from coxstokes.rootcore import INT_LIMIT, check_bound
+from coxstokes.rootcore import INT_LIMIT, RANK_CAP, RankScaleError, build_root_system, check_bound
 from coxstokes.cli import EXIT_DOMAIN, EXIT_OK, EXIT_USAGE, EXIT_VERIFY, main
 
 
@@ -144,11 +145,16 @@ def test_character_residual_is_reported_not_enforced(capsys):
         assert lo <= res <= hi, (argv, res)
 
 
-def test_stokes_inadmissible(tmp_path):
+def test_stokes_inadmissible(tmp_path, capsys):
     out = tmp_path / "s.json"
     assert run(["stokes", "--type", "A2", "--m=-5,0", "--json-out", str(out)]) == EXIT_DOMAIN
     doc = json.loads(out.read_text())
     assert doc["alcove"]["admissible"] is False
+    # m as the rationals given, not as Fraction reprs
+    assert run(["stokes", "--type", "B3", "--m=100,0,0", "--json-out", str(out)]) == EXIT_DOMAIN
+    assert capsys.readouterr().err == (
+        "domain error: m = -5,0 is not admissible (see slack report)\n"
+        "domain error: m = 100,0,0 is not admissible (see slack report)\n")
 
 
 @pytest.mark.parametrize("type_name,rep", [("B3", "0"), ("B3", "-1"), ("B3", "4"), ("G2", "3")])
@@ -315,6 +321,35 @@ def test_out_of_scale_rank_is_a_domain_error(monkeypatch, capsys):
         check_bound(INT_LIMIT, "a product")
 
 
+@pytest.mark.parametrize("argv", [
+    ["describe", "--type", "A300"],
+    ["plane", "--type", "A300"],
+    ["verify", "--type", "A300"],
+    ["stokes", "--type", "A300"],
+    ["monodromy", "--rank", "300", "--k", "0"],
+])
+def test_out_of_scale_root_system_is_refused_before_it_is_built(argv, capsys):
+    # the Fraction Gram inverse is O(l^3): describe A300 ran past 3 minutes
+    start = time.perf_counter()
+    assert run(argv) == EXIT_DOMAIN
+    assert time.perf_counter() - start < 1.0
+    assert capsys.readouterr().err == (
+        "domain error: root system A300 has rank 300, out of desk scale (cap 50)\n")
+    with pytest.raises(RankScaleError):
+        build_root_system(f"D{RANK_CAP + 1}")
+
+
+@pytest.mark.parametrize("argv", [
+    ["stokes", "--type", "B3", "--m=-1/8,-5/4,-15/8", "--json-out"],
+    ["plane", "--type", "D4", "--json-out"],
+    ["plane", "--type", "D4", "--svg-out"],
+])
+def test_unwritable_output_path_is_a_usage_error(argv, tmp_path, capsys):
+    path = tmp_path / "missing" / "out"
+    assert run([*argv, str(path)]) == EXIT_USAGE
+    assert capsys.readouterr().err == f"error: cannot write {path}: No such file or directory\n"
+
+
 def test_monodromy_integrator_failure_is_a_verification_failure(monkeypatch, capsys):
     monkeypatch.setattr(oracle, "ERROR_TOL", 1e-20)
     assert run(["monodromy", "--rank", "2", "--k", "0,1,1"]) == EXIT_VERIFY
@@ -463,6 +498,33 @@ def test_cli_commands_never_import_scipy():
                          capture_output=True, text=True, env=env, timeout=300)
     assert out.returncode == 0, out.stderr
     assert out.stdout.strip() == "[]"
+
+
+_IMPORT_BUDGET = """
+import contextlib, io, sys
+from coxstokes import cli
+
+with contextlib.redirect_stdout(io.StringIO()):
+    code = cli.main(sys.argv[1:])
+print(code, sorted(m for m in sys.modules if m == "numpy.random" or m.startswith("numpy.random.")
+                   or m.partition(".")[0] in ("scipy", "jsonschema")))
+"""
+
+
+@pytest.mark.parametrize("argv", [
+    ["stokes", "--type", "B3", "--m=-1/8,-5/4,-15/8"],
+    ["verify", "--type", "E8"],
+    ["monodromy", "--rank", "2", "--k", "0,1,1"],
+])
+def test_ops_stay_within_their_import_budget(argv):
+    # each op in a fresh interpreter: numpy.random and the modules it pulls in
+    # cost about 11 ms and 6 MB; the stokes op runs route 1, whose restarts
+    # are fixed data
+    src = str(Path(coxstokes.__file__).resolve().parents[1])
+    out = subprocess.run([sys.executable, "-c", _IMPORT_BUDGET, *argv], capture_output=True,
+                         text=True, env={**os.environ, "PYTHONPATH": src}, timeout=300)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.strip() == f"{EXIT_OK} []"
 
 
 _STOKES_POINTS = """

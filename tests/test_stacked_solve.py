@@ -15,7 +15,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from coxstokes import steinberg
-from coxstokes.characters import fundamental_characters
+from coxstokes.characters import CharacterScaleError, fundamental_characters, fundamental_dim
 from coxstokes.coxeter import bipartition
 from coxstokes.rootcore import build_root_system
 from coxstokes.steinberg import alcove_map, steinberg_section, torus_character_values
@@ -40,9 +40,10 @@ ROUTE1_POINTS = (
 )
 
 
-def sequential_gauss_newton(resid, t0, tol, iters, restarts, seed):
+def sequential_gauss_newton(resid, t0, tol, iters, restarts, seed=1):
     """The class solve's Gauss-Newton before stacking: one t per resid call,
-    attempts one after another."""
+    attempts one after another, restarts drawn from default_rng(seed) (seed 1
+    drew steinberg._RESTART_NORMALS)."""
     l = len(t0)
     rng = np.random.default_rng(seed)
     t = np.array(t0, dtype=complex)
@@ -200,8 +201,8 @@ def _sequential_route1(name, m_text):
     def registered_resid(t):
         return np.poly(steinberg_section(rep, bip, t).full()) - poly
 
-    t_ps, r_ps = sequential_gauss_newton(power_sum_resid, t0, 1e-12, 60, 3, seed=1)
-    t, r = sequential_gauss_newton(registered_resid, t_ps, steinberg.SOLVE_TOL, 60, 1, seed=0)
+    t_ps, r_ps = sequential_gauss_newton(power_sum_resid, t0, 1e-12, 60, 3)
+    t, r = sequential_gauss_newton(registered_resid, t_ps, steinberg.SOLVE_TOL, 60, 1)
     return (rs, bip, order, y, rep, t0, reg_eig), (t_ps, r_ps), (t, r)
 
 
@@ -217,13 +218,45 @@ def test_route1_is_bitwise_the_sequential_solve(name, m_text):
     assert same_bits(chi, t0)
 
 
-def _starts(t0, restarts, seed):
+def _starts(t0, restarts, seed=1):
     """The start of every attempt, drawn as sequential_gauss_newton draws them."""
     rng = np.random.default_rng(seed)
     out = [np.array(t0, dtype=complex)]
     for k in range(1, restarts):
         out.append(out[0] + 0.3 * k * (rng.normal(size=len(t0)) + 1j * rng.normal(size=len(t0))))
     return out
+
+
+def test_restart_normals_are_the_generator_draws():
+    table = np.array(steinberg._RESTART_NORMALS)
+    assert same_bits(table, np.random.default_rng(1).normal(size=44))
+    t0 = np.array([0.3 - 0.1j, 1.2, -0.5j])
+    assert all(same_bits(a, b) for a, b in zip(steinberg._restart_starts(t0, 3), _starts(t0, 3)))
+
+
+def _admitted_ranks(family):
+    """The ranks of family whose every fundamental dimension is within the character cap."""
+    if family == "G":
+        return [2]
+    ranks, l = [], {"B": 2, "C": 2, "D": 3}[family]
+    while True:
+        try:
+            for k in range(1, l + 1):
+                fundamental_dim(f"{family}{l}", k)
+        except CharacterScaleError:
+            return ranks
+        ranks.append(l)
+        l += 1
+
+
+def test_restart_table_covers_every_admitted_route1_type():
+    # route 1 runs the power sums with three attempts, so 4 l normals; read
+    # from the cap, so that raising it fails here and not in route 1
+    for l in (max(_admitted_ranks(family)) for family in steinberg._ADJOINT_PLETHYSM):
+        assert 4 * l <= len(steinberg._RESTART_NORMALS)
+        assert len(steinberg._restart_starts(np.zeros(l), 3)) == 3
+    with pytest.raises(steinberg.RestartTableError, match="3 starts at l = 12 need 48 normals"):
+        steinberg._gauss_newton(lambda ts: ts, np.zeros(12), 1e-12, 60, 3)
 
 
 def _alone(resid, start, tol, iters, monkeypatch):
@@ -241,7 +274,7 @@ def _alone(resid, start, tol, iters, monkeypatch):
 
     with monkeypatch.context() as patch:
         patch.setattr(np.linalg, "lstsq", counting)
-        _, r = sequential_gauss_newton(resid, start, tol, iters, 1, seed=0)
+        _, r = sequential_gauss_newton(resid, start, tol, iters, 1)
     return steps[0], r
 
 
@@ -257,15 +290,15 @@ def two_roots(t):
     return np.stack([t[..., 0] ** 2 - 4, t[..., 0] * t[..., 1] - 2], axis=-1)
 
 
-# (residual, t0, iters, seed, what each attempt does alone).  Starting on
-# the real axis, t^2 + 1 stays real and its line search ends at r = 1; the
-# complex restarts reach +-i.
+# (residual, t0, iters, what each attempt does alone), the restarts those
+# of _RESTART_NORMALS.  Starting on the real axis, t^2 + 1 stays real and its
+# line search ends at r = 1; the complex restarts reach +-i.
 SYNTHETIC = {
-    "attempt 1 hits": (two_roots, [1.0, 0.5], 60, 0, "hit"),
-    "attempt 2 hits while attempt 1 runs": (square_plus_1, [0.1], 60, 1, "overlap"),
-    "attempt 1 ends on a failed line search": (square_plus_1, [0.5], 60, 1, "failed"),
-    "no attempt hits": (inconsistent, [0.3], 60, 0, "none"),
-    "attempts run out of iterations": (inconsistent, [0.3], 3, 0, "iters"),
+    "attempt 1 hits": (two_roots, [1.0, 0.5], 60, "hit"),
+    "attempt 2 hits while attempt 1 runs": (square_plus_1, [0.1], 60, "overlap"),
+    "attempt 1 ends on a failed line search": (square_plus_1, [0.5], 60, "failed"),
+    "no attempt hits": (inconsistent, [0.3], 60, "none"),
+    "attempts run out of iterations": (inconsistent, [0.3], 3, "iters"),
 }
 
 
@@ -273,16 +306,16 @@ def test_the_thirtieth_step_length_is_tried():
     # from 0.13 on the real axis, the ninth step of t^2 + 1 takes 2^-29,
     # the last length, and the tenth finds none; that ninth iterate has the
     # least r, so a shorter trial schedule returns another t
-    want = sequential_gauss_newton(square_plus_1, [0.13], 1e-12, 60, 1, seed=0)
-    got = steinberg._gauss_newton(square_plus_1, [0.13], 1e-12, 60, 1, 0)
+    want = sequential_gauss_newton(square_plus_1, [0.13], 1e-12, 60, 1)
+    got = steinberg._gauss_newton(square_plus_1, [0.13], 1e-12, 60, 1)
     assert want[1] >= 1 and same_bits(got[0], want[0]) and same_bits(got[1], want[1])
 
 
 @pytest.mark.parametrize("case", SYNTHETIC)
 def test_lockstep_gauss_newton_is_bitwise_the_sequential(case, monkeypatch):
-    resid, t0, iters, seed, kind = SYNTHETIC[case]
+    resid, t0, iters, kind = SYNTHETIC[case]
     tol = 1e-12
-    alone = [_alone(resid, s, tol, iters, monkeypatch) for s in _starts(t0, 3, seed)]
+    alone = [_alone(resid, s, tol, iters, monkeypatch) for s in _starts(t0, 3)]
     hits = [r < tol for _, r in alone]
     if kind == "hit":
         assert hits[0]
@@ -294,8 +327,8 @@ def test_lockstep_gauss_newton_is_bitwise_the_sequential(case, monkeypatch):
     else:
         assert not any(hits)
         assert all(n == iters for n, _ in alone) == (kind == "iters")
-    want = sequential_gauss_newton(resid, t0, tol, iters, 3, seed)
-    got = steinberg._gauss_newton(resid, t0, tol, iters, 3, seed)
+    want = sequential_gauss_newton(resid, t0, tol, iters, 3)
+    got = steinberg._gauss_newton(resid, t0, tol, iters, 3)
     assert same_bits(got[0], want[0]) and same_bits(got[1], want[1])
 
 
@@ -305,8 +338,8 @@ def test_a_failed_step_raises_only_where_the_sequential_solve_did():
     def hit_on_axis(t):
         return np.where(t.imag == 0, t**2 - 4, np.nan)
 
-    want = sequential_gauss_newton(hit_on_axis, [1.0], 1e-12, 60, 3, seed=0)
-    got = steinberg._gauss_newton(hit_on_axis, [1.0], 1e-12, 60, 3, seed=0)
+    want = sequential_gauss_newton(hit_on_axis, [1.0], 1e-12, 60, 3)
+    got = steinberg._gauss_newton(hit_on_axis, [1.0], 1e-12, 60, 3)
     assert same_bits(got[0], want[0]) and same_bits(got[1], want[1])
 
     def no_hit_on_axis(t):
@@ -314,7 +347,7 @@ def test_a_failed_step_raises_only_where_the_sequential_solve_did():
 
     for solve in (sequential_gauss_newton, steinberg._gauss_newton):
         with pytest.raises(np.linalg.LinAlgError):
-            solve(no_hit_on_axis, [0.5], 1e-12, 60, 3, 0)
+            solve(no_hit_on_axis, [0.5], 1e-12, 60, 3)
 
 
 def real_when_real(t):
@@ -328,7 +361,11 @@ def test_rows_of_mixed_dtype_keep_their_arithmetic():
     # attempt 1 stays on the real axis, so its rows are real-typed and its
     # Jacobian differences real divisions, while the complex restarts share
     # its stacks; at this start those divisions decide the least r found
-    t0 = [0.7, 0.7]
-    want = sequential_gauss_newton(real_when_real, t0, 1e-12, 60, 3, seed=0)
-    got = steinberg._gauss_newton(lambda ts: [real_when_real(t) for t in ts], t0, 1e-12, 60, 3, 0)
+    t0 = [0.6, 0.7]
+    want = sequential_gauss_newton(real_when_real, t0, 1e-12, 60, 3)
+    got = steinberg._gauss_newton(lambda ts: [real_when_real(t) for t in ts], t0, 1e-12, 60, 3)
     assert same_bits(got[0], want[0]) and same_bits(got[1], want[1])
+    in_complex = sequential_gauss_newton(
+        lambda t: real_when_real(t).astype(complex), t0, 1e-12, 60, 3
+    )
+    assert not same_bits(in_complex[1], want[1])
