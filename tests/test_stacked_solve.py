@@ -40,12 +40,12 @@ ROUTE1_POINTS = (
 )
 
 
-def sequential_gauss_newton(resid, t0, tol, iters, restarts, seed=1):
+def sequential_gauss_newton(resid, t0, tol, iters, restarts):
     """The class solve's Gauss-Newton before stacking: one t per resid call,
-    attempts one after another, restarts drawn from default_rng(seed) (seed 1
-    drew steinberg._RESTART_NORMALS)."""
+    attempts one after another, restarts drawn from default_rng(1), the
+    generator steinberg._RESTART_NORMALS was taken from."""
     l = len(t0)
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(1)
     t = np.array(t0, dtype=complex)
     best = None
     for attempt in range(restarts):
@@ -218,9 +218,9 @@ def test_route1_is_bitwise_the_sequential_solve(name, m_text):
     assert same_bits(chi, t0)
 
 
-def _starts(t0, restarts, seed=1):
+def _starts(t0, restarts):
     """The start of every attempt, drawn as sequential_gauss_newton draws them."""
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(1)
     out = [np.array(t0, dtype=complex)]
     for k in range(1, restarts):
         out.append(out[0] + 0.3 * k * (rng.normal(size=len(t0)) + 1j * rng.normal(size=len(t0))))
