@@ -39,10 +39,12 @@ import numpy as np
 
 from .rootcore import (
     INT_LIMIT,
+    AlgebraType,
     InvariantViolation,
     Root,
     RootSystem,
     build_root_system,
+    capped_type,
     check_bound,
 )
 
@@ -100,6 +102,29 @@ class ChevalleyTables:
         return np.where(v == 0, u / self.den, v / self.den * math.sqrt(self.surd))
 
 
+# The largest coordinate of a root: the highest root's largest mark, by
+# family or type (Bourbaki labels; D3 is A3).  _root_tables checks it.
+_TOP_MARK = {"A": 1, "B": 2, "C": 2, "D": 2, "D3": 1, "E6": 3, "E7": 4, "E8": 6, "F4": 4, "G2": 3}
+
+
+def _key_base(t: AlgebraType) -> int:
+    """The digit base 2 off + 1 of the root keys, off twice the largest root coordinate."""
+    return 4 * _TOP_MARK.get(str(t), _TOP_MARK.get(t.family)) + 1
+
+
+def check_root_key_scale(type_name) -> None:
+    """Refuse a type whose root keys (_root_tables) would pass INT_LIMIT, from its name alone.
+
+    The keys reach 2 base^l (_key_base), so nothing of the type is built
+    first: a rank above RANK_CAP raises RankScaleError, keys out of int64
+    scale RootKeyScaleError.
+    """
+    t = capped_type(type_name)
+    bound = 2 * _key_base(t) ** t.rank
+    if bound >= INT_LIMIT:
+        raise RootKeyScaleError(f"root keys for {t} reach {bound}, out of int64 scale (limit 2^62)")
+
+
 def _root_tables(rs: RootSystem):
     """Root coordinates, negation and root-sum indices, and the scaled form.
 
@@ -107,16 +132,15 @@ def _root_tables(rs: RootSystem):
     digits.  Keys are linear: key(a + b) = key(a) + key(b) - key(0), with no
     carry, since every |a + b| coordinate is at most off.  The keys reach
     2 base^l, which depends on the type alone: above INT_LIMIT the type is
-    refused as out of scale (RootKeyScaleError), not as a broken invariant.
+    refused as out of scale (check_root_key_scale), not as a broken invariant.
     """
     R = np.array(rs.roots, dtype=np.int64)
     n, l = R.shape
     off = 2 * int(np.abs(R).max())
     base = 2 * off + 1
-    if 2 * base**l >= INT_LIMIT:
-        raise RootKeyScaleError(
-            f"root keys for {rs.type} reach {2 * base**l}, out of int64 scale (limit 2^62)"
-        )
+    if base != _key_base(rs.type):
+        raise InvariantViolation(f"{rs.type}: root keys need base {base}, not {_key_base(rs.type)}")
+    check_root_key_scale(rs.type)
     place = base ** np.arange(l, dtype=np.int64)
     keys = (R + off) @ place
     zero = off * int(place.sum())
@@ -380,4 +404,5 @@ def build_chevalley(type_name: str) -> ChevalleyAlgebra:
     """
     if not isinstance(type_name, str):
         raise TypeError(f"build_chevalley takes a type name, not {type(type_name).__name__}")
+    check_root_key_scale(type_name)
     return ChevalleyAlgebra(build_root_system(type_name))

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from fractions import Fraction as Q
 from functools import lru_cache
@@ -117,6 +118,20 @@ def _write(path: str, text: str):
             fh.write(text)
     except OSError as exc:
         raise OutputPathError(f"cannot write {path}: {exc.strerror or exc}") from exc
+
+
+def _claim(path: str) -> bool:
+    """Refuse an unwritable output path before any work, as _write would; True if it was created.
+
+    The path is opened to append, so an existing file keeps its contents
+    until the document is written.
+    """
+    existed = os.path.lexists(path)
+    try:
+        open(path, "a").close()
+    except OSError as exc:
+        raise OutputPathError(f"cannot write {path}: {exc.strerror or exc}") from exc
+    return not existed
 
 
 def _emit(doc: dict, path: str | None):
@@ -432,7 +447,10 @@ def build_parser() -> _Parser:
 
 def main(argv: Sequence[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
+    outputs = [p for p in (args.json_out, getattr(args, "svg_out", None)) if p]
+    created = []
     try:
+        created = [p for p in outputs if _claim(p)]
         return args.fn(args)
     except DOMAIN_ERRORS as exc:
         print(f"domain error: {exc}", file=sys.stderr)
@@ -443,6 +461,11 @@ def main(argv: Sequence[str] | None = None) -> int:
     except OutputPathError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    finally:
+        # a path claimed for an op that failed before writing it is left as it was found
+        for path in created:
+            if os.path.getsize(path) == 0:
+                os.remove(path)
 
 
 if __name__ == "__main__":

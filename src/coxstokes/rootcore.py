@@ -271,13 +271,21 @@ def _exponents_from_angles(cartan, l: int, s: int) -> Tuple[int, ...]:
     return tuple(sorted(exps))
 
 
+def capped_type(type_name) -> AlgebraType:
+    """The parsed type, refused (RankScaleError) above RANK_CAP before anything is built."""
+    t = AlgebraType.parse(type_name)
+    if t.rank > RANK_CAP:
+        raise RankScaleError(
+            f"root system {t} has rank {t.rank}, out of desk scale (cap {RANK_CAP})"
+        )
+    return t
+
+
 @lru_cache(maxsize=None)
 def build_root_system(type_name) -> RootSystem:
     """Construct the full root system with exact Cartan data for one type."""
-    t = AlgebraType.parse(type_name)
+    t = capped_type(type_name)
     l = t.rank
-    if l > RANK_CAP:
-        raise RankScaleError(f"root system {t} has rank {l}, out of desk scale (cap {RANK_CAP})")
     vecs = _simple_root_vectors(t)
 
     def dot(x, y):

@@ -12,6 +12,7 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction as Q
 from functools import lru_cache
+from itertools import accumulate
 from typing import Dict, NamedTuple, Sequence, Tuple
 
 import numpy as np
@@ -323,9 +324,13 @@ def _distinct(eig: np.ndarray) -> bool:
     return bool(np.min(np.abs(eig[:, None] - eig[None, :]) + np.eye(len(eig))) > 1e-8)
 
 
-# Step lengths 2^-i, i = 0..29, tried per stacked line-search call: the full
-# step alone, which most iterations take, then 1..7, then 8..29.
-_TRIAL_CHUNKS = (1, 7, 22)
+# A line search tries the step lengths 2^-i, i = 0..29, in order, in chunks:
+# an attempt's first chunk ends at the index it last accepted (0 on its first
+# search), since most searches accept where the one before did; the chunks
+# after it have these lengths, which must reach i = 29 from i = 1, and the
+# last is cut there.  Chosen from the accepted indices over a seeded census
+# of interior points (CHANGES).
+_TRIAL_CHUNKS = (7, 22)
 
 
 def _max_abs(rows) -> np.ndarray:
@@ -396,10 +401,14 @@ def _gauss_newton(resid, t0, tol: float, iters: int, restarts: int) -> Tuple[np.
 
     The attempts run in lockstep, and every resid call is a stack: all
     starts; the l Jacobian columns of every live attempt; the trials of
-    every attempt still searching, in chunks of _TRIAL_CHUNKS lengths.  An
-    accepted trial's row is the next iterate's residual.  Each row of a
-    stack is bitwise the residual of its t alone, so the result is bitwise
-    that of running the attempts one after another with one t per call: an
+    every attempt still searching, one chunk of each.  An attempt's first
+    chunk runs from 2^0 to the step length it last accepted (2^0 alone on
+    its first search), then come chunks of _TRIAL_CHUNKS lengths, the last
+    cut at 2^-29.  An accepted trial's row is the next iterate's residual.
+    Each row of a stack is bitwise the residual of its t alone, and a search
+    accepts the first finite r below the attempt's in step-length order, so
+    neither the chunks nor the stacking change the result: it is bitwise
+    that of running the attempts one after another with one t per call.  An
     attempt that stops (at tol, or when its least-squares solve raises
     LinAlgError) drops the attempts after it, which that order would never
     run, while the earlier ones run on; the error is raised only if no
@@ -409,9 +418,12 @@ def _gauss_newton(resid, t0, tol: float, iters: int, restarts: int) -> Tuple[np.
     t = _restart_starts(t0, restarts)
     F = list(resid(np.stack(t)))
     r = [0.0] * restarts
+    last = [0] * restarts           # the step-length index each attempt last accepted
     seen = [[] for _ in t]          # (r, t) at each iterate, per attempt
     stop = [None] * restarts        # (t, r) at tol, or the LinAlgError raised
     live = list(range(restarts))    # attempts still stepping, in order
+    lams = 0.5 ** np.arange(30)
+    diag = np.arange(l)
     for _ in range(iters):
         for i, a in enumerate(live):
             r[a] = float(np.max(np.abs(F[a])))
@@ -422,13 +434,9 @@ def _gauss_newton(resid, t0, tol: float, iters: int, restarts: int) -> Tuple[np.
         if not live:
             break
         h = [1e-7 * max(1.0, float(np.max(np.abs(t[a])))) for a in live]
-        cols = []
-        for a, ha in zip(live, h):
-            for j in range(l):
-                tp = t[a].copy()
-                tp[j] += ha
-                cols.append(tp)
-        G = resid(np.stack(cols))
+        cols = np.repeat(np.stack([t[a] for a in live]), l, axis=0)
+        cols.reshape(len(live), l, l)[:, diag, diag] += np.array(h)[:, None]
+        G = resid(cols)
         searching = []
         for i, (a, ha) in enumerate(zip(live, h)):
             J = np.empty((len(F[a]), l), dtype=complex)
@@ -439,27 +447,30 @@ def _gauss_newton(resid, t0, tol: float, iters: int, restarts: int) -> Tuple[np.
             except np.linalg.LinAlgError as exc:
                 stop[a], live = exc, live[:i]
                 break
-            searching.append((a, step))
-        first = 0
-        for size in _TRIAL_CHUNKS:
-            if not searching:
-                break
-            lams = [0.5**i for i in range(first, first + size)]
-            cands = [t[a] + lam * step for a, step in searching for lam in lams]
-            rows = resid(np.stack(cands))
+            ends = [min(e, 30) for e in accumulate((0, last[a] + 1, *_TRIAL_CHUNKS))]
+            searching.append((a, step, ends))
+        chunk = 0
+        while searching:
+            spans = [(a, step, ends, *ends[chunk : chunk + 2]) for a, step, ends in searching]
+            cands = np.concatenate([t[a] + lams[lo:hi, None] * step for a, step, _, lo, hi in spans])
+            rows = resid(cands)
             r_cand = _max_abs(rows)
             unmet = []
-            for i, (a, step) in enumerate(searching):
-                for k in range(i * size, (i + 1) * size):
-                    if np.isfinite(r_cand[k]) and r_cand[k] < r[a]:
-                        t[a], F[a] = cands[k], rows[k]
-                        break
+            k = 0
+            for a, step, ends, lo, hi in spans:
+                r_a = r_cand[k : k + hi - lo]
+                hit = np.flatnonzero(np.isfinite(r_a) & (r_a < r[a]))
+                if hit.size:
+                    last[a] = lo + int(hit[0])
+                    # a copy: seen keeps every iterate, not the stacks they came from
+                    t[a], F[a] = cands[k + hit[0]].copy(), rows[k + hit[0]]
+                elif hi < 30:
+                    unmet.append((a, step, ends))
                 else:
-                    unmet.append((a, step))
+                    live.remove(a)
+                k += hi - lo
             searching = unmet
-            first += size
-        ended = {a for a, _ in searching}
-        live = [a for a in live if a not in ended]
+            chunk += 1
         if not live:
             break
     for a in range(restarts):
@@ -582,6 +593,8 @@ def _section_spectra(
     with np.errstate(over="ignore", invalid="ignore"):
         mats = _section_stack(rep, bip, ts)
     ok = np.isfinite(mats).all(axis=(1, 2))
+    if ok.all():
+        return np.linalg.eigvals(mats), ok
     eig = np.full(mats.shape[:2], np.nan, dtype=complex)
     eig[ok] = np.linalg.eigvals(mats[ok])
     return eig, ok
@@ -590,36 +603,40 @@ def _section_spectra(
 def _power_sum_residual(rep: Representation, bip: Bipartition, reg_eig: np.ndarray):
     """The stacked residual of _solve_power_sums: (k, l) stack of t -> (k, m) rows.
 
-    Row: the power sums tr(C^k)/dim of the registered section, k = 1..min(dim,
-    24), then the adjoint ones p_k(ad)/dim(ad), k = 1..min(dim(ad), 28),
-    from the registered eigenvalues by the family's plethysm, minus the same
-    sums of the targets reg_eig.  A row without eigenvalues
-    (_section_spectra) is inf.
+    Row: the power sums tr(C^k)/dim of the registered section, k = 1..kr,
+    kr = min(dim, 24), then the adjoint ones p_k(ad)/dim(ad), k = 1..ka,
+    ka = min(dim(ad), 28), from the registered eigenvalues by the family's
+    plethysm, minus the same sums of the targets reg_eig.  Every sum is read
+    from one table of the p_k it needs, k = 1..ka and 2, 4, .., 2 ka
+    (kr <= ka, since dim < dim(ad)), taken _SUM_ROWS rows at a time.  A row
+    without eigenvalues (_section_spectra) is inf.
     """
     rs = rep.rs
     plethysm = _ADJOINT_PLETHYSM[rs.type.family]
     dim_ad = len(rs.roots) + rs.rank
-    kr = np.arange(1, min(rep.dim, 24) + 1)
-    ka = np.arange(1, min(dim_ad, 28) + 1)
+    kr = min(rep.dim, 24)
+    ka = min(dim_ad, 28)
+    ks = np.concatenate([np.arange(1, ka + 1), np.arange(ka // 2 * 2 + 2, 2 * ka + 1, 2)])
+    doubled = np.searchsorted(ks, 2 * np.arange(1, ka + 1))
 
     def sums(eig):
         # a trial step far off the class can overflow the powers; the line
         # search rejects the non-finite residual
         with np.errstate(over="ignore", invalid="ignore"):
-            pa = plethysm(_power_sums(eig, ka), _power_sums(eig, 2 * ka))
-            return np.concatenate([_power_sums(eig, kr) / rep.dim, pa / dim_ad], axis=-1)
+            p = _power_sums(eig, ks)
+            pa = plethysm(p[..., :ka], p[..., doubled])
+            return np.concatenate([p[..., :kr] / rep.dim, pa / dim_ad], axis=-1)
 
     target = sums(reg_eig)
 
     def resid(ts):
         eig, ok = _section_spectra(rep, bip, ts)
-        out = np.full((len(ts), len(target)), np.inf, dtype=complex)
-        rows = np.flatnonzero(ok)
-        # a few rows at a time: the (rows, k, dim) power stacks and numpy's
-        # buffers for them stay a few tens of kB
-        for i in range(0, len(rows), _SUM_ROWS):
-            block = rows[i : i + _SUM_ROWS]
-            out[block] = sums(eig[block]) - target
+        # a few rows at a time: the (rows, k, dim) power table and numpy's
+        # buffers for it stay a few tens of kB
+        out = np.concatenate([sums(eig[i : i + _SUM_ROWS]) for i in range(0, len(eig), _SUM_ROWS)])
+        out -= target
+        if not ok.all():
+            out[~ok] = np.inf
         return out
 
     return resid
@@ -709,11 +726,14 @@ def _solve_class(rs: RootSystem, bip: Bipartition, order: Tuple[int, ...], y) ->
 
     Both Gauss-Newton runs of the power-sum route evaluate stacks of t
     (_gauss_newton): one stacked section product, one np.linalg.eigvals
-    over the stack (_section_spectra), then the power sums over it, or
+    over the stack (_section_spectra), then the power sums over it, read
+    from one table of powers per block of rows (_power_sum_residual), or
     np.poly row by row for the polish.  The three power-sum attempts run in
-    lockstep, and each line search tries its step lengths in chunks of 1, 7
-    and 22.  Every stacked row is bitwise its single evaluation, so t and r
-    are bitwise those of evaluating one t at a time.
+    lockstep.  Each line search tries its step lengths in chunks: from 2^0
+    to the length its attempt last accepted, then 7 more, then the rest
+    (_TRIAL_CHUNKS).  Every stacked row is bitwise its single evaluation,
+    and a search accepts the first good length in order, so t and r are
+    bitwise those of evaluating one t at a time.
     """
     name = str(rs.type)
     rep = registered_representation(name)
@@ -811,9 +831,8 @@ def stokes_from_asymptotics(
         rep = registered
     pt = m if isinstance(m, AlcovePoint) else alcove_map(rs, m)
     if not pt.admissible:
-        raise InadmissibleError(
-            f"m inadmissible: simple slacks {pt.slacks_simple}, psi slack {pt.slack_psi}"
-        )
+        simple = ", ".join(map(str, pt.slacks_simple))
+        raise InadmissibleError(f"m inadmissible: simple slacks ({simple}), psi slack {pt.slack_psi}")
     y = pt.y
     consts = _type_constants(str(rs.type))
     order = consts.order

@@ -14,7 +14,7 @@ import pytest
 
 import coxstokes
 from character_reference import exact_ad
-from coxstokes import rootcore
+from coxstokes import chevalley, rootcore
 from coxstokes.chevalley import (
     InvariantViolation,
     build_chevalley,
@@ -524,3 +524,19 @@ def test_root_data_checks_are_named_exceptions():
     skewed = dataclasses.replace(a3, r_coeffs=(Q(1), Q(2), Q(3)))
     with pytest.raises(InvariantViolation, match="alpha_1"):
         rootcore.dual_data(skewed)
+
+
+@pytest.mark.parametrize("name", STANDARD_TYPES + ("D3", "B5", "C5", "D6", "D7"))
+def test_root_key_base_is_read_off_the_type(name):
+    # check_root_key_scale refuses from the name alone: its base must be the
+    # one the built root system gives, 2 off + 1 with off = 2 max |coordinate|
+    rs = build_root_system(name)
+    assert chevalley._key_base(rs.type) == 4 * max(abs(c) for r in rs.roots for c in r) + 1
+
+
+def test_root_key_scale_thresholds():
+    # the ranks the RootKeyScaleError docstring names
+    for fits, refused in (("A26", "A27"), ("B19", "B20"), ("C19", "C20"), ("D19", "D20")):
+        chevalley.check_root_key_scale(fits)
+        with pytest.raises(chevalley.RootKeyScaleError, match=f"root keys for {refused} reach"):
+            chevalley.check_root_key_scale(refused)

@@ -321,6 +321,16 @@ def test_out_of_scale_rank_is_a_domain_error(monkeypatch, capsys):
         check_bound(INT_LIMIT, "a product")
 
 
+def test_out_of_scale_root_keys_are_refused_before_the_root_system_is_built(capsys):
+    # A45 took 2.4 s to build before the root-key check refused it
+    start = time.perf_counter()
+    assert run(["monodromy", "--rank", "45", "--k", "0"]) == EXIT_DOMAIN
+    assert time.perf_counter() - start < 1.0
+    assert capsys.readouterr().err == (
+        "domain error: root keys for A45 reach 56843418860808014869689941406250,"
+        " out of int64 scale (limit 2^62)\n")
+
+
 @pytest.mark.parametrize("argv", [
     ["describe", "--type", "A300"],
     ["plane", "--type", "A300"],
@@ -341,13 +351,28 @@ def test_out_of_scale_root_system_is_refused_before_it_is_built(argv, capsys):
 
 @pytest.mark.parametrize("argv", [
     ["stokes", "--type", "B3", "--m=-1/8,-5/4,-15/8", "--json-out"],
+    ["stokes", "--type", "B10", "--json-out"],
     ["plane", "--type", "D4", "--json-out"],
     ["plane", "--type", "D4", "--svg-out"],
 ])
 def test_unwritable_output_path_is_a_usage_error(argv, tmp_path, capsys):
+    # refused before the computation: a cold B10 op takes seconds
     path = tmp_path / "missing" / "out"
+    start = time.perf_counter()
     assert run([*argv, str(path)]) == EXIT_USAGE
+    assert time.perf_counter() - start < 1.0
     assert capsys.readouterr().err == f"error: cannot write {path}: No such file or directory\n"
+
+
+def test_failed_op_leaves_no_output_file(tmp_path, capsys):
+    out = tmp_path / "m.json"
+    assert run(["monodromy", "--rank", "45", "--k", "0", "--json-out", str(out)]) == EXIT_DOMAIN
+    assert not out.exists()
+    # a file that was there keeps its contents
+    out.write_text("kept\n")
+    assert run(["monodromy", "--rank", "45", "--k", "0", "--json-out", str(out)]) == EXIT_DOMAIN
+    assert out.read_text() == "kept\n"
+    capsys.readouterr()
 
 
 def test_monodromy_integrator_failure_is_a_verification_failure(monkeypatch, capsys):

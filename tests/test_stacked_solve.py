@@ -7,6 +7,7 @@ single calls, and the lockstep Gauss-Newton with the sequential one it
 replaced, kept here as sequential_gauss_newton, bit for bit.
 """
 
+import random
 from fractions import Fraction as Q
 
 import numpy as np
@@ -206,8 +207,34 @@ def _sequential_route1(name, m_text):
     return (rs, bip, order, y, rep, t0, reg_eig), (t_ps, r_ps), (t, r)
 
 
+def _seeded_interior_point(name, draw):
+    """The draw-th interior point of name, off the bench points, whose registered
+    targets are distinct (so that route 1 solves there), from a fixed seed."""
+    rs = build_root_system(name)
+    rep = registered_representation(name)
+    rng = random.Random(f"route1:{name}")
+    found = []
+    while len(found) <= draw:
+        m = tuple(Q(rng.randint(-16, 16), 8) for _ in range(rs.rank))
+        pt = alcove_map(rs, m)
+        if pt.admissible and min(pt.slacks_simple) > 0 and pt.slack_psi > 0 and (
+                steinberg._distinct(steinberg._target_eigenvalues(rep, pt.y))):
+            found.append(",".join(map(str, m)))
+    assert (name, found[draw]) not in ROUTE1_POINTS
+    return found[draw]
+
+
 @pytest.mark.parametrize("name,m_text", ROUTE1_POINTS)
 def test_route1_is_bitwise_the_sequential_solve(name, m_text):
+    _assert_route1_is_sequential(name, m_text)
+
+
+@pytest.mark.parametrize("name,draw", [(name, d) for name in ("B2", "D5", "C3", "G2") for d in (0, 1)])
+def test_route1_is_bitwise_the_sequential_solve_off_the_bench_points(name, draw):
+    _assert_route1_is_sequential(name, _seeded_interior_point(name, draw))
+
+
+def _assert_route1_is_sequential(name, m_text):
     (rs, bip, order, y, rep, t0, reg_eig), (t_ps, r_ps), (t, r) = _sequential_route1(name, m_text)
     got_ps = steinberg._solve_power_sums(rep, bip, t0, reg_eig)
     assert same_bits(got_ps[0], t_ps) and same_bits(got_ps[1], r_ps)
@@ -330,6 +357,18 @@ def test_lockstep_gauss_newton_is_bitwise_the_sequential(case, monkeypatch):
     want = sequential_gauss_newton(resid, t0, tol, iters, 3)
     got = steinberg._gauss_newton(resid, t0, tol, iters, 3)
     assert same_bits(got[0], want[0]) and same_bits(got[1], want[1])
+
+
+@pytest.mark.parametrize("chunks", [(1,) * 29, (29,)])
+def test_trial_schedule_changes_no_bit_of_the_result(chunks, monkeypatch):
+    # one length per chunk after the first, or all of them in one chunk:
+    # other stacks are evaluated, and the same iterates are accepted
+    for resid, t0, iters, _ in SYNTHETIC.values():
+        want = steinberg._gauss_newton(resid, t0, 1e-12, iters, 3)
+        with monkeypatch.context() as patch:
+            patch.setattr(steinberg, "_TRIAL_CHUNKS", chunks)
+            got = steinberg._gauss_newton(resid, t0, 1e-12, iters, 3)
+        assert same_bits(got[0], want[0]) and same_bits(got[1], want[1])
 
 
 def test_a_failed_step_raises_only_where_the_sequential_solve_did():

@@ -194,6 +194,10 @@ def test_stokes_sl3_generic_k1_support():
 def test_stokes_inadmissible_raises():
     with pytest.raises(InadmissibleError):
         stokes_from_asymptotics("A2", [Q(-5), Q(0)])
+    # the slacks as rationals, not as Fraction reprs
+    with pytest.raises(InadmissibleError) as info:
+        stokes_from_asymptotics("B3", (100, 0, 0))
+    assert str(info.value) == "m inadmissible: simple slacks (67/2, -33/2, 1/6), psi slack 1/6"
 
 
 @pytest.mark.parametrize("name", ["A3", "B2", "C3", "D4", "G2"])
