@@ -20,7 +20,7 @@ from typing import List, Sequence
 import numpy as np
 
 from . import oracle
-from .characters import CharacterScaleError
+from .characters import CharacterScaleError, fundamental_dim
 from .chevalley import InvariantViolation, RootKeyScaleError, build_chevalley
 from .coxeter import (
     TheoremCheckError,
@@ -44,6 +44,7 @@ from .steinberg import (
     ConsistencyError,
     InadmissibleError,
     alcove_map,
+    check_character_cap,
     semisimple_spectrum_check,
     stokes_from_asymptotics,
     verify_factor_supports,
@@ -51,7 +52,7 @@ from .steinberg import (
 from .weightrep import (
     UnsupportedRepresentationError,
     fundamental_representation,
-    registered_representation,
+    registered_index,
 )
 
 EXIT_OK = 0
@@ -318,15 +319,17 @@ def cmd_stokes(args) -> int:
     m = args.m or [Q(0)] * rs.rank
     if len(m) != rs.rank:
         raise UnsupportedTypeError(f"m must have {rs.rank} components")
-    # the class is solved in the registered representation, so a type without
-    # one (E7, E8) fails here, before any --rep representation is built
-    rep = registered_representation(str(rs.type))
+    # every refusal comes before the representations are built, in the order
+    # of the builds it guards: the class is solved in the registered
+    # representation, so a type without one (E7, E8) fails first
+    name = str(rs.type)
+    registered_index(name)
     if args.rep is not None:
         if not 1 <= args.rep <= rs.rank:
             raise UnsupportedRepresentationError(
                 f"--rep {args.rep} is outside 1..{rs.rank} for {rs.type}"
             )
-        rep = fundamental_representation(str(rs.type), args.rep)
+        fundamental_dim(name, args.rep)
     pt = alcove_map(rs, m)
     alcove = {
         "admissible": pt.admissible,
@@ -340,7 +343,9 @@ def cmd_stokes(args) -> int:
         raise InadmissibleError(
             f"m = {','.join(map(str, m))} is not admissible (see slack report)"
         )
-    sd = stokes_from_asymptotics(str(rs.type), pt, rep=rep)
+    check_character_cap(name)
+    rep = None if args.rep is None else fundamental_representation(name, args.rep)
+    sd = stokes_from_asymptotics(name, pt, rep=rep)
     supports = verify_factor_supports(sd)
     chk = semisimple_spectrum_check(sd)
     doc = sd.to_jsonable(matrices=args.matrices)

@@ -20,7 +20,6 @@ from typing import Sequence, Tuple
 
 import numpy as np
 
-from .assignment import linear_assignment
 from .chevalley import ChevalleyAlgebra
 from .coxeter import CoxeterPlaneDiagram, ray_index
 
@@ -142,15 +141,19 @@ def ad_spectrum(ep: EPlusElement) -> SpectrumReport:
             f"nonzero spectrum fills {np.count_nonzero(counts)} rays, expected 2s = {2*s}"
         )
 
-    # spectrum is invariant under multiplication by e^{2 pi i/s}
-    rot = np.exp(2j * np.pi / s) * nz
-    cost = np.abs(rot[:, None] - nz[None, :])
-    ri, ci = linear_assignment(cost)
-    if cost[ri, ci].max() > ROTATION_TOL * scale:
+    # the spectrum is invariant under e^{2 pi i/s}, which turns ray k onto ray
+    # k + 2: the rays must hold equal counts, and within each pair of rays the
+    # eigenvalues pair by modulus.  Sorted by (ray, radius), ray k + 2 then
+    # sits counts[0] + counts[1] places after ray k.
+    nz = nz[np.lexsort((np.abs(nz), ray))]
+    onto = np.roll(nz, -(counts[0] + counts[1]))
+    if (np.roll(counts, 2) != counts).any() or (
+        np.abs(np.exp(2j * np.pi / s) * nz - onto).max() > ROTATION_TOL * scale
+    ):
         raise SpectrumMismatch("nonzero spectrum not closed under the s-th root rotation")
 
     rays = tuple((phi + k * np.pi / s, int(c)) for k, c in enumerate(counts))
-    return SpectrumReport(nz[np.lexsort((np.abs(nz), ray))], zmult, rays)
+    return SpectrumReport(nz, zmult, rays)
 
 
 @dataclass
@@ -163,41 +166,37 @@ def match_plane(sr: SpectrumReport, plane: CoxeterPlaneDiagram) -> PlaneMatch:
     """Find kappa with {kappa * coord(a)} = nonzero spectrum as multisets.
 
     kappa is seeded once, from the eigenvalue whose modulus best fits the
-    largest root of ray d_1 (the anchor), and polished by least squares on the
-    optimal assignment; the match is accepted below MATCH_TOL (relative), and
-    when every spectrum ray holds as many eigenvalues as the plane ray that
-    kappa rotates onto it holds roots.  In every standard type each eigenvalue
-    on the anchor's wheel seeds a match to rounding; a seed that does not match
-    fails the MATCH_TOL check, so the single seed cannot pass a wrong spectrum.
+    largest root of ray d_1 (the anchor).  The seed fixes the plane ray that
+    each spectrum ray holds; the two must hold equal counts, and within a
+    ray they pair by modulus.  kappa is polished by least squares over those
+    pairs, and the match is accepted when its largest pair residual is below
+    MATCH_TOL (relative).  In every standard type each eigenvalue on the
+    anchor's wheel seeds a match to rounding; a seed that does not match
+    fails one of the two checks, so the single seed cannot pass a wrong
+    spectrum.
     """
     nz = sr.nonzero
-    coords = np.array([plane.coord[r] for r in sorted(plane.coord)])
-    if len(coords) != len(nz):
-        raise SpectrumMismatch("spectrum size differs from number of roots")
     scale = np.max(np.abs(nz))
     anchor = max(
         (plane.coord[r] for r in plane.assignment[0]), key=abs
     )
     # |kappa| max|coords| = max|nz| for the true kappa
-    fit = np.abs(np.abs(nz) / abs(anchor) * np.max(np.abs(coords)) - scale)
+    radius = np.max(np.abs(np.array(list(plane.coord.values()))))
+    fit = np.abs(np.abs(nz) / abs(anchor) * radius - scale)
     kappa = nz[int(np.argmin(fit))] / anchor
-    cost = np.abs(kappa * coords[:, None] - nz[None, :])
-    ri, ci = linear_assignment(cost)
-    # least-squares polish of kappa over that assignment
-    a, b = coords[ri], nz[ci]
-    kappa = complex(np.vdot(a, b) / np.vdot(a, a))
-    cost = np.abs(kappa * coords[:, None] - nz[None, :])
-    ri, ci = linear_assignment(cost)
-    res = float(cost[ri, ci].max())
-    if res > MATCH_TOL * scale:
-        raise SpectrumMismatch(f"plane/spectrum match residual {res} above {MATCH_TOL*scale}")
 
     # ray 0 of the spectrum sits at its offset phi; spectrum ray k holds kappa times
     # plane ray k - shift, which is d_{shift-k+1}
     s = plane.num_rays // 2
     shift = int(np.rint((np.angle(kappa) - sr.rays[0][0]) * s / np.pi))
+    held = [plane.assignment[(shift - k) % (2 * s)] for k in range(2 * s)]
     counts = tuple(c for _, c in sr.rays)
-    plane_counts = tuple(len(plane.assignment[(shift - k) % (2 * s)]) for k in range(2 * s))
+    plane_counts = tuple(map(len, held))
     if counts != plane_counts:
         raise SpectrumMismatch(f"per-ray counts {counts} differ from the plane's {plane_counts}")
+    a = np.array([c for roots in held for c in sorted((plane.coord[r] for r in roots), key=abs)])
+    kappa = complex(np.vdot(a, nz) / np.vdot(a, a))
+    res = float(np.max(np.abs(kappa * a - nz)))
+    if res > MATCH_TOL * scale:
+        raise SpectrumMismatch(f"plane/spectrum match residual {res} above {MATCH_TOL*scale}")
     return PlaneMatch(kappa, res)

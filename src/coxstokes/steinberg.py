@@ -682,6 +682,13 @@ def _closed_form(type_name: str, order: Tuple[int, ...], chi: np.ndarray) -> np.
     return np.array([t[node] for node in order])
 
 
+def check_character_cap(type_name: str) -> None:
+    """Refuse (CharacterScaleError) the first node in Gamma order whose character
+    table is over the cap; only Weyl dimensions are formed, no table is built."""
+    for k in _type_constants(type_name).order:
+        fundamental_dim(type_name, k)
+
+
 class ClassSolve(NamedTuple):
     t: np.ndarray
     residual: float                # of the registered characteristic polynomial at t
@@ -737,8 +744,7 @@ def _solve_class(rs: RootSystem, bip: Bipartition, order: Tuple[int, ...], y) ->
     """
     name = str(rs.type)
     rep = registered_representation(name)
-    for k in order:  # refuse an over-cap node before any table is built
-        fundamental_dim(name, k)
+    check_character_cap(name)
     t0 = torus_character_values(rs, [fundamental_characters(name, k) for k in order], y)
     targets = _targets(rep, y)
     reg_eig, poly, distinct = targets

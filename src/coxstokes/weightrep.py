@@ -386,13 +386,13 @@ def fundamental_representation(type_name: str, index: int) -> Representation:
     return rep
 
 
-@lru_cache(maxsize=None)
-def registered_representation(type_name: str) -> Representation:
-    """The faithful matrix representation used by the group-level pipeline.
+def registered_index(type_name: str) -> int:
+    """The fundamental index of the registered representation, nothing built.
 
     The minimal-dimension fundamental representation (lowest index on ties):
     standard for A-D, 7-dim for G2, 26-dim for F4, 27-dim for E6.  E7/E8 are
-    not registered; the combinatorial modules still cover them.
+    not registered (UnsupportedRepresentationError); the combinatorial
+    modules still cover them.
     """
     rs = build_root_system(type_name)
     if rs.type.family == "E" and rs.rank >= 7:
@@ -400,7 +400,12 @@ def registered_representation(type_name: str) -> Representation:
             f"no registered representation for {type_name}"
         )
     if rs.type.family in "ABCD":
-        idx = 1
-    else:
-        idx = int(np.argmin(fundamental_dims(type_name))) + 1
-    return fundamental_representation(type_name, idx)
+        return 1
+    return int(np.argmin(fundamental_dims(type_name))) + 1
+
+
+@lru_cache(maxsize=None)
+def registered_representation(type_name: str) -> Representation:
+    """The faithful matrix representation used by the group-level pipeline:
+    V(omega_k), k = registered_index(type_name)."""
+    return fundamental_representation(type_name, registered_index(type_name))

@@ -11,7 +11,10 @@ stderr] of its commands, each run in this process through
 - vertices: stokes at every alcove vertex of the 14 registered types;
 - interior: stokes at 3 seeded interior points of each registered type;
 - verify-all: ``verify --all``;
-- monodromy: the first 40 ops of the monodromy-typeA workload at seed 1.
+- monodromy: the first 40 ops of the monodromy-typeA workload at seed 1;
+- plane: ``plane --type T`` for the 16 standard types;
+- rep: ``stokes --rep j`` at m = 0 for the non-registered fundamental
+  representations that tests/test_supports.py checks.
 
 Two checkouts that print the same lines give the same bytes on every
 command.  Uses the standard library and the package only; pytest does not
@@ -35,6 +38,7 @@ from coxstokes import cli
 REGISTERED = ("A2", "A3", "A4", "A5", "A6", "B2", "B3", "B4", "C3", "D4", "D5", "G2", "F4", "E6")
 INTERIOR_PER_TYPE = 3
 MONODROMY_OPS = 40
+REP_INDICES = (("A3", 2), ("B3", 2), ("C3", 2), ("D4", 3), ("D4", 4), ("G2", 2))
 
 
 def _bench_inputs():
@@ -73,6 +77,8 @@ def groups() -> dict:
         "interior": interior,
         "verify-all": [["verify", "--all"]],
         "monodromy": monodromy,
+        "plane": [["plane", "--type", t] for t in cli.STANDARD_TYPES],
+        "rep": [["stokes", "--type", t, "--rep", str(j)] for t, j in REP_INDICES],
     }
 
 

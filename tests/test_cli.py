@@ -12,7 +12,7 @@ import pytest
 
 import coxstokes
 from character_reference import MULTIPLIER_CONSTANTS
-from coxstokes import characters, cli, oracle
+from coxstokes import characters, cli, oracle, weightrep
 from coxstokes.chevalley import InvariantViolation
 from coxstokes.rootcore import INT_LIMIT, RANK_CAP, RankScaleError, build_root_system, check_bound
 from coxstokes.cli import EXIT_DOMAIN, EXIT_OK, EXIT_USAGE, EXIT_VERIFY, main
@@ -329,6 +329,32 @@ def test_out_of_scale_root_keys_are_refused_before_the_root_system_is_built(caps
     assert capsys.readouterr().err == (
         "domain error: root keys for A45 reach 56843418860808014869689941406250,"
         " out of int64 scale (limit 2^62)\n")
+
+
+_CAP_ERR = "domain error: character table for {} has dimension {}, out of desk scale (cap 1000000)\n"
+
+
+@pytest.mark.parametrize("argv,err", [
+    (["stokes", "--type", "A26"], _CAP_ERR.format("A26 omega_8", 2220075)),
+    (["stokes", "--type", "B11"], _CAP_ERR.format("B11 omega_10", 1144066)),
+    (["stokes", "--type", "A26", "--rep", "9"], _CAP_ERR.format("A26 omega_9", 4686825)),
+    (["stokes", "--type", "A26", "--m=-3" + ",0" * 25],
+     "domain error: m = -3" + ",0" * 25 + " is not admissible (see slack report)\n"),
+], ids=["A26", "B11", "A26-rep9", "A26-inadmissible"])
+def test_over_cap_stokes_is_refused_before_any_representation_is_built(argv, err, monkeypatch,
+                                                                        capsys):
+    # the refusals keep their order (--rep, then admissibility, then the class
+    # solve's nodes in Gamma order), and no representation is asked for
+    def refuse(rs, lam):
+        raise AssertionError(f"built {rs.type} {lam}")
+
+    monkeypatch.setattr(weightrep, "_build_representation", refuse)
+    cached = [f.cache_info() for f in (weightrep.fundamental_representation,
+                                       weightrep.registered_representation)]
+    assert run(argv) == EXIT_DOMAIN
+    assert capsys.readouterr().err == err
+    assert [f.cache_info() for f in (weightrep.fundamental_representation,
+                                     weightrep.registered_representation)] == cached
 
 
 @pytest.mark.parametrize("argv", [

@@ -13,6 +13,7 @@ from coxstokes.coxeter import bipartition, coxeter_plane
 from coxstokes.rootcore import build_root_system
 from coxstokes.spectrum import (
     RAY_TOL,
+    ROTATION_TOL,
     ZERO_TOL,
     RegularityError,
     SpectrumMismatch,
@@ -142,6 +143,35 @@ def test_turned_eigenvalue_against_the_ray_bound(name):
     assert np.allclose([a for a, _ in near.rays], [a for a, _ in sr.rays], rtol=0, atol=RAY_TOL)
 
 
+def _tampered_spectrum(ep, sr, tamper):
+    """ad_spectrum of a diagonal ad holding sr's spectrum, its fullest ray's
+    largest eigenvalue tampered (the i-th of sr.nonzero)."""
+    counts = [c for _, c in sr.rays]
+    k = int(np.argmax(counts))
+    i = sr.zero_multiplicity + sum(counts[:k + 1]) - 1
+    eigs = np.concatenate([np.zeros(sr.zero_multiplicity), sr.nonzero])
+    eigs[i] = tamper(eigs[i])
+    return ad_spectrum(dataclasses.replace(ep, ad=np.diag(eigs)))
+
+
+@pytest.mark.parametrize("name", ["B3", "D4", "E6"])
+def test_tampered_eigenvalue_fails_the_ray_pairing(name):
+    # rays are paired with rays: the rotation e^{2 pi i/s} turns ray k onto
+    # ray k + 2, and within a pair of rays eigenvalues pair by modulus
+    ep = build_e_plus(build_chevalley(name))
+    sr = ad_spectrum(ep)
+    s = ep.alg.rs.coxeter_number
+    assert max(c for _, c in sr.rays) >= 2    # the source ray keeps an eigenvalue
+    with pytest.raises(SpectrumMismatch, match="rotation"):     # onto the next ray
+        _tampered_spectrum(ep, sr, lambda z: z * np.exp(1j * np.pi / s))
+    with pytest.raises(SpectrumMismatch, match="not within"):
+        _tampered_spectrum(ep, sr, lambda z: z * np.exp(10j * RAY_TOL))
+    with pytest.raises(SpectrumMismatch, match="rotation"):
+        _tampered_spectrum(ep, sr, lambda z: z * (1 + 10 * ROTATION_TOL))
+    near = _tampered_spectrum(ep, sr, lambda z: z * (1 + ROTATION_TOL / 10))
+    assert [c for _, c in near.rays] == [c for _, c in sr.rays]
+
+
 def _plane_and_spectrum(name):
     alg = build_chevalley(name)
     return coxeter_plane(alg.rs, bipartition(alg.rs)), ad_spectrum(build_e_plus(alg))
@@ -164,6 +194,26 @@ def test_match_plane_equals_brute_force_search(name):
         ri, ci = linear_sum_assignment(cost)
         assert cost[ri, ci].max() < 1e-13 * scale
     assert match_plane(sr, plane).max_residual < 1e-13 * scale
+
+
+@pytest.mark.parametrize("name", STANDARD_TYPES)
+def test_kappa_equals_scipys_assignment_polish(name):
+    # the reference: the same seed, scipy's optimal assignment of all roots to
+    # all eigenvalues, and the least-squares kappa over it
+    plane, sr = _plane_and_spectrum(name)
+    nz = sr.nonzero
+    coords = np.array([plane.coord[r] for r in sorted(plane.coord)])
+    anchor = max((plane.coord[r] for r in plane.assignment[0]), key=abs)
+    scale = np.max(np.abs(nz))
+    seed = nz[np.argmin(np.abs(np.abs(nz) / abs(anchor) * np.max(np.abs(coords)) - scale))]
+    ri, ci = linear_sum_assignment(np.abs(seed / anchor * coords[:, None] - nz[None, :]))
+    a, b = coords[ri], nz[ci]
+    want = np.vdot(a, b) / np.vdot(a, a)
+    m = match_plane(sr, plane)
+    assert abs(m.kappa - want) <= 1e-15 * abs(want)
+    cost = np.abs(want * coords[:, None] - nz[None, :])
+    ri, ci = linear_sum_assignment(cost)
+    assert abs(m.max_residual - cost[ri, ci].max()) <= 1e-15 * scale
 
 
 def test_perturbed_eigenvalue_fails_match():

@@ -12,9 +12,9 @@ from fractions import Fraction as Q
 
 import numpy as np
 import pytest
+from scipy.optimize import linear_sum_assignment
 
 import character_reference as ref
-from coxstokes.assignment import linear_assignment
 from coxstokes.coxeter import bipartition, coxeter_element
 from coxstokes.rootcore import build_root_system
 from coxstokes.steinberg import (
@@ -103,7 +103,7 @@ def test_rep_data_is_checked_in_its_own_representation(name, index):
     eig_res = None
     if chk.regular:  # the half-spin targets of D4 collide at this point
         cost = np.abs(targets[:, None] - eig[None, :])
-        ri, ci = linear_assignment(cost)
+        ri, ci = linear_sum_assignment(cost)
         eig_res = float(cost[ri, ci].max())
     assert chk.eigenvalue_residual == eig_res
 
