@@ -145,11 +145,13 @@ def ad_spectrum(ep: EPlusElement) -> SpectrumReport:
     # k + 2: the rays must hold equal counts, and within each pair of rays the
     # eigenvalues pair by modulus.  Sorted by (ray, radius), ray k + 2 then
     # sits counts[0] + counts[1] places after ray k.
+    if (np.roll(counts, 2) != counts).any():
+        raise SpectrumMismatch(
+            f"ray counts {counts.tolist()} not closed under the s-th root rotation"
+        )
     nz = nz[np.lexsort((np.abs(nz), ray))]
     onto = np.roll(nz, -(counts[0] + counts[1]))
-    if (np.roll(counts, 2) != counts).any() or (
-        np.abs(np.exp(2j * np.pi / s) * nz - onto).max() > ROTATION_TOL * scale
-    ):
+    if np.abs(np.exp(2j * np.pi / s) * nz - onto).max() > ROTATION_TOL * scale:
         raise SpectrumMismatch("nonzero spectrum not closed under the s-th root rotation")
 
     rays = tuple((phi + k * np.pi / s, int(c)) for k, c in enumerate(counts))
