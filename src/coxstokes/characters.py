@@ -10,6 +10,7 @@ lengths, so the recursion runs in integers.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction as Q
 from functools import lru_cache
@@ -17,7 +18,7 @@ from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
 
-from .rootcore import InvariantViolation, Root, RootSystem, build_root_system
+from .rootcore import INT_LIMIT, InvariantViolation, Root, RootSystem, build_root_system
 from .scalars import integers
 
 Weight = Tuple[int, ...]
@@ -40,15 +41,32 @@ class CharacterTable:
     dim: int
 
 
+def weyl_dims(rs: RootSystem, lams: Sequence[Weight]) -> Tuple[int, ...]:
+    """prod over positive roots of (lam+rho, alpha)/(rho, alpha), in integers, for each lam.
+
+    One pairing table serves every lam: row alpha holds alpha_j L_j, L the
+    simple_lengths, so (mu, alpha) is that row dotted with mu's Dynkin labels
+    over the common 2 length_den, which cancels from the quotient; (rho,
+    alpha) is the row sum.  Each lam is one product with the table, in int64
+    while its bound stays below INT_LIMIT and in Python ints beyond.
+    """
+    rows = np.array(rs.positive_roots, dtype=np.int64) * np.array(rs.simple_lengths, dtype=np.int64)
+    rho = rows.sum(axis=1)
+    den = math.prod(rho.tolist())
+    dims = []
+    for lam in lams:
+        top = max(map(abs, lam), default=0)
+        vec = np.array(lam, dtype=np.int64 if int(rho.max()) * (top + 1) < INT_LIMIT else object)
+        num = math.prod((rows @ vec + rho).tolist())
+        if num % den:
+            raise InvariantViolation(f"Weyl dimension of {tuple(lam)} is not an integer")
+        dims.append(num // den)
+    return tuple(dims)
+
+
 def weyl_dim(rs: RootSystem, lam: Weight) -> int:
-    """prod over positive roots of (lam+rho, alpha)/(rho, alpha), in integers."""
-    num = den = 1
-    for root in rs.positive_roots:
-        num *= sum(c * (m + 1) * n for c, m, n in zip(root, lam, rs.simple_lengths))
-        den *= sum(c * n for c, n in zip(root, rs.simple_lengths))
-    if num % den:
-        raise InvariantViolation(f"Weyl dimension of {lam} is not an integer")
-    return num // den
+    """The Weyl dimension of V(lam), lam in Dynkin labels (weyl_dims)."""
+    return weyl_dims(rs, [lam])[0]
 
 
 def _reflect(rs: RootSystem, i: int, d: Weight) -> Weight:
@@ -139,7 +157,7 @@ def _freudenthal(rs: RootSystem, lam: Weight) -> Dict[Weight, int]:
 def fundamental_dims(type_name: str) -> Tuple[int, ...]:
     """The Weyl dimensions of V(omega_1), .., V(omega_l), formed once per type."""
     rs = build_root_system(type_name)
-    return tuple(weyl_dim(rs, tuple(int(i == j) for i in range(rs.rank))) for j in range(rs.rank))
+    return weyl_dims(rs, np.eye(rs.rank, dtype=np.int64).tolist())
 
 
 def fundamental_dim(type_name: str, index: int) -> int:

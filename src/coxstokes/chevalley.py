@@ -23,7 +23,12 @@ tables (``ChevalleyTables``), never on scalar objects:
   the constants are +-1), 2 for B, C, F4, 3 for G2.
 
 The magnitude and Jacobi checks are always on and use integer arithmetic
-only, behind a bound check that raises before any product could overflow.
+only.  Each first bounds every magnitude it can reach, then runs in the
+narrowest integer dtype that bound allows (``rootcore.working_dtype``:
+int8, int16, int32 or int64 for a bound below 2^6, 2^14, 2^30 or
+INT_LIMIT = 2^62, half of each wrap point), so no product can wrap; a
+bound at INT_LIMIT or above raises.  The stored tables stay int64.  Every
+constant of A, D and E is +-1, so there the checks run in int8.
 Adjoint matrices (``ChevalleyAlgebra.ad``) are scattered from the same
 tables, and representation matrices read N from them (``n_float``).
 """
@@ -46,6 +51,7 @@ from .rootcore import (
     build_root_system,
     capped_type,
     check_bound,
+    working_dtype,
 )
 
 
@@ -180,20 +186,42 @@ def _root_strings(sums: np.ndarray) -> np.ndarray:
     raise InvariantViolation("a root string does not terminate")
 
 
-def _sqrt_pair(m: int, d: int) -> Tuple[int, int]:
-    """(u, v) with u + v sqrt(d) = sqrt(m) and u v = 0."""
-    r = math.isqrt(m)
-    if r * r == m:
-        return r, 0
-    if m % d == 0:
-        r = math.isqrt(m // d)
-        if d * r * r == m:
-            return 0, r
-    raise InvariantViolation(f"sqrt({m}) is not in Z + Z sqrt({d})")
+def _sqrt_pairs(m: np.ndarray, d: int) -> Tuple[np.ndarray, np.ndarray]:
+    """(u, v) with u + v sqrt(d) = sqrt(m) and u v = 0, entrywise."""
+    u = np.rint(np.sqrt(m)).astype(np.int64)
+    r = np.rint(np.sqrt(m // d)).astype(np.int64)
+    rational = u * u == m
+    surd = ~rational & (m % d == 0) & (d * r * r == m)
+    if not (rational | surd).all():
+        bad = int(m[~(rational | surd)][0])
+        raise InvariantViolation(f"sqrt({bad}) is not in Z + Z sqrt({d})")
+    return np.where(rational, u, 0), np.where(surd, r, 0)
+
+
+def _exact_quotients(num: np.ndarray, den) -> np.ndarray:
+    """num // den entrywise (den an array or one int), each division checked exact."""
+    num, den = np.broadcast_arrays(num, den)
+    bad = num % den != 0
+    if bad.any():
+        i = int(np.argmax(bad))
+        raise InvariantViolation(f"{num[i]}/{den[i]} leaves the integer encoding")
+    return num // den
 
 
 def build_tables(rs: RootSystem) -> ChevalleyTables:
-    """Root tables and extraspecial-pair structure constants, unverified."""
+    """Root tables and extraspecial-pair structure constants, unverified.
+
+    The pairs a < b of positive roots with a + b = g a root are taken height
+    by height of g, all g of one height at once.  Each g's first pair
+    (a1, b1) is extraspecial: N = +sqrt(q(p+1)(a1,a1)/2).  Every other pair
+    (a, b) follows from the quadruple a1 + b1 - a - b = 0:
+
+        N(a1,b1) N(a,b) = -N(b1,-b) N(a1,-a) - N(-b,a1) N(b1,-a),
+
+    whose right side reads only the triples of roots of lower height.  Each
+    pair then fixes the twelve entries of its zero-sum triple (a, b, -g) and
+    of the negative triple; distinct pairs fix disjoint entries.
+    """
     R, neg, sums, inner, F = _root_tables(rs)
     n = len(R)
     diag = np.diagonal(inner)
@@ -201,39 +229,47 @@ def build_tables(rs: RootSystem) -> ChevalleyTables:
     q = _root_strings(sums)
     u = np.zeros((n, n), dtype=np.int64)
     v = np.zeros((n, n), dtype=np.int64)
-    S, negl = sums.tolist(), neg.tolist()
 
-    def get(i, j):
-        return int(u[i, j]), int(v[i, j])
-
-    def mul(x, y):  # over D^2
-        return x[0] * y[0] + d * x[1] * y[1], x[0] * y[1] + x[1] * y[0]
-
-    def put(a, b, val):
-        # the zero-sum triple (a, b, c) and its negative fix twelve entries
-        c = negl[S[a][b]]
-        for x, y, sign in ((a, b, 1), (b, c, 1), (c, a, 1), (b, a, -1), (c, b, -1), (a, c, -1)):
-            u[x, y], v[x, y] = sign * val[0], sign * val[1]
-            u[negl[x], negl[y]], v[negl[x], negl[y]] = -sign * val[0], -sign * val[1]
-
-    positive = [i for i in range(n) if R[i].sum() > 0]
-    for g in positive:
-        pairs = [(a, b) for a in positive if a < (b := S[g][negl[a]])]
-        if not pairs:  # simple root
-            continue
-        a1, b1 = pairs[0]
-        m = _exact_div(int(q[a1, b1]) * (int(q[negl[a1], b1]) + 1) * int(diag[a1]) * D * D, 2 * F)
-        n1 = _sqrt_pair(m, d)
-        put(a1, b1, n1)
-        for a, b in pairs[1:]:
-            t1 = mul(get(b1, negl[b]), get(a1, negl[a]))
-            t2 = mul(get(negl[b], a1), get(b1, negl[a]))
-            tu, tv = t1[0] + t2[0], t1[1] + t2[1]
-            if n1[1] == 0:
-                val = (-_exact_div(tu, n1[0]), -_exact_div(tv, n1[0]))
-            else:
-                val = (-_exact_div(tv, n1[1]), -_exact_div(tu, d * n1[1]))
-            put(a, b, val)
+    height = R.sum(axis=1)
+    pos = np.flatnonzero(height > 0)
+    ia, ib = np.nonzero(sums[np.ix_(pos, pos)] >= 0)
+    keep = ia < ib
+    A, B = pos[ia[keep]], pos[ib[keep]]
+    G = sums[A, B]
+    # by g, then a ascending: each g's first pair leads, and since the canonical
+    # order is by height, each height is one run of pairs
+    order = np.lexsort((A, G))
+    A, B, G = A[order], B[order], G[order]
+    lead = np.ones(len(G), dtype=bool)
+    lead[1:] = G[1:] != G[:-1]
+    first = np.flatnonzero(lead)[np.cumsum(lead) - 1]
+    A1, B1 = A[first], B[first]
+    m = _exact_quotients(q[A1, B1] * (q[neg[A1], B1] + 1) * diag[A1] * D * D, 2 * F)
+    val_u, val_v = _sqrt_pairs(m, d)  # the leading pairs' values are final
+    # the four factors of the quadruple relation, and the twelve entries that
+    # each pair's triple and its negative fix, with their signs
+    factors = [(B1, neg[B]), (A1, neg[A]), (neg[B], A1), (B1, neg[A])]
+    C = neg[G]
+    rows = np.stack([A, B, C, B, C, A], axis=1)
+    cols = np.stack([B, C, A, A, B, C], axis=1)
+    rows, cols = np.concatenate([rows, neg[rows]], axis=1), np.concatenate([cols, neg[cols]], axis=1)
+    sign = np.array([1, 1, 1, -1, -1, -1, -1, -1, -1, 1, 1, 1])
+    bounds = np.flatnonzero(np.diff(height[G], prepend=0, append=height[G][-1] + 1))
+    for lo, hi in zip(bounds[:-1], bounds[1:]):
+        rest = lo + np.flatnonzero(~lead[lo:hi])
+        (xu, xv), (yu, yv), (zu, zv), (wu, wv) = (
+            (u[i[rest], j[rest]], v[i[rest], j[rest]]) for i, j in factors
+        )
+        # products over D^2: x y = (x_u y_u + d x_v y_v, x_u y_v + x_v y_u)
+        tu = xu * yu + d * xv * yv + zu * wu + d * zv * wv
+        tv = xu * yv + xv * yu + zu * wv + zv * wu
+        cu, cv = val_u[rest], val_v[rest]
+        rational = cv == 0
+        val_u[rest] = -_exact_quotients(np.where(rational, tu, tv), np.where(rational, cu, cv))
+        val_v[rest] = -_exact_quotients(np.where(rational, tv, tu), np.where(rational, cu, d * cv))
+        i, j = rows[lo:hi], cols[lo:hi]
+        u[i, j] = sign * val_u[lo:hi, None]
+        v[i, j] = sign * val_v[lo:hi, None]
     for arr in (R, neg, sums, inner, u, v, q):
         arr.flags.writeable = False  # shared by the cached algebra
     return ChevalleyTables(R, neg, sums, inner, F, u, v, D, d, q)
@@ -243,19 +279,27 @@ def build_tables(rs: RootSystem) -> ChevalleyTables:
 
 
 def verify_magnitudes(t: ChevalleyTables):
-    """N(a,b)^2 = q(p+1)(a,a)/2 on bracketable pairs, N = 0 elsewhere, N(-a,-b) = -N(a,b)."""
-    u, v, d, D, F, p, q = t.n_rat, t.n_surd, t.surd, t.den, t.form_den, t.p, t.q
-    top = max(int(np.abs(u).max()), int(np.abs(v).max()))
-    check_bound(2 * F * (1 + d) * top * top, "N^2")
-    check_bound(int(q.max()) * (int(p.max()) + 1) * int(np.abs(t.inner).max()) * D * D, "N^2")
+    """N(a,b)^2 = q(p+1)(a,a)/2 on bracketable pairs, N = 0 elsewhere, N(-a,-b) = -N(a,b).
+
+    Runs in the narrowest integer dtype that its magnitude bound allows
+    (``working_dtype``).
+    """
+    d, D, F, neg = t.surd, t.den, t.form_den, t.neg
+    top = max(int(np.abs(t.n_rat).max()), int(np.abs(t.n_surd).max()))
+    q_top = int(t.q.max())  # p = q[neg] has the same entries
+    dtype = working_dtype(
+        max(2 * F * (1 + d) * top * top, q_top * (q_top + 1) * int(np.abs(t.inner).max()) * D * D),
+        "N^2",
+    )
+    u, v, q, diag = (x.astype(dtype) for x in (t.n_rat, t.n_surd, t.q, np.diagonal(t.inner)))
+    p = q[neg]
     # D^2 N^2 = u^2 + d v^2 + 2uv sqrt(d), against D^2 q(p+1)(a,a)/2
     lhs = 2 * F * (u * u + d * v * v)
-    rhs = q * (p + 1) * np.diagonal(t.inner)[:, None] * (D * D)
+    rhs = q * (p + 1) * diag[:, None] * (D * D)
     bad = np.where(t.sums >= 0, (lhs != rhs) | (u * v != 0), (u != 0) | (v != 0))
     if bad.any():
         i, j = np.argwhere(bad)[0]
         raise InvariantViolation(f"N^2 mismatch at roots {t.root(i)}, {t.root(j)}")
-    neg = t.neg
     bad = (u[neg][:, neg] != -u) | (v[neg][:, neg] != -v)
     if bad.any():
         i, j = np.argwhere(bad)[0]
@@ -275,7 +319,8 @@ def verify_jacobi(t: ChevalleyTables):
     a+b+c = 0, on the Cartan subalgebra.  The Cartan part is checked on every
     triple; the e-part only on the 2l rows a = +-a_i, each over all (b, c).
     Both are checked on integers scaled by D^2 F, the rational and the
-    sqrt(d) components separately.
+    sqrt(d) components separately, in the narrowest integer dtype that the
+    magnitude bound allows (``working_dtype``).
 
     That covers every triple.  The x for which ad x is a derivation form a
     linear subspace L.  For x in L, ad[x, y] = [ad x, ad y] (the derivation
@@ -288,12 +333,17 @@ def verify_jacobi(t: ChevalleyTables):
     ``verify_magnitudes`` proves; ``ChevalleyAlgebra`` runs that check
     first.  So L = g, and J vanishes on all of g.
     """
-    u, v, S, R, neg = t.n_rat, t.n_surd, t.sums, t.roots, t.neg
-    d, D, F = t.surd, t.den, t.form_den
+    S, neg, d, D, F = t.sums, t.neg, t.surd, t.den, t.form_den
     n = len(neg)
-    top = max(int(np.abs(u).max()), int(np.abs(v).max()))
-    check_bound(3 * F * (1 + d) * top * top + 3 * D * D * int(np.abs(t.inner).max()), "Jacobi")
-    check_bound(6 * top * int(np.abs(R).max()), "Jacobi")
+    top = max(int(np.abs(t.n_rat).max()), int(np.abs(t.n_surd).max()))
+    dtype = working_dtype(
+        max(
+            3 * F * (1 + d) * top * top + 3 * D * D * int(np.abs(t.inner).max()),
+            6 * top * int(np.abs(t.roots).max()),
+        ),
+        "Jacobi",
+    )
+    u, v, R, inner = (x.astype(dtype) for x in (t.n_rat, t.n_surd, t.roots, t.inner))
     surd = bool(v.any())
 
     for X in (u, v):
@@ -329,9 +379,9 @@ def verify_jacobi(t: ChevalleyTables):
         if surd:
             rat += F * d * nn(v, v, i)
         # (z, x) e_z wherever x + y = 0
-        rat[ni, :] += D * D * t.inner[:, i]
-        rat[np.arange(n), neg] += D * D * t.inner[i]
-        rat[:, ni] += D * D * t.inner[:, ni]
+        rat[ni, :] += D * D * inner[:, i]
+        rat[np.arange(n), neg] += D * D * inner[i]
+        rat[:, ni] += D * D * inner[:, ni]
         bad = rat != 0
         if surd:
             bad |= (nn(u, v, i) + nn(v, u, i)) != 0

@@ -2,7 +2,9 @@
 
 Roots are integer coordinate tuples in the simple-root basis.  The bilinear
 form is the Weyl-invariant one normalized so the highest root has squared
-length 2; all arithmetic here is exact rational.
+length 2.  All arithmetic here is exact: the Gram matrix, the Cartan check
+and the Gram inverse run in Python ints, and the rational data (the form, its
+inverse, the Cartan inverse) is one Fraction per entry, formed at the end.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
 
-from .scalars import Vector, integers, mat_inv, mat_vec, qvec
+from .scalars import Vector, int_inverse, integers, qvec
 
 Root = Tuple[int, ...]
 
@@ -37,9 +39,11 @@ class RankScaleError(ValueError):
     """Requested type exceeds the rank cap RANK_CAP."""
 
 
-# Largest rank build_root_system builds: its exact Fraction Gram matrix and
-# inverse grow as l^3: a whole describe process took 0.9 s at A42 and 1.1-1.7 s
-# at A44-A50 on a shared 2-vCPU host, and A300 ran past 3 minutes and 1 GB
+# Largest rank build_root_system builds: its roots grow as l^2 and its exact
+# Gram inverse as l^3 (in Python ints).  A whole describe process took 0.3 s at
+# A42 and A45 and 0.4-0.5 s at A50, B50 and D50 on a shared 2-vCPU host (with
+# the Fraction Gram matrix and inverse it took 0.9 s at A42 and 1.1-1.7 s at
+# A44-A50, and A300 ran past 3 minutes and 1 GB)
 RANK_CAP = 50
 
 # Largest magnitude an integer check may reach; check_bound raises above it,
@@ -51,6 +55,20 @@ def check_bound(bound: int, what: str):
     """Raise InvariantViolation when an int64 computation bounded by bound could wrap."""
     if bound >= INT_LIMIT:
         raise InvariantViolation(f"{what}: magnitude bound {bound} could overflow int64")
+
+
+# The signed integer dtypes, narrowest first, each with the largest magnitude
+# a check may reach in it: as INT_LIMIT is for int64, half the wrap point.
+_WORKING_DTYPES = ((np.int8, 2**6), (np.int16, 2**14), (np.int32, 2**30), (np.int64, INT_LIMIT))
+
+
+def working_dtype(bound: int, what: str) -> type:
+    """The narrowest integer dtype in which a computation bounded by bound cannot wrap.
+
+    check_bound first: InvariantViolation when not even int64 holds it.
+    """
+    check_bound(bound, what)
+    return next(dtype for dtype, limit in _WORKING_DTYPES if bound < limit)
 
 
 _MIN_RANK = {"A": 2, "B": 2, "C": 2, "D": 3, "F": 4, "G": 2}
@@ -192,8 +210,11 @@ class RootSystem:
 
         Built once per root system and read-only, since every caller shares it.
         """
-        den = math.lcm(*(Q(x).denominator for row in self.form for x in row))
-        G = np.array([[int(Q(x) * den) for x in row] for row in self.form], dtype=np.int64)
+        den = math.lcm(*(x.denominator for row in self.form for x in row))
+        G = np.array(
+            [[x.numerator * (den // x.denominator) for x in row] for row in self.form],
+            dtype=np.int64,
+        )
         G.flags.writeable = False
         return G, den
 
@@ -225,17 +246,26 @@ class RootSystem:
 
 
 def _reflection_closure(cartan: List[List[int]], l: int) -> List[Root]:
-    R = reflection_matrices(cartan)
-    simples = [tuple(int(i == j) for j in range(l)) for i in range(l)]
-    seen = set(simples)
-    frontier = simples
-    while frontier:
-        images = R @ np.array(frontier, dtype=np.int64).T  # images[j][:, k]: R_j of root k
-        frontier = []
-        for s in map(tuple, images.transpose(0, 2, 1).reshape(-1, l).tolist()):
-            if s not in seen:
-                seen.add(s)
-                frontier.append(s)
+    """All roots, as the orbit of the simple roots under the simple reflections.
+
+    R_j moves a root b only where its Dynkin label c = <b, alpha_j^vee> is
+    nonzero, to b - c alpha_j; so each round forms only those images, from
+    the frontier's Dynkin labels.
+    """
+    A = np.array(cartan, dtype=np.int64)
+    frontier = np.eye(l, dtype=np.int64)
+    seen = set(map(tuple, frontier.tolist()))
+    while len(frontier):
+        dyn = frontier @ A  # dyn[k, j] = <root k, alpha_j^vee>
+        k, j = np.nonzero(dyn)
+        images = frontier[k]
+        images[np.arange(len(k)), j] -= dyn[k, j]
+        new = []
+        for r in map(tuple, images.tolist()):
+            if r not in seen:
+                seen.add(r)
+                new.append(r)
+        frontier = np.array(new, dtype=np.int64).reshape(-1, l)
     return sorted(seen, key=_root_key)
 
 
@@ -286,18 +316,15 @@ def build_root_system(type_name) -> RootSystem:
     """Construct the full root system with exact Cartan data for one type."""
     t = capped_type(type_name)
     l = t.rank
-    vecs = _simple_root_vectors(t)
-
-    def dot(x, y):
-        return sum(a * b for a, b in zip(x, y))
-
-    gram_euc = [[dot(vecs[i], vecs[j]) for j in range(l)] for i in range(l)]
-    cartan = [
-        [int(2 * gram_euc[i][j] / gram_euc[j][j]) for j in range(l)] for i in range(l)
-    ]
+    # twice the simple roots are integer vectors (the coordinates are halves at
+    # most), so 4 (a_i, a_j) is an integer Gram matrix, exact in int64
+    V = np.array([[int(2 * c) for c in v] for v in _simple_root_vectors(t)], dtype=np.int64)
+    gram = (V @ V.T).tolist()
+    cartan = [[0] * l for _ in range(l)]
     for i in range(l):
         for j in range(l):
-            if Q(2) * gram_euc[i][j] / gram_euc[j][j] != cartan[i][j]:
+            cartan[i][j], rem = divmod(2 * gram[i][j], gram[j][j])
+            if rem:
                 raise InvariantViolation(f"non-integral Cartan entry at ({i}, {j})")
 
     roots = _reflection_closure(cartan, l)
@@ -307,12 +334,9 @@ def build_root_system(type_name) -> RootSystem:
         if any(c < 0 for c in r):
             raise InvariantViolation(f"mixed-sign root {r}")
 
-    # normalize the form so (psi, psi) = 2
-    psi_len = sum(
-        psi[i] * gram_euc[i][j] * psi[j] for i in range(l) for j in range(l)
-    )
-    scale = Q(2) / psi_len
-    form = tuple(tuple(scale * gram_euc[i][j] for j in range(l)) for i in range(l))
+    # normalize the form so (psi, psi) = 2: form = 2 gram / psi_len
+    psi_len = sum(psi[i] * gram[i][j] * psi[j] for i in range(l) for j in range(l))
+    form = tuple(tuple(Q(2 * x, psi_len) for x in row) for row in gram)
 
     marks = (1,) + tuple(psi)
     s = 1 + sum(psi)
@@ -325,11 +349,15 @@ def build_root_system(type_name) -> RootSystem:
     if any(exps[i] + exps[l - 1 - i] != s for i in range(l)):
         raise InvariantViolation(f"exponents {exps} are not symmetric about s/2")
 
-    ginv = mat_inv(form)
-    r_coeffs = mat_vec(ginv, [Q(1)] * l)
-    eps = tuple(tuple(ginv[i][j] for i in range(l)) for j in range(l))
-    # A = G diag(2/G_jj), so A^{-1} = diag(G_ii/2) G^{-1}: no second inversion
-    cartan_inv = tuple(tuple(form[i][i] / 2 * ginv[i][j] for j in range(l)) for i in range(l))
+    # gram X = d I, so the form's inverse is psi_len X / (2 d); one Fraction per entry
+    X, d = int_inverse(gram)
+    ginv = tuple(tuple(Q(psi_len * x, 2 * d) for x in row) for row in X)
+    r_coeffs = tuple(Q(psi_len * sum(row), 2 * d) for row in X)
+    eps = tuple(zip(*ginv))
+    # A = G diag(2/G_jj), so A^{-1} = diag(G_ii/2) G^{-1} = gram_ii X / (2 d)
+    cartan_inv = tuple(
+        tuple(Q(gram[i][i] * x, 2 * d) for x in row) for i, row in enumerate(X)
+    )
     length_den = math.lcm(*(form[j][j].denominator for j in range(l)))
     simple_lengths = tuple(int(form[j][j] * length_den) for j in range(l))
 
@@ -344,7 +372,7 @@ def build_root_system(type_name) -> RootSystem:
         marks=marks,
         coxeter_number=s,
         exponents=exps,
-        r_coeffs=tuple(r_coeffs),
+        r_coeffs=r_coeffs,
         epsilon_basis=eps,
         cartan_inv=cartan_inv,
         simple_lengths=simple_lengths,

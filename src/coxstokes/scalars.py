@@ -1,4 +1,4 @@
-"""Exact rational linear algebra on Fraction vectors and matrices.
+"""Exact linear algebra: Fraction vectors, and integer matrices inverted in Python ints.
 
 Root-system data is pure rational.  The structure constants, which lie in
 Q(sqrt d), are integer tables in ``chevalley``.
@@ -11,7 +11,6 @@ from fractions import Fraction as Q
 from typing import List, Sequence, Tuple
 
 Vector = Tuple[Q, ...]
-Matrix = List[List[Q]]
 
 
 def qvec(xs: Sequence) -> Vector:
@@ -28,22 +27,26 @@ def mat_vec(A: Sequence[Sequence[Q]], v: Sequence[Q]) -> Vector:
     return tuple(sum(row[j] * v[j] for j in range(len(v))) for row in A)
 
 
-def mat_inv(A: Sequence[Sequence[Q]]) -> Matrix:
-    """Exact inverse by Gauss-Jordan elimination."""
+def int_inverse(A: Sequence[Sequence[int]]) -> Tuple[List[List[int]], int]:
+    """(X, d) with A X = d I for a nonsingular integer matrix A, in Python ints.
+
+    Fraction-free Gauss-Jordan elimination (Bareiss): every entry stays an
+    integer minor of [A | I], so each division by the previous pivot is
+    exact, and the last pivot d is det A up to sign.  Raises ValueError when
+    A is singular.
+    """
     n = len(A)
-    M = [[Q(A[i][j]) for j in range(n)] + [Q(int(i == j)) for j in range(n)] for i in range(n)]
-    for i in range(n):
-        if M[i][i] == 0:
-            for k in range(i + 1, n):
-                if M[k][i] != 0:
-                    M[i], M[k] = M[k], M[i]
-                    break
-        piv = M[i][i]
-        if piv == 0:
+    M = [[int(x) for x in row] + [int(i == j) for j in range(n)] for i, row in enumerate(A)]
+    prev = 1
+    for k in range(n):
+        piv = next((i for i in range(k, n) if M[i][k]), None)
+        if piv is None:
             raise ValueError("singular matrix")
-        M[i] = [x / piv for x in M[i]]
-        for k in range(n):
-            if k != i and M[k][i] != 0:
-                f = M[k][i]
-                M[k] = [M[k][j] - f * M[i][j] for j in range(2 * n)]
-    return [row[n:] for row in M]
+        M[k], M[piv] = M[piv], M[k]
+        top, p = M[k], M[k][k]
+        for i in range(n):
+            if i != k:
+                f = M[i][k]
+                M[i] = [(p * x - f * y) // prev for x, y in zip(M[i], top)]
+        prev = p
+    return [row[n:] for row in M], prev

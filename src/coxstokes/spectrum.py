@@ -11,6 +11,24 @@ are the union of those of its s blocks g_k -> g_{k+1}.  That degree is
 checked exactly, entry by entry, before the blocks are read.  At real
 coefficients (the default c_i = sqrt(q_i)) ad(E_+) is kept real, so its
 decompositions run in real arithmetic.
+
+The eigenvalues come from the same grading.  When s is even, ad(E_+)
+swaps the even and odd degrees, so in a basis ordered by parity it is
+[[0, B_eo], [B_oe, 0]], and
+
+    det(x - ad E_+) = x^(d_odd - d_even) det(x^2 - B_eo B_oe),
+
+d_even and d_odd the dimensions of the even and odd parts.  The class of
+degree k has dimension l plus the multiplicity of k as an exponent (l for
+k = 0), so d_odd - d_even = l exactly when every exponent is odd: B_l,
+C_l, D_l with l even, E7, E8, F4 and G2.  There the l-dimensional kernel
+is all of the x^(d_odd - d_even) factor, B_eo B_oe is nonsingular, and the
+nonzero spectrum is +-sqrt of its d_even eigenvalues: half the size of
+ad(E_+).  A_l, D_l with l odd and E6 have an even exponent (A_l with l
+even has s odd, and no parity split at all).  Then d_odd - d_even < l, so
+B_eo B_oe has true zero eigenvalues, and their square roots land near 1e-8
+of the largest eigenvalue, on ZERO_TOL.  These types, all at most 78-dim,
+keep the dense eigenvalues of ad(E_+).
 """
 
 from __future__ import annotations
@@ -76,6 +94,23 @@ def build_e_plus(alg: ChevalleyAlgebra, coeffs: Sequence[complex] | None = None)
     return EPlusElement(alg, ad)
 
 
+def principal_degrees(alg: ChevalleyAlgebra) -> np.ndarray:
+    """The principal degree of each basis element: 0 on H_k, ht(a) mod s on e_a."""
+    s = alg.rs.coxeter_number
+    return np.concatenate([np.zeros(alg.rs.rank, dtype=np.int64), alg.tables.roots.sum(axis=1)]) % s
+
+
+def _check_zero(alg: ChevalleyAlgebra, ad: np.ndarray, deg: np.ndarray, forbidden: np.ndarray):
+    """RegularityError naming the first nonzero entry of ad where forbidden holds."""
+    off = np.argwhere((ad != 0) & forbidden)
+    if len(off):
+        i, j = off[0]
+        raise RegularityError(
+            f"ad(E_+) maps {alg.label(j)} of degree {deg[j]} onto {alg.label(i)} "
+            f"of degree {deg[i]}, off the principal grading"
+        )
+
+
 def graded_singular_values(alg: ChevalleyAlgebra, ad: np.ndarray) -> np.ndarray:
     """All dim g singular values of a degree-1 ad matrix, descending, from its blocks.
 
@@ -85,16 +120,9 @@ def graded_singular_values(alg: ChevalleyAlgebra, ad: np.ndarray) -> np.ndarray:
     B_k* B_k of B_k: g_k -> g_{k+1}; so the singular values are those of
     the B_k, each padded with zeros to dim g_k.
     """
-    rs = alg.rs
-    s = rs.coxeter_number
-    deg = np.concatenate([np.zeros(rs.rank, dtype=np.int64), alg.tables.roots.sum(axis=1)]) % s
-    off = np.argwhere((ad != 0) & (deg[:, None] != (deg[None, :] + 1) % s))
-    if len(off):
-        i, j = off[0]
-        raise RegularityError(
-            f"ad(E_+) maps {alg.label(j)} of degree {deg[j]} onto {alg.label(i)} "
-            f"of degree {deg[i]}, off the principal grading"
-        )
+    s = alg.rs.coxeter_number
+    deg = principal_degrees(alg)
+    _check_zero(alg, ad, deg, deg[:, None] != (deg[None, :] + 1) % s)
     parts = [np.flatnonzero(deg == k) for k in range(s)]
     sv = np.zeros(alg.dim)
     at = 0
@@ -103,6 +131,41 @@ def graded_singular_values(alg: ChevalleyAlgebra, ad: np.ndarray) -> np.ndarray:
         sv[at:at + len(block)] = block
         at += len(cols)
     return np.sort(sv)[::-1]
+
+
+def parity_blocks(alg: ChevalleyAlgebra) -> Tuple[np.ndarray, np.ndarray] | None:
+    """The even- and odd-degree basis indices when every exponent is odd, else None.
+
+    That is when s is even and d_odd - d_even = l, the case in which
+    adjoint_eigenvalues squares ad(E_+) onto its even part.
+    """
+    if alg.rs.coxeter_number % 2:
+        return None
+    odd = principal_degrees(alg) % 2 == 1
+    even_idx, odd_idx = np.flatnonzero(~odd), np.flatnonzero(odd)
+    if len(odd_idx) - len(even_idx) != alg.rs.rank:
+        return None
+    return even_idx, odd_idx
+
+
+def adjoint_eigenvalues(ep: EPlusElement) -> np.ndarray:
+    """All dim g eigenvalues of ad(E_+), from its parity blocks when every exponent is odd.
+
+    On that route the even->even and odd->odd blocks are first checked to be
+    exactly 0 (RegularityError names the first entry that is not), then the
+    eigenvalues are the d_odd - d_even = l zeros and +-sqrt(eig(B_eo B_oe)).
+    Otherwise they are the dense eigenvalues of ad(E_+).
+    """
+    blocks = parity_blocks(ep.alg)
+    if blocks is None:
+        return np.linalg.eigvals(ep.ad)
+    even, odd = blocks
+    deg = principal_degrees(ep.alg)
+    par = deg % 2
+    _check_zero(ep.alg, ep.ad, deg, par[:, None] == par[None, :])
+    mu = np.linalg.eigvals(ep.ad[np.ix_(even, odd)] @ ep.ad[np.ix_(odd, even)])
+    root = np.sqrt(mu.astype(np.complex128))
+    return np.concatenate([np.zeros(len(odd) - len(even), dtype=np.complex128), root, -root])
 
 
 @dataclass
@@ -114,10 +177,17 @@ class SpectrumReport:
 
 def ad_spectrum(ep: EPlusElement) -> SpectrumReport:
     """Eigenvalues of ad(E_+), each on one of the 2s rays phi + k pi/s."""
-    alg = ep.alg
-    s = alg.rs.coxeter_number
-    l = alg.rs.rank
-    eig = np.linalg.eigvals(ep.ad)
+    return ray_report(adjoint_eigenvalues(ep), ep.alg.rs.coxeter_number, ep.alg.rs.rank)
+
+
+def ray_report(eig: np.ndarray, s: int, l: int) -> SpectrumReport:
+    """The ray structure of the dim g eigenvalues of ad(E_+), checked.
+
+    l of them must be zero (below ZERO_TOL relative to the largest), the
+    rest lie on the 2s rays phi + k pi/s within RAY_TOL, each ray nonempty,
+    and the rotation by e^{2 pi i/s} maps the nonzero spectrum onto itself
+    within ROTATION_TOL; SpectrumMismatch otherwise.
+    """
     scale = np.max(np.abs(eig))
     zero_mask = np.abs(eig) < ZERO_TOL * scale
     nz = eig[~zero_mask]

@@ -33,9 +33,9 @@ from coxstokes.chevalley import build_chevalley
 from coxstokes.characters import WeightPairing, fundamental_characters
 from coxstokes.coxeter import bipartition
 from coxstokes.rootcore import RootSystem, build_root_system
-from coxstokes.scalars import mat_inv
 from coxstokes.steinberg import CHAR_TOL, ConsistencyError, steinberg_section
 from coxstokes.weightrep import NilpotentExp, fundamental_representation, weyl_representative
+from rational_reference import mat_inv
 
 # log K1 = sum c_i t_i e_{alpha_i} and log K2 = sum c_j t_j e_{gamma(-alpha_j)}: the
 # constants c of the Stokes multipliers c_i t_i, in Gamma order (Pi_2 ascending,

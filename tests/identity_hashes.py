@@ -14,7 +14,10 @@ stderr] of its commands, each run in this process through
 - monodromy: the first 40 ops of the monodromy-typeA workload at seed 1;
 - plane: ``plane --type T`` for the 16 standard types;
 - rep: ``stokes --rep j`` at m = 0 for the non-registered fundamental
-  representations that tests/test_supports.py checks.
+  representations that tests/test_supports.py checks;
+- describe: ``describe --type T`` for the 16 standard types, and the
+  ``stokes`` refusals at the character cap of the large types in REFUSED,
+  which read the root system and the Weyl dimensions only.
 
 Two checkouts that print the same lines give the same bytes on every
 command.  Uses the standard library and the package only; pytest does not
@@ -39,6 +42,7 @@ REGISTERED = ("A2", "A3", "A4", "A5", "A6", "B2", "B3", "B4", "C3", "D4", "D5", 
 INTERIOR_PER_TYPE = 3
 MONODROMY_OPS = 40
 REP_INDICES = (("A3", 2), ("B3", 2), ("C3", 2), ("D4", 3), ("D4", 4), ("G2", 2))
+REFUSED = ("A45", "B25")
 
 
 def _bench_inputs():
@@ -79,6 +83,8 @@ def groups() -> dict:
         "monodromy": monodromy,
         "plane": [["plane", "--type", t] for t in cli.STANDARD_TYPES],
         "rep": [["stokes", "--type", t, "--rep", str(j)] for t, j in REP_INDICES],
+        "describe": [["describe", "--type", t] for t in cli.STANDARD_TYPES]
+        + [["stokes", "--type", t] for t in REFUSED],
     }
 
 

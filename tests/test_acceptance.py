@@ -23,7 +23,7 @@ from coxstokes.coxeter import (
 )
 from coxstokes.oracle import build_system, formal_solution, numerical_monodromy
 from coxstokes.rootcore import build_root_system, diagram_involution
-from coxstokes.scalars import mat_inv, mat_vec
+from coxstokes.scalars import mat_vec
 from coxstokes.spectrum import ad_spectrum, build_e_plus, match_plane
 from coxstokes.steinberg import (
     admissible_m,
@@ -32,6 +32,7 @@ from coxstokes.steinberg import (
     stokes_from_asymptotics,
 )
 from coxstokes.weightrep import registered_representation
+from rational_reference import mat_inv
 
 LISTED_TYPES = [
     "A2", "A3", "A4", "A5", "A6", "B2", "B3", "B4", "C3",

@@ -478,6 +478,36 @@ def test_bound_check_raises_before_int64_overflow():
             check(t)
 
 
+def test_working_dtype_is_the_narrowest_that_holds_the_bound():
+    # each dtype takes bounds below half its wrap point, as int64 takes INT_LIMIT
+    widths = ((np.int8, 8), (np.int16, 16), (np.int32, 32), (np.int64, 64))
+    for (dtype, bits), wider in zip(widths, [w for w, _ in widths[1:]] + [None]):
+        limit = 2 ** (bits - 2)
+        assert rootcore.working_dtype(0, "x") == np.int8
+        assert rootcore.working_dtype(limit - 1, "x") == dtype
+        if wider is not None:
+            assert rootcore.working_dtype(limit, "x") == wider
+    with pytest.raises(InvariantViolation, match="overflow int64"):
+        rootcore.working_dtype(rootcore.INT_LIMIT, "x")
+
+
+@pytest.mark.parametrize("w", [8, 16, 32])
+def test_checks_do_not_wrap_in_their_working_dtype(w):
+    # an inner product off by 2^w leaves a residual of 2^w: in a working dtype
+    # one step narrower than the bound selects, it would wrap to 0 and pass
+    t = build_chevalley("A3").tables
+    i = int(np.flatnonzero(t.roots.sum(axis=1) == 1)[0])  # alpha_1, a generator row
+    top = len(t.neg) - 1  # psi, last in the canonical order
+    inner = t.inner.copy()
+    inner[top, i] += 2**w
+    with pytest.raises(InvariantViolation, match="Jacobi fails"):
+        verify_jacobi(dataclasses.replace(t, inner=inner))
+    inner = t.inner.copy()
+    inner[top, top] += 2**w
+    with pytest.raises(InvariantViolation, match="N\\^2 mismatch"):
+        verify_magnitudes(dataclasses.replace(t, inner=inner))
+
+
 _UNDER_O = """
 import dataclasses
 from fractions import Fraction as Q

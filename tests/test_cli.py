@@ -615,6 +615,26 @@ def test_stokes_output_does_not_depend_on_blas_threads():
     assert outs[0] == outs[1]
 
 
+_VERIFY_ALL = """
+import sys
+from coxstokes import cli
+sys.exit(cli.main(["verify", "--all"]))
+"""
+
+
+def test_verify_all_does_not_depend_on_blas_threads():
+    # the parity route's B_eo @ B_oe is a BLAS product
+    src = str(Path(coxstokes.__file__).resolve().parents[1])
+    outs = []
+    for threads in ("1", "2"):
+        env = {**os.environ, "PYTHONPATH": src, "OPENBLAS_NUM_THREADS": threads}
+        out = subprocess.run([sys.executable, "-c", _VERIFY_ALL],
+                             capture_output=True, text=True, env=env, timeout=300)
+        outs.append((out.returncode, out.stdout))
+    assert outs[0] == outs[1]
+    assert outs[0][0] == EXIT_OK and '"passed": false' not in outs[0][1]
+
+
 _CALLS = """
 import contextlib, io, json, sys
 from coxstokes import cli

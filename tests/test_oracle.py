@@ -10,7 +10,7 @@ from scipy.linalg import expm
 from coxstokes import oracle
 from coxstokes.cli import EXIT_DOMAIN, EXIT_OK, main
 from coxstokes.rootcore import build_root_system
-from coxstokes.scalars import mat_inv, mat_vec
+from coxstokes.scalars import mat_vec
 from coxstokes.oracle import (
     MeromorphicSystem,
     SystemError_,
@@ -24,6 +24,7 @@ from coxstokes.oracle import (
     sequential_product,
 )
 from coxstokes.weightrep import registered_representation
+from rational_reference import mat_inv
 
 
 def test_build_system_examples():

@@ -13,6 +13,7 @@ from coxstokes.rootcore import (
     dual_data,
     highest_root_marks,
 )
+from rational_reference import fraction_root_system
 
 ALL_TYPES = [
     "A2", "A3", "A4", "A5", "A6", "B2", "B3", "B4", "C3",
@@ -179,3 +180,21 @@ def test_pairing_matches_the_double_sum(name):
     # a copy with another form does not read the original's cached rows
     doubled = dataclasses.replace(rs, form=tuple(tuple(2 * x for x in row) for row in G))
     assert doubled.pairing(rs.psi, h) == 2 * rs.pairing(rs.psi, h)
+
+
+def _same(x, y):
+    """Equal in value and in type, through nested tuples and frozensets."""
+    if type(x) is not type(y):
+        return False
+    if isinstance(x, tuple):
+        return len(x) == len(y) and all(map(_same, x, y))
+    return x == y
+
+
+@pytest.mark.parametrize("name", ALL_TYPES + ["A45", "B25", "C20", "D20"])
+def test_integer_build_equals_the_fraction_build(name):
+    # the Gram matrix, Cartan check and Gram inverse run in Python ints; every
+    # field must be what the Fraction build gives, value and type alike
+    rs, ref = build_root_system(name), fraction_root_system(name)
+    for f in dataclasses.fields(rs):
+        assert _same(getattr(rs, f.name), getattr(ref, f.name)), f.name

@@ -18,10 +18,13 @@ from coxstokes.spectrum import (
     RegularityError,
     SpectrumMismatch,
     ad_spectrum,
+    adjoint_eigenvalues,
     build_e_plus,
     default_coefficients,
     graded_singular_values,
     match_plane,
+    parity_blocks,
+    ray_report,
 )
 
 SMALL = ["A2", "A3", "A4", "B2", "B3", "C3", "D4", "G2"]
@@ -123,9 +126,21 @@ def test_per_ray_counts_larger_types(name):
     assert sorted(c for _, c in sr.rays) == sorted(len(a) for a in plane.assignment)
 
 
+def _checked_spectrum(ep, eigs):
+    """The ray checks on the eigenvalues eigs of ad(E_+).
+
+    Where ad_spectrum takes the dense route, through ad_spectrum of a
+    diagonal ad holding them.  Where it takes the parity route, which refuses
+    a diagonal ad as off the grading, through the ray checker it calls.
+    """
+    if parity_blocks(ep.alg) is None:
+        return ad_spectrum(dataclasses.replace(ep, ad=np.diag(eigs)))
+    return ray_report(eigs, ep.alg.rs.coxeter_number, ep.alg.rs.rank)
+
+
 @pytest.mark.parametrize("name", ["A2", "D4", "G2"])
 def test_turned_eigenvalue_against_the_ray_bound(name):
-    # a diagonal ad with the true spectrum; one eigenvalue turned off its ray
+    # the true spectrum with one eigenvalue turned off its ray
     ep = build_e_plus(build_chevalley(name))
     sr = ad_spectrum(ep)
     eigs = np.concatenate([np.zeros(sr.zero_multiplicity), sr.nonzero])
@@ -134,7 +149,7 @@ def test_turned_eigenvalue_against_the_ray_bound(name):
     def turned(angle):
         e = eigs.copy()
         e[i] *= np.exp(1j * angle)
-        return ad_spectrum(dataclasses.replace(ep, ad=np.diag(e)))
+        return _checked_spectrum(ep, e)
 
     with pytest.raises(SpectrumMismatch, match="not within"):
         turned(10 * RAY_TOL)
@@ -144,14 +159,14 @@ def test_turned_eigenvalue_against_the_ray_bound(name):
 
 
 def _tampered_spectrum(ep, sr, tamper):
-    """ad_spectrum of a diagonal ad holding sr's spectrum, its fullest ray's
-    largest eigenvalue tampered (the i-th of sr.nonzero)."""
+    """The ray checks on sr's spectrum with its fullest ray's largest
+    eigenvalue tampered (the i-th of sr.nonzero)."""
     counts = [c for _, c in sr.rays]
     k = int(np.argmax(counts))
     i = sr.zero_multiplicity + sum(counts[:k + 1]) - 1
     eigs = np.concatenate([np.zeros(sr.zero_multiplicity), sr.nonzero])
     eigs[i] = tamper(eigs[i])
-    return ad_spectrum(dataclasses.replace(ep, ad=np.diag(eigs)))
+    return _checked_spectrum(ep, eigs)
 
 
 @pytest.mark.parametrize("name", ["B3", "D4", "E6"])
@@ -330,3 +345,66 @@ def test_real_spectrum_equals_complex_spectrum(name):
     cost = np.abs(real[:, None] - cplx[None, :])
     ri, ci = linear_sum_assignment(cost)
     assert cost[ri, ci].max() <= 1e-13 * np.max(np.abs(cplx))
+
+
+# every exponent odd: ad(E_+) swaps the even and odd degrees, and its spectrum
+# is read off the half-size block B_eo B_oe (spectrum.adjoint_eigenvalues)
+PARITY = [t for t in STANDARD_TYPES if all(e % 2 for e in build_root_system(t).exponents)]
+
+
+def test_parity_route_types():
+    assert PARITY == ["B2", "B3", "B4", "C3", "D4", "G2", "F4", "E7", "E8"]
+
+
+@pytest.mark.parametrize("name", STANDARD_TYPES)
+def test_parity_route_is_taken_exactly_when_every_exponent_is_odd(name):
+    alg = build_chevalley(name)
+    blocks = parity_blocks(alg)
+    assert (blocks is not None) == (name in PARITY)
+    if blocks is not None:
+        even, odd = blocks
+        assert len(even) + len(odd) == alg.dim and len(odd) - len(even) == alg.rs.rank
+
+
+def _zero_count(eig):
+    return int(np.sum(np.abs(eig) < ZERO_TOL * np.max(np.abs(eig))))
+
+
+def _assert_eigenvalues_equal_dense(ep):
+    # the reference: dense eigvals of the whole ad(E_+), compared as multisets
+    got, want = adjoint_eigenvalues(ep), np.linalg.eigvals(ep.ad)
+    assert got.shape == want.shape
+    cost = np.abs(got[:, None] - want[None, :])
+    ri, ci = linear_sum_assignment(cost)
+    assert cost[ri, ci].max() <= 1e-13 * np.max(np.abs(want))
+    assert _zero_count(got) == _zero_count(want) == ep.alg.rs.rank
+
+
+@pytest.mark.parametrize("name", STANDARD_TYPES)
+def test_adjoint_eigenvalues_equal_dense_eigvals(name):
+    _assert_eigenvalues_equal_dense(build_e_plus(build_chevalley(name)))
+
+
+@pytest.mark.parametrize("name", [t for t in SMALL if t in PARITY])
+def test_adjoint_eigenvalues_equal_dense_eigvals_complex(name):
+    alg = build_chevalley(name)
+    for coeffs in _random_coefficients(name):
+        ep = build_e_plus(alg, coeffs)
+        assert ep.ad.dtype == np.complex128
+        _assert_eigenvalues_equal_dense(ep)
+
+
+@pytest.mark.parametrize("name", PARITY)
+def test_same_parity_entry_raises_before_any_eigenvalue(name, monkeypatch):
+    # H_1 -> H_1 maps degree 0 to degree 0: even to even
+    ep = build_e_plus(build_chevalley(name))
+    ad = ep.ad.copy()
+    assert ad[0, 0] == 0
+    ad[0, 0] = 1.0
+
+    def no_eigenvalues(a):
+        raise AssertionError("an eigenvalue was formed")
+
+    monkeypatch.setattr(np.linalg, "eigvals", no_eigenvalues)
+    with pytest.raises(RegularityError, match=r"\('h', 1\) of degree 0 onto \('h', 1\) of degree 0"):
+        ad_spectrum(dataclasses.replace(ep, ad=ad))
