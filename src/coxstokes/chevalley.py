@@ -200,12 +200,13 @@ def _sqrt_pairs(m: np.ndarray, d: int) -> Tuple[np.ndarray, np.ndarray]:
 
 def _exact_quotients(num: np.ndarray, den) -> np.ndarray:
     """num // den entrywise (den an array or one int), each division checked exact."""
-    num, den = np.broadcast_arrays(num, den)
-    bad = num % den != 0
-    if bad.any():
-        i = int(np.argmax(bad))
-        raise InvariantViolation(f"{num[i]}/{den[i]} leaves the integer encoding")
-    return num // den
+    quo, rem = np.divmod(num, den)
+    if rem.any():
+        i = int(np.argmax(rem != 0))
+        raise InvariantViolation(
+            f"{num.flat[i]}/{np.broadcast_to(den, num.shape).flat[i]} leaves the integer encoding"
+        )
+    return quo
 
 
 def build_tables(rs: RootSystem) -> ChevalleyTables:
@@ -227,9 +228,6 @@ def build_tables(rs: RootSystem) -> ChevalleyTables:
     diag = np.diagonal(inner)
     d = D = _exact_div(int(diag.max()), int(diag.min()))
     q = _root_strings(sums)
-    u = np.zeros((n, n), dtype=np.int64)
-    v = np.zeros((n, n), dtype=np.int64)
-
     height = R.sum(axis=1)
     pos = np.flatnonzero(height > 0)
     ia, ib = np.nonzero(sums[np.ix_(pos, pos)] >= 0)
@@ -245,31 +243,39 @@ def build_tables(rs: RootSystem) -> ChevalleyTables:
     first = np.flatnonzero(lead)[np.cumsum(lead) - 1]
     A1, B1 = A[first], B[first]
     m = _exact_quotients(q[A1, B1] * (q[neg[A1], B1] + 1) * diag[A1] * D * D, 2 * F)
-    val_u, val_v = _sqrt_pairs(m, d)  # the leading pairs' values are final
-    # the four factors of the quadruple relation, and the twelve entries that
-    # each pair's triple and its negative fix, with their signs
-    factors = [(B1, neg[B]), (A1, neg[A]), (neg[B], A1), (B1, neg[A])]
+    val = np.stack(_sqrt_pairs(m, d))  # (u, v) of each pair; final for the leading pairs
+
+    # every other pair: its four factors (flat indices into the n x n tables),
+    # and N(a1,b1), which is u or v sqrt(d), as the divisor of the u and v parts
+    rest = np.flatnonzero(~lead)
+    factors = np.stack([
+        B1 * n + neg[B], A1 * n + neg[A], neg[B] * n + A1, B1 * n + neg[A]
+    ])[:, rest]
+    cu, cv = val[:, rest]
+    rational = cv == 0
+    divisor = np.where(rational, [cu, cu], [cv, d * cv])
+    # the twelve entries that each pair's triple (a, b, -g) and its negative fix
     C = neg[G]
     rows = np.stack([A, B, C, B, C, A], axis=1)
     cols = np.stack([B, C, A, A, B, C], axis=1)
-    rows, cols = np.concatenate([rows, neg[rows]], axis=1), np.concatenate([cols, neg[cols]], axis=1)
+    entries = np.concatenate([rows * n + cols, neg[rows] * n + neg[cols]], axis=1)
     sign = np.array([1, 1, 1, -1, -1, -1, -1, -1, -1, 1, 1, 1])
-    bounds = np.flatnonzero(np.diff(height[G], prepend=0, append=height[G][-1] + 1))
-    for lo, hi in zip(bounds[:-1], bounds[1:]):
-        rest = lo + np.flatnonzero(~lead[lo:hi])
-        (xu, xv), (yu, yv), (zu, zv), (wu, wv) = (
-            (u[i[rest], j[rest]], v[i[rest], j[rest]]) for i, j in factors
-        )
+
+    u = np.zeros(n * n, dtype=np.int64)
+    v = np.zeros(n * n, dtype=np.int64)
+    run = np.flatnonzero(np.diff(height[G], prepend=0, append=height[G][-1] + 1))
+    at = np.searchsorted(rest, run)
+    for lo, hi, r0, r1 in zip(run[:-1], run[1:], at[:-1], at[1:]):
+        x, y, z, w = u[factors[:, r0:r1]]
+        xs, ys, zs, ws = v[factors[:, r0:r1]]
         # products over D^2: x y = (x_u y_u + d x_v y_v, x_u y_v + x_v y_u)
-        tu = xu * yu + d * xv * yv + zu * wu + d * zv * wv
-        tv = xu * yv + xv * yu + zu * wv + zv * wu
-        cu, cv = val_u[rest], val_v[rest]
-        rational = cv == 0
-        val_u[rest] = -_exact_quotients(np.where(rational, tu, tv), np.where(rational, cu, cv))
-        val_v[rest] = -_exact_quotients(np.where(rational, tv, tu), np.where(rational, cu, d * cv))
-        i, j = rows[lo:hi], cols[lo:hi]
-        u[i, j] = sign * val_u[lo:hi, None]
-        v[i, j] = sign * val_v[lo:hi, None]
+        tu = x * y + z * w + d * (xs * ys + zs * ws)
+        tv = x * ys + xs * y + z * ws + zs * w
+        num = np.where(rational[r0:r1], [tu, tv], [tv, tu])
+        val[:, rest[r0:r1]] = -_exact_quotients(num, divisor[:, r0:r1])
+        u[entries[lo:hi]] = sign * val[0, lo:hi, None]
+        v[entries[lo:hi]] = sign * val[1, lo:hi, None]
+    u, v = u.reshape(n, n), v.reshape(n, n)
     for arr in (R, neg, sums, inner, u, v, q):
         arr.flags.writeable = False  # shared by the cached algebra
     return ChevalleyTables(R, neg, sums, inner, F, u, v, D, d, q)
