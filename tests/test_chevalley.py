@@ -481,9 +481,9 @@ def test_bound_check_raises_before_int64_overflow():
 def test_working_dtype_is_the_narrowest_that_holds_the_bound():
     # each dtype takes bounds below half its wrap point, as int64 takes INT_LIMIT
     widths = ((np.int8, 8), (np.int16, 16), (np.int32, 32), (np.int64, 64))
+    assert rootcore.working_dtype(0, "x") == np.int8
     for (dtype, bits), wider in zip(widths, [w for w, _ in widths[1:]] + [None]):
         limit = 2 ** (bits - 2)
-        assert rootcore.working_dtype(0, "x") == np.int8
         assert rootcore.working_dtype(limit - 1, "x") == dtype
         if wider is not None:
             assert rootcore.working_dtype(limit, "x") == wider
