@@ -12,7 +12,7 @@ two invariance identities
     x+y+z = 0           =>  N(x,y) = N(y,z) = N(z,x)
     a+b+c+d = 0 (generic) =>  N(a,b)N(c,d) + N(b,c)N(a,d) + N(c,a)N(b,d) = 0.
 
-Integer encoding.  The build and its exact checks work on numpy int64
+Integer encoding.  The build and its exact checks work on numpy integer
 tables (``ChevalleyTables``), never on scalar objects:
 
 - root sums as indices into the canonical root order;
@@ -22,13 +22,22 @@ tables (``ChevalleyTables``), never on scalar objects:
   d = D = (long root length^2)/(short root length^2): 1 for A, D, E (so
   the constants are +-1), 2 for B, C, F4, 3 for G2.
 
+Each stored table has the narrowest signed dtype that holds its magnitude
+(``rootcore.working_dtype``).  By Chevalley's theorem the constants are
+tiny integers: N^2 = q(p+1)(a,a)/2 with p + q <= 3 (Humphreys,
+Introduction to Lie Algebras, section 25), so the coordinates, the form, u, v
+and the root-string numbers q are int8 at every type, and the root
+indices are int8 or int16 (n < 2^14 roots).  The tables are built a block
+of rows at a time, with no n x n int64 intermediate, and every flat index
+into them (a n + b) is formed in ``np.intp``.
+
 The magnitude and Jacobi checks are always on and use integer arithmetic
 only.  Each first bounds every magnitude it can reach, then runs in the
-narrowest integer dtype that bound allows (``rootcore.working_dtype``:
-int8, int16, int32 or int64 for a bound below 2^6, 2^14, 2^30 or
+narrowest integer dtype that bound allows (``working_dtype``: int8,
+int16, int32 or int64 for a bound below 2^6, 2^14, 2^30 or
 INT_LIMIT = 2^62, half of each wrap point), so no product can wrap; a
-bound at INT_LIMIT or above raises.  The stored tables stay int64.  Every
-constant of A, D and E is +-1, so there the checks run in int8.
+bound at INT_LIMIT or above raises.  Every constant of A, D and E is +-1,
+so there the checks run in int8.
 Adjoint matrices (``ChevalleyAlgebra.ad``) are scattered from the same
 tables, and representation matrices read N from them (``n_float``).
 """
@@ -72,7 +81,10 @@ def _exact_div(num: int, den: int) -> int:
 class ChevalleyTables:
     """One type's root data and structure constants as integer arrays.
 
-    Root indices are positions in the canonical order ``rs.roots``.
+    Root indices are positions in the canonical order ``rs.roots``.  Each
+    array is read-only, in the narrowest signed dtype that holds its largest
+    magnitude (``working_dtype``), so flat indices formed from the index
+    tables are formed in ``np.intp``.
     """
 
     roots: np.ndarray   # (n, l) coordinates in the simple-root basis
@@ -90,8 +102,9 @@ class ChevalleyTables:
     def p(self) -> np.ndarray:
         """(n, n) b - k a is a root for k = 1..p[a, b]; that is q[-a, b].
 
-        Derived, not stored: a second n x n table would add 1.3 MB over the
-        16 standard types to every process that keeps them.
+        Derived, not stored: a second n x n int8 table would add 86 KB over
+        the 16 standard types (88,264 root pairs) to every process that
+        keeps them, and 0.5 MB at B19.
         """
         return self.q[self.neg]
 
@@ -131,6 +144,15 @@ def check_root_key_scale(type_name) -> None:
         raise RootKeyScaleError(f"root keys for {t} reach {bound}, out of int64 scale (limit 2^62)")
 
 
+# rows of an n x n table formed at once: each int64 block stays near 256 KB
+_BLOCK = 2**15
+
+
+def _row_blocks(n: int):
+    step = max(1, _BLOCK // n)
+    return [slice(lo, lo + step) for lo in range(0, n, step)]
+
+
 def _root_tables(rs: RootSystem):
     """Root coordinates, negation and root-sum indices, and the scaled form.
 
@@ -139,10 +161,14 @@ def _root_tables(rs: RootSystem):
     carry, since every |a + b| coordinate is at most off.  The keys reach
     2 base^l, which depends on the type alone: above INT_LIMIT the type is
     refused as out of scale (check_root_key_scale), not as a broken invariant.
+    The sums and the form are formed a block of rows at a time, in int64,
+    and stored narrow: |(a, b)| <= max (a, a) on the positive definite form,
+    which each block checks.
     """
     R = np.array(rs.roots, dtype=np.int64)
     n, l = R.shape
-    off = 2 * int(np.abs(R).max())
+    coord = int(np.abs(R).max())
+    off = 2 * coord
     base = 2 * off + 1
     if base != _key_base(rs.type):
         raise InvariantViolation(f"{rs.type}: root keys need base {base}, not {_key_base(rs.type)}")
@@ -160,30 +186,47 @@ def _root_tables(rs: RootSystem):
     neg = lookup(2 * zero - keys)
     if (neg < 0).any():
         raise InvariantViolation("the root set is not closed under negation")
-    K = keys[:, None] + keys[None, :] - zero
-    sums = lookup(K)
-    sums[K == zero] = -2
 
     G, form_den = rs.integer_form
-    check_bound(l * l * int(np.abs(R).max()) ** 2 * int(np.abs(G).max()), "inner products")
-    inner = R @ G @ R.T
-    return R, neg, sums, inner, form_den
+    check_bound(l * l * coord * coord * int(np.abs(G).max()), "inner products")
+    RG = R @ G
+    top = int((RG * R).sum(axis=1).max())
+    index = working_dtype(n - 1, "root indices")
+    sums = np.empty((n, n), dtype=index)
+    inner = np.empty((n, n), dtype=working_dtype(top, "inner products"))
+    for rows in _row_blocks(n):
+        K = keys[rows, None] + keys - zero
+        block = lookup(K)
+        block[K == zero] = -2
+        sums[rows] = block
+        block = RG[rows] @ R.T
+        if np.abs(block).max() > top:
+            raise InvariantViolation(f"{rs.type}: an inner product exceeds max (a, a) = {top}")
+        inner[rows] = block
+    R = R.astype(working_dtype(coord, "root coordinates"))
+    return R, neg.astype(index), sums, inner, form_den
 
 
 def _root_strings(sums: np.ndarray) -> np.ndarray:
     """Root-string numbers: q[i, j] = q means b + k a is a root for k = 1..q,
-    for a = root i, b = root j, by iterated table lookups."""
-    n = len(sums)
-    q = np.zeros((n, n), dtype=np.int64)
-    cur = sums.T  # cur[i, j] = index of b + a
-    rows = np.arange(n)[:, None]
-    for _ in range(n):
-        live = cur >= 0
-        if not live.any():
-            return q
-        q += live
-        cur = np.where(live, sums[np.maximum(cur, 0), rows], -1)
-    raise InvariantViolation("a root string does not terminate")
+    for a = root i, b = root j, by iterated table lookups.
+
+    sums is symmetric, so b + (k + 1) a = sums[i, b + k a] reads row i only,
+    and each block of rows is counted on its own.  A root string has at
+    most four roots (p + q <= 3), so q <= 3; a longer one raises.
+    """
+    q = np.zeros(sums.shape, dtype=working_dtype(3, "root strings"))
+    for rows in _row_blocks(len(sums)):
+        block = cur = sums[rows]
+        for k in range(4):
+            live = cur >= 0
+            if not live.any():
+                break
+            if k == 3:
+                raise InvariantViolation("a root string has more than four roots")
+            q[rows] += live
+            cur = np.where(live, np.take_along_axis(block, np.maximum(cur, 0), axis=1), -1)
+    return q
 
 
 def _sqrt_pairs(m: np.ndarray, d: int) -> Tuple[np.ndarray, np.ndarray]:
@@ -225,15 +268,20 @@ def build_tables(rs: RootSystem) -> ChevalleyTables:
     """
     R, neg, sums, inner, F = _root_tables(rs)
     n = len(R)
-    diag = np.diagonal(inner)
+    diag = np.diagonal(inner).astype(np.int64)
     d = D = _exact_div(int(diag.max()), int(diag.min()))
     q = _root_strings(sums)
+    # Chevalley: |u|, |v| <= D |N| <= top, as D^2 N^2 = q (p + 1) F(a, a) D^2 / 2F, p = q[-a, b]
+    q_top = int(q.max())
+    top = math.isqrt(q_top * (q_top + 1) * int(diag.max()) * D * D // (2 * F))
     height = R.sum(axis=1)
     pos = np.flatnonzero(height > 0)
     ia, ib = np.nonzero(sums[np.ix_(pos, pos)] >= 0)
     keep = ia < ib
     A, B = pos[ia[keep]], pos[ib[keep]]
-    G = sums[A, B]
+    # root indices in intp: the flat indices a n + b below reach n^2
+    neg_i = neg.astype(np.intp)
+    G = sums[A, B].astype(np.intp)
     # by g, then a ascending: each g's first pair leads, and since the canonical
     # order is by height, each height is one run of pairs
     order = np.lexsort((A, G))
@@ -242,37 +290,42 @@ def build_tables(rs: RootSystem) -> ChevalleyTables:
     lead[1:] = G[1:] != G[:-1]
     first = np.flatnonzero(lead)[np.cumsum(lead) - 1]
     A1, B1 = A[first], B[first]
-    m = _exact_quotients(q[A1, B1] * (q[neg[A1], B1] + 1) * diag[A1] * D * D, 2 * F)
+    m = _exact_quotients(
+        q[A1, B1].astype(np.int64) * (q[neg_i[A1], B1] + 1) * diag[A1] * D * D, 2 * F
+    )
     val = np.stack(_sqrt_pairs(m, d))  # (u, v) of each pair; final for the leading pairs
 
     # every other pair: its four factors (flat indices into the n x n tables),
     # and N(a1,b1), which is u or v sqrt(d), as the divisor of the u and v parts
     rest = np.flatnonzero(~lead)
     factors = np.stack([
-        B1 * n + neg[B], A1 * n + neg[A], neg[B] * n + A1, B1 * n + neg[A]
+        B1 * n + neg_i[B], A1 * n + neg_i[A], neg_i[B] * n + A1, B1 * n + neg_i[A]
     ])[:, rest]
     cu, cv = val[:, rest]
     rational = cv == 0
     divisor = np.where(rational, [cu, cu], [cv, d * cv])
     # the twelve entries that each pair's triple (a, b, -g) and its negative fix
-    C = neg[G]
+    C = neg_i[G]
     rows = np.stack([A, B, C, B, C, A], axis=1)
     cols = np.stack([B, C, A, A, B, C], axis=1)
-    entries = np.concatenate([rows * n + cols, neg[rows] * n + neg[cols]], axis=1)
+    entries = np.concatenate([rows * n + cols, neg_i[rows] * n + neg_i[cols]], axis=1)
     sign = np.array([1, 1, 1, -1, -1, -1, -1, -1, -1, 1, 1, 1])
 
-    u = np.zeros(n * n, dtype=np.int64)
-    v = np.zeros(n * n, dtype=np.int64)
+    dtype = working_dtype(top, "structure constants")
+    u = np.zeros(n * n, dtype=dtype)
+    v = np.zeros(n * n, dtype=dtype)
     run = np.flatnonzero(np.diff(height[G], prepend=0, append=height[G][-1] + 1))
     at = np.searchsorted(rest, run)
     for lo, hi, r0, r1 in zip(run[:-1], run[1:], at[:-1], at[1:]):
-        x, y, z, w = u[factors[:, r0:r1]]
-        xs, ys, zs, ws = v[factors[:, r0:r1]]
+        x, y, z, w = u[factors[:, r0:r1]].astype(np.int64)
+        xs, ys, zs, ws = v[factors[:, r0:r1]].astype(np.int64)
         # products over D^2: x y = (x_u y_u + d x_v y_v, x_u y_v + x_v y_u)
         tu = x * y + z * w + d * (xs * ys + zs * ws)
         tv = x * ys + xs * y + z * ws + zs * w
         num = np.where(rational[r0:r1], [tu, tv], [tv, tu])
         val[:, rest[r0:r1]] = -_exact_quotients(num, divisor[:, r0:r1])
+        if np.abs(val[:, lo:hi]).max() > top:
+            raise InvariantViolation(f"{rs.type}: a structure constant passes D |N| <= {top}")
         u[entries[lo:hi]] = sign * val[0, lo:hi, None]
         v[entries[lo:hi]] = sign * val[1, lo:hi, None]
     u, v = u.reshape(n, n), v.reshape(n, n)
@@ -297,7 +350,9 @@ def verify_magnitudes(t: ChevalleyTables):
         max(2 * F * (1 + d) * top * top, q_top * (q_top + 1) * int(np.abs(t.inner).max()) * D * D),
         "N^2",
     )
-    u, v, q, diag = (x.astype(dtype) for x in (t.n_rat, t.n_surd, t.q, np.diagonal(t.inner)))
+    u, v, q, diag = (
+        x.astype(dtype, copy=False) for x in (t.n_rat, t.n_surd, t.q, np.diagonal(t.inner))
+    )
     p = q[neg]
     # D^2 N^2 = u^2 + d v^2 + 2uv sqrt(d), against D^2 q(p+1)(a,a)/2
     lhs = 2 * F * (u * u + d * v * v)
@@ -349,7 +404,7 @@ def verify_jacobi(t: ChevalleyTables):
         ),
         "Jacobi",
     )
-    u, v, R, inner = (x.astype(dtype) for x in (t.n_rat, t.n_surd, t.roots, t.inner))
+    u, v, R, inner = (x.astype(dtype, copy=False) for x in (t.n_rat, t.n_surd, t.roots, t.inner))
     surd = bool(v.any())
 
     for X in (u, v):
@@ -370,7 +425,8 @@ def verify_jacobi(t: ChevalleyTables):
             m = int(np.argmax(bad))
             _jacobi_failure(t, I[m], J[m], K[m])
 
-    Sc = np.maximum(S, 0)  # where S < 0 the matching N factor is 0
+    # where S < 0 the matching N factor is 0; in intp once, since nn indexes by all of it
+    Sc = np.maximum(S, 0, dtype=np.intp)
 
     def nn(X, Y, i):
         """sum over the cyclic (x, y, z) of X(x, y) Y(x+y, z), on the (b, c) grid."""
@@ -445,9 +501,9 @@ class ChevalleyAlgebra:
             k = np.flatnonzero(h)
             out[l + a, k] = c * (h[k] / t.form_den)
             b = np.flatnonzero(t.n_rat[a] | t.n_surd[a])
-            out[l + t.sums[a, b], l + b] = c * t.n_float(a, b)
+            out[l + t.sums[a, b].astype(np.intp), l + b] = c * t.n_float(a, b)
             k = np.flatnonzero(t.roots[a])
-            out[k, l + t.neg[a]] = c * t.roots[a, k]
+            out[k, l + int(t.neg[a])] = c * t.roots[a, k]
         return out
 
 

@@ -283,6 +283,7 @@ def _verify_one(type_name: str) -> dict:
     record("kostant_chain", lambda: kostant_chain(rs, rs.coxeter_number, bip))
 
     dim = rs.rank + len(rs.roots)
+    skipped = []
     if dim <= SPEC_DIM_CAP:
         def spectrum_check():
             alg = build_chevalley(type_name)
@@ -290,13 +291,21 @@ def _verify_one(type_name: str) -> dict:
             match_plane(sr, plane_holder["plane"])
 
         record("apposition_spectrum", spectrum_check)
+    else:
+        skipped.append({
+            "name": "apposition_spectrum",
+            "reason": f"dim g = {dim} is above SPEC_DIM_CAP = {SPEC_DIM_CAP}",
+        })
     passed = all(c["passed"] for c in checks)
-    return {
+    doc = {
         "schema_version": 1,
         "type": type_name,
         "passed": passed,
         "checks": checks,
     }
+    if skipped:
+        doc["skipped"] = skipped
+    return doc
 
 
 def cmd_verify(args) -> int:
@@ -308,7 +317,8 @@ def cmd_verify(args) -> int:
         docs.append(doc)
         ok = ok and doc["passed"]
         line = "PASS" if doc["passed"] else "FAIL"
-        print(f"[{line}] {t}", file=sys.stderr)
+        skips = "".join(f" (skipped {c['name']}: {c['reason']})" for c in doc.get("skipped", ()))
+        print(f"[{line}] {t}{skips}", file=sys.stderr)
     doc = docs[0] if len(docs) == 1 else _validate("verify_all", {"results": docs})
     _emit(doc, args.json_out)
     return EXIT_OK if ok else EXIT_VERIFY

@@ -93,7 +93,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction as Q
 from functools import lru_cache
-from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
+from typing import Dict, List, NamedTuple, Sequence, Tuple
 
 import numpy as np
 
@@ -407,16 +407,6 @@ def _magnus_generators(
     c1 = _commutator(alpha1, alpha2)
     c2 = -_commutator(alpha1, 2 * alpha3 + c1) / 60
     return alpha1 + alpha3 / 12 + _commutator(-20 * alpha1 - alpha3 + c1, alpha2 + c2) / 240
-
-
-def magnus_propagators(
-    im: np.ndarray, k: np.ndarray, steps: int, count: Optional[int] = None
-) -> np.ndarray:
-    """The first count (default all) of the steps sixth-order Magnus propagators over [0, 2 pi]."""
-    count = steps if count is None else count
-    h = np.full(count, 2 * np.pi / steps)
-    # the generators' intermediate stacks are freed before the exponential allocates its powers
-    return _exp_taylor(_magnus_generators(im, k, h, np.arange(count)))
 
 
 _EXP_COEFFS = tuple(1 / math.factorial(j) for j in range(EXP_DEGREE + 1))

@@ -346,10 +346,12 @@ def test_root_tables_match_tuple_arithmetic(name):
 
 @pytest.mark.parametrize("name", STANDARD_TYPES)
 def test_tables_are_integer_and_encoding_per_family(name):
+    # each table read-only, in the narrowest dtype that holds its largest magnitude
     t = build_chevalley(name).tables
     for arr in (t.roots, t.neg, t.sums, t.inner, t.n_rat, t.n_surd, t.q):
-        assert arr.dtype == np.int64 and not arr.flags.writeable
-    assert t.p.dtype == np.int64
+        assert arr.dtype == rootcore.working_dtype(int(np.abs(arr).max()), "x")
+        assert not arr.flags.writeable
+    assert t.p.dtype == t.q.dtype
     fam = name[0]
     assert t.surd == t.den == {"B": 2, "C": 2, "F": 2, "G": 3}.get(fam, 1)
     assert t.form_den == {"C": 2, "F": 2, "G": 3}.get(fam, 1)
@@ -358,10 +360,77 @@ def test_tables_are_integer_and_encoding_per_family(name):
         assert set(np.unique(t.n_rat).tolist()) == {-1, 0, 1}
 
 
+TABLE_FIELDS = ("roots", "neg", "sums", "inner", "n_rat", "n_surd", "q")
+
+# sha256 of the tables cast to int64 (table_hash), recorded when every table
+# was stored as int64: n = 702, 722, 722 and 684 roots, so n^2 and the flat
+# indices into the tables are far past int16
+LARGE_TABLE_SHA256 = {
+    "A26": "16457930c750a1fe6e4c34743cbd5019846f83b2c65f88c9da40fab31eb58918",
+    "B19": "b54b4335194c7facbd570f27e7287f7d1509973b4bb08a9da7aa261e11b0def7",
+    "C19": "ac52d93938c076c8c8a1b9d0f162d32ca1f0725cebe36a12d839eab9a4358af1",
+    "D19": "63039ae9bdd98203d6d582c2a7a5ac28fdde62a596ae9d172a71c55e3134e582",
+}
+
+
+def table_hash(t):
+    h = hashlib.sha256()
+    for field in TABLE_FIELDS:
+        arr = getattr(t, field)
+        h.update(field.encode())
+        h.update(str(arr.shape).encode())
+        h.update(np.ascontiguousarray(arr, dtype=np.int64).tobytes())
+    h.update(f"{t.form_den},{t.den},{t.surd}".encode())
+    return h.hexdigest()
+
+
+@pytest.mark.parametrize("name", sorted(LARGE_TABLE_SHA256))
+def test_narrow_tables_equal_the_int64_tables_at_large_rank(name):
+    # built and verified, not cached
+    t = chevalley.ChevalleyAlgebra(build_root_system(name)).tables
+    assert t.sums.dtype == np.int16 and t.n_rat.dtype == np.int8
+    assert table_hash(t) == LARGE_TABLE_SHA256[name]
+
+
+_MEMORY = """
+import json, tracemalloc
+from coxstokes import chevalley, rootcore
+fields = %r
+rootcore.build_root_system("E8")
+tracemalloc.start()
+e8 = chevalley.build_chevalley("E8").tables
+peak = tracemalloc.get_traced_memory()[1]
+tracemalloc.stop()
+b19 = chevalley.build_chevalley("B19").tables
+print(json.dumps({
+    "peak": peak,
+    "e8": sum(getattr(e8, f).nbytes for f in fields),
+    "b19": sum(getattr(b19, f).nbytes for f in fields),
+}))
+""" % (TABLE_FIELDS,)
+
+
+def test_table_memory_guard():
+    # int64 storage kept 2.21 MB for E8's tables and 20.0 MB for B19's, and
+    # E8's build traced a 3.5 MB peak; narrow storage reads 0.33 MB, 3.0 MB
+    # and about 1.4 MB
+    src = str(Path(coxstokes.__file__).resolve().parents[1])
+    out = subprocess.run(
+        [sys.executable, "-c", _MEMORY],
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src}, timeout=120,
+    )
+    assert out.returncode == 0, out.stderr
+    got = json.loads(out.stdout)
+    mb = 2**20
+    assert got["e8"] <= 0.5 * mb, got
+    assert got["b19"] <= 4 * mb, got
+    assert got["peak"] <= 2.5 * mb, got
+
+
 def _flip_one(t, value=-1):
-    """Tables with one bracketable constant N(a, b) multiplied by value."""
+    """Tables with one bracketable constant N(a, b) multiplied by value, in int64."""
     i, j = np.argwhere(t.sums >= 0)[len(t.neg) // 3]
-    u, v = t.n_rat.copy(), t.n_surd.copy()
+    u, v = t.n_rat.astype(np.int64), t.n_surd.astype(np.int64)
     u[i, j] *= value
     v[i, j] *= value
     return dataclasses.replace(t, n_rat=u, n_surd=v)
@@ -498,11 +567,11 @@ def test_checks_do_not_wrap_in_their_working_dtype(w):
     t = build_chevalley("A3").tables
     i = int(np.flatnonzero(t.roots.sum(axis=1) == 1)[0])  # alpha_1, a generator row
     top = len(t.neg) - 1  # psi, last in the canonical order
-    inner = t.inner.copy()
+    inner = t.inner.astype(np.int64)
     inner[top, i] += 2**w
     with pytest.raises(InvariantViolation, match="Jacobi fails"):
         verify_jacobi(dataclasses.replace(t, inner=inner))
-    inner = t.inner.copy()
+    inner = t.inner.astype(np.int64)
     inner[top, top] += 2**w
     with pytest.raises(InvariantViolation, match="N\\^2 mismatch"):
         verify_magnitudes(dataclasses.replace(t, inner=inner))

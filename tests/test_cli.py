@@ -65,14 +65,19 @@ def test_verify_single(tmp_path):
     assert run(["verify", "--type", "B3", "--json-out", str(out)]) == EXIT_OK
     doc = json.loads(out.read_text())
     assert doc["passed"] and any(c["name"] == "apposition_spectrum" for c in doc["checks"])
+    assert "skipped" not in doc
 
 
-def test_verify_spectrum_skipped_by_cap(tmp_path, monkeypatch):
+def test_verify_spectrum_skipped_by_cap(tmp_path, monkeypatch, capsys):
     monkeypatch.setattr(cli, "SPEC_DIM_CAP", 5)
     out = tmp_path / "v.json"
     assert run(["verify", "--type", "B3", "--json-out", str(out)]) == EXIT_OK
     doc = json.loads(out.read_text())
     assert all(c["name"] != "apposition_spectrum" for c in doc["checks"])
+    # the check left out is named, with dim g and the cap, in the document and on stderr
+    reason = "dim g = 21 is above SPEC_DIM_CAP = 5"
+    assert doc["skipped"] == [{"name": "apposition_spectrum", "reason": reason}]
+    assert f"[PASS] B3 (skipped apposition_spectrum: {reason})" in capsys.readouterr().err
 
 
 def test_stokes_roundtrip(tmp_path):

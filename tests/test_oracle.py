@@ -19,7 +19,6 @@ from coxstokes.oracle import (
     exponent_charpoly,
     formal_solution,
     integrate_monodromy,
-    magnus_propagators,
     numerical_monodromy,
     sequential_product,
 )
@@ -268,6 +267,13 @@ def test_magnus_matches_dop853_reference():
             assert got.steps == sys_.s * per >= oracle.MIN_STEPS and per % 2 == 0
             assert got.nfev == 3 * (per + per // 2)
             assert got.error_estimate <= oracle.ERROR_TOL
+
+
+def magnus_propagators(im, k, steps):
+    """The steps sixth-order Magnus propagators over [0, 2 pi], each of one
+    step of length 2 pi / steps: the reference for integrate_monodromy."""
+    h = np.full(steps, 2 * np.pi / steps)
+    return oracle._exp_taylor(oracle._magnus_generators(im, k, h, np.arange(steps)))
 
 
 def test_magnus_is_sixth_order():
