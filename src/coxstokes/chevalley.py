@@ -15,7 +15,8 @@ two invariance identities
 Integer encoding.  The build and its exact checks work on numpy integer
 tables (``ChevalleyTables``), never on scalar objects:
 
-- root sums as indices into the canonical root order;
+- root sums as indices into the canonical root order, by an exact key
+  lookup at every rank (``_root_sums``);
 - the form as F*(a,b), F the lcm of the Gram-matrix denominators
   (1 for A, B, D, E; 2 for C, F4; 3 for G2);
 - N(a,b) = (u + v*sqrt(d))/D as two integer tables u, v, where
@@ -52,20 +53,13 @@ from typing import Mapping, Tuple
 import numpy as np
 
 from .rootcore import (
-    INT_LIMIT,
-    AlgebraType,
     InvariantViolation,
     Root,
     RootSystem,
     build_root_system,
-    capped_type,
     check_bound,
     working_dtype,
 )
-
-
-class RootKeyScaleError(ValueError):
-    """The type is too large for the int64 root keys (A_l from l = 27; B_l, C_l, D_l from 20)."""
 
 
 def _exact_div(num: int, den: int) -> int:
@@ -121,30 +115,7 @@ class ChevalleyTables:
         return np.where(v == 0, u / self.den, v / self.den * math.sqrt(self.surd))
 
 
-# The largest coordinate of a root: the highest root's largest mark, by
-# family or type (Bourbaki labels; D3 is A3).  _root_tables checks it.
-_TOP_MARK = {"A": 1, "B": 2, "C": 2, "D": 2, "D3": 1, "E6": 3, "E7": 4, "E8": 6, "F4": 4, "G2": 3}
-
-
-def _key_base(t: AlgebraType) -> int:
-    """The digit base 2 off + 1 of the root keys, off twice the largest root coordinate."""
-    return 4 * _TOP_MARK.get(str(t), _TOP_MARK.get(t.family)) + 1
-
-
-def check_root_key_scale(type_name) -> None:
-    """Refuse a type whose root keys (_root_tables) would pass INT_LIMIT, from its name alone.
-
-    The keys reach 2 base^l (_key_base), so nothing of the type is built
-    first: a rank above RANK_CAP raises RankScaleError, keys out of int64
-    scale RootKeyScaleError.
-    """
-    t = capped_type(type_name)
-    bound = 2 * _key_base(t) ** t.rank
-    if bound >= INT_LIMIT:
-        raise RootKeyScaleError(f"root keys for {t} reach {bound}, out of int64 scale (limit 2^62)")
-
-
-# rows of an n x n table formed at once: each int64 block stays near 256 KB
+# rows of an n x n table formed at once: each 8-byte block stays near 256 KB
 _BLOCK = 2**15
 
 
@@ -153,58 +124,73 @@ def _row_blocks(n: int):
     return [slice(lo, lo + step) for lo in range(0, n, step)]
 
 
-def _root_tables(rs: RootSystem):
-    """Root coordinates, negation and root-sum indices, and the scaled form.
+def _root_sums(R: np.ndarray, base: int) -> Tuple[np.ndarray, np.ndarray]:
+    """Negation and root-sum indices of the roots R (n, l), by an exact key lookup.
 
-    A root's key is its coordinates shifted by off, read as base-(2 off + 1)
-    digits.  Keys are linear: key(a + b) = key(a) + key(b) - key(0), with no
-    carry, since every |a + b| coordinate is at most off.  The keys reach
-    2 base^l, which depends on the type alone: above INT_LIMIT the type is
-    refused as out of scale (check_root_key_scale), not as a broken invariant.
-    The sums and the form are formed a block of rows at a time, in int64,
-    and stored narrow: |(a, b)| <= max (a, a) on the positive definite form,
-    which each block checks.
+    A root's key is its coordinates read as base-``base`` digits in wrapping
+    uint64 arithmetic.  Keys are linear mod 2^64, key(a + b) = key(a) +
+    key(b), so a sorted search finds every true root sum: a miss is exact.
+    A hit is accepted only when its coordinates are a + b, and the keys are
+    checked pairwise distinct, so a hit is exact too and no key scale bounds
+    the type.  neg is the same lookup of -a, checked as R[neg] = -R; a + b =
+    0 is read from it (-2), and every other sum that is not a root is -1.
+    """
+    n, l = R.shape
+    place = np.full(l, base, dtype=np.uint64) ** np.arange(l, dtype=np.uint64)
+    keys = R.astype(np.uint64) @ place
+    order = np.argsort(keys)
+    sorted_keys = keys[order]
+    if (sorted_keys[1:] == sorted_keys[:-1]).any():
+        raise InvariantViolation(f"two roots share a key in base {base}")
+
+    def lookup(k: np.ndarray) -> np.ndarray:
+        """The index of the root with key k, or -1."""
+        pos = np.minimum(np.searchsorted(sorted_keys, k), n - 1)
+        return np.where(sorted_keys[pos] == k, order[pos], -1)
+
+    neg = lookup(0 - keys)
+    if (neg < 0).any() or (R[neg] != -R).any():
+        raise InvariantViolation("the root set is not closed under negation")
+    index = working_dtype(n - 1, "root indices")
+    sums = np.empty((n, n), dtype=index)
+    coords = np.ascontiguousarray(R.T)
+    for rows in _row_blocks(n):
+        found = lookup(keys[rows, None] + keys)
+        hit = found >= 0
+        for x in coords:  # one coordinate of every root at a time
+            hit &= x[found] == x[rows, None] + x
+        sums[rows] = np.where(hit, found, -1)
+    sums[np.arange(n), neg] = -2
+    return neg.astype(index), sums
+
+
+def _root_tables(rs: RootSystem):
+    """Root coordinates, negation and root-sum indices (_root_sums), and the scaled form.
+
+    The keys' base is 4 max |coordinate| + 1: every coordinate of a + b is
+    a digit of that base, so distinct sums have distinct keys while
+    base^l <= 2^64, and past that the lookup stays exact by its checks.
+    The form is formed a block of rows at a time, in int64, and stored
+    narrow: |(a, b)| <= max (a, a) on the positive definite form, which each
+    block checks.
     """
     R = np.array(rs.roots, dtype=np.int64)
     n, l = R.shape
     coord = int(np.abs(R).max())
-    off = 2 * coord
-    base = 2 * off + 1
-    if base != _key_base(rs.type):
-        raise InvariantViolation(f"{rs.type}: root keys need base {base}, not {_key_base(rs.type)}")
-    check_root_key_scale(rs.type)
-    place = base ** np.arange(l, dtype=np.int64)
-    keys = (R + off) @ place
-    zero = off * int(place.sum())
-    order = np.argsort(keys)
-    sorted_keys = keys[order]
-
-    def lookup(k: np.ndarray) -> np.ndarray:
-        pos = np.minimum(np.searchsorted(sorted_keys, k), n - 1)
-        return np.where(sorted_keys[pos] == k, order[pos], -1)
-
-    neg = lookup(2 * zero - keys)
-    if (neg < 0).any():
-        raise InvariantViolation("the root set is not closed under negation")
-
     G, form_den = rs.integer_form
     check_bound(l * l * coord * coord * int(np.abs(G).max()), "inner products")
     RG = R @ G
     top = int((RG * R).sum(axis=1).max())
-    index = working_dtype(n - 1, "root indices")
-    sums = np.empty((n, n), dtype=index)
     inner = np.empty((n, n), dtype=working_dtype(top, "inner products"))
     for rows in _row_blocks(n):
-        K = keys[rows, None] + keys - zero
-        block = lookup(K)
-        block[K == zero] = -2
-        sums[rows] = block
         block = RG[rows] @ R.T
         if np.abs(block).max() > top:
             raise InvariantViolation(f"{rs.type}: an inner product exceeds max (a, a) = {top}")
         inner[rows] = block
+    # |a + b| <= 2 coord stays within the dtype that holds coord
     R = R.astype(working_dtype(coord, "root coordinates"))
-    return R, neg.astype(index), sums, inner, form_den
+    neg, sums = _root_sums(R, 4 * coord + 1)
+    return R, neg, sums, inner, form_den
 
 
 def _root_strings(sums: np.ndarray) -> np.ndarray:
@@ -516,5 +502,4 @@ def build_chevalley(type_name: str) -> ChevalleyAlgebra:
     """
     if not isinstance(type_name, str):
         raise TypeError(f"build_chevalley takes a type name, not {type(type_name).__name__}")
-    check_root_key_scale(type_name)
     return ChevalleyAlgebra(build_root_system(type_name))

@@ -21,7 +21,7 @@ import numpy as np
 
 from . import oracle
 from .characters import CharacterScaleError, fundamental_dim
-from .chevalley import InvariantViolation, RootKeyScaleError, build_chevalley
+from .chevalley import InvariantViolation, build_chevalley
 from .coxeter import (
     TheoremCheckError,
     bipartition,
@@ -74,7 +74,6 @@ DOMAIN_ERRORS = (
     SystemError_,
     CharacterScaleError,
     RankScaleError,
-    RootKeyScaleError,
     UnsupportedRepresentationError,
 )
 VERIFY_ERRORS = (

@@ -97,10 +97,9 @@ from typing import Dict, List, NamedTuple, Sequence, Tuple
 
 import numpy as np
 
-from .chevalley import check_root_key_scale
 from .rootcore import diagram_involution
 from .scalars import mat_vec
-from .steinberg import ConsistencyError, stokes_from_asymptotics
+from .steinberg import ConsistencyError, check_character_cap, stokes_from_asymptotics
 from .weightrep import Representation, registered_representation
 
 
@@ -159,7 +158,7 @@ def build_system(n: int, c: Sequence, k: Sequence, z: float) -> MeromorphicSyste
     are the s distinct s-th roots of prod_i p_i > 0, so eta_+ is regular
     whenever every p_i is a positive normal float.
     """
-    check_root_key_scale(f"A{n}")  # before the root system is built
+    check_character_cap(f"A{n}")  # before the representation and its algebra are built
     rep = registered_representation(f"A{n}")
     s = rep.rs.coxeter_number
     c = tuple(float(x) for x in c)

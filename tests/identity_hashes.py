@@ -17,7 +17,10 @@ stderr] of its commands, each run in this process through
   representations that tests/test_supports.py checks;
 - describe: ``describe --type T`` for the 16 standard types, and the
   ``stokes`` refusals at the character cap of the large types in REFUSED,
-  which read the root system and the Weyl dimensions only.
+  which read the root system and the Weyl dimensions only;
+- refusals: ``monodromy --rank N --k 0`` for N in MONODROMY_REFUSED, each
+  refused at the character cap, and ``verify --type A40``, which skips the
+  spectrum above SPEC_DIM_CAP.
 
 Two checkouts that print the same lines give the same bytes on every
 command.  Uses the standard library and the package only; pytest does not
@@ -43,6 +46,7 @@ INTERIOR_PER_TYPE = 3
 MONODROMY_OPS = 40
 REP_INDICES = (("A3", 2), ("B3", 2), ("C3", 2), ("D4", 3), ("D4", 4), ("G2", 2))
 REFUSED = ("A45", "B25")
+MONODROMY_REFUSED = (26, 27, 45)
 
 
 def _bench_inputs():
@@ -85,6 +89,8 @@ def groups() -> dict:
         "rep": [["stokes", "--type", t, "--rep", str(j)] for t, j in REP_INDICES],
         "describe": [["describe", "--type", t] for t in cli.STANDARD_TYPES]
         + [["stokes", "--type", t] for t in REFUSED],
+        "refusals": [["monodromy", "--rank", str(n), "--k", "0"] for n in MONODROMY_REFUSED]
+        + [["verify", "--type", "A40"]],
     }
 
 

@@ -6,6 +6,7 @@ import os
 import random
 import subprocess
 import sys
+import warnings
 from fractions import Fraction as Q
 from pathlib import Path
 
@@ -625,17 +626,52 @@ def test_root_data_checks_are_named_exceptions():
         rootcore.dual_data(skewed)
 
 
-@pytest.mark.parametrize("name", STANDARD_TYPES + ("D3", "B5", "C5", "D6", "D7"))
-def test_root_key_base_is_read_off_the_type(name):
-    # check_root_key_scale refuses from the name alone: its base must be the
-    # one the built root system gives, 2 off + 1 with off = 2 max |coordinate|
+def _brute_force_sums(roots):
+    """neg and sums as lists, by a dict of coordinate tuples."""
+    index = {r: i for i, r in enumerate(roots)}
+    zero = (0,) * len(roots[0])
+    R = np.array(roots)
+    sums = [[-2 if s == zero else index.get(s, -1) for s in map(tuple, (a + R).tolist())]
+            for a in R]
+    return [index[neg(r)] for r in roots], sums
+
+
+@pytest.mark.parametrize("name", STANDARD_TYPES + ("D3", "B5", "C5", "D6", "D7", "A27", "B20"))
+def test_root_sums_match_a_brute_force_lookup(name):
+    # A27 and B20 are the first A and B types whose keys with a digit offset
+    # (2 base^l) pass 2^62; the wrapping keys need no bound, and no warning
     rs = build_root_system(name)
-    assert chevalley._key_base(rs.type) == 4 * max(abs(c) for r in rs.roots for c in r) + 1
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        t = chevalley.ChevalleyAlgebra(rs).tables
+    assert (t.neg.tolist(), t.sums.tolist()) == _brute_force_sums(rs.roots)
 
 
-def test_root_key_scale_thresholds():
-    # the ranks the RootKeyScaleError docstring names
-    for fits, refused in (("A26", "A27"), ("B19", "B20"), ("C19", "C20"), ("D19", "D20")):
-        chevalley.check_root_key_scale(fits)
-        with pytest.raises(chevalley.RootKeyScaleError, match=f"root keys for {refused} reach"):
-            chevalley.check_root_key_scale(refused)
+def _with_key_base(monkeypatch, base):
+    root_sums = chevalley._root_sums
+    monkeypatch.setattr(chevalley, "_root_sums", lambda R, _: root_sums(R, base))
+
+
+def test_shared_root_key_is_a_broken_invariant(monkeypatch):
+    # base 1 keys a root by its height
+    _with_key_base(monkeypatch, 1)
+    with pytest.raises(InvariantViolation, match="two roots share a key in base 1"):
+        chevalley.build_tables(build_root_system("A3"))
+
+
+@pytest.mark.parametrize("name", ["A5", "B4", "G2", "E6"])
+def test_aliased_sums_are_rejected_by_their_coordinates(name, monkeypatch):
+    # in base 2 the roots keep distinct keys, but sums that are not roots
+    # (2 a_1 in A5, whose key is a_2's) land on root keys
+    rs = build_root_system(name)
+    R = np.array(rs.roots).astype(np.uint64)
+    keys = R @ (np.uint64(2) ** np.arange(rs.rank, dtype=np.uint64))
+    neg_ref, sums_ref = _brute_force_sums(rs.roots)
+    aliased = np.isin(keys[:, None] + keys, keys).sum() - (np.array(sums_ref) >= 0).sum()
+    assert aliased > 0
+    _with_key_base(monkeypatch, 2)
+    t = chevalley.build_tables(rs)
+    assert (t.neg.tolist(), t.sums.tolist()) == (neg_ref, sums_ref)
+    std = build_chevalley(name).tables
+    for field in TABLE_FIELDS:
+        assert np.array_equal(getattr(t, field), getattr(std, field)), field

@@ -13,7 +13,7 @@ import pytest
 import coxstokes
 from character_reference import MULTIPLIER_CONSTANTS
 from coxstokes import characters, cli, oracle, weightrep
-from coxstokes.chevalley import InvariantViolation
+from coxstokes.chevalley import InvariantViolation, build_chevalley
 from coxstokes.rootcore import INT_LIMIT, RANK_CAP, RankScaleError, build_root_system, check_bound
 from coxstokes.cli import EXIT_DOMAIN, EXIT_OK, EXIT_USAGE, EXIT_VERIFY, main
 
@@ -299,11 +299,12 @@ def test_extreme_z_is_refused_before_anything_overflows(argv, reason, capsys):
 
 
 def test_out_of_scale_rank_is_a_domain_error(monkeypatch, capsys):
-    # the int64 root keys of A_l fit up to l = 26 (2 * 5^l < 2^62); from l = 27
-    # the type is refused as out of scale, as a too-large character table is
+    # no key scale bounds the Chevalley tables: A27 stops at the character-table
+    # cap, as A26 does
     assert run(["monodromy", "--rank", "27", "--k", "0"]) == EXIT_DOMAIN
-    assert "domain error: root keys for A27 reach 14901161193847656250, out of int64 scale" in (
-        capsys.readouterr().err)
+    assert capsys.readouterr().err == (
+        "domain error: character table for A27 omega_8 has dimension 3108105,"
+        " out of desk scale (cap 1000000)\n")
     # A26 stops at the character-table cap, at the first node over it in Gamma
     # order, before any table of the type is built
     built = []
@@ -326,14 +327,39 @@ def test_out_of_scale_rank_is_a_domain_error(monkeypatch, capsys):
         check_bound(INT_LIMIT, "a product")
 
 
-def test_out_of_scale_root_keys_are_refused_before_the_root_system_is_built(capsys):
-    # A45 took 2.4 s to build before the root-key check refused it
+@pytest.mark.parametrize("rank, node, dim", [(26, 8, 2220075), (27, 8, 3108105), (45, 6, 9366819)],
+                         ids=["A26", "A27", "A45"])
+def test_over_cap_monodromy_is_refused_before_any_algebra_is_built(rank, node, dim, monkeypatch,
+                                                                    capsys):
+    # build_system checks the character cap first: A26 used to build its
+    # representation and Chevalley tables before the class solve refused it
+    def refuse(rs, lam):
+        raise AssertionError(f"built {rs.type} {lam}")
+
+    monkeypatch.setattr(weightrep, "_build_representation", refuse)
+    cached = [f.cache_info() for f in (weightrep.registered_representation, build_chevalley)]
     start = time.perf_counter()
-    assert run(["monodromy", "--rank", "45", "--k", "0"]) == EXIT_DOMAIN
+    assert run(["monodromy", "--rank", str(rank), "--k", "0"]) == EXIT_DOMAIN
     assert time.perf_counter() - start < 1.0
     assert capsys.readouterr().err == (
-        "domain error: root keys for A45 reach 56843418860808014869689941406250,"
-        " out of int64 scale (limit 2^62)\n")
+        f"domain error: character table for A{rank} omega_{node} has dimension {dim},"
+        " out of desk scale (cap 1000000)\n")
+    assert [f.cache_info() for f in (weightrep.registered_representation, build_chevalley)] == cached
+
+
+def _domain_edges():
+    """argv, exit code and first stderr line of each row of README's domain-edge table."""
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    section = text.split("### Domain edges\n", 1)[1].split("\n###", 1)[0]
+    rows = [line.split(" | ") for line in section.splitlines() if line.startswith("| `")]
+    return [pytest.param(cmd.strip("|` ").split(), int(code), err.strip("`"), id=cmd.strip("|` "))
+            for cmd, _, _, code, err, _ in rows]
+
+
+@pytest.mark.parametrize("argv, code, err", _domain_edges())
+def test_domain_edge_table(argv, code, err, capsys):
+    assert run(argv) == code
+    assert capsys.readouterr().err.splitlines()[0] == err
 
 
 _CAP_ERR = "domain error: character table for {} has dimension {}, out of desk scale (cap 1000000)\n"
