@@ -13,7 +13,6 @@ from .coxeter import (
     bipartition,
     coxeter_element,
     coxeter_plane,
-    gamma_orbits,
     inversion_set,
     kostant_chain,
     singular_directions,

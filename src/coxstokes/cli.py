@@ -38,7 +38,13 @@ from .oracle import (
     formal_solution,
     numerical_monodromy,
 )
-from .rootcore import AlgebraType, RankScaleError, UnsupportedTypeError, build_root_system
+from .rootcore import (
+    AlgebraType,
+    RankScaleError,
+    UnsupportedTypeError,
+    build_root_system,
+    capped_type,
+)
 from .spectrum import SpectrumMismatch, ad_spectrum, build_e_plus, match_plane
 from .steinberg import (
     ConsistencyError,
@@ -372,6 +378,7 @@ def cmd_stokes(args) -> int:
 
 
 def cmd_monodromy(args) -> int:
+    capped_type(f"A{args.rank}")  # before any list of length rank + 1 is formed
     k = args.k or [Q(0)] * (args.rank + 1)
     if len(k) == 1:
         k = k * (args.rank + 1)

@@ -344,10 +344,3 @@ def _gamma_orbits(rs: RootSystem, gamma: CoxeterElement) -> List[FrozenSet[Root]
             f"gamma-orbit sizes {sorted(len(o) for o in orbits)}, expected {rs.rank} of size {s}"
         )
     return orbits
-
-
-def gamma_orbits(rs: RootSystem, bip: Bipartition | None = None) -> List[FrozenSet[Root]]:
-    """The l gamma-orbits on Delta, each of size s."""
-    if bip is None:
-        bip = bipartition(rs)
-    return _gamma_orbits(rs, coxeter_element(rs, bip))

@@ -4,13 +4,13 @@ E_+ = sum_{i=0..l} c_i e_{a_i} (a_0 = -psi) is regular; its nonzero adjoint
 eigenvalues fill the 2s singular directions, and after one global complex
 rescaling they coincide with the plane coordinates of the roots.
 
-The kernel is read off the principal grading: H_k has degree 0 and e_a
-degree ht(a) mod s.  Every term of E_+ has degree 1 (ht(-psi) = 1 - s), so
-ad(E_+) maps g_k into g_{k+1}: it is block-cyclic, and its singular values
-are the union of those of its s blocks g_k -> g_{k+1}.  That degree is
-checked exactly, entry by entry, before the blocks are read.  At real
-coefficients (the default c_i = sqrt(q_i)) ad(E_+) is kept real, so its
-decompositions run in real arithmetic.
+The principal grading gives H_k degree 0 and e_a degree ht(a) mod s.
+Every term of E_+ has degree 1 (ht(-psi) = 1 - s), so ad(E_+) maps g_k
+into g_{k+1}: it is block-cyclic.  That degree is checked exactly, entry by
+entry, when E_+ is built.  At real coefficients (the default c_i =
+sqrt(q_i)) ad(E_+) is kept real, so its eigenvalues are found in real
+arithmetic.  Regularity (an l-dimensional kernel) is decided once, by
+ray_report's count of l zero eigenvalues below ZERO_TOL.
 
 The eigenvalues come from the same grading.  When s is even, ad(E_+)
 swaps the even and odd degrees, so in a basis ordered by parity it is
@@ -49,9 +49,8 @@ MATCH_TOL = 1e-6
 
 
 class RegularityError(ArithmeticError):
-    """ad(E_+) does not have an l-dimensional kernel, or has an entry off the
-    principal grading (E_+ has degree 1, so every nonzero entry of ad(E_+)
-    maps g_k into g_{k+1})."""
+    """ad(E_+) has an entry off the principal grading (E_+ has degree 1, so
+    every nonzero entry of ad(E_+) maps g_k into g_{k+1})."""
 
 
 class SpectrumMismatch(AssertionError):
@@ -70,12 +69,11 @@ def default_coefficients(alg: ChevalleyAlgebra) -> Tuple[float, ...]:
 
 
 def build_e_plus(alg: ChevalleyAlgebra, coeffs: Sequence[complex] | None = None) -> EPlusElement:
-    """ad(E_+) for the coefficients (index 0 for alpha_0 = -psi), checked regular.
+    """ad(E_+) for the coefficients (index 0 for alpha_0 = -psi), checked graded.
 
     The matrix is real (float64) when every coefficient is, and complex
-    otherwise.  Its kernel dimension counts the singular values below
-    ZERO_TOL times the largest, taken block by block over the principal
-    grading (``graded_singular_values``); RegularityError unless it is l.
+    otherwise.  Every entry off the degree-1 blocks is checked to be exactly
+    0 (``check_grading``); its kernel is counted by ray_report.
     """
     rs = alg.rs
     l = rs.rank
@@ -87,10 +85,7 @@ def build_e_plus(alg: ChevalleyAlgebra, coeffs: Sequence[complex] | None = None)
     ad = alg.ad(dict(zip((rs.alpha0,) + rs.simple_roots, coeffs)))
     if not any(c.imag for c in coeffs):
         ad = ad.real.copy()  # every imaginary part is exactly 0
-    sv = graded_singular_values(alg, ad)
-    kernel_dim = int(np.sum(sv < ZERO_TOL * sv[0]))
-    if kernel_dim != l:
-        raise RegularityError(f"kernel of ad(E_+) has dimension {kernel_dim}, expected {l}")
+    check_grading(alg, ad)
     return EPlusElement(alg, ad)
 
 
@@ -111,26 +106,11 @@ def _check_zero(alg: ChevalleyAlgebra, ad: np.ndarray, deg: np.ndarray, forbidde
         )
 
 
-def graded_singular_values(alg: ChevalleyAlgebra, ad: np.ndarray) -> np.ndarray:
-    """All dim g singular values of a degree-1 ad matrix, descending, from its blocks.
-
-    H_k has degree 0 and e_a degree ht(a) mod s.  First every entry mapping
-    g_k outside g_{k+1} is checked to be exactly 0 (RegularityError names
-    the first that is not).  Then ad* ad is block diagonal, with the blocks
-    B_k* B_k of B_k: g_k -> g_{k+1}; so the singular values are those of
-    the B_k, each padded with zeros to dim g_k.
-    """
+def check_grading(alg: ChevalleyAlgebra, ad: np.ndarray):
+    """RegularityError unless every entry of ad mapping g_k outside g_{k+1} is exactly 0."""
     s = alg.rs.coxeter_number
     deg = principal_degrees(alg)
     _check_zero(alg, ad, deg, deg[:, None] != (deg[None, :] + 1) % s)
-    parts = [np.flatnonzero(deg == k) for k in range(s)]
-    sv = np.zeros(alg.dim)
-    at = 0
-    for k, cols in enumerate(parts):
-        block = np.linalg.svd(ad[np.ix_(parts[(k + 1) % s], cols)], compute_uv=False)
-        sv[at:at + len(block)] = block
-        at += len(cols)
-    return np.sort(sv)[::-1]
 
 
 def parity_blocks(alg: ChevalleyAlgebra) -> Tuple[np.ndarray, np.ndarray] | None:

@@ -5,6 +5,7 @@ import re
 import subprocess
 import sys
 import time
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -347,6 +348,21 @@ def test_over_cap_monodromy_is_refused_before_any_algebra_is_built(rank, node, d
     assert [f.cache_info() for f in (weightrep.registered_representation, build_chevalley)] == cached
 
 
+def test_over_cap_monodromy_rank_is_refused_before_any_argument_is_expanded(capsys):
+    # expanding k and c to rank + 1 values before the refusal traces 93 MB
+    # here, and takes 1.6 GB at rank 30000000
+    tracemalloc.start()
+    try:
+        assert run(["monodromy", "--rank", "2000000", "--k", "0"]) == EXIT_DOMAIN
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert capsys.readouterr().err == (
+        "domain error: root system A2000000 has rank 2000000, out of desk scale"
+        f" (cap {RANK_CAP})\n")
+    assert peak < 2 * 2**20
+
+
 def _domain_edges():
     """argv, exit code and first stderr line of each row of README's domain-edge table."""
     text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
@@ -524,7 +540,7 @@ a2 = build_chevalley("A2")
 moved = spectrum.build_e_plus(a2).ad.copy()
 i = a2.root_index[a2.rs.simple_roots[0]]
 moved[0, 0], moved[i, 0] = moved[i, 0], 0.0  # H_1 -> H_1 has degree 0, not 1
-fires("grading", lambda: spectrum.graded_singular_values(a2, moved), spectrum.RegularityError)
+fires("grading", lambda: spectrum.check_grading(a2, moved), spectrum.RegularityError)
 with contextlib.redirect_stderr(io.StringIO()) as err:
     print("finite", cli.main(["monodromy", "--rank", "2", "--k=0,1,1", "--z", "1e-70"]))
     cap = characters.DEFAULT_DIM_CAP

@@ -21,7 +21,6 @@ from coxstokes.spectrum import (
     adjoint_eigenvalues,
     build_e_plus,
     default_coefficients,
-    graded_singular_values,
     match_plane,
     parity_blocks,
     ray_report,
@@ -86,7 +85,7 @@ def test_rotation_closure_and_regularity_random(name):
     alg = build_chevalley(name)
     rs = alg.rs
     for coeffs in _random_coefficients(name):
-        ep = build_e_plus(alg, coeffs)   # raises RegularityError on kernel mismatch
+        ep = build_e_plus(alg, coeffs)
         sr = ad_spectrum(ep)
         assert sr.zero_multiplicity == rs.rank
         assert len(sr.rays) == 2 * rs.coxeter_number
@@ -267,29 +266,24 @@ def test_verify_reports_tampered_ray_counts(tmp_path, monkeypatch):
 def _dense_kernel(ad):
     """The reference count: the kernel dimension from the dense SVD of the whole matrix."""
     sv = np.linalg.svd(ad, compute_uv=False)
-    return int(np.sum(sv < ZERO_TOL * sv[0])), sv
+    return int(np.sum(sv < ZERO_TOL * sv[0]))
 
 
-def _assert_graded_equals_dense(alg, ad):
-    dense_dim, dense = _dense_kernel(ad)
-    graded = graded_singular_values(alg, ad)
-    assert np.abs(graded - dense).max() <= 1e-13 * dense[0]
-    assert int(np.sum(graded < ZERO_TOL * graded[0])) == dense_dim == alg.rs.rank
-
-
+# the kernel dimension (a rank) and the zero-eigenvalue count (an algebraic
+# multiplicity) agree because E_+ is semisimple; ray_report decides on the latter
 @pytest.mark.parametrize("name", STANDARD_TYPES)
-def test_graded_kernel_equals_dense_svd(name):
-    alg = build_chevalley(name)
-    _assert_graded_equals_dense(alg, build_e_plus(alg).ad)
+def test_dense_kernel_equals_zero_multiplicity(name):
+    ep = build_e_plus(build_chevalley(name))
+    assert _dense_kernel(ep.ad) == ad_spectrum(ep).zero_multiplicity == ep.alg.rs.rank
 
 
 @pytest.mark.parametrize("name", SMALL)
-def test_graded_kernel_equals_dense_svd_complex(name):
+def test_dense_kernel_equals_zero_multiplicity_complex(name):
     alg = build_chevalley(name)
     for coeffs in _random_coefficients(name):
         ep = build_e_plus(alg, coeffs)
         assert ep.ad.dtype == np.complex128
-        _assert_graded_equals_dense(alg, ep.ad)
+        assert _dense_kernel(ep.ad) == ad_spectrum(ep).zero_multiplicity == alg.rs.rank
 
 
 def _tampered_algebra(name, tamper):
@@ -328,9 +322,10 @@ def test_entry_off_the_grading_raises(name):
 @pytest.mark.parametrize("name", ["A2", "D4", "G2", "E6"])
 def test_zero_block_column_raises(name):
     alg = _tampered_algebra(name, _zero_cartan_column)
-    assert _dense_kernel(alg.ad(dict.fromkeys(alg.rs.simple_roots, 1.0)))[0] == alg.rs.rank + 1
-    with pytest.raises(RegularityError, match=f"dimension {alg.rs.rank + 1}, expected"):
-        build_e_plus(alg)
+    l = alg.rs.rank
+    assert _dense_kernel(alg.ad(dict.fromkeys(alg.rs.simple_roots, 1.0))) == l + 1
+    with pytest.raises(SpectrumMismatch, match=rf"zero eigenvalue multiplicity \d+, expected l = {l}$"):
+        ad_spectrum(build_e_plus(alg))
 
 
 @pytest.mark.parametrize("name", STANDARD_TYPES)
