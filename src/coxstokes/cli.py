@@ -274,25 +274,25 @@ def _verify_one(type_name: str) -> dict:
         except (AssertionError, ArithmeticError) as exc:
             checks.append({"name": name, "passed": False, "detail": str(exc)})
 
-    plane_holder = {}
+    planes = []
+    record("coxeter_plane_rays", lambda: planes.append(coxeter_plane(rs, bip)))
 
-    def build_plane():
-        plane_holder["plane"] = coxeter_plane(rs, bip)
+    def plane():
+        # a check that reads the plane fails with it, and names it
+        if not planes:
+            raise TheoremCheckError("not run: its prerequisite coxeter_plane_rays failed")
+        return planes[0]
 
-    record("coxeter_plane_rays", build_plane)
-    if "plane" in plane_holder:
-        record(
-            "singular_directions",
-            lambda: singular_directions(rs, bip, plane_holder["plane"]),
-        )
+    record("singular_directions", lambda: singular_directions(rs, bip, plane()))
     record("kostant_chain", lambda: kostant_chain(rs, rs.coxeter_number, bip))
 
     dim = rs.rank + len(rs.roots)
     if dim <= SPEC_DIM_CAP:
         def spectrum_check():
+            rays = plane()
             alg = build_chevalley(type_name)
             sr = ad_spectrum(build_e_plus(alg))
-            match_plane(sr, plane_holder["plane"])
+            match_plane(sr, rays)
 
         record("apposition_spectrum", spectrum_check)
     passed = all(c["passed"] for c in checks)

@@ -442,16 +442,8 @@ def _exp_taylor(omega: np.ndarray) -> np.ndarray:
     return out
 
 
-def sequential_product(props: np.ndarray) -> np.ndarray:
-    """props[-1] ... props[1] props[0], multiplied one after another."""
-    phi = props[0]
-    for step in props[1:]:
-        phi = step @ phi
-    return phi
-
-
 def tree_product(props: np.ndarray) -> np.ndarray:
-    """The same product as sequential_product, multiplied pairwise in the dtype of props."""
+    """props[-1] ... props[1] props[0], multiplied pairwise in the dtype of props."""
     while len(props) > 1:
         even = len(props) // 2 * 2
         paired = props[1:even:2] @ props[0:even:2]

@@ -850,7 +850,7 @@ def stokes_from_asymptotics(
     k1, k2, a_gamma = cs.rewritten()
     resid = np.max(np.abs(m0 - k1 @ k2 @ a_gamma))
     scale = max(1.0, np.max(np.abs(m0)))
-    if resid > FACTOR_TOL * scale:
+    if not resid <= FACTOR_TOL * scale:  # a NaN residual fails too
         raise ConsistencyError(f"M0 != K1 K2 A_gamma: residual {resid}")
     return StokesData(
         type_name=str(rs.type),
@@ -882,7 +882,7 @@ def _unipotent_log(u: np.ndarray) -> np.ndarray:
     term = np.eye(n, dtype=complex)
     for kk in range(1, n + 1):
         term = term @ x
-        if not np.any(np.abs(term) > 1e-300):
+        if np.all(np.abs(term) <= 1e-300):  # a NaN power is not zero
             break
         out += ((-1) ** (kk + 1) / kk) * term
     return out
@@ -912,7 +912,7 @@ def verify_factor_supports(sd: StokesData) -> FactorSupports:
         basis = np.stack([sd.rep.root_matrix(r).reshape(-1) for r in support], axis=1)
         coef, *_ = np.linalg.lstsq(basis, x, rcond=None)
         res = float(np.max(np.abs(basis @ coef - x)))
-        if res > FACTOR_TOL * max(1.0, float(np.max(np.abs(x)))):
+        if not res <= FACTOR_TOL * max(1.0, float(np.max(np.abs(x)))):
             raise ConsistencyError(f"log {name} leaves its root-space span: {res}")
         residuals[name], multipliers[name] = res, coef
     return FactorSupports(residuals, multipliers)

@@ -1,11 +1,12 @@
 """Matrix models of small highest-weight representations.
 
-The module realizes V(lambda) on a basis of lowering-operator words using the
-contravariant (Shapovalov) form: a word is a basis vector iff it increases the
-Gram rank of its weight space, and matrix entries come from exact rational
-Gram solves.  This yields Chevalley-generator matrices for any type, which is
-how the registered faithful representations (standard / 7-dim for G2 /
-26-dim for F4 / 27-dim for E6) are produced uniformly.
+The module realizes V(lambda) on a basis of lowering-operator words, built one
+level at a time with the contravariant (Shapovalov) form: a word f_i b is a
+basis vector iff it increases the Gram rank of its weight space.  The form,
+and the generators' matrix entries, are read off the levels already built,
+in exact rationals.  This yields Chevalley-generator matrices for any type,
+which is how the registered faithful representations (standard / 7-dim for
+G2 / 26-dim for F4 / 27-dim for E6) are produced uniformly.
 """
 
 from __future__ import annotations
@@ -85,61 +86,6 @@ def _solve_gram(gram: List[List[Q]], rhs: List[Q]) -> List[Q]:
                 f = M[r][c]
                 M[r] = [M[r][k] - f * M[c][k] for k in range(n + 1)]
     return [M[r][n] for r in range(n)]
-
-
-class _VermaWords:
-    """Shapovalov-form bookkeeping on lowering words for one highest weight."""
-
-    def __init__(self, rs: RootSystem, lam: Weight):
-        self.rs = rs
-        self.lam = lam
-        self._e_memo: Dict[Tuple[int, Word], Dict[Word, Q]] = {}
-        self._form_memo: Dict[Tuple[Word, Word], Q] = {}
-
-    def weight(self, w: Word) -> Weight:
-        d = list(self.lam)
-        for i in w:
-            for j in range(self.rs.rank):
-                d[j] -= self.rs.cartan[i][j]
-        return tuple(d)
-
-    def e_act(self, i: int, w: Word) -> Dict[Word, Q]:
-        """e_i applied to the word w, as a combination of shorter words."""
-        if not w:
-            return {}
-        key = (i, w)
-        got = self._e_memo.get(key)
-        if got is not None:
-            return got
-        j, rest = w[0], w[1:]
-        out: Dict[Word, Q] = {}
-        for w2, c in self.e_act(i, rest).items():
-            k = (j,) + w2
-            out[k] = out.get(k, Q(0)) + c
-        if i == j:
-            h = Q(self.weight(rest)[i])
-            if h:
-                out[rest] = out.get(rest, Q(0)) + h
-        out = {k: v for k, v in out.items() if v}
-        self._e_memo[key] = out
-        return out
-
-    def form(self, u: Word, w: Word) -> Q:
-        """Contravariant form <u, w>; nonzero only within one weight space."""
-        if len(u) != len(w):
-            return Q(0)
-        if not u:
-            return Q(1)
-        key = (u, w)
-        got = self._form_memo.get(key)
-        if got is not None:
-            return got
-        i, rest = u[0], u[1:]
-        tot = Q(0)
-        for w2, c in self.e_act(i, w).items():
-            tot += c * self.form(rest, w2)
-        self._form_memo[key] = tot
-        return tot
 
 
 @dataclass
@@ -250,69 +196,81 @@ class Representation:
 
 
 def _build_representation(rs: RootSystem, lam: Weight) -> Representation:
-    vw = _VermaWords(rs, lam)
-    l = rs.rank
+    """V(lam) grown one level at a time from the part already built.
 
-    # grow the word basis level by level, keeping Gram-independent words
-    basis: List[Word] = [()]
-    by_weight: Dict[Weight, List[Word]] = {lam: [()]}
+    The candidates below a level are f_i b for its basis vectors b, in
+    order; one is kept iff it raises the Gram rank of its weight space.  Its
+    form with a kept f_j b' is <b', e_j f_i b>, and
+    e_j f_i b = f_i (e_j b) + [i = j] <wt b, alpha_i^vee> b
+    lies in b's level, where e_j b and f_i are already known.  That vector
+    is a kept candidate's column of e_j; a rejected one's column of f_i is
+    its Gram solve on the kept vectors of its weight.
+    """
+    l = rs.rank
+    words: List[Word] = [()]
+    weights: List[Weight] = [lam]
+    parent: List[Tuple[int, int]] = [(-1, -1)]  # (j, b') for the vector f_j b'; none at the top
+    pos = [0]  # place within its weight space
+    e_cols: List[List[Dict[int, Q]]] = [[{} for _ in range(l)]]  # e_cols[n][j]: e_j of vector n
+    f_cols: List[List[Dict[int, Q]]] = [[{} for _ in range(l)]]
+    by_weight: Dict[Weight, List[int]] = {lam: [0]}
     grams: Dict[Weight, List[List[Q]]] = {lam: [[Q(1)]]}
-    level = [()]
+
+    def form(b: int, v: Dict[int, Q]) -> Q:
+        """<b, v> for v a combination of basis vectors of b's weight."""
+        row = grams[weights[b]][pos[b]]
+        return sum((c * row[pos[m]] for m, c in v.items()), Q(0))
+
+    level = [0]
     while level:
-        nxt: List[Word] = []
-        for w in level:
+        nxt: List[int] = []
+        for b in level:
             for i in range(l):
-                cand = (i,) + w
-                mu = vw.weight(cand)
+                mu = tuple(m - c for m, c in zip(weights[b], rs.cartan[i]))
+                up = []  # up[j] = e_j f_i b
+                for j in range(l):
+                    v: Dict[int, Q] = {}
+                    for m, c in e_cols[b][j].items():
+                        for r, d in f_cols[m][i].items():
+                            v[r] = v.get(r, Q(0)) + c * d
+                    if i == j:
+                        v[b] = v.get(b, Q(0)) + weights[b][i]
+                    up.append(v)
                 bw = by_weight.setdefault(mu, [])
                 gram = grams.setdefault(mu, [])
-                col = [vw.form(b, cand) for b in bw]
-                self_ip = vw.form(cand, cand)
-                if bw:
-                    x = _solve_gram(gram, col)
-                    schur = self_ip - sum(col[k] * x[k] for k in range(len(bw)))
-                else:
-                    schur = self_ip
-                if schur != 0:
-                    for k, b in enumerate(bw):
-                        gram[k].append(col[k])
+                col = [form(parent[n][1], up[parent[n][0]]) for n in bw]
+                self_ip = form(b, up[i])
+                x = _solve_gram(gram, col)
+                if self_ip - sum(c * y for c, y in zip(col, x)) != 0:
+                    n = len(words)
+                    for k, row in enumerate(gram):
+                        row.append(col[k])
                     gram.append(col + [self_ip])
-                    bw.append(cand)
-                    basis.append(cand)
-                    nxt.append(cand)
+                    pos.append(len(bw))
+                    bw.append(n)
+                    words.append((i,) + words[b])
+                    weights.append(mu)
+                    parent.append((i, b))
+                    e_cols.append(up)
+                    f_cols.append([{} for _ in range(l)])
+                    f_cols[b][i] = {n: Q(1)}
+                    nxt.append(n)
+                else:
+                    f_cols[b][i] = {bw[k]: y for k, y in enumerate(x) if y}
         level = nxt
 
-    dim = len(basis)
-    index = {w: k for k, w in enumerate(basis)}
-    weights = tuple(vw.weight(w) for w in basis)
+    dim = len(words)
 
-    def coords_of(combo: Dict[Word, Q], mu: Weight) -> Dict[int, Q]:
-        bw = by_weight.get(mu, [])
-        if not bw:
-            return {}
-        rhs = [Q(0)] * len(bw)
-        for w, c in combo.items():
-            for k, b in enumerate(bw):
-                rhs[k] += c * vw.form(b, w)
-        x = _solve_gram(grams[mu], rhs)
-        return {index[bw[k]]: x[k] for k in range(len(bw)) if x[k]}
+    def matrix(i: int, cols: List[List[Dict[int, Q]]]) -> np.ndarray:
+        out = [[Q(0)] * dim for _ in range(dim)]
+        for c, col in enumerate(cols):
+            for r, v in col[i].items():
+                out[r][c] = v
+        return np.array(out, dtype=object)
 
-    fmats = [[[Q(0)] * dim for _ in range(dim)] for _ in range(l)]
-    emats = [[[Q(0)] * dim for _ in range(dim)] for _ in range(l)]
-    for col, w in enumerate(basis):
-        mu = vw.weight(w)
-        for i in range(l):
-            down = (i,) + w
-            mu_dn = tuple(m - c for m, c in zip(mu, rs.cartan[i]))
-            for row, v in coords_of({down: Q(1)}, mu_dn).items():
-                fmats[i][row][col] = v
-            mu_up = tuple(m + c for m, c in zip(mu, rs.cartan[i]))
-            for row, v in coords_of(vw.e_act(i, w), mu_up).items():
-                emats[i][row][col] = v
-
-    e_chev = tuple(np.array(m, dtype=object) for m in emats)
-    f_chev = tuple(np.array(m, dtype=object) for m in fmats)
-    rep = Representation(rs, lam, dim, tuple(basis), weights, e_chev, f_chev)
+    e_chev = tuple(matrix(i, e_cols) for i in range(l))
+    f_chev = tuple(matrix(i, f_cols) for i in range(l))
+    rep = Representation(rs, lam, dim, tuple(words), tuple(weights), e_chev, f_chev)
     _verify_representation(rep)
     return rep
 

@@ -6,7 +6,12 @@
   check and Gram inverse formed in Fractions, and its roots closed under
   the full simple-reflection matrices, as ``build_root_system`` did before
   it moved to Python ints.  tests/test_rootcore.py compares the two field
-  by field, in value and in type.
+  by field, in value and in type;
+- ``word_representation``: V(lambda) on lowering words, its contravariant
+  (Shapovalov) form found by a memoized recursion on the words
+  (``VermaWords``), as ``weightrep._build_representation`` did before it
+  read each level off the one above.  tests/test_weightrep.py compares the
+  two entry for entry, in value and in type.
 
 No module of the package imports this one.
 """
@@ -15,7 +20,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction as Q
-from typing import List, Sequence
+from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
 
@@ -29,6 +34,10 @@ from coxstokes.rootcore import (
     reflection_matrices,
 )
 from coxstokes.scalars import mat_vec
+from coxstokes.weightrep import Representation, _solve_gram, _verify_representation
+
+Word = Tuple[int, ...]  # f_{i1} f_{i2} ... applied to the highest vector
+Weight = Tuple[int, ...]
 
 
 def mat_inv(A: Sequence[Sequence[Q]]) -> List[List[Q]]:
@@ -115,3 +124,128 @@ def fraction_root_system(type_name) -> RootSystem:
         length_den=length_den,
         _root_set=frozenset(roots),
     )
+
+
+class VermaWords:
+    """Shapovalov-form bookkeeping on lowering words for one highest weight."""
+
+    def __init__(self, rs: RootSystem, lam: Weight):
+        self.rs = rs
+        self.lam = lam
+        self._e_memo: Dict[Tuple[int, Word], Dict[Word, Q]] = {}
+        self._form_memo: Dict[Tuple[Word, Word], Q] = {}
+
+    def weight(self, w: Word) -> Weight:
+        d = list(self.lam)
+        for i in w:
+            for j in range(self.rs.rank):
+                d[j] -= self.rs.cartan[i][j]
+        return tuple(d)
+
+    def e_act(self, i: int, w: Word) -> Dict[Word, Q]:
+        """e_i applied to the word w, as a combination of shorter words."""
+        if not w:
+            return {}
+        key = (i, w)
+        got = self._e_memo.get(key)
+        if got is not None:
+            return got
+        j, rest = w[0], w[1:]
+        out: Dict[Word, Q] = {}
+        for w2, c in self.e_act(i, rest).items():
+            k = (j,) + w2
+            out[k] = out.get(k, Q(0)) + c
+        if i == j:
+            h = Q(self.weight(rest)[i])
+            if h:
+                out[rest] = out.get(rest, Q(0)) + h
+        out = {k: v for k, v in out.items() if v}
+        self._e_memo[key] = out
+        return out
+
+    def form(self, u: Word, w: Word) -> Q:
+        """Contravariant form <u, w>; nonzero only within one weight space."""
+        if len(u) != len(w):
+            return Q(0)
+        if not u:
+            return Q(1)
+        key = (u, w)
+        got = self._form_memo.get(key)
+        if got is not None:
+            return got
+        i, rest = u[0], u[1:]
+        tot = Q(0)
+        for w2, c in self.e_act(i, w).items():
+            tot += c * self.form(rest, w2)
+        self._form_memo[key] = tot
+        return tot
+
+
+def word_representation(rs: RootSystem, lam: Weight) -> Representation:
+    """V(lam) on the Gram-independent lowering words, its matrices read by
+    Gram solves of the word-level form."""
+    vw = VermaWords(rs, lam)
+    l = rs.rank
+
+    # grow the word basis level by level, keeping Gram-independent words
+    basis: List[Word] = [()]
+    by_weight: Dict[Weight, List[Word]] = {lam: [()]}
+    grams: Dict[Weight, List[List[Q]]] = {lam: [[Q(1)]]}
+    level = [()]
+    while level:
+        nxt: List[Word] = []
+        for w in level:
+            for i in range(l):
+                cand = (i,) + w
+                mu = vw.weight(cand)
+                bw = by_weight.setdefault(mu, [])
+                gram = grams.setdefault(mu, [])
+                col = [vw.form(b, cand) for b in bw]
+                self_ip = vw.form(cand, cand)
+                if bw:
+                    x = _solve_gram(gram, col)
+                    schur = self_ip - sum(col[k] * x[k] for k in range(len(bw)))
+                else:
+                    schur = self_ip
+                if schur != 0:
+                    for k, b in enumerate(bw):
+                        gram[k].append(col[k])
+                    gram.append(col + [self_ip])
+                    bw.append(cand)
+                    basis.append(cand)
+                    nxt.append(cand)
+        level = nxt
+
+    dim = len(basis)
+    index = {w: k for k, w in enumerate(basis)}
+    weights = tuple(vw.weight(w) for w in basis)
+
+    def coords_of(combo: Dict[Word, Q], mu: Weight) -> Dict[int, Q]:
+        bw = by_weight.get(mu, [])
+        if not bw:
+            return {}
+        rhs = [Q(0)] * len(bw)
+        for w, c in combo.items():
+            for k, b in enumerate(bw):
+                rhs[k] += c * vw.form(b, w)
+        x = _solve_gram(grams[mu], rhs)
+        return {index[bw[k]]: x[k] for k in range(len(bw)) if x[k]}
+
+    fmats = [[[Q(0)] * dim for _ in range(dim)] for _ in range(l)]
+    emats = [[[Q(0)] * dim for _ in range(dim)] for _ in range(l)]
+    for col, w in enumerate(basis):
+        mu = vw.weight(w)
+        for i in range(l):
+            down = (i,) + w
+            mu_dn = tuple(m - c for m, c in zip(mu, rs.cartan[i]))
+            for row, v in coords_of({down: Q(1)}, mu_dn).items():
+                fmats[i][row][col] = v
+            mu_up = tuple(m + c for m, c in zip(mu, rs.cartan[i]))
+            for row, v in coords_of(vw.e_act(i, w), mu_up).items():
+                emats[i][row][col] = v
+
+    e_chev = tuple(np.array(m, dtype=object) for m in emats)
+    f_chev = tuple(np.array(m, dtype=object) for m in fmats)
+    rep = Representation(rs, lam, dim, tuple(basis), weights, e_chev, f_chev)
+    _verify_representation(rep)
+    return rep

@@ -81,6 +81,30 @@ def test_verify_spectrum_skipped_by_cap(tmp_path, monkeypatch, capsys):
     assert f"[PASS] B3 (skipped apposition_spectrum: {reason})" in capsys.readouterr().err
 
 
+def test_verify_failed_plane_fails_the_checks_that_read_it(tmp_path, monkeypatch, capsys):
+    # the two checks that read the plane are recorded as failed, naming it,
+    # instead of one being dropped and the other raising KeyError
+    def no_plane(rs, bip):
+        raise cli.TheoremCheckError("planted plane failure")
+
+    monkeypatch.setattr(cli, "coxeter_plane", no_plane)
+    out = tmp_path / "v.json"
+    assert run(["verify", "--type", "A2", "--json-out", str(out)]) == EXIT_VERIFY
+    doc = json.loads(out.read_text())
+    assert not doc["passed"]
+    checks = {c["name"]: c for c in doc["checks"]}
+    assert list(checks) == [
+        "coxeter_plane_rays", "singular_directions", "kostant_chain", "apposition_spectrum",
+    ]
+    assert checks["coxeter_plane_rays"]["detail"] == "planted plane failure"
+    assert checks["kostant_chain"]["passed"]
+    for name in ("singular_directions", "apposition_spectrum"):
+        assert not checks[name]["passed"]
+        assert "coxeter_plane_rays failed" in checks[name]["detail"]
+    err = capsys.readouterr().err
+    assert "[FAIL] A2" in err and "Traceback" not in err
+
+
 def test_stokes_roundtrip(tmp_path):
     out = tmp_path / "s.json"
     assert run(["stokes", "--type", "A2", "--m", "0,0", "--json-out", str(out)]) == EXIT_OK

@@ -21,21 +21,21 @@ def test_no_module_imports_a_private_sibling_name():
     assert private_sibling_imports(Path(coxstokes.__file__).parent) == []
 
 
-def reference_imports(package: Path):
-    """'module: name' for each import of the test-side character reference, or of a name it defines."""
-    reference = Path(__file__).with_name("character_reference.py")
+def reference_imports(package: Path, reference: str = "character_reference"):
+    """'module: name' for each import of a test-side reference module, or of a name it defines."""
+    source = Path(__file__).with_name(f"{reference}.py")
     defined = {
         node.name
-        for node in ast.parse(reference.read_text()).body
+        for node in ast.parse(source.read_text()).body
         if isinstance(node, (ast.FunctionDef, ast.ClassDef))
     }
     found = []
     for path in sorted(package.glob("*.py")):
         for node in ast.walk(ast.parse(path.read_text(), str(path))):
             if isinstance(node, ast.Import):
-                found += [f"{path.stem}: {a.name}" for a in node.names if "character_reference" in a.name]
+                found += [f"{path.stem}: {a.name}" for a in node.names if reference in a.name]
             elif isinstance(node, ast.ImportFrom):
-                if "character_reference" in (node.module or ""):
+                if reference in (node.module or ""):
                     found.append(f"{path.stem}: {node.module}")
                 found += [f"{path.stem}: {a.name}" for a in node.names if a.name in defined]
     return found
@@ -49,6 +49,18 @@ def test_no_module_imports_the_character_reference(tmp_path):
         "import character_reference\nfrom .steinberg import fundamental_traces\n"
     )
     assert reference_imports(tmp_path) == ["user: character_reference", "user: fundamental_traces"]
+
+
+def test_no_module_imports_the_rational_reference(tmp_path):
+    # the word-level Shapovalov builder and the Fraction root system are the
+    # tests' references; weightrep and rootcore no longer carry them
+    assert reference_imports(Path(coxstokes.__file__).parent, "rational_reference") == []
+    (tmp_path / "user.py").write_text("from .weightrep import VermaWords, word_representation\n")
+    assert reference_imports(tmp_path, "rational_reference") == [
+        "user: VermaWords",
+        "user: word_representation",
+    ]
+    assert not hasattr(coxstokes.weightrep, "_VermaWords")
 
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"

@@ -20,7 +20,6 @@ from coxstokes.oracle import (
     formal_solution,
     integrate_monodromy,
     numerical_monodromy,
-    sequential_product,
 )
 from coxstokes.weightrep import registered_representation
 from rational_reference import mat_inv
@@ -267,6 +266,15 @@ def test_magnus_matches_dop853_reference():
             assert got.steps == sys_.s * per >= oracle.MIN_STEPS and per % 2 == 0
             assert got.nfev == 3 * (per + per // 2)
             assert got.error_estimate <= oracle.ERROR_TOL
+
+
+def sequential_product(props):
+    """props[-1] ... props[1] props[0], multiplied one after another: the
+    product oracle.tree_product forms pairwise."""
+    phi = props[0]
+    for step in props[1:]:
+        phi = step @ phi
+    return phi
 
 
 def magnus_propagators(im, k, steps):

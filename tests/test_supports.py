@@ -20,6 +20,7 @@ from coxstokes.rootcore import build_root_system
 from coxstokes.steinberg import (
     FACTOR_TOL,
     ConsistencyError,
+    CrossSectionFactors,
     _distinct,
     _unipotent_log,
     semisimple_spectrum_check,
@@ -169,6 +170,39 @@ def test_a_root_off_the_support_fails_both_checks(name):
                 verify_factor_supports(tampered_factor(sd, factor, beta, eps))
             res, bound = adjoint_support_residual(name, adjoint[factor], support, (beta, eps))
             assert res > bound, (factor, beta)
+
+
+def with_nan(mat):
+    out = mat.copy()
+    out[0, -1] = np.nan
+    return out
+
+
+@pytest.mark.parametrize("name", REGISTERED)
+@pytest.mark.parametrize("factor", ["k1", "k2"])
+def test_a_nan_entry_fails_both_checks(name, factor):
+    # a NaN residual is not within any bound: the checks read "not res <= bound"
+    t = seeded_t(name, 13)
+    sd = stokes_at(name, t)
+    with pytest.raises(ConsistencyError, match=f"log {factor} leaves its root-space span: nan"):
+        verify_factor_supports(dataclasses.replace(sd, **{factor: with_nan(getattr(sd, factor))}))
+    support = sd.k1_support if factor == "k1" else sd.k2_support
+    res, bound = adjoint_support_residual(name, with_nan(adjoint_factors(name, t)[factor]), support)
+    assert not res <= bound
+
+
+@pytest.mark.parametrize("name", REGISTERED)
+def test_a_nan_in_k1_fails_the_factorization_check(name, monkeypatch):
+    real = CrossSectionFactors.rewritten
+
+    def nan_k1(self):
+        k1, k2, a_gamma = real(self)
+        return with_nan(k1), k2, a_gamma
+
+    monkeypatch.setattr(CrossSectionFactors, "rewritten", nan_k1)
+    rank = build_root_system(name).rank
+    with pytest.raises(ConsistencyError, match=r"M0 != K1 K2 A_gamma: residual nan"):
+        stokes_from_asymptotics(name, [Q(0)] * rank)
 
 
 @pytest.mark.parametrize("name", REGISTERED)

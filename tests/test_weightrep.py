@@ -6,7 +6,13 @@ import pytest
 from scipy.linalg import expm
 
 from character_reference import adjoint_section
-from coxstokes.characters import _table_pairing, fundamental_characters, weight_pairing
+from rational_reference import word_representation
+from coxstokes.characters import (
+    _table_pairing,
+    fundamental_characters,
+    fundamental_dims,
+    weight_pairing,
+)
 from coxstokes.chevalley import InvariantViolation, build_chevalley
 from coxstokes.weightrep import (
     NilpotentExp,
@@ -174,6 +180,39 @@ def test_tau_rotates_root_matrices():
 def test_fundamental_representation_dimension_check():
     rep = fundamental_representation("B2", 2)
     assert rep.dim == 4
+
+
+# -- the level-by-level builder against the word-level reference ----------------------
+
+# every fundamental representation of dimension <= 50 of these types, and
+# the registered F4 26 and E6 27: about 1 s of reference builds
+REFERENCE_CASES = [
+    (name, k)
+    for name in ("A2", "A3", "A4", "A5", "B2", "B3", "B4", "C3", "C4", "D4", "D5", "G2")
+    for k, dim in enumerate(fundamental_dims(name), 1)
+    if dim <= 50
+] + [("F4", 4), ("E6", 1)]
+
+
+@pytest.mark.parametrize("name, k", REFERENCE_CASES)
+def test_level_builder_equals_word_reference(name, k):
+    # the same basis words and weights, and every generator entry the same
+    # Fraction, in value and in type
+    rep = fundamental_representation(name, k)
+    ref = word_representation(rep.rs, rep.highest_weight)
+    assert rep.basis_words == ref.basis_words
+    assert rep.basis_weights == ref.basis_weights
+    for got, want in zip(rep.e_chev + rep.f_chev, ref.e_chev + ref.f_chev):
+        assert got.shape == want.shape == (rep.dim, rep.dim)
+        assert [(x, type(x)) for x in got.flat] == [(y, type(y)) for y in want.flat]
+
+
+@pytest.mark.parametrize("name, k, dim", [("E7", 7, 56), ("F4", 1, 52)])
+def test_large_fundamental_representations_build_and_verify(name, k, dim):
+    # 42 s and 8.5 s with the word-level form; well under a second now
+    rep = fundamental_representation(name, k)
+    assert rep.dim == dim
+    _verify_representation(rep)
 
 
 # -- float generators and the finite exponential series ------------------------------
